@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The one-command CI gate: tests, doc doctests, lint.
+# The one-command CI gate: tests, doc doctests, ledger check, lint.
 # Usage: ./scripts/check.sh   (from anywhere; PYTHON=... to override)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,6 +62,10 @@ echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="
 "$PY" scripts/gen_fsck_fixtures.py --check
 "$PY" scripts/fsck_matrix.py --models ev,gsv --json "$DET_DIR/fsck.json"
+
+echo
+echo "== perf ledger gate (its tests + all workloads traced/untraced) =="
+./perf_ledger/check.sh
 
 echo
 echo "== lint =="

@@ -56,7 +56,6 @@ def build_table(timing, floor):
     """The scaling_mp baseline table for one measurement."""
     return {
         "cores": timing["cores"],
-        "transport": timing.get("transport", "shm"),
         "efficiency_floor": floor,
         "note": ("efficiency is core-normalized speedup(k)/min(k, "
                  "cores): equals the headline parallel efficiency "
@@ -71,12 +70,10 @@ def build_table(timing, floor):
 def delta_markdown(fresh, recorded):
     """Markdown comparing a fresh scaling table against the baseline."""
     lines = ["# fleet_scale_mp scaling delta", ""]
-    lines.append(f"Fresh run: {fresh['cores']} core(s), transport "
-                 f"{fresh['transport']}, floor "
+    lines.append(f"Fresh run: {fresh['cores']} core(s), floor "
                  f"{fresh['efficiency_floor']}.")
     if recorded:
-        lines.append(f"Baseline:  {recorded.get('cores', '?')} core(s), "
-                     f"transport {recorded.get('transport', '?')}.")
+        lines.append(f"Baseline:  {recorded.get('cores', '?')} core(s).")
     lines += ["", "| workers | homes/s | speedup | eff (core-norm) "
               "| eff raw | baseline homes/s | baseline eff |",
               "|---:|---:|---:|---:|---:|---:|---:|"]

@@ -81,10 +81,10 @@ def fleet_scale_mp(homes: int, seed: int, worker_counts,
     """Multi-core scaling: homes/s and parallel efficiency vs workers.
 
     Runs the same fixed fleet at each worker count on the process pool
-    with streaming aggregation and the shared-memory transport,
-    interleaving the worker counts across ``inner_repeats`` rounds and
-    taking the min wall per count (so machine noise hits every count
-    equally).  Two efficiencies are reported per count ``k``:
+    with streaming aggregation, interleaving the worker counts across
+    ``inner_repeats`` rounds and taking the min wall per count (so
+    machine noise hits every count equally).  Two efficiencies are
+    reported per count ``k``:
 
     * ``efficiency_raw``  = speedup(k) / k — the headline parallel
       efficiency; only meaningful when the machine has ≥ k cores.
@@ -101,23 +101,20 @@ def fleet_scale_mp(homes: int, seed: int, worker_counts,
     import time
 
     from repro.fleet import FleetConfig, FleetEngine
-    from repro.fleet.affinity import available_cpus
-    from repro.fleet.shm import shm_available
+    from repro.fleet.engine import available_cpus
 
     worker_counts = tuple(worker_counts)
     if not worker_counts or worker_counts[0] != 1:
         raise ValueError("worker_counts must start at 1 (the "
                          "single-worker reference time)")
     cores = available_cpus()
-    transport = "shm" if shm_available() else "pickle"
     walls: Dict[int, list] = {count: [] for count in worker_counts}
     aggregate = None
     for _ in range(max(1, inner_repeats)):
         for count in worker_counts:
             config = FleetConfig(
                 homes=homes, seed=seed, backend="process",
-                workers=count, aggregate="stream", transport=transport,
-                check_final=False)
+                workers=count, aggregate="stream", check_final=False)
             started = time.perf_counter()
             result = FleetEngine(config).run()
             walls[count].append(time.perf_counter() - started)
@@ -143,8 +140,7 @@ def fleet_scale_mp(homes: int, seed: int, worker_counts,
             "committed": aggregate["committed"],
             "abort_rate": round(aggregate["abort_rate"], 6),
         },
-        "timing": {"cores": cores, "transport": transport,
-                   "scaling": scaling},
+        "timing": {"cores": cores, "scaling": scaling},
     }
 
 

@@ -199,7 +199,7 @@ def _fleet_overrides(args: argparse.Namespace) -> Dict[str, object]:
     overrides: Dict[str, object] = {}
     for flag in ("homes", "seed", "scenario", "model", "scheduler",
                  "execution", "backend", "chunk", "aggregate",
-                 "crashes", "recovery", "transport", "pin", "wal_dir"):
+                 "crashes", "recovery", "wal_dir"):
         value = getattr(args, flag)
         if value is not None:
             overrides[flag] = value
@@ -790,18 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--exact", action="store_true",
                        help="force exact pooled-percentile aggregation "
                             "(the default; overrides --aggregate)")
-    fleet.add_argument("--transport", default=None,
-                       choices=("pickle", "shm"),
-                       help="how streaming partials reach the parent: "
-                            "'pickle' through the pool result channel, "
-                            "'shm' struct-packed into preallocated "
-                            "shared-memory slabs (needs --aggregate "
-                            "stream)")
-    fleet.add_argument("--pin", default=None,
-                       choices=("none", "spread"),
-                       help="CPU affinity for process workers: 'spread' "
-                            "pins one worker per CPU round-robin; no-op "
-                            "where unsupported (default: none)")
     fleet.add_argument("--wal-dir", default=None,
                        help="spool per-home WALs to worker-local segment "
                             "files in this directory and merge them into "

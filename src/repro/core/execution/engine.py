@@ -4,10 +4,9 @@
 instead of hand-rolling its command chain.  It owns three policy-agnostic
 mechanisms:
 
-* the **serial chain** — the exact command-after-command driver the old
-  ``SequentialExecutionMixin`` implemented, kept bit-compatible because
-  the paper's experiments (and every seeded baseline report) execute
-  routines strictly in order;
+* the **serial chain** — the command-after-command driver, kept
+  bit-compatible because the paper's experiments (and every seeded
+  baseline report) execute routines strictly in order;
 * the **parallel dispatcher** — compiles the routine into a
   :class:`~repro.core.execution.plan.CommandPlan` DAG and issues every
   ready command whose device the policy lets it claim, through the
@@ -74,7 +73,7 @@ class PlanExecutionMixin(Controller):
                                    now=self.sim.now)
         return run.plan
 
-    # -- serial chain (bit-compatible with SequentialExecutionMixin) --------------
+    # -- serial chain (bit-compatible with the seeded baseline reports) -------
 
     def _run_next(self, run: RoutineRun) -> None:
         if self._parallel_enabled():

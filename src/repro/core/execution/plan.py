@@ -3,8 +3,7 @@
 A routine's command list is a *program*; how much of it may run
 concurrently is a *strategy*:
 
-* ``serial`` — every command depends on its predecessor (the chain the
-  old ``SequentialExecutionMixin`` hard-coded).  Kept for
+* ``serial`` — every command depends on its predecessor.  Kept for
   bit-compatibility: the paper's experiments execute routines strictly
   in order.
 * ``parallel`` — commands on the *same* device keep program order

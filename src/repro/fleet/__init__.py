@@ -23,20 +23,15 @@ Determinism contract: a fleet run is a pure function of its
 never change a single byte of the default (exact-aggregation) JSON.
 """
 
-from repro.fleet.affinity import PIN_MODES
-from repro.fleet.engine import (BACKENDS, FleetConfig, FleetEngine,
-                                FleetResult, register_backend, run_fleet)
+from repro.fleet.engine import (FleetConfig, FleetEngine, FleetResult,
+                                run_fleet)
 from repro.fleet.pool import (POOLS, HomeTask, WorkerContext, WorkerPool,
-                              default_chunk_size, plan_chunks,
-                              register_pool)
+                              default_chunk_size, plan_chunks)
 from repro.fleet.seeding import SeedSplitter, home_seed
-from repro.fleet.sharding import HomeSpec, Shard, plan_shards
-from repro.fleet.shm import (TRANSPORTS, SlabSet, TransportError,
-                             pack_accumulator, shm_available,
-                             unpack_accumulator)
+from repro.fleet.sharding import HomeSpec
 from repro.fleet.spool import (load_spooled_home, merge_spool,
                                replay_spooled_home)
-from repro.fleet.worker import HomeFactory, run_home, run_shard
+from repro.fleet.worker import HomeFactory, run_home
 
 # The control plane imports the engine, so it must come last here.
 from repro.fleet.control import (CanarySpec, Cohort, ControlLoop,
@@ -50,8 +45,6 @@ __all__ = [
     "FleetEngine",
     "FleetResult",
     "run_fleet",
-    "BACKENDS",
-    "register_backend",
     "POOLS",
     "WorkerPool",
     "WorkerContext",
@@ -59,21 +52,10 @@ __all__ = [
     "HomeFactory",
     "default_chunk_size",
     "plan_chunks",
-    "register_pool",
     "SeedSplitter",
     "home_seed",
     "HomeSpec",
-    "Shard",
-    "plan_shards",
     "run_home",
-    "run_shard",
-    "TRANSPORTS",
-    "TransportError",
-    "SlabSet",
-    "pack_accumulator",
-    "unpack_accumulator",
-    "shm_available",
-    "PIN_MODES",
     "merge_spool",
     "load_spooled_home",
     "replay_spooled_home",

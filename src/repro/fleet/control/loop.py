@@ -12,9 +12,8 @@ logs and result JSON; the CI ``control`` job enforces that with
 
 Worker-count clamping is re-queried per spawn through
 :meth:`FleetEngine.pool_workers`: the canary rollback re-spawns over
-the canary homes only, and a stale fleet-wide worker count would claim
-idle workers (and, under pinning/shm, CPU slots and slabs) for chunks
-that do not exist.
+the canary homes only, and a stale fleet-wide worker count would spawn
+idle workers for chunks that do not exist.
 """
 
 import json
@@ -94,16 +93,10 @@ class ControlLoop:
         plan.validate()
         self.plan = plan
         self.config = FleetConfig.from_plan(plan.fleet)
-        # The control plane owns its spawns: layout-bearing transports
-        # and streaming partials belong to plain `repro fleet` runs.
-        if self.config.backend not in POOLS:
-            raise PlanError(
-                f"control plans need a pool backend "
-                f"({sorted(POOLS)}); got {self.config.backend!r}")
+        # The control plane owns its spawns: streaming partials, WAL
+        # spooling and profiling belong to plain `repro fleet` runs.
         for key, value, allowed in (
                 ("aggregate", self.config.aggregate, "exact"),
-                ("transport", self.config.transport, "pickle"),
-                ("pin", self.config.pin, "none"),
                 ("wal_dir", self.config.wal_dir, ""),
                 ("profile_dir", self.config.profile_dir, "")):
             if value != allowed:

@@ -1,7 +1,6 @@
 """The fleet engine: N independent homes across a persistent worker pool.
 
-Execution pools are registered by name (see :mod:`repro.fleet.pool`);
-the built-ins are
+A fleet runs on one of the three pools in :data:`repro.fleet.pool.POOLS`:
 
 * ``serial``  — run every chunk inline (the reference backend);
 * ``thread``  — persistent thread workers (GIL-bound; correctness);
@@ -16,24 +15,16 @@ Streaming aggregation (``aggregate="stream"``) pre-reduces chunks in
 the workers and merges O(workers) partials in the parent — histogram
 percentiles within one bin of the exact pooled values; the default
 ``"exact"`` mode preserves the byte-identical pooled-percentile path.
-
-Custom backends registered through :func:`register_backend` (the PR-1
-API: ``callable(shards, workers) -> rows``) keep working through the
-legacy shard path.
+Partials always travel pickled through the pool's result channel.
 """
 
 import json
 import os
-import shutil
-import tempfile
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.fleet import shm as _shm
-from repro.fleet.affinity import PIN_MODES
-from repro.fleet.pool import (AGGREGATE_MODES, POOLS, ChunkResult,
-                              WorkerContext, default_chunk_size,
-                              plan_chunks)
+from repro.fleet.pool import (AGGREGATE_MODES, POOLS, WorkerContext,
+                              default_chunk_size, plan_chunks)
 from repro.fleet.spool import merge_spool
 from repro.fleet.seeding import SeedSplitter
 from repro.fleet.sharding import (DEFAULT_CHECK_FINAL, DEFAULT_CRASHES,
@@ -41,39 +32,21 @@ from repro.fleet.sharding import (DEFAULT_CHECK_FINAL, DEFAULT_CRASHES,
                                   DEFAULT_EXHAUSTIVE_LIMIT,
                                   DEFAULT_MAX_EVENTS, DEFAULT_MODEL,
                                   DEFAULT_RECOVERY, DEFAULT_SCHEDULER,
-                                  HomeSpec, Shard, plan_shards)
-from repro.fleet.worker import run_shard
+                                  HomeSpec)
 from repro.metrics.fleet import aggregate_homes, merge_accumulators
 from repro.workloads.fleet_mix import DEFAULT_MIX, scenario_for_home
 
 Rows = List[Dict[str, Any]]
-Backend = Callable[[List[Shard], int], Rows]
 
 
-def _run_serial(shards: List[Shard], workers: int) -> Rows:
-    rows: Rows = []
-    for shard in shards:
-        rows.extend(run_shard(shard))
-    return rows
-
-
-#: Legacy backend registry (PR-1 API): name → callable(shards, workers)
-#: → rows.  The built-in names resolve to pools in :data:`POOLS` first;
-#: entries here are reached only through :func:`register_backend`.
-BACKENDS: Dict[str, Backend] = {
-    "serial": _run_serial,
-}
-
-
-def register_backend(name: str, backend: Backend) -> None:
-    """Plug in a custom shard-level backend (e.g. an RPC fan-out).
-
-    For pool-level extensions (chunk streaming, persistent workers)
-    prefer :func:`repro.fleet.pool.register_pool`.
-    """
-    if not callable(backend):
-        raise TypeError("backend must be callable(shards, workers) -> rows")
-    BACKENDS[name] = backend
+def available_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the
+    platform has one (a cpuset-limited container sees its share, not
+    the host's), else the host count."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -101,12 +74,10 @@ class FleetConfig:
     # Hub-crash chaos schedule, applied per home (see HomeSpec).
     crashes: int = DEFAULT_CRASHES
     recovery: str = DEFAULT_RECOVERY
-    # Streaming-partial transport: "pickle" ships accumulators through
-    # the pool's result channel, "shm" struct-packs them into
-    # preallocated shared-memory slabs (requires aggregate="stream").
+    # Constant: partials travel pickled through the pool's result
+    # channel.  Kept as a field only because the frozen perf ledger
+    # passes it; validated in __post_init__ and read by nothing else.
     transport: str = "pickle"
-    # CPU pinning for process workers: "none" | "spread".
-    pin: str = "none"
     # Directory for worker-spooled WALs ("" disables; forces durable
     # homes and produces fleet-wal.jsonl + index after the run).
     wal_dir: str = ""
@@ -114,8 +85,15 @@ class FleetConfig:
     # scripts/profile_fleet.py for the process backend).
     profile_dir: str = ""
 
+    def __post_init__(self) -> None:
+        if self.transport != "pickle":
+            raise ValueError(
+                f"transport={self.transport!r} is not supported: the shm "
+                f"transport was removed, partials always travel pickled "
+                f"(drop the option)")
+
     def effective_workers(self) -> int:
-        workers = self.workers or (os.cpu_count() or 1)
+        workers = self.workers or available_cpus()
         return max(1, min(workers, self.homes))
 
     def effective_chunk(self) -> int:
@@ -162,12 +140,8 @@ class FleetConfig:
         from repro.hub.durability.recovery import RECOVERY_MODES
 
         for key, value, allowed in (
-                ("backend", config.backend,
-                 sorted(set(POOLS) | set(BACKENDS))),
+                ("backend", config.backend, sorted(POOLS)),
                 ("aggregate", config.aggregate, sorted(AGGREGATE_MODES)),
-                ("transport", config.transport,
-                 sorted(_shm.TRANSPORTS)),
-                ("pin", config.pin, sorted(PIN_MODES)),
                 ("recovery", config.recovery, sorted(RECOVERY_MODES))):
             if value not in allowed:
                 raise PlanError(f"bad fleet config: {key}={value!r} "
@@ -250,38 +224,14 @@ class FleetEngine:
     def __init__(self, config: FleetConfig) -> None:
         if config.homes <= 0:
             raise ValueError(f"fleet needs >= 1 home, got {config.homes}")
-        if config.backend not in POOLS and config.backend not in BACKENDS:
+        if config.backend not in POOLS:
             raise ValueError(
                 f"unknown backend {config.backend!r}; pick from "
-                f"{sorted(set(POOLS) | set(BACKENDS))}")
+                f"{sorted(POOLS)}")
         if config.aggregate not in AGGREGATE_MODES:
             raise ValueError(
                 f"unknown aggregate mode {config.aggregate!r}; "
                 f"pick from {AGGREGATE_MODES}")
-        if config.aggregate == "stream" and config.backend not in POOLS:
-            # Legacy shard backends return bare rows with no partials;
-            # silently degrading to exact would contradict the layout
-            # knobs to_json stamps into streaming payloads.
-            raise ValueError(
-                f"aggregate='stream' needs a pool backend "
-                f"({sorted(POOLS)}); {config.backend!r} is a legacy "
-                f"shard backend")
-        if config.transport not in _shm.TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {config.transport!r}; pick from "
-                f"{_shm.TRANSPORTS}")
-        if config.transport == "shm":
-            if config.aggregate != "stream":
-                raise ValueError(
-                    "transport='shm' carries streaming partials; it "
-                    "requires aggregate='stream'")
-            if not _shm.shm_available():
-                raise ValueError(
-                    "transport='shm' needs multiprocessing."
-                    "shared_memory, which this platform lacks")
-        if config.pin not in PIN_MODES:
-            raise ValueError(f"unknown pin mode {config.pin!r}; "
-                             f"pick from {PIN_MODES}")
         # Fail fast on bad scenario/mix names before spinning up a pool.
         scenario_for_home(0, config.scenario, config.mix)
         self.config = config
@@ -296,8 +246,7 @@ class FleetEngine:
             exhaustive_limit=config.exhaustive_limit,
             max_events=config.max_events, crashes=config.crashes,
             recovery=config.recovery, aggregate=config.aggregate,
-            transport=config.transport, wal_dir=config.wal_dir,
-            pin=config.pin, profile_dir=config.profile_dir)
+            wal_dir=config.wal_dir, profile_dir=config.profile_dir)
 
     def pool_workers(self, chunk_count: Optional[int] = None) -> int:
         """The worker count an actual pool spawn uses *right now*.
@@ -306,8 +255,8 @@ class FleetEngine:
         there are chunks to feed them.  Spawners must call this per
         spawn rather than caching ``effective_workers()`` — a
         control-plane re-spawn over a subset of homes (supervised
-        rollback) has fewer chunks, and a stale count would claim idle
-        workers, shm slabs and CPU slots.
+        rollback) has fewer chunks, and a stale count would spawn
+        idle workers.
         """
         if chunk_count is None:
             chunk_count = len(plan_chunks(self.tasks(),
@@ -348,50 +297,17 @@ class FleetEngine:
         import time
 
         config = self.config
-        workers = config.effective_workers()
         started = time.perf_counter()
-        if config.backend in POOLS:
-            if config.wal_dir:
-                os.makedirs(config.wal_dir, exist_ok=True)
-            chunks = plan_chunks(self.tasks(), config.effective_chunk())
-            # Never spin up more workers than there are chunks to feed
-            # them (e.g. --workers 8 over 3 homes): idle workers cost
-            # startup and, under shm/pinning, slabs and CPU slots.
-            workers = self.pool_workers(len(chunks))
-            context = self.context()
-            slabs: Optional[_shm.SlabSet] = None
-            pin_dir = ""
-            try:
-                if config.transport == "shm":
-                    slabs = _shm.SlabSet(workers, len(chunks))
-                    context = replace(
-                        context, slab_names=slabs.names,
-                        slab_region_bytes=slabs.region_bytes)
-                if config.pin != "none":
-                    pin_dir = tempfile.mkdtemp(prefix="repro-fleet-pin-")
-                    context = replace(context, pin_dir=pin_dir,
-                                      pin_slots=workers)
-                pool = POOLS[config.backend](workers)
-                results: List[ChunkResult] = pool.run(context, chunks)
-                partials = [self._extract_partial(result, slabs)
-                            for result in results]
-            finally:
-                # Parent-owned cleanup, unconditional: no /dev/shm
-                # entry or claim dir outlives the run, even when a
-                # worker died mid-chunk.
-                if slabs is not None:
-                    slabs.close(unlink=True)
-                _shm.detach_all()
-                if pin_dir:
-                    shutil.rmtree(pin_dir, ignore_errors=True)
-            rows = [row for result in results for row in result.rows]
-        else:
-            # Legacy custom backend: shard-level API, exact aggregation.
-            shards = plan_shards(self.specs(), workers)
-            rows = BACKENDS[config.backend](shards, workers)
-            results = []
-            partials = []
-        rows = sorted(rows, key=lambda row: row["home_id"])
+        if config.wal_dir:
+            os.makedirs(config.wal_dir, exist_ok=True)
+        chunks = plan_chunks(self.tasks(), config.effective_chunk())
+        # Never spin up more workers than there are chunks to feed
+        # them (e.g. --workers 8 over 3 homes): idle workers only cost
+        # startup.
+        pool = POOLS[config.backend](self.pool_workers(len(chunks)))
+        results = pool.run(self.context(), chunks)
+        rows = sorted((row for result in results for row in result.rows),
+                      key=lambda row: row["home_id"])
         if len(rows) != config.homes:
             raise RuntimeError(
                 f"backend {config.backend!r} returned {len(rows)} rows "
@@ -399,30 +315,15 @@ class FleetEngine:
         if config.wal_dir:
             merge_spool(config.wal_dir, expected_homes=config.homes)
         elapsed = time.perf_counter() - started
-        if config.aggregate == "stream" and results:
+        if config.aggregate == "stream":
             # Partials merge in chunk order — deterministic for a fixed
             # chunk layout regardless of completion order.
-            aggregate = merge_accumulators(partials).aggregate()
+            aggregate = merge_accumulators(
+                [result.partial for result in results]).aggregate()
         else:
             aggregate = aggregate_homes(rows)
         return FleetResult(config=config, rows=rows,
                            aggregate=aggregate, elapsed_s=elapsed)
-
-    @staticmethod
-    def _extract_partial(result: ChunkResult,
-                         slabs: Optional[_shm.SlabSet]):
-        """A chunk's accumulator partial, whichever way it traveled:
-        unpacked from its shared-memory region, or pickled (pickle
-        transport and per-chunk region-overflow fallback)."""
-        if result.shm is not None:
-            if slabs is None:
-                raise RuntimeError(
-                    f"chunk {result.chunk_id} returned a shared-memory "
-                    f"reference but no slabs were created")
-            slab_index, offset, length = result.shm
-            return _shm.unpack_accumulator(
-                slabs.read(slab_index, offset, length))
-        return result.partial
 
 
 def run_fleet(homes: int, seed: int = 0, **kwargs: Any) -> FleetResult:

@@ -1,7 +1,6 @@
 """Persistent worker pools and chunked streaming fleet execution.
 
-PR 1's fleet layer dealt one shard per worker and rebuilt every
-``SafeHome`` from scratch; this module is the streaming replacement:
+This module is the only way a fleet executes:
 
 * a :class:`WorkerPool` keeps its workers alive across *chunks* — the
   unit of dispatch is a tuple of compact :data:`HomeTask` triples
@@ -20,7 +19,7 @@ PR 1's fleet layer dealt one shard per worker and rebuilt every
   latency lists.
 
 Chunk sizing: the default (``chunk=0``) is ``ceil(homes / workers)`` —
-one chunk per worker, amortizing IPC exactly like the old shard plan.
+one chunk per worker, amortizing IPC.
 Smaller chunks (``--chunk`` on the CLI) trade IPC for work-stealing
 balance: stragglers stop serializing the tail of the run.  Chunks are
 contiguous home-id ranges, so the heterogeneous default mix (which
@@ -34,8 +33,6 @@ from concurrent import futures
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.fleet import shm as _shm
-from repro.fleet.affinity import claim_slot, pin_to_slot
 from repro.fleet.sharding import (DEFAULT_CHECK_FINAL, DEFAULT_CRASHES,
                                   DEFAULT_EXECUTION,
                                   DEFAULT_EXHAUSTIVE_LIMIT,
@@ -71,19 +68,8 @@ class WorkerContext:
     recovery: str = DEFAULT_RECOVERY
     aggregate: str = "exact"
     resolution: float = DEFAULT_LATENCY_RESOLUTION
-    #: Streaming-partial transport ("pickle" | "shm"); with "shm" the
-    #: parent pre-creates the slabs and ships their names here.
-    transport: str = "pickle"
-    slab_names: Tuple[str, ...] = ()
-    slab_region_bytes: int = _shm.DEFAULT_REGION_BYTES
     #: Durable-fleet WAL spool directory ("" disables spooling).
     wal_dir: str = ""
-    #: CPU pinning ("none" | "spread"), the parent-owned slot-claim
-    #: directory process workers coordinate through, and the number of
-    #: claimable slots (the planned worker count).
-    pin: str = "none"
-    pin_dir: str = ""
-    pin_slots: int = 0
     #: Per-worker cProfile dump directory ("" disables profiling).
     profile_dir: str = ""
     #: Control-plane program (a :class:`repro.fleet.control.program.
@@ -99,17 +85,12 @@ class ChunkResult:
 
     ``rows`` are per-home summary rows (raw latency sample lists
     already stripped in streaming mode); ``partial`` is the chunk's
-    pre-reduced accumulator (streaming mode, pickle transport).  With
-    the shared-memory transport ``partial`` stays ``None`` and ``shm``
-    carries the ``(slab_index, offset, length)`` reference of the
-    struct-packed partial instead — unless the packed form outgrew its
-    region, in which case the worker fell back to ``partial``.
+    pre-reduced accumulator (streaming mode only).
     """
 
     chunk_id: int
     rows: List[Dict[str, Any]]
     partial: Optional[FleetAccumulator] = None
-    shm: Optional[Tuple[int, int, int]] = None
 
 
 def plan_chunks(tasks: List[HomeTask],
@@ -123,7 +104,7 @@ def plan_chunks(tasks: List[HomeTask],
 
 def default_chunk_size(homes: int, workers: int) -> int:
     """One chunk per worker (``ceil(homes / workers)``), the IPC-
-    amortizing default that reproduces the old shard plan's layout."""
+    amortizing default."""
     return max(1, -(-homes // max(1, workers)))
 
 
@@ -133,16 +114,7 @@ def process_chunk(context: WorkerContext, chunk_id: int,
     rows = [factory.run_task(task) for task in chunk]
     if context.aggregate == "stream":
         partial = accumulate_rows(rows, context.resolution)
-        rows = strip_latencies(rows)
-        if context.transport == "shm" and context.slab_names:
-            region = _shm.pack_partial_to_region(
-                partial, chunk_id, context.slab_names,
-                context.slab_region_bytes)
-            if region is not None:
-                return ChunkResult(chunk_id, rows, None, region)
-            # Packed partial outgrew its fixed region: degrade this
-            # chunk to the pickled path rather than truncate.
-        return ChunkResult(chunk_id, rows, partial)
+        return ChunkResult(chunk_id, strip_latencies(rows), partial)
     return ChunkResult(chunk_id, rows, None)
 
 
@@ -233,11 +205,6 @@ def _process_worker_init(context: WorkerContext) -> None:
 
     _PROCESS_STATE["context"] = context
     _PROCESS_STATE["factory"] = HomeFactory(context)
-    if context.pin != "none" and context.pin_dir:
-        slot = claim_slot(context.pin_dir, context.pin_slots or 1)
-        pin_to_slot(slot, context.pin)
-    if context.transport == "shm":
-        _at_worker_exit(_shm.detach_all)
     if context.profile_dir:
         _start_worker_profile(context.profile_dir)
 
@@ -282,17 +249,10 @@ def _process_worker_chunk(
                          _PROCESS_STATE["factory"])
 
 
-#: Pool registry: name → WorkerPool subclass.
+#: The three pools a fleet can run on: name → WorkerPool subclass.
 POOLS: Dict[str, type] = {
     SerialPool.name: SerialPool,
     ThreadPool.name: ThreadPool,
     ProcessPool.name: ProcessPool,
 }
 
-
-def register_pool(name: str, pool_class: type) -> None:
-    """Plug in a custom pool (e.g. an RPC or asyncio fan-out)."""
-    if not (isinstance(pool_class, type)
-            and issubclass(pool_class, WorkerPool)):
-        raise TypeError("pool_class must subclass WorkerPool")
-    POOLS[name] = pool_class

@@ -1,15 +1,14 @@
-"""Shard planning: which worker simulates which homes.
+"""The per-home recipe and the simulation defaults it shares.
 
 A :class:`HomeSpec` is the complete, picklable recipe for one home —
-scenario name, derived seed, visibility model, scheduler — so process
-workers rebuild the workload locally instead of shipping simulator
-objects across the pool.  Shards are dealt round-robin: heterogeneous
-mixes (a morning home costs ~20x a cooling home) stay balanced across
-workers without a cost model.
+scenario name, derived seed, visibility model, scheduler — so workers
+rebuild the workload locally instead of shipping simulator objects
+across the pool.  Which worker simulates which homes is decided by the
+chunk plan in :mod:`repro.fleet.pool`.
 """
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping
 
 # Per-home simulation defaults, shared verbatim by FleetConfig so a
 # bare HomeSpec and a fleet-derived one can never drift apart.
@@ -68,28 +67,3 @@ class HomeSpec:
         :meth:`from_plan`)."""
         return asdict(self)
 
-
-@dataclass(frozen=True)
-class Shard:
-    """One worker's slice of the fleet."""
-
-    shard_id: int
-    specs: Tuple[HomeSpec, ...]
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-
-def plan_shards(specs: Sequence[HomeSpec], shard_count: int) -> List[Shard]:
-    """Deal ``specs`` round-robin into ``shard_count`` non-empty shards.
-
-    Results are independent of execution: home ``i`` lands in shard
-    ``i % shard_count`` regardless of backend or worker speed, and
-    callers re-sort rows by home id afterwards, so sharding never
-    affects output bytes.
-    """
-    if shard_count <= 0:
-        raise ValueError(f"shard_count must be positive, got {shard_count}")
-    shard_count = min(shard_count, len(specs)) or 1
-    return [Shard(shard_id=index, specs=tuple(specs[index::shard_count]))
-            for index in range(shard_count)]

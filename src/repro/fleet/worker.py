@@ -20,7 +20,7 @@ fleets.
 
 from typing import Any, Dict, List, Optional
 
-from repro.fleet.sharding import HomeSpec, Shard
+from repro.fleet.sharding import HomeSpec
 from repro.fleet.spool import SpoolWriter, home_wal_record
 from repro.hub.safehome import SafeHome
 from repro.sim.random import RandomStreams
@@ -64,8 +64,7 @@ class HomeFactory:
         context = self.context
         # A WAL spool directory forces durability even without a crash
         # schedule: the spooled WAL is the durable artifact itself.
-        durability = bool(context.crashes) \
-            or bool(getattr(context, "wal_dir", ""))
+        durability = bool(context.crashes) or bool(context.wal_dir)
         home = self._home
         if home is None:
             home = self._home = SafeHome(
@@ -87,7 +86,7 @@ class HomeFactory:
             exhaustive_limit=context.exhaustive_limit,
             max_events=context.max_events,
             crashes=context.crashes, recovery=context.recovery)
-        control = getattr(context, "control", None)
+        control = context.control
         if control is not None:
             directive = control.directive_for(home_id)
             if directive is not None:
@@ -100,10 +99,9 @@ class HomeFactory:
                                            control.supervision)
         home = self.acquire(seed)
         row = run_home(spec, home=home)
-        wal_dir = getattr(context, "wal_dir", "")
-        if wal_dir:
+        if context.wal_dir:
             if self._spool is None:
-                self._spool = SpoolWriter(wal_dir)
+                self._spool = SpoolWriter(context.wal_dir)
             self._spool.write(home_wal_record(home_id, scenario, seed,
                                               home))
         return row
@@ -175,7 +173,3 @@ def run_home(spec: HomeSpec,
                                           for r in recoveries)
     return row
 
-
-def run_shard(shard: Shard) -> List[Dict[str, Any]]:
-    """Simulate every home in a shard, in home-id order."""
-    return [run_home(spec) for spec in shard.specs]

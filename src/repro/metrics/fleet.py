@@ -149,41 +149,6 @@ class FleetAccumulator:
             self.makespan_max = other.makespan_max
         return self
 
-    #: Integer scalar fields, in (stable) pack order.
-    INT_FIELDS = ("homes", "routines", "committed", "aborted",
-                  "checked", "congruent")
-    #: Float scalar fields, in (stable) pack order.
-    FLOAT_FIELDS = ("lat_sum", "lat_max", "temp_incong_sum",
-                    "makespan_sum", "makespan_max")
-
-    def state(self) -> Dict[str, Any]:
-        """Flat snapshot of every field — the struct-packable form
-        consumed by :mod:`repro.fleet.shm` (and its inverse,
-        :meth:`from_state`)."""
-        return {
-            "ints": [getattr(self, name) for name in self.INT_FIELDS],
-            "floats": [getattr(self, name) for name in self.FLOAT_FIELDS],
-            "resolution": self.histogram.resolution,
-            "hist_count": self.histogram.count,
-            "hist_items": self.histogram.items(),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "FleetAccumulator":
-        """Rebuild an accumulator from :meth:`state` output, exactly."""
-        accumulator = cls(state["resolution"])
-        for name, value in zip(cls.INT_FIELDS, state["ints"]):
-            setattr(accumulator, name, int(value))
-        for name, value in zip(cls.FLOAT_FIELDS, state["floats"]):
-            setattr(accumulator, name, float(value))
-        accumulator.histogram = FixedResolutionHistogram.from_items(
-            state["resolution"], state["hist_items"])
-        if accumulator.histogram.count != state["hist_count"]:
-            raise ValueError(
-                f"histogram count {accumulator.histogram.count} does not "
-                f"match recorded count {state['hist_count']}")
-        return accumulator
-
     def aggregate(self) -> Dict[str, Any]:
         """The fleet report (same keys as :func:`aggregate_homes`)."""
         n = self.histogram.count

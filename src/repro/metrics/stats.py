@@ -49,29 +49,6 @@ class FixedResolutionHistogram:
             bins[bin_index] = bins.get(bin_index, 0) + count
         self.count += other.count
 
-    def items(self) -> List[Tuple[int, int]]:
-        """Sorted ``(bin_index, count)`` pairs — the histogram's
-        canonical dense form, used by the struct-packed shared-memory
-        transport (:mod:`repro.fleet.shm`) and by tests."""
-        return sorted(self.bins.items())
-
-    @classmethod
-    def from_items(cls, resolution: float,
-                   items: Sequence[Tuple[int, int]]
-                   ) -> "FixedResolutionHistogram":
-        """Rebuild a histogram from :meth:`items` output."""
-        histogram = cls(resolution)
-        bins = histogram.bins
-        total = 0
-        for bin_index, count in items:
-            if count < 0:
-                raise ValueError(f"negative bin count {count} "
-                                 f"at bin {bin_index}")
-            bins[int(bin_index)] = bins.get(int(bin_index), 0) + int(count)
-            total += int(count)
-        histogram.count = total
-        return histogram
-
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile (lower bin edge), q in [0, 100]."""
         if not 0 <= q <= 100:

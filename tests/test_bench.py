@@ -134,8 +134,8 @@ class TestRegistry:
         assert set(outcome["metrics"]) == \
             {"routines", "committed", "abort_rate"}
         timing_block = outcome["timing"]
+        assert set(timing_block) == {"cores", "scaling"}
         assert timing_block["cores"] >= 1
-        assert timing_block["transport"] in ("shm", "pickle")
         rows = timing_block["scaling"]
         assert [row["workers"] for row in rows] == [1, 2]
         assert rows[0]["speedup"] == 1.0

@@ -275,8 +275,18 @@ def test_restart_storm_abandons_after_budget(monkeypatch):
 
 
 def test_control_loop_rejects_unsupported_fleet_settings():
-    with pytest.raises(PlanError, match="transport"):
+    # The removed knobs fail at construction / plan load, naming the
+    # removal ...
+    with pytest.raises(ValueError, match="shm transport was removed"):
+        FleetConfig(homes=2, transport="shm")
+    with pytest.raises(PlanError, match="shm transport was removed"):
         ControlLoop(_plan(fleet=dict(BASE_FLEET, transport="shm")))
+    with pytest.raises(PlanError, match=r"unknown fleet config keys "
+                                        r"\['pin'\]"):
+        ControlLoop(_plan(fleet=dict(BASE_FLEET, pin="spread")))
+    # ... while plans written before the removal still load.
+    loop = ControlLoop(_plan(fleet=dict(BASE_FLEET, transport="pickle")))
+    assert FleetConfig.from_plan(loop.config.to_plan()) == loop.config
     with pytest.raises(PlanError, match="aggregate"):
         ControlLoop(_plan(fleet=dict(BASE_FLEET, aggregate="stream")))
 

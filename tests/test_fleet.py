@@ -1,11 +1,11 @@
-"""Fleet engine: determinism, isolation, sharding and N=1 equivalence."""
+"""Fleet engine: determinism, isolation, worker sizing and N=1 equivalence."""
 
 import json
 
 import pytest
 
 from repro.fleet import (FleetConfig, FleetEngine, HomeSpec, SeedSplitter,
-                         home_seed, plan_shards, run_fleet, run_home)
+                         home_seed, run_fleet, run_home)
 from repro.hub.safehome import SafeHome
 from repro.metrics.fleet import aggregate_homes
 from repro.sim.random import derive_seed, mix64
@@ -38,28 +38,20 @@ def test_home_seeds_pure_and_distinct():
     assert len(deltas) > 450
 
 
-# -- sharding ------------------------------------------------------------------
+# -- worker sizing ------------------------------------------------------------
 
 
-def _specs(n):
-    return [HomeSpec(home_id=i, scenario="cooling", seed=home_seed(0, i))
-            for i in range(n)]
+def test_workers_auto_sized_from_affinity_mask_not_host_cpus(monkeypatch):
+    import os
 
-
-def test_plan_shards_round_robin_covers_all_homes():
-    shards = plan_shards(_specs(10), 3)
-    assert [shard.shard_id for shard in shards] == [0, 1, 2]
-    ids = sorted(spec.home_id for shard in shards for spec in shard.specs)
-    assert ids == list(range(10))
-    assert {len(shard) for shard in shards} == {3, 4}
-    assert [spec.home_id for spec in shards[0].specs] == [0, 3, 6, 9]
-
-
-def test_plan_shards_never_creates_empty_shards():
-    shards = plan_shards(_specs(2), 8)
-    assert len(shards) == 2
-    with pytest.raises(ValueError):
-        plan_shards(_specs(2), 0)
+    config = FleetConfig(homes=1000, workers=0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7},
+                        raising=False)
+    assert config.effective_workers() == 2
+    # Platforms without an affinity mask fall back to the host count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert config.effective_workers() == 64
 
 
 # -- scenario mix --------------------------------------------------------------
@@ -395,18 +387,6 @@ class TestHomeFactoryResetEquivalence:
         assert home.streams.seed == 2
         assert home.controller.runs == []
         assert home.durability is None and not home.crashed
-
-    def test_stream_requires_a_pool_backend(self):
-        from repro.fleet import register_backend
-
-        register_backend("legacy-test", lambda shards, workers: [])
-        try:
-            with pytest.raises(ValueError, match="pool backend"):
-                FleetEngine(FleetConfig(homes=2, backend="legacy-test",
-                                        aggregate="stream"))
-        finally:
-            from repro.fleet.engine import BACKENDS
-            BACKENDS.pop("legacy-test", None)
 
 
 class TestServedHomeRecycling:

@@ -1,11 +1,9 @@
-"""Shared-memory result transport, WAL spooling, pinning (PR 7).
+"""WAL spooling, the worker clamp, the scaling gate and CLI knobs (PR 7).
 
-Covers the struct-packed accumulator transport (pack/unpack identity,
-header rejection, shm-vs-pickle byte-identity across the backend ×
-workers × chunk grid, slab cleanup on worker crash), worker-local WAL
-spooling (merge determinism, indexed loads, verified replay equality,
-durable-fleet JSON byte-identity), the CPU-affinity knobs and the
-workers-exceed-chunks clamp.
+Covers worker-local WAL spooling (merge determinism, indexed loads,
+verified replay equality, durable-fleet JSON byte-identity), the
+workers-exceed-chunks clamp, ``scripts/gate_scaling.py`` and the
+``--workers``/``--wal-dir`` flags.
 """
 
 import json
@@ -18,202 +16,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 from repro.fleet import FleetConfig, FleetEngine, run_fleet
-from repro.fleet import shm
-from repro.fleet.affinity import available_cpus, claim_slot, pin_to_slot
 from repro.fleet.pool import POOLS, SerialPool
 from repro.fleet.spool import (SpoolWriter, load_spooled_home,
                                merge_spool, replay_spooled_home)
-from repro.metrics.fleet import FleetAccumulator
-
-
-def make_accumulator(rows):
-    accumulator = FleetAccumulator()
-    for row in rows:
-        accumulator.add_row(row)
-    return accumulator
-
-
-def sample_row(home_id=0, latencies=(0.001, 0.02, 1.5)):
-    return {"home_id": home_id, "routines": 3, "committed": 2,
-            "aborted": 1, "latencies": list(latencies),
-            "final_congruent": True, "temporary_incongruence": 0.25,
-            "makespan": 2.5}
-
-
-# -- struct-packed pack/unpack identity ---------------------------------------
-
-
-class TestPackUnpackIdentity:
-    def assert_roundtrip(self, accumulator):
-        rebuilt = shm.unpack_accumulator(
-            shm.pack_accumulator(accumulator))
-        assert rebuilt.state() == accumulator.state()
-        assert rebuilt.aggregate() == accumulator.aggregate()
-
-    def test_empty_accumulator(self):
-        self.assert_roundtrip(FleetAccumulator())
-
-    def test_single_bin(self):
-        self.assert_roundtrip(
-            make_accumulator([sample_row(latencies=[0.0004] * 5)]))
-
-    def test_saturating_tail_counts(self):
-        # Large counts piled into few bins plus a huge outlier bin:
-        # int64 pairs must carry them exactly.
-        accumulator = make_accumulator(
-            [sample_row(home_id=i) for i in range(7)])
-        accumulator.histogram.bins[10 ** 9] = 2 ** 40
-        accumulator.histogram.count += 2 ** 40
-        self.assert_roundtrip(accumulator)
-
-    def test_packed_size_matches(self):
-        accumulator = make_accumulator([sample_row()])
-        assert len(shm.pack_accumulator(accumulator)) == \
-            shm.packed_size(accumulator)
-
-    def test_pickle_fallback_region_overflow(self):
-        # A region smaller than the packed partial: the worker-side
-        # helper refuses (returns None) instead of truncating.
-        accumulator = make_accumulator([sample_row()])
-        assert shm.pack_partial_to_region(
-            accumulator, chunk_id=0, slab_names=("whatever",),
-            region_bytes=8) is None
-
-
-class TestHeaderRejection:
-    def packed(self):
-        return shm.pack_accumulator(make_accumulator([sample_row()]))
-
-    def test_bad_magic(self):
-        buffer = b"XXXX" + self.packed()[4:]
-        with pytest.raises(shm.TransportError, match="magic"):
-            shm.unpack_accumulator(buffer)
-
-    def test_unknown_version(self):
-        import struct
-
-        header = struct.pack("=4sHH", shm.MAGIC, shm.VERSION + 1,
-                             shm.BYTE_ORDER_MARK)
-        with pytest.raises(shm.TransportError, match="version"):
-            shm.unpack_accumulator(header + self.packed()[8:])
-
-    def test_foreign_endianness(self):
-        import struct
-
-        swapped = struct.unpack(">H",
-                                struct.pack("<H",
-                                            shm.BYTE_ORDER_MARK))[0]
-        header = struct.pack("=4sHH", shm.MAGIC, shm.VERSION, swapped)
-        with pytest.raises(shm.TransportError, match="endian"):
-            shm.unpack_accumulator(header + self.packed()[8:])
-
-    def test_truncated_buffer(self):
-        with pytest.raises(shm.TransportError, match="shorter"):
-            shm.unpack_accumulator(self.packed()[:10])
-
-    def test_declared_length_mismatch(self):
-        with pytest.raises(shm.TransportError, match="layout declares"):
-            shm.unpack_accumulator(self.packed() + b"\x00" * 16)
-
-
-# -- transport equivalence over the execution grid ----------------------------
-
-
-@pytest.mark.skipif(not shm.shm_available(),
-                    reason="multiprocessing.shared_memory unavailable")
-class TestShmTransportEquivalence:
-    HOMES = 8
-
-    def reference(self):
-        return run_fleet(self.HOMES, seed=13, scenario="cooling",
-                         aggregate="stream", chunk=2,
-                         transport="pickle").to_json(per_home=True)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("chunk", [1, 2, HOMES])
-    def test_shm_matches_pickle_bytes(self, backend, workers, chunk):
-        pickled = run_fleet(self.HOMES, seed=13, scenario="cooling",
-                            backend=backend, workers=workers,
-                            chunk=chunk, aggregate="stream",
-                            transport="pickle").to_json(per_home=True)
-        packed = run_fleet(self.HOMES, seed=13, scenario="cooling",
-                           backend=backend, workers=workers,
-                           chunk=chunk, aggregate="stream",
-                           transport="shm").to_json(per_home=True)
-        assert packed == pickled
-        # Chunk layout (not transport) is the reproducibility knob:
-        # the fixed-chunk reference matches too.
-        if chunk == 2:
-            assert packed == self.reference()
-
-    def test_transport_not_stamped_into_json(self):
-        payload = json.loads(run_fleet(
-            4, seed=3, aggregate="stream", chunk=2,
-            transport="shm").to_json())
-        assert "transport" not in payload["fleet"]
-
-    def test_shm_requires_stream_aggregate(self):
-        with pytest.raises(ValueError, match="stream"):
-            FleetEngine(FleetConfig(homes=2, transport="shm"))
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            FleetEngine(FleetConfig(homes=2, transport="carrier-pigeon"))
-
-
-@pytest.mark.skipif(not shm.shm_available(),
-                    reason="multiprocessing.shared_memory unavailable")
-class TestSlabLifecycle:
-    def test_region_layout_is_disjoint(self):
-        seen = set()
-        for chunk_id in range(12):
-            slab, offset = shm.region_for_chunk(chunk_id, slabs=3,
-                                                region_bytes=256)
-            assert (slab, offset) not in seen
-            seen.add((slab, offset))
-        assert {slab for slab, _ in seen} == {0, 1, 2}
-
-    def test_slabs_unlink_on_close(self):
-        from multiprocessing.shared_memory import SharedMemory
-
-        slabs = shm.SlabSet(slabs=2, chunks=5, region_bytes=128)
-        names = slabs.names
-        assert len(names) == 2
-        slabs.close(unlink=True)
-        slabs.close(unlink=True)        # idempotent
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
-
-    def test_no_leak_when_worker_crashes(self, monkeypatch):
-        """Slabs are unlinked by the engine's finally even when a chunk
-        dies mid-run — no /dev/shm entry survives the failure."""
-        from multiprocessing.shared_memory import SharedMemory
-
-        import repro.fleet.pool as pool_mod
-
-        created = []
-        original_init = shm.SlabSet.__init__
-
-        def spying_init(self, *args, **kwargs):
-            original_init(self, *args, **kwargs)
-            created.extend(self.names)
-
-        monkeypatch.setattr(shm.SlabSet, "__init__", spying_init)
-
-        def doomed_chunk(context, chunk_id, chunk, factory):
-            raise RuntimeError("worker died mid-chunk")
-
-        monkeypatch.setattr(pool_mod, "process_chunk", doomed_chunk)
-        with pytest.raises(RuntimeError, match="died"):
-            FleetEngine(FleetConfig(
-                homes=4, seed=1, aggregate="stream",
-                transport="shm")).run()
-        assert created, "SlabSet was never constructed"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
 
 
 # -- worker-local WAL spooling -------------------------------------------------
@@ -300,46 +105,6 @@ class TestWalSpooling:
         writer.close()
         with pytest.raises(ValueError, match="cover 1 homes"):
             merge_spool(wal_dir, expected_homes=2)
-
-
-# -- CPU affinity --------------------------------------------------------------
-
-
-class TestAffinity:
-    def test_available_cpus_positive(self):
-        assert available_cpus() >= 1
-
-    def test_claim_slots_are_unique_and_exhaustible(self, tmp_path):
-        claim_dir = str(tmp_path)
-        slots = [claim_slot(claim_dir, 3) for _ in range(4)]
-        assert slots == [0, 1, 2, None]
-
-    def test_pin_none_is_noop(self):
-        assert pin_to_slot(0, mode="none") is None
-        assert pin_to_slot(None, mode="spread") is None
-
-    def test_pin_spread_stays_within_allowed_cpus(self):
-        cpu = pin_to_slot(0, mode="spread")
-        if cpu is None:
-            pytest.skip("sched_setaffinity unavailable or denied")
-        try:
-            assert cpu in os.sched_getaffinity(0)
-            # Slot beyond the CPU count wraps round-robin.
-            assert pin_to_slot(available_cpus(),
-                               mode="spread") is not None
-        finally:
-            os.sched_setaffinity(0, range(os.cpu_count() or 1))
-
-    def test_engine_rejects_unknown_pin_mode(self):
-        with pytest.raises(ValueError, match="pin"):
-            FleetEngine(FleetConfig(homes=2, pin="sideways"))
-
-    def test_pinned_fleet_output_matches_unpinned(self):
-        plain = run_fleet(4, seed=5, backend="process",
-                          workers=2).to_json(per_home=True)
-        pinned = run_fleet(4, seed=5, backend="process", workers=2,
-                           pin="spread").to_json(per_home=True)
-        assert pinned == plain
 
 
 # -- workers > chunks clamp ----------------------------------------------------
@@ -469,14 +234,16 @@ class TestCliKnobs:
         assert main(["fleet", "--homes", "2", "--workers", "many"]) == 2
         assert "auto" in capsys.readouterr().err
 
-    @pytest.mark.skipif(not shm.shm_available(),
-                        reason="shared_memory unavailable")
-    def test_transport_shm_needs_stream(self, capsys):
+    @pytest.mark.parametrize("flag, value", [("--transport", "shm"),
+                                             ("--pin", "spread")])
+    def test_removed_flags_are_rejected_by_the_parser(self, flag, value,
+                                                      capsys):
         from repro.cli import main
 
-        assert main(["fleet", "--homes", "2",
-                     "--transport", "shm"]) == 2
-        assert "stream" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "--homes", "2", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_wal_dir_flag_spools(self, tmp_path, capsys):
         from repro.cli import main
