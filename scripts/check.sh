@@ -33,30 +33,32 @@ echo
 echo "== determinism gate (serial + parallel execution) =="
 DET_DIR="$(mktemp -d)"
 trap 'rm -rf "$DET_DIR"' EXIT
+# Run one repro command twice; its --json output must be byte-identical.
+twice_identical() {
+    "$PY" -m repro "$@" --json "$DET_DIR/first.json" >/dev/null
+    "$PY" -m repro "$@" --json "$DET_DIR/second.json" >/dev/null
+    cmp "$DET_DIR/first.json" "$DET_DIR/second.json"
+}
 for exec_mode in serial parallel; do
-    "$PY" -m repro scenario morning --model ev --execution "$exec_mode" \
-        --json "$DET_DIR/a.json" >/dev/null
-    "$PY" -m repro scenario morning --model ev --execution "$exec_mode" \
-        --json "$DET_DIR/b.json" >/dev/null
-    cmp "$DET_DIR/a.json" "$DET_DIR/b.json"
+    twice_identical scenario morning --model ev --execution "$exec_mode"
+    twice_identical scenario fanout --model psv --execution "$exec_mode"
     echo "execution=$exec_mode deterministic"
 done
 
 echo
 echo "== crash-recovery gate (durable hub, chaos workload) =="
 for exec_mode in serial parallel; do
-    "$PY" -m repro crash-recovery --model ev --execution "$exec_mode" \
-        --seed 3 --crashes 2 --json "$DET_DIR/ra.json" >/dev/null 2>&1
-    "$PY" -m repro crash-recovery --model ev --execution "$exec_mode" \
-        --seed 3 --crashes 2 --json "$DET_DIR/rb.json" >/dev/null 2>&1
-    cmp "$DET_DIR/ra.json" "$DET_DIR/rb.json"
-    "$PY" - "$DET_DIR/ra.json" <<'PYEOF'
+    twice_identical crash-recovery --model ev --execution "$exec_mode" \
+        --seed 3 --crashes 2
+    "$PY" - "$DET_DIR/first.json" <<'PYEOF'
 import json, sys
 payload = json.load(open(sys.argv[1]))
 assert payload["congruent"] is True, "replay recovery diverged"
 PYEOF
     echo "execution=$exec_mode crash-recovery congruent + deterministic"
 done
+twice_identical fleet --homes 10 --seed 42 --crashes 2
+echo "durable fleet (crashes=2) deterministic"
 
 echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="

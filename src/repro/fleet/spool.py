@@ -16,7 +16,9 @@ through the parent.  Spooling makes the workers the durability plane:
   index (``fleet-wal-index.json``) so any home's log is one seek away;
 * replay determinism is preserved end-to-end: a home rebuilt from its
   spooled record (:func:`replay_spooled_home`) re-applies the logged
-  inputs through the same verified-replay path hub recovery uses and
+  inputs through the replay engine hub recovery uses
+  (:mod:`repro.hub.durability.replay`), which checks every regenerated
+  observation and checkpoint digest against the spooled ones, and
   reaches a byte-identical report — crashes, recoveries and all.
 
 Spooled WAL records hold virtual times and seeded decisions only, so
@@ -46,8 +48,9 @@ def home_wal_record(home_id: int, scenario: str, seed: int,
     """One home's spool line: identity + full WAL + checkpoint digests.
 
     ``home`` is a durable :class:`~repro.hub.safehome.SafeHome` that
-    has finished running; its WAL inputs are a complete replay recipe
-    and the checkpoint digests are the verification anchors.
+    has finished running; its WAL inputs are a complete replay recipe,
+    and its observations, compaction counter and checkpoint digests are
+    the evidence :func:`replay_spooled_home` verifies the replay against.
     """
     manager = home.durability
     if manager is None:
@@ -222,29 +225,19 @@ def replay_spooled_home(record: Dict[str, Any]):
     """Rebuild one home from its spooled WAL, by verified replay.
 
     Re-applies the durable input records — including any mid-run
-    crash/recovery sequences — through the same replay path hub
-    recovery uses, so the returned :class:`SafeHome` has run to the
-    same final state the fleet worker reported (the spooled-WAL
-    byte-identity test in ``tests/test_fleet_transport.py`` pins the
-    whole row).
+    crash/recovery sequences — through the replay engine hub recovery
+    uses, so the returned :class:`SafeHome` has run to the same final
+    state the fleet worker reported (the spooled-WAL byte-identity test
+    in ``tests/test_fleet_transport.py`` pins the whole row).  The
+    line's own observations and checkpoint digests are the evidence: a
+    spooled record that does not replay to them raises
+    :class:`~repro.errors.RecoveryError` naming the diverging record.
     """
-    from repro.hub.durability.recovery import DurabilityConfig
+    from repro.hub.durability.replay import build_home, replay
     from repro.hub.durability.wal import WalRecord
-    from repro.hub.safehome import SafeHome
 
     records = [WalRecord.from_dict(entry) for entry in record["wal"]]
-    if not records or records[0].type != "home-created":
-        raise ValueError("spooled WAL does not start with home-created")
-    created = records[0].payload
-    home = SafeHome(
-        visibility=created["visibility"],
-        scheduler=created["scheduler"],
-        execution=created["execution"],
-        seed=created["seed"],
-        detector_ping_period_s=created["detector_ping_period_s"],
-        durability=DurabilityConfig(
-            checkpoint_every=created["checkpoint_every"]))
-    for entry in records[1:]:
-        if entry.is_input:
-            home._replay_input(entry)
+    home = build_home(records)
+    replay(home, records, checkpoints=record["checkpoints"],
+           compacted=record["compacted_observations"])
     return home

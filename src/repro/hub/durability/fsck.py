@@ -10,10 +10,11 @@ The filesystem-checker for this repo's two durable artifacts:
 A home check runs the full pipeline: :func:`~repro.hub.durability.
 storage.scan_wal_dir` classifies the bytes (clean / crash-consistent
 torn tail / corrupt), then the surviving records are *replayed and
-verified* — regenerated observation identities and checkpoint digests
-against the log — and the congruence oracle passes over the replayed
-home.  With ``salvage=True`` a corrupt log is additionally cut at its
-last good checkpoint and salvaged (:meth:`SafeHome.salvage_records`).
+verified* by the shared engine (:mod:`repro.hub.durability.replay`:
+:func:`~repro.hub.durability.replay.build_home` +
+:meth:`SafeHome.salvage_records`) and the congruence oracle passes over
+the replayed home.  With ``salvage=True`` a corrupt log is additionally
+cut at its last good checkpoint and salvaged.
 
 Exit-code contract (classic fsck convention, pinned by tests):
 
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CorruptionError, RecoveryError, SafeHomeError
+from repro.hub.durability.replay import build_home
 from repro.hub.durability.storage import (SEGMENT_PREFIX, SEGMENT_SUFFIX,
                                           WalScan, scan_wal_dir)
 
@@ -100,27 +102,6 @@ class FsckReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _build_home_from_records(records):
-    """A fresh durable hub matching the log's ``home-created`` record."""
-    from repro.hub.durability.recovery import DurabilityConfig
-    from repro.hub.safehome import SafeHome
-
-    if not records or records[0].type != "home-created":
-        raise CorruptionError(
-            "log has no home-created record; nothing to replay",
-            seq=records[0].seq if records else None,
-            record_type=records[0].type if records else None)
-    created = records[0].payload
-    return SafeHome(
-        visibility=created["visibility"],
-        scheduler=created["scheduler"],
-        execution=created["execution"],
-        seed=created["seed"],
-        detector_ping_period_s=created["detector_ping_period_s"],
-        durability=DurabilityConfig(
-            checkpoint_every=created["checkpoint_every"]))
-
-
 def _oracle_verdict(home) -> Optional[Dict[str, Any]]:
     """Congruence-oracle pass over a replayed home (None: no run)."""
     if home.last_result is None or home.initial is None:
@@ -133,7 +114,7 @@ def _oracle_verdict(home) -> Optional[Dict[str, Any]]:
 def _replay_and_verify(scan: WalScan, bounded: bool) -> tuple:
     """(result_dict, replayed_home_or_None) for one scanned log."""
     try:
-        home = _build_home_from_records(scan.records)
+        home = build_home(scan.records)
         report = home.salvage_records(scan.records, bounded=bounded)
         if bounded:
             # Salvage leaves the hub at the checkpoint boundary with

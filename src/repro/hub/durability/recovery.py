@@ -1,15 +1,7 @@
-"""Crash/recovery protocol for the durable hub.
+"""The durable hub's journal: config, crash plans, reports, manager.
 
-The hub is a deterministic asynchronous system: the event queue is
-totally ordered and every random draw comes from a named seeded stream.
-Recovery therefore follows the deterministic-replay school (Vlad's
-*regular asynchronous systems*): rebuild a fresh stack, re-apply the
-WAL's input records in order, and re-execute the simulation to the
-exact crash boundary.  The regenerated observation stream and
-checkpoint digests must match the log byte-for-byte — replay is
-*verified*, not assumed — and any divergence raises
-:class:`~repro.errors.RecoveryError`.
-
+How a crashed hub is rebuilt from what is journaled here — verified
+deterministic replay — lives in :mod:`repro.hub.durability.replay`.
 Two recovery modes decide the fate of routines that were running when
 the hub died (``DurabilityConfig.recovery``):
 
@@ -24,7 +16,6 @@ the hub died (``DurabilityConfig.recovery``):
   re-validates at its finish point).
 """
 
-import time as _wall
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -224,9 +215,3 @@ class DurabilityManager:
         if self.config.compact_on_checkpoint:
             self.wal.compact(checkpoint.seq)
         return checkpoint
-
-    # -- measurement helpers ----------------------------------------------------
-
-    @staticmethod
-    def wall_clock() -> float:
-        return _wall.perf_counter()

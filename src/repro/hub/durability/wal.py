@@ -26,7 +26,7 @@ log unserializable.
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Record types that recovery re-applies (the durable inputs).
 INPUT_TYPES = frozenset({
@@ -291,8 +291,3 @@ class WriteAheadLog:
             wal._records.append(record)
             wal._next_seq = max(wal._next_seq, record.seq + 1)
         return wal
-
-
-def identities(records: Iterable[WalRecord]) -> List[tuple]:
-    """Comparison keys for a record stream (see ``WalRecord.identity``)."""
-    return [record.identity() for record in records]

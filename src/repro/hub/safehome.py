@@ -29,12 +29,16 @@ the hub itself crash-recoverable::
     home.run()                     # dies mid-run
     home.recover()                 # checkpoint + WAL replay, verified
     home.run()                     # continues to completion
+
+How a log becomes a live hub again — recovery, salvage, migration — is
+one engine, :mod:`repro.hub.durability.replay`; the methods here only
+delegate to it.
 """
 
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.controller import (ControllerConfig, RoutineRun,
-                                   RoutineStatus, RunResult)
+                                   RunResult)
 from repro.core.routine import Routine
 from repro.core.spec import parse_routine, routine_to_spec
 from repro.core.visibility import VisibilityModel, make_controller
@@ -43,10 +47,9 @@ from repro.devices.driver import Driver
 from repro.devices.failures import FailureInjector, FailurePlan
 from repro.devices.network import LatencyModel
 from repro.devices.registry import DeviceRegistry
-from repro.errors import (HubCrashedError, MigrationError, RecoveryError,
-                          SafeHomeError)
-from repro.hub.durability.recovery import (RECOVERY_MODES, CrashPlan,
-                                           DurabilityConfig,
+from repro.errors import HubCrashedError, SafeHomeError
+from repro.hub.durability import replay
+from repro.hub.durability.recovery import (CrashPlan, DurabilityConfig,
                                            DurabilityManager, RecoveryReport)
 from repro.hub.migration import MigrationReport
 from repro.hub.failure_detector import FailureDetector
@@ -56,6 +59,13 @@ from repro.metrics.collector import MetricsReport, analyze
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workloads.base import Workload, attach_streams
+
+
+def _durability_config(arg) -> Optional[DurabilityConfig]:
+    """Normalise a ``durability=`` argument (bool | config | None)."""
+    if not arg:
+        return None
+    return arg if isinstance(arg, DurabilityConfig) else DurabilityConfig()
 
 
 class SafeHome:
@@ -92,17 +102,14 @@ class SafeHome:
         #: On-disk WAL directory (docs/durability.md): when set, every
         #: materialized record streams into segmented CRC-framed files.
         self._wal_dir = wal_dir
-        if wal_dir is not None and not durability:
-            durability = True
         #: Absolute simulator-event bound for salvage replay (threaded
         #: through _run_core so bounded replay stops at a checkpoint
         #: boundary instead of the crash point).
         self._replay_stop_events: Optional[int] = None
         self._build_stack()
-        if durability:
-            cfg = durability if isinstance(durability, DurabilityConfig) \
-                else DurabilityConfig()
-            self._attach_durability(cfg)
+        config = _durability_config(durability or wal_dir is not None)
+        if config is not None:
+            self._attach_durability(config)
 
     def _build_stack(self) -> None:
         """(Re)build the full edge stack from the stored constructor
@@ -153,8 +160,11 @@ class SafeHome:
         RNG-stream family and driver objects in place instead of
         reallocating them, which is what lets the fleet's
         :class:`~repro.fleet.worker.HomeFactory` amortize construction
-        across thousands of homes per worker.
+        across thousands of homes per worker.  A home with an on-disk
+        WAL is closed cleanly first (:meth:`close_wal`), so the
+        discarded incarnation's log ends with a final seal.
         """
+        self.close_wal()
         if seed is not None:
             self._ctor["seed"] = seed
         self.sim.reset()
@@ -167,10 +177,9 @@ class SafeHome:
         self.recoveries = []
         self.migrations = []
         self._build_policy()
-        if durability:
-            cfg = durability if isinstance(durability, DurabilityConfig) \
-                else DurabilityConfig()
-            self._attach_durability(cfg)
+        config = _durability_config(durability)
+        if config is not None:
+            self._attach_durability(config)
         return self
 
     # -- durability plumbing ---------------------------------------------------
@@ -189,10 +198,7 @@ class SafeHome:
         if isinstance(visibility, VisibilityModel):
             visibility = visibility.value
         if self._wal_dir is not None:
-            # Recovery and migration rebuild the log under fresh
-            # sequence numbers, so their incarnation is written into a
-            # staging directory and swapped in only after verification
-            # (see storage.SegmentedWalWriter).
+            # ``staged``: see replay.staged_rebuild.
             from repro.hub.durability.storage import SegmentedWalWriter
             self.durability.attach_storage(SegmentedWalWriter(
                 self._wal_dir, home=f"{visibility}:{ctor['seed']}",
@@ -290,10 +296,14 @@ class SafeHome:
         """Script a fail-stop failure (and optional restart)."""
         self._ensure_alive()
         device = self.registry.by_name(device_name)
-        self.injector.add(FailurePlan(device.device_id, fail_at, restart_at))
+        self._plan_failure(FailurePlan(device.device_id, fail_at,
+                                       restart_at))
+
+    def _plan_failure(self, plan: FailurePlan) -> None:
+        self.injector.add(plan)
         self._record_input("failure-planned", {
-            "device_id": device.device_id, "fail_at": fail_at,
-            "restart_at": restart_at})
+            "device_id": plan.device_id, "fail_at": plan.fail_at,
+            "restart_at": plan.restart_at})
 
     def load_workload(self, workload: Workload) -> None:
         """Populate this home from a :class:`Workload` in one call.
@@ -308,10 +318,7 @@ class SafeHome:
         for type_name, name in workload.devices:
             self.add_device(type_name, name)
         for plan in workload.failure_plans:
-            self.injector.add(plan)
-            self._record_input("failure-planned", {
-                "device_id": plan.device_id, "fail_at": plan.fail_at,
-                "restart_at": plan.restart_at})
+            self._plan_failure(plan)
         self._initial = self.registry.snapshot()
         for routine, at in workload.arrivals:
             self._submit_recorded(routine, at)
@@ -369,6 +376,10 @@ class SafeHome:
         self._ensure_alive()
         self._record_input("cancelled", {
             "routine_id": run.routine_id, "at": at})
+        self._request_cancel(run, at)
+
+    def _request_cancel(self, run: RoutineRun, at: Optional[float]) -> None:
+        """The cancellation itself, shared with WAL replay."""
         if at is None:
             self.controller.request_abort(run, "cancelled by user")
         else:
@@ -403,17 +414,7 @@ class SafeHome:
                   max_events: Optional[int] = None) -> RunResult:
         """The run body, shared by live execution and recovery replay
         (replay records the input itself, so this never journals)."""
-        start_detector = detector if detector is not None \
-            else bool(self.injector.plans)
-        if start_detector and not self._detector_started:
-            self.detector.start()
-            self._detector_started = True
-        # Implicit detection (command timeouts) is always wired: the
-        # detector's constructor set driver.on_timeout at build time.
-        if self._initial is None:
-            self._initial = self.registry.snapshot()
-        self.injector.arm()
-
+        self._prepare_run(detector)
         crash = self._pending_crash
         crashed = False
         # Salvage replay caps every run at the last-good checkpoint's
@@ -489,9 +490,19 @@ class SafeHome:
             raise SafeHomeError(
                 "pump() does not journal; serve non-durable homes "
                 "(durability and service mode are mutually exclusive)")
-        if self.injector.plans and not self._detector_started:
+        self._prepare_run()
+
+    def _prepare_run(self, detector: Optional[bool] = None) -> None:
+        """Start the detector (forced on/off, by default only when
+        failures are scripted), take the initial snapshot once, arm
+        newly scripted failure plans."""
+        start_detector = detector if detector is not None \
+            else bool(self.injector.plans)
+        if start_detector and not self._detector_started:
             self.detector.start()
             self._detector_started = True
+        # Implicit detection (command timeouts) is always wired: the
+        # detector's constructor set driver.on_timeout at build time.
         if self._initial is None:
             self._initial = self.registry.snapshot()
         self.injector.arm()
@@ -552,99 +563,7 @@ class SafeHome:
         replay to the last good checkpoint for damaged logs — see
         docs/durability.md's salvage decision tree).
         """
-        if self.durability is None:
-            raise SafeHomeError("durability is not enabled")
-        if not self._crashed:
-            raise SafeHomeError("the hub has not crashed")
-        mode = mode or self.durability.config.recovery
-        if mode not in RECOVERY_MODES and mode != "salvage":
-            raise ValueError(f"unknown recovery mode {mode!r}; "
-                             f"pick from {RECOVERY_MODES + ('salvage',)}")
-        started = DurabilityManager.wall_clock()
-        old_manager = self.durability
-        old_records = list(old_manager.wal.records)
-        old_checkpoints = list(old_manager.checkpoints)
-        compacted = old_manager.wal.compacted_observations
-        crash_record = next((r for r in reversed(old_records)
-                             if r.type == "crash"), None)
-        if crash_record is None and mode != "salvage":
-            # A failed migration marks the hub crashed without a crash
-            # record: there is no boundary to replay to, only a WAL to
-            # post-mortem.  Supervisors catch this and count the home
-            # as failed rather than retrying forever.
-            raise RecoveryError(
-                "no crash record in the WAL: the hub was marked failed "
-                "(e.g. by an aborted migration), not crashed mid-run")
-        if old_manager.storage is not None:
-            # The crashed incarnation's disk log is now read-only
-            # recovery input; the new incarnation writes to staging
-            # and swaps in only after verification below.
-            old_manager.wal.sink = None
-            old_manager.storage.close(write_final_seal=False)
-
-        # Fresh stack + fresh manager; the old WAL is the recovery input.
-        self._crashed = False
-        self._pending_crash = None
-        salvage_result = None
-        try:
-            self._build_stack()
-            self._attach_durability(old_manager.config, staged=True)
-
-            if mode == "salvage":
-                salvage_result = self._salvage_replay(
-                    old_records, compacted=compacted)
-            else:
-                self._replay_records(old_records)
-                if not self._crashed:
-                    raise RecoveryError(
-                        "replay finished without reaching the crash "
-                        "point (corrupt or truncated WAL)")
-
-                divergence = self._verify_replay(old_records,
-                                                 old_checkpoints)
-                if divergence:
-                    raise RecoveryError(f"replay diverged from the WAL: "
-                                        f"{divergence}")
-            if self.durability.storage is not None:
-                self.durability.storage.commit_staging()
-        except BaseException:
-            # A failed recovery must not leave a half-replayed stack
-            # accepting work: stay crashed, drop the staged disk log,
-            # and point durability back at the intact pre-crash WAL so
-            # recover() can be retried.
-            if self.durability is not old_manager and \
-                    self.durability is not None and \
-                    self.durability.storage is not None:
-                self.durability.storage.abort_staging()
-            self._crashed = True
-            self._pending_crash = None
-            self.durability = old_manager
-            raise
-
-        resumed, aborted = self._apply_recovery_policy(mode)
-        self._crashed = False
-        self.durability.record_input("recovery", {
-            "mode": mode, "events": self.sim.events_processed})
-        self.feedback.hub_restarted(self.sim.now, mode)
-        if mode == "salvage":
-            info, cps_verified, obs_verified = salvage_result
-            return self._finish_salvage(
-                old_records, crash_record, info, cps_verified,
-                obs_verified, resumed, aborted, started, compacted)
-        report = RecoveryReport(
-            mode=mode,
-            crash_time=crash_record.payload["time"],
-            crash_events=crash_record.payload["events"],
-            replayed_events=self.sim.events_processed,
-            replayed_records=len([r for r in old_records
-                                  if r.is_observation]),
-            wal_records=len(old_records) + compacted,
-            checkpoints_verified=len(old_checkpoints),
-            resumed=resumed,
-            aborted=aborted,
-            wall_s=DurabilityManager.wall_clock() - started)
-        self.recoveries.append(report)
-        return report
+        return replay.recover(self, mode)
 
     def salvage_records(self, records,
                         bounded: bool = True) -> RecoveryReport:
@@ -663,271 +582,7 @@ class SafeHome:
         end instead of cutting at the last checkpoint — full replay
         verification for clean or merely tail-torn logs.
         """
-        if self.durability is None:
-            raise SafeHomeError("durability is not enabled")
-        started = DurabilityManager.wall_clock()
-        old_records = list(records)
-        crash_record = next((r for r in reversed(old_records)
-                             if r.type == "crash"), None)
-        info, cps_verified, obs_verified = self._salvage_replay(
-            old_records, bounded=bounded)
-        resumed, aborted = self._apply_recovery_policy("salvage")
-        self._crashed = False
-        self.durability.record_input("recovery", {
-            "mode": "salvage", "events": self.sim.events_processed})
-        self.feedback.hub_restarted(self.sim.now, "salvage")
-        return self._finish_salvage(
-            old_records, crash_record, info, cps_verified, obs_verified,
-            resumed, aborted, started, compacted=0)
-
-    def _salvage_replay(self, old_records, compacted: int = 0,
-                        bounded: bool = True) -> tuple:
-        """Bounded replay of a damaged log's inputs.
-
-        Cuts the log at the last good ``checkpoint`` record (the
-        *salvage floor*), replays only inputs below the floor with
-        every run capped at the checkpoint's event count, heals crash
-        plans that fire inside the window, then verifies regenerated
-        checkpoint digests — and the observation prefix, when nothing
-        was compacted — against the log.  Returns
-        ``(salvage_info, checkpoints_verified, verified_observations)``.
-        """
-        floor = next((r for r in reversed(old_records)
-                      if r.type == "checkpoint"), None) if bounded \
-            else None
-        floor_seq = floor.seq if floor is not None else None
-        boundary_events = floor.payload.get("events") \
-            if floor is not None else None
-        inputs = [r for r in old_records
-                  if r.is_input and r.type != "home-created"]
-        kept = inputs if floor_seq is None \
-            else [r for r in inputs if r.seq < floor_seq]
-        self._replay_stop_events = boundary_events
-        try:
-            replayed, healed = self._replay_records(kept,
-                                                    heal_crashes=True)
-        finally:
-            self._replay_stop_events = None
-        if self._crashed:
-            raise RecoveryError(
-                "salvage replay ended crashed: the log's crash plan "
-                "fired inside the salvage window and could not be "
-                "healed")
-        if self._pending_crash is not None:
-            # The crash this log died of already happened; the salvaged
-            # incarnation must not die of it again.  Journaled so the
-            # new WAL stays a complete recipe.
-            self._pending_crash = None
-            self._record_input("crash-cancelled", {})
-
-        # Verify every piece of evidence that survived the damage.
-        old_obs = [r for r in old_records if r.is_observation
-                   and (floor_seq is None or r.seq < floor_seq)]
-        old_cps = [r for r in old_records if r.type == "checkpoint"
-                   and (floor_seq is None or r.seq <= floor_seq)]
-        new_cps = self.durability.checkpoints
-        for record in old_cps:
-            index = record.payload.get("index")
-            if index is None or index >= len(new_cps):
-                raise RecoveryError(
-                    f"salvage replay regenerated {len(new_cps)} "
-                    f"checkpoints; logged checkpoint index {index} "
-                    f"(seq {record.seq}, type {record.type!r}) was "
-                    f"never reached")
-            if new_cps[index].digest != record.payload.get("digest"):
-                raise RecoveryError(
-                    f"salvage diverged from the log: checkpoint "
-                    f"{index} digest mismatch (seq {record.seq}, "
-                    f"type {record.type!r})")
-        if compacted == 0:
-            new_obs = [r for r in self.durability.wal.records
-                       if r.is_observation]
-            if len(new_obs) < len(old_obs):
-                raise RecoveryError(
-                    f"salvage regenerated only {len(new_obs)} "
-                    f"observation records; the log holds "
-                    f"{len(old_obs)} below the salvage floor")
-            for index, (old, new) in enumerate(zip(old_obs, new_obs)):
-                if old.identity() != new.identity():
-                    raise RecoveryError(
-                        f"salvage diverged from the log: observation "
-                        f"#{index} (seq {old.seq}, type {old.type!r}) "
-                        f"differs: logged {old.identity()}, replayed "
-                        f"{new.identity()}")
-        dropped_records = 0 if floor_seq is None else \
-            len([r for r in old_records if r.seq >= floor_seq])
-        info = {
-            "floor_seq": floor_seq,
-            "boundary_events": boundary_events,
-            "replayed_inputs": replayed,
-            "dropped_inputs": len(inputs) - len(kept),
-            "dropped_records": dropped_records,
-            "healed_crashes": healed,
-        }
-        return info, len(old_cps), len(old_obs)
-
-    def _finish_salvage(self, old_records, crash_record, info,
-                        cps_verified, obs_verified, resumed, aborted,
-                        started, compacted: int) -> RecoveryReport:
-        last_time = old_records[-1].time if old_records else 0.0
-        crash_time = crash_record.payload["time"] \
-            if crash_record is not None else last_time
-        if crash_record is not None:
-            crash_events = crash_record.payload["events"]
-        elif info["boundary_events"] is not None:
-            crash_events = info["boundary_events"]
-        else:
-            crash_events = self.sim.events_processed
-        report = RecoveryReport(
-            mode="salvage",
-            crash_time=crash_time,
-            crash_events=crash_events,
-            replayed_events=self.sim.events_processed,
-            replayed_records=obs_verified,
-            wal_records=len(old_records) + compacted,
-            checkpoints_verified=cps_verified,
-            resumed=resumed,
-            aborted=aborted,
-            wall_s=DurabilityManager.wall_clock() - started,
-            salvage=info)
-        self.recoveries.append(report)
-        return report
-
-    def _replay_records(self, records, heal_crashes: bool = False
-                        ) -> tuple:
-        """Re-apply a WAL's durable inputs to the rebuilt stack.
-
-        Shared by :meth:`recover` and :meth:`migrate`.  ``home-created``
-        is skipped (re-recorded by ``_attach_durability``); markers and
-        observations regenerate during replay.  With ``heal_crashes``
-        (migration) a crash that fires during replay *without* a
-        matching ``recovery`` record up next — the target model reached
-        a crash point the source model never hit — is transparently
-        resumed in ``replay`` mode and journaled, so replay under a
-        different policy never strands the hub.  Returns
-        ``(replayed_inputs, healed_crashes)``.
-        """
-        inputs = [r for r in records
-                  if r.is_input and r.type != "home-created"]
-        healed = 0
-        for index, record in enumerate(inputs):
-            self._replay_input(record)
-            if heal_crashes and self._crashed:
-                nxt = inputs[index + 1] if index + 1 < len(inputs) \
-                    else None
-                if nxt is None or nxt.type != "recovery":
-                    self._apply_recovery_policy("replay")
-                    self._crashed = False
-                    self.durability.record_input("recovery", {
-                        "mode": "replay",
-                        "events": self.sim.events_processed})
-                    self.feedback.hub_restarted(self.sim.now, "replay")
-                    healed += 1
-        return len(inputs), healed
-
-    def _replay_input(self, record) -> None:
-        """Re-apply one durable input record to the rebuilt stack."""
-        if self._crashed and record.type != "recovery":
-            raise RecoveryError(
-                f"input record {record.type!r} (seq {record.seq}) "
-                f"follows a crash with no recovery record")
-        payload = record.payload
-        # Carry the input history forward so the new WAL remains a
-        # complete recipe (a second crash replays through this one).
-        self.durability.wal.copy_record(record)
-        if record.type == "device-added":
-            self.registry.create(payload["type"], payload["name"])
-        elif record.type == "routine-registered":
-            self.bank.register(parse_routine(payload["spec"], self.registry),
-                               replace=payload["replace"])
-        elif record.type == "failure-planned":
-            self.injector.add(FailurePlan(
-                payload["device_id"], payload["fail_at"],
-                payload["restart_at"]))
-        elif record.type == "invoked":
-            self.controller.submit(
-                parse_routine(payload["spec"], self.registry),
-                when=payload["when"])
-        elif record.type == "streams-attached":
-            attach_streams(self.controller, [
-                [parse_routine(spec, self.registry) for spec in stream]
-                for stream in payload["streams"]])
-        elif record.type == "cancelled":
-            run = self.controller.run_by_id(payload["routine_id"])
-            if payload["at"] is None:
-                self.controller.request_abort(run, "cancelled by user")
-            else:
-                self.sim.call_at(payload["at"],
-                                 self.controller.request_abort, run,
-                                 "cancelled by user")
-        elif record.type == "crash-scheduled":
-            self._pending_crash = CrashPlan.from_payload(payload)
-        elif record.type == "crash-cancelled":
-            self._pending_crash = None
-        elif record.type == "run":
-            self._run_core(until=payload["until"],
-                           detector=payload["detector"],
-                           max_events=payload["max_events"])
-        elif record.type == "recovery":
-            # An earlier recovery: re-apply its (deterministic) policy
-            # decisions and bring the hub back up, as it did then.
-            self._apply_recovery_policy(payload["mode"])
-            self._crashed = False
-            self.feedback.hub_restarted(self.sim.now, payload["mode"])
-        else:
-            raise RecoveryError(f"unexpected input record {record.type!r}")
-
-    def _apply_recovery_policy(self, mode: str) -> tuple:
-        """Decide the fate of routines caught mid-execution.
-
-        Waiting admissions are durable (lock table / lineage placements
-        replayed) and always survive; only RUNNING routines are subject
-        to the per-model policy.  Returns (resumed_ids, aborted_ids).
-        """
-        resumed: List[int] = []
-        aborted: List[int] = []
-        for run in self.controller.runs:
-            if run.done or run.status is not RoutineStatus.RUNNING:
-                continue
-            action = "resume" if mode == "replay" \
-                else self.controller.hub_recovery_action(run)
-            if action == "abort":
-                self.controller.request_abort(
-                    run, "hub crash: strict visibility cannot span a "
-                         "hub outage")
-                aborted.append(run.routine_id)
-            else:
-                resumed.append(run.routine_id)
-        return resumed, aborted
-
-    def _verify_replay(self, old_records, old_checkpoints
-                       ) -> Optional[str]:
-        """Cross-check regenerated observations and checkpoint digests
-        against the pre-crash log; returns a description on mismatch."""
-        old_obs = [r for r in old_records if r.is_observation]
-        new_obs = [r for r in self.durability.wal.records
-                   if r.is_observation]
-        # Compaction may have dropped the oldest observations; the
-        # checkpoint digests below still cover that prefix.
-        tail = new_obs[-len(old_obs):] if old_obs else []
-        if len(new_obs) < len(old_obs):
-            return (f"regenerated only {len(new_obs)} observation "
-                    f"records, WAL holds {len(old_obs)}")
-        for index, (old, new) in enumerate(zip(old_obs, tail)):
-            if old.identity() != new.identity():
-                return (f"observation #{index} (seq {old.seq}, type "
-                        f"{old.type!r}) differs: logged "
-                        f"{old.identity()}, replayed {new.identity()}")
-        new_checkpoints = self.durability.checkpoints
-        if len(new_checkpoints) != len(old_checkpoints):
-            return (f"replay produced {len(new_checkpoints)} "
-                    f"checkpoints, WAL holds {len(old_checkpoints)}")
-        for index, (old, new) in enumerate(zip(old_checkpoints,
-                                               new_checkpoints)):
-            if old.digest != new.digest:
-                return (f"checkpoint #{index} (seq {old.seq}, type "
-                        f"'checkpoint') digest mismatch")
-        return None
+        return replay.salvage(self, records, bounded=bounded)
 
     # -- live migration (docs/control-plane.md) -----------------------------------------
 
@@ -950,73 +605,7 @@ class SafeHome:
         intact for post-mortem and :class:`~repro.errors.MigrationError`
         is raised; a fleet supervisor treats the home as failed.
         """
-        if self.durability is None:
-            raise SafeHomeError(
-                "live migration needs a durable hub: construct with "
-                "SafeHome(..., durability=True)")
-        self._ensure_alive()
-        target = VisibilityModel.parse(visibility)
-        source = VisibilityModel.parse(self._ctor["visibility"])
-        started = DurabilityManager.wall_clock()
-        # The flip happens at a forced checkpoint: its digest is the
-        # boundary evidence carried into the migration report/marker.
-        boundary = self.durability.take_checkpoint()
-        old_manager = self.durability
-        old_records = list(old_manager.wal.records)
-        old_visibility = self._ctor["visibility"]
-        if old_manager.storage is not None:
-            # The source model's disk log becomes read-only input; the
-            # target incarnation writes to staging until replay passes.
-            old_manager.wal.sink = None
-            old_manager.storage.close(write_final_seal=False)
-        self._ctor["visibility"] = target.value
-        try:
-            self._build_stack()
-            self._attach_durability(old_manager.config, staged=True)
-            replayed, healed = self._replay_records(old_records,
-                                                    heal_crashes=True)
-            if self._crashed:
-                raise MigrationError(
-                    "replay under the target model ended crashed")
-            if self.durability.storage is not None:
-                self.durability.storage.commit_staging()
-        except BaseException as exc:
-            # A failed migration must not leave a half-replayed stack
-            # accepting work: mark the hub crashed, drop the staged
-            # disk log and point durability back at the intact
-            # pre-migration WAL for post-mortem.
-            if self.durability is not old_manager and \
-                    self.durability is not None and \
-                    self.durability.storage is not None:
-                self.durability.storage.abort_staging()
-            self._ctor["visibility"] = old_visibility
-            self._crashed = True
-            self._pending_crash = None
-            self.durability = old_manager
-            if isinstance(exc, Exception) and \
-                    not isinstance(exc, MigrationError):
-                raise MigrationError(
-                    f"migration {source.value} -> {target.value} "
-                    f"failed: {exc}") from exc
-            raise
-        self.durability.wal.append("migration", {
-            "from": source.value,
-            "to": target.value,
-            "digest": boundary.digest,
-            "events": self.sim.events_processed,
-        }, self.sim.now)
-        report = MigrationReport(
-            from_model=source.value,
-            to_model=target.value,
-            at_time=boundary.time,
-            at_events=boundary.events_processed,
-            checkpoint_digest=boundary.digest,
-            replayed_records=replayed,
-            replayed_events=self.sim.events_processed,
-            resumed_crashes=healed,
-            wall_s=DurabilityManager.wall_clock() - started)
-        self.migrations.append(report)
-        return report
+        return replay.migrate(self, visibility)
 
     # -- inspection ---------------------------------------------------------------------
 

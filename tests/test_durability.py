@@ -13,6 +13,7 @@ from repro.core.lineage import UNSET, Lineage, LineageTable, LockAccess
 from repro.errors import HubCrashedError, SafeHomeError
 from repro.hub.durability import (DurabilityConfig, WriteAheadLog,
                                   state_digest)
+from repro.hub.durability import replay as replay_engine
 from repro.hub.log import FeedbackKind
 from repro.hub.safehome import SafeHome
 from tests.conftest import routine
@@ -255,22 +256,22 @@ class TestCrashRecoverApi:
         home = build_home()
         home.crash(after_events=10)
         home.run()
-        original = SafeHome._replay_input
+        original = replay_engine.apply_input
         calls = {"n": 0}
 
-        def explode_once(self, record):
+        def explode_once(home, record):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise RuntimeError("boom mid-replay")
-            return original(self, record)
+            return original(home, record)
 
-        monkeypatch.setattr(SafeHome, "_replay_input", explode_once)
+        monkeypatch.setattr(replay_engine, "apply_input", explode_once)
         with pytest.raises(RuntimeError):
             home.recover()
         assert home.crashed
         with pytest.raises(HubCrashedError):
             home.invoke("cool")
-        monkeypatch.setattr(SafeHome, "_replay_input", original)
+        monkeypatch.setattr(replay_engine, "apply_input", original)
         report = home.recover()      # retry succeeds on the intact WAL
         home.run()
         assert report.replayed_events == 10
@@ -286,6 +287,54 @@ class TestCrashRecoverApi:
         types = [r.type for r in restored.records]
         assert "crash" in types and "recovery" in types
         assert types[0] == "home-created"
+
+
+@pytest.mark.parametrize("model", ["wv", "gsv", "psv", "ev", "occ"])
+def test_every_replay_door_reaches_one_answer(model):
+    """recover, salvage_records, migrate and spool replay are callers
+    of one engine: the same crashed log through each door lands on the
+    same report and the same checkpoint digests."""
+    from repro.fleet.spool import home_wal_record, replay_spooled_home
+
+    def crashed():
+        home = build_home(model=model,
+                          durability=DurabilityConfig(checkpoint_every=5))
+        home.crash(after_events=30)
+        home.run()
+        assert home.crashed
+        return home
+
+    def answer(home):
+        return report_json(home), [checkpoint.digest for checkpoint
+                                   in home.durability.checkpoints]
+
+    recovered = crashed()
+    recovered.recover("replay")
+    records = list(crashed().wal.records)
+    salvaged = replay_engine.build_home(records)
+    salvaged.salvage_records(records, bounded=False)
+    migrated = crashed()
+    migrated.recover("replay")
+    boundary = len(migrated.durability.checkpoints)
+    migrated.migrate(model)
+    spooled = replay_spooled_home(home_wal_record(0, "doors", 3, crashed()))
+    assert spooled.crashed      # left where the log ends, unhealed
+
+    at_crash = answer(recovered)
+    assert len(at_crash[1]) > 0
+    assert answer(salvaged) == answer(spooled) == at_crash
+    # migrate() forces one boundary checkpoint of its own before replay.
+    assert answer(migrated) == at_crash
+    assert boundary == len(at_crash[1])
+
+    spooled.recover("replay")
+    for home in (recovered, salvaged, migrated, spooled):
+        home.run()
+    assert answer(migrated) == answer(spooled) == answer(recovered)
+    # Salvage restarts under the per-model policy: strict models abort
+    # what was in flight, the others carry on exactly like a replay.
+    if not salvaged.recoveries[-1].aborted:
+        assert answer(salvaged) == answer(recovered)
 
 
 class TestRecoveryPolicy:

@@ -15,6 +15,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
+from repro.errors import CorruptionError, RecoveryError
 from repro.fleet import FleetConfig, FleetEngine, run_fleet
 from repro.fleet.pool import POOLS, SerialPool
 from repro.fleet.spool import (SpoolWriter, load_spooled_home,
@@ -81,6 +82,46 @@ class TestWalSpooling:
             assert report.aborted == row["aborted"]
             assert report.final_congruent == row["final_congruent"]
             assert home._last_result.makespan == row["makespan"]
+
+    @pytest.mark.parametrize("victim", ["checkpoint-digest",
+                                        "observation-payload"])
+    def test_tampered_spool_line_fails_verified_replay(self, tmp_path,
+                                                       victim):
+        """Regression: spool replay verified nothing — a line edited in
+        place (valid JSON, same length, index still consistent) loaded,
+        replayed and fsck'd as clean."""
+        _, wal_dir = self.run_spooled(tmp_path, "wal")
+        record = load_spooled_home(wal_dir, 0)
+        if victim == "checkpoint-digest":
+            # Both places the digest occurs: the checkpoint list and
+            # the in-log checkpoint observation.
+            digest = record["checkpoints"][0]["digest"]
+            old = digest.encode()
+            new = ("0" if digest[0] != "0" else "1").encode() + old[1:]
+            named = next(r for r in record["wal"]
+                         if r["type"] == "checkpoint")
+        else:
+            named = next(r for r in record["wal"]
+                         if r["type"] == "command-dispatched")
+            old = json.dumps(named, sort_keys=True,
+                             separators=(",", ":")).encode()
+            new = old.replace(b'"read":false', b'"read":true ')
+        merged = Path(wal_dir) / "fleet-wal.jsonl"
+        data = merged.read_bytes()
+        assert data.count(old) >= 1 and len(new) == len(old)
+        merged.write_bytes(data.replace(old, new))
+        tampered = load_spooled_home(wal_dir, 0)   # index still fits
+        assert tampered != record
+        with pytest.raises(RecoveryError) as excinfo:
+            replay_spooled_home(tampered)
+        assert f"seq {named['seq']}" in str(excinfo.value)
+        assert f"type {named['type']!r}" in str(excinfo.value)
+
+    def test_spool_without_home_created_is_typed_corruption(self):
+        with pytest.raises(CorruptionError, match="home-created"):
+            replay_spooled_home({"home_id": 0, "wal": [],
+                                 "compacted_observations": 0,
+                                 "checkpoints": []})
 
     def test_load_unknown_home_raises(self, tmp_path):
         _, wal_dir = self.run_spooled(tmp_path, "wal")

@@ -15,8 +15,8 @@ from repro.fleet.spool import (SpoolWriter, home_wal_record,
 from repro.hub.durability.faults import (FAULT_KINDS, build_durable_home,
                                          inject_fault,
                                          run_corruption_matrix)
-from repro.hub.durability.fsck import (REPORT_SCHEMA,
-                                       _build_home_from_records, fsck_path)
+from repro.hub.durability.fsck import REPORT_SCHEMA, fsck_path
+from repro.hub.durability.replay import build_home
 from repro.hub.durability.storage import scan_wal_dir
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "fsck"
@@ -142,7 +142,7 @@ class TestErrorContextPins:
         scan = scan_wal_dir(wal_dir)
         victim = next(r for r in scan.records if r.is_observation)
         victim.payload["tampered"] = True
-        twin = _build_home_from_records(scan.records)
+        twin = build_home(scan.records)
         with pytest.raises(RecoveryError) as excinfo:
             twin.salvage_records(scan.records, bounded=False)
         message = str(excinfo.value)
@@ -154,7 +154,7 @@ class TestErrorContextPins:
         scan = scan_wal_dir(wal_dir)
         victim = next(r for r in scan.records if r.type == "checkpoint")
         victim.payload["digest"] = "0" * 16
-        twin = _build_home_from_records(scan.records)
+        twin = build_home(scan.records)
         with pytest.raises(RecoveryError) as excinfo:
             twin.salvage_records(scan.records, bounded=False)
         message = str(excinfo.value)

@@ -234,6 +234,19 @@ class TestDurableHomeOnDisk:
         assert home.durability is not None
         assert home.wal_dir == str(tmp_path / "w")
 
+    def test_reset_closes_the_discarded_log(self, tmp_path):
+        """Regression: reset() dropped the manager with its segment
+        handle still open and the log unsealed."""
+        home, wal_dir = build_durable(tmp_path, close=False)
+        storage = home.durability.storage
+        home.reset(seed=4)
+        assert storage.closed and storage._handle is None
+        assert home.durability is None
+        assert scan_wal_dir(wal_dir).clean_close
+        # The discarded incarnation's segments are still guarded.
+        with pytest.raises(SafeHomeError, match="refusing to overwrite"):
+            home.reset(durability=True)
+
     def test_recovery_rewrites_log_via_staging(self, tmp_path):
         from repro.hub.durability.storage import STAGING_DIR
 
