@@ -44,6 +44,11 @@ for exec_mode in serial parallel; do
     twice_identical scenario fanout --model psv --execution "$exec_mode"
     echo "execution=$exec_mode deterministic"
 done
+# Report-path passes agree exactly with their quadratic definitions: a
+# deeper example budget than tier-1, the seed pinned whatever the profile.
+REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=14 tests/test_metrics_equivalence.py
+echo "report-path passes equal their reference definitions"
 
 echo
 echo "== crash-recovery gate (durable hub, chaos workload) =="

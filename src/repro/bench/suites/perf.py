@@ -6,6 +6,7 @@ recovery.  Each runs in well under a second per iteration so the CI
 perf job stays cheap.
 """
 
+import functools
 from typing import Any, Dict
 
 from repro.bench.registry import benchmark
@@ -284,6 +285,38 @@ def synth_throughput(seed: int, specs: int, routines: int
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _finished_micro_home(routines: int, seed: int):
+    """One EV Table-3 micro home run to completion, built once: the
+    warmup call pays for the run, the timed calls only for the report."""
+    from repro.hub.safehome import SafeHome
+    from repro.workloads.micro import MicroParams, generate_microbenchmark
+
+    home = SafeHome(visibility="ev", seed=seed)
+    home.load_workload(generate_microbenchmark(
+        MicroParams(routines=routines), seed=seed))
+    return home.run(), home.initial, home.sim.events_processed
+
+
+@benchmark("metrics_analyze", suite="smoke", routines=4000, seed=42)
+def metrics_analyze(routines: int, seed: int) -> Dict[str, Any]:
+    """Cost of a report: ``analyze`` + oracle ``check_run`` on one home
+    (``events``: the analysed run's simulator events)."""
+    from repro.metrics.collector import analyze
+    from repro.metrics.oracle import check_run
+
+    result, initial, events = _finished_micro_home(routines, seed)
+    report = analyze(result, initial)
+    verdict = check_run(result, initial)
+    return {
+        "events": events,
+        "virtual_s": result.makespan,
+        "metrics": {"row": report.row(),
+                    "serial_order": len(report.serial_order),
+                    "oracle_violations": len(verdict.violations)},
+    }
+
+
 @benchmark("recovery_replay", suite="smoke", repeats_workload=2,
            checkpoint_every=32)
 def recovery_replay(repeats_workload: int,
@@ -313,8 +346,6 @@ def serve_latency(tenants: int, per_tenant: int,
     One home, ``tenants`` closed-loop clients each submitting
     ``per_tenant`` seeded menu picks through admission control; the
     deterministic metrics double as a drift alarm on service latency.
-    Untracked-first in the baseline: missing entries report
-    "unmeasured", so the floor is adopted on the next baseline update.
     """
     from repro.serve import (ServeConfig, ServeHub, build_serve_home,
                              run_closed_loop)

@@ -5,10 +5,15 @@ name, possibly many times (e.g. a timed Monday-night trash routine).
 """
 
 import copy
+import dataclasses
 from typing import Dict, Iterator, List
 
 from repro.core.routine import Routine
 from repro.errors import RoutineSpecError
+
+
+#: Command values of these types carry no state a copy could share.
+_ATOMS = (str, int, float, bool, type(None))
 
 
 class RoutineBank:
@@ -40,7 +45,15 @@ class RoutineBank:
 
     def instantiate(self, name: str) -> Routine:
         """A fresh copy for one invocation (runs must not share state)."""
-        return copy.deepcopy(self.get(name))
+        template = self.get(name)
+        commands = [copy.copy(command) for command in template.commands]
+        for command in commands:
+            if not isinstance(command.value, _ATOMS):
+                command.value = copy.deepcopy(command.value)
+            if not isinstance(command.undo_value, _ATOMS):
+                command.undo_value = copy.deepcopy(command.undo_value)
+        return dataclasses.replace(template, commands=commands,
+                                   meta=copy.deepcopy(template.meta))
 
     def names(self) -> List[str]:
         return sorted(self._routines)

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.controller import RoutineStatus, RunResult
+from repro.errors import SafeHomeError
 from repro.metrics import congruence, serialization
 from repro.metrics.stats import (mean, normalized_swap_distance, percentile,
                                  summarize)
@@ -108,7 +109,7 @@ def analyze(result: RunResult, initial: Dict[int, Any],
             exhaustive_limit: int = 8) -> MetricsReport:
     """Compute every §7.1 metric for a completed run."""
     # result.committed/.aborted rebuild their lists per access — hoist
-    # them once; this function dominates post-run cost in fleet sweeps.
+    # them once and derive the abort metrics from the hoisted lists.
     committed = result.committed
     aborted = result.aborted
     latencies = [run.latency for run in committed]
@@ -132,7 +133,7 @@ def analyze(result: RunResult, initial: Dict[int, Any],
     try:
         if not serial_order:
             serial_order = serialization.reconstruct_serial_order(result)
-    except Exception:
+    except SafeHomeError:
         serial_order = []  # WV executions may be cyclic — expected
 
     submission_order = [run.routine_id for run in
@@ -142,7 +143,8 @@ def analyze(result: RunResult, initial: Dict[int, Any],
     mismatch = normalized_swap_distance(serial_order, submission_order) \
         if serial_order else 0.0
 
-    overheads = result.rollback_overheads()
+    overheads = [run.rolled_back_commands / len(run.commands)
+                 for run in aborted if run.commands]
     return MetricsReport(
         model_name=result.model_name,
         routines=len(result.runs),
@@ -156,7 +158,7 @@ def analyze(result: RunResult, initial: Dict[int, Any],
         final_congruent=final,
         parallelism_mean=mean(samples),
         parallelism_p50=percentile(samples, 50),
-        abort_rate=result.abort_rate,
+        abort_rate=len(aborted) / len(result.runs) if result.runs else 0.0,
         rollback_overhead_mean=mean(overheads),
         order_mismatch=mismatch,
         serial_order=serial_order,

@@ -12,7 +12,10 @@ the test suite.
 """
 
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.core.controller import RoutineRun, RoutineStatus, RunResult
 
@@ -27,6 +30,44 @@ def _writer_id(source: Any) -> Optional[int]:
     return None  # reconcile writes are hub actions, not routine-visible
 
 
+def _foreign_writes(result: RunResult) -> Iterator[Tuple[int, int]]:
+    """(run index, n) per write a started routine applied, where ``n``
+    writes by *other* routines hit the same device strictly between that
+    write and the routine's finish: n temporary-incongruence events.
+
+    O(n log n).  Per device the routine-attributed write times, sorted
+    (logs may arrive out of time order), and per (device, routine) that
+    routine's own: the foreign writes inside a window are all the writes
+    inside it minus the routine's own, each count two bisects.
+    """
+    writes: Dict[int, Tuple[List, Dict[int, List]]] = {}
+    for device_id, log in result.device_write_logs.items():
+        times, own_times = writes[device_id] = [], {}
+        for t, _value, source in sorted(log, key=itemgetter(0)):
+            writer = _writer_id(source)
+            if writer is not None:
+                times.append(t)
+                own_times.setdefault(writer, []).append(t)
+
+    def inside(times: Sequence, low: Any, high: Any) -> int:
+        return max(0, bisect_left(times, high) - bisect_right(times, low))
+
+    for index, run in enumerate(result.runs):
+        if run.start_time is None:
+            continue
+        finish = run.finish_time if run.finish_time is not None \
+            else float("inf")
+        for execution in run.executions:
+            if execution.applied and execution.command.is_write \
+                    and execution.command.device_id in writes:
+                times, own_times = writes[execution.command.device_id]
+                n = inside(times, execution.started_at, finish)
+                if n:
+                    n -= inside(own_times.get(run.routine_id, ()),
+                                execution.started_at, finish)
+                yield index, n
+
+
 def temporary_incongruence(result: RunResult) -> float:
     """Fraction of routines suffering ≥1 temporary incongruence event.
 
@@ -35,33 +76,8 @@ def temporary_incongruence(result: RunResult) -> float:
     """
     if not result.runs:
         return 0.0
-    # Per device: time-ordered (time, routine_id) writes.
-    writes: Dict[int, List] = {
-        device_id: [(t, _writer_id(src)) for (t, _v, src) in log
-                    if _writer_id(src) is not None]
-        for device_id, log in result.device_write_logs.items()
-    }
-    suffered = 0
-    for run in result.runs:
-        if run.start_time is None:
-            continue
-        finish = run.finish_time if run.finish_time is not None \
-            else float("inf")
-        hit = False
-        for execution in run.executions:
-            if not (execution.applied and execution.command.is_write):
-                continue
-            device_id = execution.command.device_id
-            my_time = execution.started_at
-            for (t, writer) in writes.get(device_id, ()):
-                if writer != run.routine_id and my_time < t < finish:
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            suffered += 1
-    return suffered / len(result.runs)
+    suffered = {index for index, n in _foreign_writes(result) if n}
+    return len(suffered) / len(result.runs)
 
 
 def temporary_incongruence_events(result: RunResult) -> int:
@@ -77,26 +93,7 @@ def temporary_incongruence_events(result: RunResult) -> int:
     interleaves a single write even though both score the same
     fraction.
     """
-    writes: Dict[int, List] = {
-        device_id: [(t, _writer_id(src)) for (t, _v, src) in log
-                    if _writer_id(src) is not None]
-        for device_id, log in result.device_write_logs.items()
-    }
-    events = 0
-    for run in result.runs:
-        if run.start_time is None:
-            continue
-        finish = run.finish_time if run.finish_time is not None \
-            else float("inf")
-        for execution in run.executions:
-            if not (execution.applied and execution.command.is_write):
-                continue
-            device_id = execution.command.device_id
-            my_time = execution.started_at
-            events += sum(
-                1 for (t, writer) in writes.get(device_id, ())
-                if writer != run.routine_id and my_time < t < finish)
-    return events
+    return sum(n for _index, n in _foreign_writes(result))
 
 
 def effective_writes(runs: Iterable[RoutineRun]) -> Dict[int, Dict[int, Any]]:

@@ -175,7 +175,8 @@ def _check_no_overlap(result: RunResult, out: List[Violation],
                       invariant: str, conflicting_only: bool) -> None:
     windows = sorted(_windows(result), key=lambda w: (w[0], w[2].routine_id))
     for i, (start_a, finish_a, run_a) in enumerate(windows):
-        for start_b, finish_b, run_b in windows[i + 1:]:
+        for j in range(i + 1, len(windows)):
+            start_b, finish_b, run_b = windows[j]
             if start_b >= finish_a - _OVERLAP_EPS:
                 break       # sorted by start: no later window overlaps
             if conflicting_only and not (

@@ -8,6 +8,10 @@ The order-mismatch metric (Fig 16c/17) compares this order with the
 submission order by normalized swap distance.
 """
 
+import heapq
+import itertools
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.controller import RoutineStatus, RunResult
@@ -36,16 +40,16 @@ def reconstruct_serial_order(result: RunResult) -> List[int]:
 
     finish_time = {run.routine_id: run.finish_time for run in result.runs}
     order: List[int] = []
-    ready = sorted((rid for rid, deg in indegree.items() if deg == 0),
-                   key=lambda rid: (finish_time[rid], rid))
+    ready = [(finish_time[rid], rid)
+             for rid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
     while ready:
-        rid = ready.pop(0)
+        _finish, rid = heapq.heappop(ready)
         order.append(rid)
-        for succ in sorted(successors[rid]):
+        for succ in successors[rid]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                ready.append(succ)
-        ready.sort(key=lambda r: (finish_time[r], r))
+                heapq.heappush(ready, (finish_time[succ], succ))
     if len(order) != len(committed):
         raise SafeHomeError(
             "cycle in device access precedences: execution was not "
@@ -64,29 +68,37 @@ def place_detection_events(result: RunResult,
     ("restart", dev, t) tuples.
     """
     positions = {rid: i for i, rid in enumerate(order)}
-    timeline: List[Tuple] = [("routine", rid) for rid in order]
-    inserts: List[Tuple[int, Tuple]] = []
-    last_access_time: Dict[Tuple[int, int], float] = {}
+    last_touch: Dict[int, Dict[int, float]] = {}
     for run in result.runs:
-        if run.status is not RoutineStatus.COMMITTED:
+        if run.status is not RoutineStatus.COMMITTED \
+                or run.routine_id not in positions:
             continue
         for execution in run.executions:
-            key = (execution.command.device_id, run.routine_id)
             if execution.finished_at is not None:
-                last_access_time[key] = max(
-                    last_access_time.get(key, 0.0), execution.finished_at)
-    for kind, device_id, when in result.detection_events:
-        after = -1
-        for rid in order:
-            touched_at = last_access_time.get((device_id, rid))
-            if touched_at is not None and touched_at <= when:
-                after = max(after, positions[rid])
-        inserts.append((after, (kind, device_id, when)))
-    # Insert from the right so earlier indexes stay valid; among events
-    # sharing a position, insert later detections first so the final
-    # timeline lists them in detection order.
-    for after, event in sorted(inserts, key=lambda x: (-x[0], -x[1][2])):
-        timeline.insert(after + 1, event)
+                touched = last_touch.setdefault(
+                    execution.command.device_id, {})
+                touched[run.routine_id] = max(
+                    touched.get(run.routine_id, 0.0), execution.finished_at)
+    # Per device: last-touch times, sorted, beside the running maximum of
+    # the touchers' serial positions — one bisect finds the latest
+    # routine that touched the device by ``when``.
+    latest: Dict[int, Tuple[Tuple, List[int]]] = {}
+    for device_id, touched in last_touch.items():
+        times, spots = zip(*sorted(
+            (at, positions[rid]) for rid, at in touched.items()))
+        latest[device_id] = (times, list(itertools.accumulate(spots, max)))
+    # Events sharing a position are listed in detection order; those
+    # detected at the same instant, last reported first.
+    placed: Dict[int, List[Tuple]] = {}
+    for kind, device_id, when in reversed(result.detection_events):
+        times, last_spot = latest.get(device_id, ((), ()))
+        touched = bisect_right(times, when)
+        placed.setdefault(last_spot[touched - 1] if touched else -1,
+                          []).append((kind, device_id, when))
+    timeline: List[Tuple] = sorted(placed.get(-1, ()), key=itemgetter(2))
+    for spot, rid in enumerate(order):
+        timeline.append(("routine", rid))
+        timeline.extend(sorted(placed.get(spot, ()), key=itemgetter(2)))
     return timeline
 
 

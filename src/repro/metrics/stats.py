@@ -146,12 +146,21 @@ def swap_distance(order: Sequence[int], reference: Sequence[int]) -> int:
     a = [x for x in order if x in common]
     rank = {x: i for i, x in enumerate(a)}
     b = [rank[x] for x in reference if x in common]
-    # Count inversions in b (O(n^2); orders are small).
+    # Inversions of b — per element, the earlier ones that are larger —
+    # counted with a Fenwick tree over the ranks: O(n log n).
+    size = len(a)
+    tree = [0] * (size + 1)
     inversions = 0
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            if b[i] > b[j]:
-                inversions += 1
+    for larger, value in enumerate(b):   # starts as "all earlier ones"
+        i = value + 1
+        while i:                         # minus the earlier ones <= value
+            larger -= tree[i]
+            i &= i - 1
+        inversions += larger
+        i = value + 1
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
     return inversions
 
 

@@ -78,6 +78,45 @@ class TestAnalyze:
         report = analyze(result, home.initial, check_final=False)
         assert report.final_congruent is None
 
+    def test_cyclic_wv_run_reports_no_serial_order(self):
+        home = Home(model="wv", n_devices=2)
+        home.submit(routine("a", [(0, "A0", 4.0), (1, "A1", 4.0)]),
+                    when=0.0)
+        home.submit(routine("b", [(1, "B1", 4.0), (0, "B0", 4.0)]),
+                    when=0.0)
+        report = analyze(home.run(), home.initial, check_final=False)
+        assert report.serial_order == []
+        assert report.order_mismatch == 0.0
+
+    def test_reconstruction_defect_is_not_swallowed(self, monkeypatch):
+        """Only the expected cycle error means "no serial order"; any
+        other failure inside the reconstruction is a bug to surface."""
+        from repro.metrics import serialization
+
+        def broken(_result):
+            raise KeyError("defect")
+
+        monkeypatch.setattr(serialization, "reconstruct_serial_order",
+                            broken)
+        home = Home(model="ev", n_devices=1)
+        home.submit(routine("a", [(0, "ON", 1.0)]))
+        result = home.run()
+        with pytest.raises(KeyError):
+            analyze(result, home.initial, check_final=False)
+
+    def test_abort_metrics_match_run_result(self):
+        home = Home(model="ev", n_devices=2)
+        home.submit(routine("good", [(0, "ON", 1.0)]), when=0.0)
+        home.submit(routine("bad", [(0, "X", 1.0), (1, "ON", 10.0)]),
+                    when=0.0)
+        home.detect_failure(1, at=3.0)
+        result = home.run()
+        report = analyze(result, home.initial)
+        assert report.aborted == 1
+        assert report.abort_rate == result.abort_rate == 0.5
+        assert report.rollback_overhead_mean == \
+            sum(result.rollback_overheads()) > 0
+
 
 class TestSerialOrderReconstruction:
     def test_arrival_order_when_conflicting(self):

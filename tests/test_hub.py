@@ -42,6 +42,27 @@ class TestRoutineBank:
         assert first is not second
         assert first.commands[0] is not second.commands[0]
 
+    def test_instances_share_no_state_with_template_or_siblings(self):
+        bank = RoutineBank()
+        bank.register(Routine(
+            name="scene", user="ann", meta={"tags": ["evening"]},
+            commands=[Command(device_id=0, value={"level": 3},
+                              undo_value=["OFF"], duration=1.0),
+                      Command(device_id=1, value="ON", duration=2.0,
+                              must=False)]))
+        pristine = bank.instantiate("scene")
+        assert pristine == bank.get("scene")      # a faithful copy
+        mutated = bank.instantiate("scene")
+        mutated.commands.pop()
+        mutated.commands[0].duration = 99.0
+        mutated.commands[0].value["level"] = 0
+        mutated.commands[0].undo_value.append("ON")
+        mutated.meta["tags"].append("dirty")
+        mutated.meta["extra"] = True
+        mutated.trigger = "timer"
+        assert bank.get("scene") == pristine
+        assert bank.instantiate("scene") == pristine
+
 
 class TestSafeHomeFacade:
     def test_quickstart_flow(self):
