@@ -64,6 +64,13 @@ PYEOF
 done
 twice_identical fleet --homes 10 --seed 42 --crashes 2
 echo "durable fleet (crashes=2) deterministic"
+# Checkpoint digests and record frames agree exactly with their plain
+# definitions (deeper example budget than tier-1, seed pinned), and a
+# healthy log still has the committed bytes.
+REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=15 tests/test_checkpoint_equivalence.py
+"$PY" scripts/gen_wal_golden.py --check
+echo "checkpoint digests equal their reference definition"
 
 echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="

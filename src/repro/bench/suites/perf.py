@@ -1,8 +1,8 @@
 """Smoke-suite benchmarks: the fast, CI-gated performance entries.
 
 These are the hot-path probes — the simulator dispatch loop, the fleet
-engine, parallel plan execution, scheduler insertion and durable-hub
-recovery.  Each runs in well under a second per iteration so the CI
+engine, parallel plan execution, scheduler insertion, durable-hub
+recovery and checkpoint capture.  Each runs in well under a second per iteration so the CI
 perf job stays cheap.
 """
 
@@ -314,6 +314,39 @@ def metrics_analyze(routines: int, seed: int) -> Dict[str, Any]:
         "metrics": {"row": report.row(),
                     "serial_order": len(report.serial_order),
                     "oracle_violations": len(verdict.violations)},
+    }
+
+
+@functools.lru_cache(maxsize=1)
+def _finished_durable_home(routines: int, seed: int):
+    """One durable EV Table-3 micro home run to completion, built once:
+    the warmup call pays for the run, the timed calls only for the
+    checkpoints they take on top of its history."""
+    from repro.hub.safehome import SafeHome
+    from repro.workloads.micro import MicroParams, generate_microbenchmark
+
+    home = SafeHome(visibility="ev", seed=seed, durability=True)
+    home.load_workload(generate_microbenchmark(
+        MicroParams(routines=routines), seed=seed))
+    result = home.run()
+    return home, result.makespan, len(home.durability.checkpoints)
+
+
+@benchmark("checkpoint_capture", suite="smoke", routines=2000, seed=42,
+           checkpoints=100)
+def checkpoint_capture(routines: int, seed: int,
+                       checkpoints: int) -> Dict[str, Any]:
+    """Cost of a checkpoint at the end of a long history: N
+    ``take_checkpoint`` calls on one finished durable home (``events``:
+    the checkpoints taken, so events/sec is checkpoints per second)."""
+    home, makespan, run_checkpoints = _finished_durable_home(routines, seed)
+    for _ in range(checkpoints):
+        checkpoint = home.durability.take_checkpoint()
+    return {
+        "events": checkpoints,
+        "virtual_s": makespan,
+        "metrics": {"run_checkpoints": run_checkpoints,
+                    "digest": checkpoint.digest},
     }
 
 

@@ -9,6 +9,7 @@ serialization policy.
 """
 
 import enum
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -18,6 +19,31 @@ from repro.devices.driver import CommandOutcome, Driver
 from repro.devices.registry import DeviceRegistry
 from repro.errors import SafeHomeError
 from repro.sim.engine import Simulator
+
+
+class Canonical(str):
+    """Canonical JSON text of one ``snapshot_state()`` subtree.
+
+    Exactly what ``json.dumps(jsonify(subtree), sort_keys=True)`` would
+    produce; the checkpoint digest splices it in verbatim instead of
+    encoding the subtree again (see :meth:`Controller.snapshot_state`).
+    """
+
+    __slots__ = ()
+
+
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per
+#: call.  The fragments controllers encode with it hold only ints,
+#: floats, strs, None and lists/str-keyed dicts of them, on which
+#: ``jsonify`` is the identity.
+encode_fragment = json.JSONEncoder(sort_keys=True).encode
+
+
+def canonical_object(members) -> Canonical:
+    """The JSON object of ``(key, encoded value)`` pairs, keys ordered
+    the way ``sort_keys`` orders them once ``jsonify`` made them strs."""
+    return Canonical("{%s}" % ", ".join(
+        f"{encode_fragment(key)}: {text}" for key, text in sorted(members)))
 
 
 class RoutineStatus(enum.Enum):
@@ -188,6 +214,13 @@ class Controller:
         # (feeds the serialization-order reconstruction).
         self.device_access_order: Dict[int, List[int]] = {}
         self.on_routine_finished: List[Callable[[RoutineRun], None]] = []
+        # Encoded snapshot fragments (built only by snapshot_state, so a
+        # non-durable hub never fills them): per run, in self.runs
+        # order, its text and the key it was encoded under; per device
+        # ``(list length, text of the ids without the brackets)``.
+        self._run_keys: List[tuple] = []
+        self._run_texts: List[str] = []
+        self._access_fragments: Dict[int, tuple] = {}
         # The durable hub's WAL (an object with .observe(type, payload,
         # time)); None keeps journaling at zero cost.
         self.journal: Optional[Any] = None
@@ -515,24 +548,59 @@ class Controller:
         Subclasses extend the dict with their model-specific structures
         (EV lineage entries, OCC commit log, lock-table holdings);
         values may be arbitrary objects — the checkpoint digests them
-        via ``jsonify``.
+        via ``jsonify``.  A value may instead be a :class:`Canonical`:
+        the already-encoded JSON text of that subtree, byte for byte
+        what ``jsonify`` + ``json.dumps(sort_keys=True)`` would emit.
+        The sections that grow with the home's history (``runs``,
+        ``device_access_order``, finished ``plans``, OCC's commit log)
+        are returned that way, joined from fragments that are encoded
+        again only when the thing they describe changed.
         """
         return {
             "model": self.model_name,
             "believed_failed": sorted(self.believed_failed),
             "pending_reconcile": dict(self.pending_reconcile),
-            "device_access_order": {k: list(v) for k, v in
-                                    self.device_access_order.items()},
-            "runs": [{
-                "routine_id": run.routine_id,
-                "name": run.name,
-                "status": run.status.value,
-                "next_index": run.next_index,
-                "executions": len(run.executions),
-                "inflight": run.inflight_count,
-                "devices_done": sorted(run.devices_done),
-            } for run in self.runs],
+            "device_access_order": self._snapshot_access_order(),
+            "runs": self._snapshot_runs(),
         }
+
+    def _snapshot_runs(self) -> Canonical:
+        """One object per routine ever submitted; a run's fragment is
+        keyed by everything in it that can change."""
+        keys, texts = self._run_keys, self._run_texts
+        new = len(self.runs) - len(keys)
+        keys.extend([None] * new)
+        texts.extend([""] * new)
+        for index, (run, cached) in enumerate(zip(self.runs, keys)):
+            key = (run.status, run.next_index, len(run.executions),
+                   run.inflight_count, len(run.devices_done))
+            if key != cached:
+                keys[index] = key
+                texts[index] = encode_fragment({
+                    "routine_id": run.routine_id,
+                    "name": run.name,
+                    "status": run.status.value,
+                    "next_index": run.next_index,
+                    "executions": len(run.executions),
+                    "inflight": run.inflight_count,
+                    "devices_done": sorted(run.devices_done),
+                })
+        return Canonical("[%s]" % ", ".join(texts))
+
+    def _snapshot_access_order(self) -> Canonical:
+        """Per-device id lists; :meth:`record_last_access` only ever
+        appends, so a list that grew has its new tail encoded onto the
+        cached text."""
+        fragments = self._access_fragments
+        members = []
+        for device_id, order in self.device_access_order.items():
+            count, text = fragments.get(device_id, (0, ""))
+            if count != len(order):
+                tail = encode_fragment(order[count:])[1:-1]
+                text = f"{text}, {tail}" if text else tail
+                fragments[device_id] = (len(order), text)
+            members.append((str(device_id), f"[{text}]"))
+        return canonical_object(members)
 
     def hub_recovery_action(self, run: RoutineRun) -> str:
         """Fate of a RUNNING routine under "policy"-mode hub recovery:

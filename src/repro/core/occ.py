@@ -17,10 +17,12 @@ paper's reasoning for preferring pessimistic locking.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Dict, List, Set
 
 from repro.core.command import CommandExecution
-from repro.core.controller import RoutineRun, RoutineStatus
+from repro.core.controller import (Canonical, RoutineRun, RoutineStatus,
+                                   canonical_object, encode_fragment)
 from repro.core.execution.engine import PlanExecutionMixin
 from repro.core.routine import Routine
 from repro.core.lineage import UNSET
@@ -52,16 +54,30 @@ class OptimisticController(PlanExecutionMixin):
         self.committed_states: Dict[int, Any] = {}
         self.retries_used: Dict[int, int] = {}
         self.validation_aborts = 0
+        # Encoded snapshot fragments of the two append-only structures
+        # above (filled only by snapshot_state): one text per commit
+        # record, one (key, text) member per retried routine.
+        self._commit_fragments: List[str] = []
+        self._retry_fragments: List[tuple] = []
 
     def snapshot_state(self):
         state = super().snapshot_state()
-        state["commit_log"] = [{
-            "routine_id": record.routine_id,
-            "commit_time": record.commit_time,
-            "write_set": sorted(record.write_set),
-        } for record in self.commit_log]
+        commits = self._commit_fragments
+        for record in self.commit_log[len(commits):]:
+            commits.append(encode_fragment({
+                "routine_id": record.routine_id,
+                "commit_time": record.commit_time,
+                "write_set": sorted(record.write_set),
+            }))
+        state["commit_log"] = Canonical("[%s]" % ", ".join(commits))
         state["committed_states"] = dict(self.committed_states)
-        state["retries_used"] = dict(self.retries_used)
+        # Insert-only, and a routine's count is set once, when its retry
+        # is submitted: the entries past the cache are the new ones.
+        retries = self._retry_fragments
+        for routine_id, used in islice(self.retries_used.items(),
+                                       len(retries), None):
+            retries.append((str(routine_id), encode_fragment(used)))
+        state["retries_used"] = canonical_object(retries)
         state["validation_aborts"] = self.validation_aborts
         return state
 

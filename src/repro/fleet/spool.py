@@ -61,7 +61,7 @@ def home_wal_record(home_id: int, scenario: str, seed: int,
         "seed": seed,
         "wal": [record.to_dict() for record in manager.wal.records],
         "compacted_observations": manager.wal.compacted_observations,
-        "checkpoints": [checkpoint.to_dict(include_state=False)
+        "checkpoints": [checkpoint.to_dict()
                         for checkpoint in manager.checkpoints],
     }
 

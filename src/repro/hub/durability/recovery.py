@@ -178,9 +178,7 @@ class DurabilityManager:
         """Simulator post-event hook: flush the observation buffer
         (batch JSON-ready record construction per event boundary) and
         take due checkpoints here."""
-        wal = self.wal
-        if wal._pending:
-            wal.flush()
+        self.wal.flush()
         if self._checkpoint_due:
             self._checkpoint_due = False
             self.take_checkpoint()
@@ -190,10 +188,9 @@ class DurabilityManager:
             self.storage.flush()
 
     def take_checkpoint(self) -> Checkpoint:
-        self.wal.flush()        # the seq floor must cover the buffer
         self._observations_since_checkpoint = 0
         checkpoint = capture_checkpoint(
-            seq=self.wal._next_seq, time=self._now(),
+            seq=self.wal.next_seq, time=self._now(),
             events_processed=self._events(),
             state=self._capture_state())
         self.checkpoints.append(checkpoint)

@@ -354,7 +354,7 @@ def recover(home, mode: Optional[str] = None) -> RecoveryReport:
         else:
             outcome = replay(
                 home, records, compacted=compacted,
-                checkpoints=[checkpoint.to_dict(include_state=False)
+                checkpoints=[checkpoint.to_dict()
                              for checkpoint in old_manager.checkpoints])
             if not home._crashed:
                 raise RecoveryError(

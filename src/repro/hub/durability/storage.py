@@ -20,12 +20,15 @@ WAL record into segment files:
 * **seals** — at every checkpoint boundary the writer appends a seal
   frame holding the checkpoint's sequence floor, event count and state
   digest; ``close()`` appends a final seal.  Everything at or before a
-  seal is *fsynced history*; anything after the last seal is the
-  crash-window tail.
+  seal is *digest-protected history*; anything after the last seal is
+  the crash-window tail.
 * **flush discipline** — the observation buffer drains at simulator
-  event boundaries (PR 5); the storage writer flushes at the same
-  boundary, so the on-disk tail is torn only ever at an event boundary
-  plus whatever the OS lost mid-write.
+  event boundaries (PR 5); the storage writer flushes to the OS at the
+  same boundary and at every seal, so the on-disk tail is torn only
+  ever at an event boundary plus whatever the OS lost mid-write.  The
+  writer never calls ``fsync``: the log survives the death of the hub
+  process, and what it survives of a power cut is whatever the OS had
+  written back by then.
 
 Reading back is a *detect-and-classify* scan (:func:`scan_wal_dir`):
 
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CorruptionError, SafeHomeError
-from repro.hub.durability.wal import WalRecord
+from repro.hub.durability.wal import WalRecord, encode_compact
 
 #: File-format constants.  The magic rejects foreign files before any
 #: frame parsing; the version lives in every segment header.
@@ -108,8 +111,7 @@ def _find_frame_after(data: bytes, start: int) -> Optional[int]:
 def canonical_json(payload: Dict[str, Any]) -> bytes:
     """The one serialized form every frame payload uses (shared with
     the fleet spool: sorted keys, compact separators, UTF-8)."""
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return encode_compact(payload).encode("utf-8")
 
 
 def encode_frame(kind: int, payload: bytes) -> bytes:
@@ -186,21 +188,30 @@ class SegmentedWalWriter:
         self._handle.write(frame)
         self._segment_bytes = len(MAGIC) + len(frame)
 
-    def _write(self, kind: int, payload: Dict[str, Any]) -> None:
+    def _write(self, kind: int, payload: bytes) -> None:
         if self.closed:
             raise SafeHomeError("the WAL writer is closed")
         if self._handle is None or \
                 self._segment_bytes >= self.segment_max_bytes:
             self._roll()
-        frame = encode_frame(kind, canonical_json(payload))
+        frame = encode_frame(kind, payload)
         self._handle.write(frame)
         self._segment_bytes += len(frame)
 
     # -- the durable surface --------------------------------------------------
 
     def append(self, record: WalRecord) -> None:
-        """Append one materialized WAL record (any type, in order)."""
-        self._write(KIND_RECORD, record.to_dict())
+        """Append one materialized WAL record (any type, in order).
+
+        The frame payload is ``canonical_json(record.to_dict())`` byte
+        for byte, assembled around the record's memoized payload
+        encoding so the payload is encoded once for disk and replay
+        verification alike ("payload" sorts before the other keys).
+        """
+        rest = canonical_json({"seq": record.seq, "time": record.time,
+                               "type": record.type})
+        self._write(KIND_RECORD, b'{"payload":%b,%b' % (
+            record.canonical_payload().encode("utf-8"), rest[1:]))
         self._next_seq = record.seq + 1
 
     def seal(self, seq: int, digest: Optional[str], events: int,
@@ -212,19 +223,13 @@ class SegmentedWalWriter:
         """
         payload = {"digest": digest, "events": events, "final": final,
                    "index": index, "seq": seq, "time": time}
-        self._write(KIND_SEAL, payload)
+        self._write(KIND_SEAL, canonical_json(payload))
         self.flush()
 
     def flush(self) -> None:
         """Event-boundary flush: push buffered bytes to the OS."""
         if self._handle is not None:
             self._handle.flush()
-
-    def sync(self) -> None:
-        """Full durability barrier (flush + fsync); checkpoint-rate."""
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
 
     def close(self, seal_events: int = 0, seal_time: float = 0.0,
               seal_index: int = 0, write_final_seal: bool = True) -> None:

@@ -68,22 +68,37 @@ OBSERVATION_TYPES = frozenset({
 MARKER_TYPES = frozenset({"crash", "migration"})
 
 
+_PLAIN_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def jsonify(value: Any) -> Any:
     """Make ``value`` JSON-serializable, deterministically.
 
     Scalars pass through; containers recurse; anything else (custom
     device states, sentinels) becomes its ``repr`` — lossy but stable,
-    which is all the log's digests and comparisons need.
+    which is all the log's digests and comparisons need.  Most of what
+    the log holds is plain scalars inside dicts and lists, so those are
+    recognised by exact type without a call each.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if type(value) in _PLAIN_SCALARS:
         return value
+    if isinstance(value, dict):
+        return {str(key): item if type(item) in _PLAIN_SCALARS
+                else jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonify(item) for item in value]
+        return [item if type(item) in _PLAIN_SCALARS else jsonify(item)
+                for item in value]
     if isinstance(value, (set, frozenset)):
         return sorted(jsonify(item) for item in value)
-    if isinstance(value, dict):
-        return {str(key): jsonify(item) for key, item in value.items()}
+    if isinstance(value, (bool, int, float, str)):      # scalar subclasses
+        return value
     return repr(value)
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` — the
+#: text form of every frame payload — without an encoder per call.
+encode_compact = json.JSONEncoder(sort_keys=True,
+                                  separators=(",", ":")).encode
 
 
 @dataclass
@@ -94,9 +109,10 @@ class WalRecord:
     time: float                 # virtual time at append
     type: str
     payload: Dict[str, Any] = field(default_factory=dict)
-    # Canonical payload JSON, encoded once and reused by every
-    # identity() comparison (recovery verifies each observation at
-    # least twice: the logged record and its replayed twin).
+    # Canonical payload JSON, encoded once: the on-disk frame is
+    # assembled from it and every identity() comparison reuses it
+    # (recovery verifies each observation at least twice: the logged
+    # record and its replayed twin).
     _canonical: Optional[str] = field(default=None, init=False,
                                       repr=False, compare=False)
 
@@ -109,11 +125,12 @@ class WalRecord:
         return self.type in OBSERVATION_TYPES
 
     def canonical_payload(self) -> str:
-        """Deterministic payload encoding, memoized on the record."""
+        """Deterministic payload encoding (sorted keys, the frame
+        format's compact separators), memoized on the record."""
         canonical = self._canonical
         if canonical is None:
-            canonical = self._canonical = json.dumps(
-                jsonify(self.payload), sort_keys=True)
+            canonical = self._canonical = encode_compact(
+                jsonify(self.payload))
         return canonical
 
     def identity(self) -> tuple:
@@ -168,6 +185,14 @@ class WriteAheadLog:
         if self._pending:
             self.flush()
         return self._records
+
+    @property
+    def next_seq(self) -> int:
+        """The sequence number the next record will get — a checkpoint's
+        floor (drains the observation buffer, which it must cover)."""
+        if self._pending:
+            self.flush()
+        return self._next_seq
 
     def __len__(self) -> int:
         return len(self._records) + len(self._pending)

@@ -3,6 +3,8 @@ staging swap, and byte-identity between disk and memory logs."""
 
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,10 @@ from repro.hub.durability.storage import (FRAME, KIND_RECORD, MAGIC,
                                           scan_wal_dir, segment_name)
 from repro.hub.durability.wal import WalRecord
 from repro.hub.safehome import SafeHome
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import gen_wal_golden  # noqa: E402
 
 
 def make_records(count, start=0):
@@ -306,3 +312,22 @@ class TestDurableHomeOnDisk:
         assert scan.home == "test:1"
         assert [r.seq for r in scan.records] == [0, 1, 2, 3]
         assert scan.clean_close
+
+
+class TestGoldenHealthyLog:
+    """What a healthy durable hub writes is pinned byte for byte: the
+    sha256 of every segment file, the checkpoint digests and the
+    recovery row of a crash -> replay-recover -> run on -> close
+    sequence (regenerate with scripts/gen_wal_golden.py — a diff there
+    is a format change and needs a reason)."""
+
+    @pytest.mark.parametrize("execution", gen_wal_golden.EXECUTIONS)
+    @pytest.mark.parametrize("model", gen_wal_golden.MODELS)
+    def test_segment_bytes_digests_and_recovery_row(self, model, execution,
+                                                    tmp_path):
+        golden = json.loads(gen_wal_golden.GOLDEN_PATH.read_text())
+        fresh = gen_wal_golden.build_cell(model, execution, str(tmp_path))
+        # Through JSON, as the committed cell went (tuples become lists).
+        assert json.loads(json.dumps(fresh)) == \
+            golden[f"{model}/{execution}"]
+        assert len(fresh["checkpoint_digests"]) > 10
