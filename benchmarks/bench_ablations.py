@@ -6,20 +6,21 @@ figures; DESIGN.md motivates each sweep).
 * failure-detector ping period (paper fixes 1 s),
 * network jitter behind Fig 1's incongruence.
 
-Thin wrapper over the registered ``ablations`` benchmark; each test
-requests exactly one of its sweeps.
+Shape assertions over the registered ``ablations`` benchmark; each
+test requests exactly one of its sweeps.
 """
 
-from benchmarks.conftest import bench_metrics, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
 def _sweep(name, **params):
-    return bench_metrics("ablations", sweeps=(name,), **params)[name]
+    return call("ablations", sweeps=(name,), **params)["metrics"][name]
 
 
 def test_ablation_leniency(benchmark):
-    rows = run_once(benchmark, _sweep, "leniency", trials=5)
+    rows = run_once(benchmark, _sweep, "leniency")
     print_table("Ablation: lease-revocation leniency factor "
                 "(estimate error 50%)", rows)
     # Tighter leniency under noisy estimates -> no fewer aborts than
@@ -28,7 +29,7 @@ def test_ablation_leniency(benchmark):
 
 
 def test_ablation_estimate_error(benchmark):
-    rows = run_once(benchmark, _sweep, "estimate_error", trials=5)
+    rows = run_once(benchmark, _sweep, "estimate_error")
     print_table("Ablation: Timeline duration-estimate error", rows)
     # Even 100% estimate error must not break execution (placements
     # degrade gracefully; work-conserving execution absorbs it).
@@ -39,7 +40,7 @@ def test_ablation_estimate_error(benchmark):
 
 
 def test_ablation_detector_period(benchmark):
-    rows = run_once(benchmark, _sweep, "detector_period", trials=4)
+    rows = run_once(benchmark, _sweep, "detector_period")
     print_table("Ablation: failure-detector ping period", rows)
     # Detection lag grows with the ping period and is bounded by it
     # (plus latency/timeout), except when implicit detection fires first.

@@ -5,18 +5,18 @@ Paper: two routines (all-ON / all-OFF) over 2-15 TP-Link devices; the
 fraction of non-serialized end states grows with device count and
 shrinks as R2's start offset grows.
 
-Thin wrapper over the registered ``weak_visibility`` benchmark
+Shape assertions over the registered ``weak_visibility`` benchmark
 (``repro bench --filter weak_visibility``).
 """
 
-from benchmarks.conftest import bench_rows, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
 def test_fig01_incongruence_vs_devices(benchmark):
-    rows = run_once(benchmark, bench_rows, "weak_visibility",
-                    device_counts=(2, 4, 6, 8, 10, 12, 15),
-                    offsets=(0.0, 0.5, 1.0, 2.0), trials=40)
+    rows = run_once(benchmark, call,
+                    "weak_visibility")["metrics"]["rows"]
     print_table("Fig 1: fraction of incongruent end states (WV)", rows)
 
     by_offset = {}

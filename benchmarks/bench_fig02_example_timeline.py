@@ -3,17 +3,19 @@
 Paper: GSV finishes in 8 time units, PSV in 5, EV in 3; EV shows
 temporary incongruence but a serially equivalent end state.
 
-Thin wrapper over the registered ``example_timeline`` smoke benchmark.
+Shape assertions over the registered ``example_timeline`` smoke benchmark.
 """
 
 import pytest
 
-from benchmarks.conftest import bench_rows, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
 def test_fig02_example_timeline(benchmark):
-    rows = run_once(benchmark, bench_rows, "example_timeline")
+    rows = run_once(benchmark, call,
+                    "example_timeline")["metrics"]["rows"]
     print_table("Fig 2: five concurrent routines (time units of 60s)",
                 rows)
     by_model = {row["model"]: row for row in rows}

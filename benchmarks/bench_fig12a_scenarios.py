@@ -6,10 +6,11 @@ at the median with ~3x less parallelism; only EV (among the fast ones)
 plus PSV/GSV keep serial equivalence; the Party scenario's long routine
 hurts PSV (head-of-line blocking) but not EV.
 
-Thin wrapper over the registered ``scenarios`` benchmark.
+Shape assertions over the registered ``scenarios`` benchmark.
 """
 
-from benchmarks.conftest import bench_rows, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
@@ -19,7 +20,7 @@ def _by(rows, scenario):
 
 
 def test_fig12a_scenarios(benchmark):
-    rows = run_once(benchmark, bench_rows, "scenarios", trials=10)
+    rows = run_once(benchmark, call, "scenarios")["metrics"]["rows"]
     print_table("Fig 12a: scenario sweeps", rows)
 
     for scenario in ("morning", "party"):

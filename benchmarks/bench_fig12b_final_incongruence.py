@@ -4,17 +4,18 @@ the end state equivalent to one of the 9! serial orders?
 Paper: WV ends incongruent in a substantial fraction of runs; EV, PSV
 and GSV are always serially equivalent.
 
-Thin wrapper over the registered ``final_incongruence`` benchmark.
+Shape assertions over the registered ``final_incongruence`` benchmark.
 """
 
-from benchmarks.conftest import bench_rows, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
 def test_fig12b_final_incongruence(benchmark):
-    rows = run_once(benchmark, bench_rows, "final_incongruence",
-                    runs=100, n_routines=9)
-    print_table("Fig 12b: final incongruence over 100 runs "
+    rows = run_once(benchmark, call,
+                    "final_incongruence")["metrics"]["rows"]
+    print_table("Fig 12b: final incongruence "
                 "(9 routines, 9! serial orders checked)", rows)
     by_model = {row["model"]: row for row in rows}
     assert by_model["ev"]["final_incongruence"] == 0.0

@@ -7,16 +7,17 @@ overhead (intrusion on the user) is the smallest of all models, with
 PSV higher (it aborts at the finish point) and GSV/S-GSV plateauing
 around 50%/40%.
 
-Thin wrapper over the registered ``failures`` benchmark.
+Shape assertions over the registered ``failures`` benchmark.
 """
 
-from benchmarks.conftest import bench_metrics, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 from repro.metrics.stats import mean
 
 
 def test_fig13_failures(benchmark):
-    data = run_once(benchmark, bench_metrics, "failures", trials=8)
+    data = run_once(benchmark, call, "failures")["metrics"]
     print_table("Fig 13a/13c: Must%% sweep (F=25%)", data["must_sweep"])
     print_table("Fig 13b/13d: failed-device%% sweep (M=100%)",
                 data["failure_sweep"])

@@ -4,16 +4,16 @@ Paper: at ρ=4 Timeline is 2.36x / 1.33x faster than FCFS / JiT and
 reaches 2.0-2.3x their parallelism; the ordering TL <= JiT <= FCFS in
 latency holds across concurrency levels.
 
-Thin wrapper over the registered ``schedulers`` benchmark.
+Shape assertions over the registered ``schedulers`` benchmark.
 """
 
-from benchmarks.conftest import bench_rows, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
 def test_fig14_schedulers(benchmark):
-    rows = run_once(benchmark, bench_rows, "schedulers", trials=8,
-                    concurrencies=(1, 2, 4, 8))
+    rows = run_once(benchmark, call, "schedulers")["metrics"]["rows"]
     print_table("Fig 14: FCFS vs JiT vs Timeline (EV)", rows)
 
     def metric(scheduler, rho, key):

@@ -6,16 +6,16 @@ post-leases hurts more (71-107%) than disabling pre-leases (29-50%);
 disabling leases reduces temporary incongruence; the stretch-factor
 distribution first widens then narrows as routines grow.
 
-Thin wrapper over the registered ``leasing`` and ``stretch`` benchmarks.
+Shape assertions over the registered ``leasing`` and ``stretch`` benchmarks.
 """
 
-from benchmarks.conftest import bench_rows, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
 def test_fig15ab_leasing_ablation(benchmark):
-    rows = run_once(benchmark, bench_rows, "leasing", trials=8,
-                    concurrencies=(2, 4, 8))
+    rows = run_once(benchmark, call, "leasing")["metrics"]["rows"]
     print_table("Fig 15a/15b: leasing ablation (EV/TL)", rows)
 
     def lat(variant, rho):
@@ -36,8 +36,7 @@ def test_fig15ab_leasing_ablation(benchmark):
 
 
 def test_fig15c_stretch_factor(benchmark):
-    rows = run_once(benchmark, bench_rows, "stretch", trials=8,
-                    command_counts=(2, 4, 8))
+    rows = run_once(benchmark, call, "stretch")["metrics"]["rows"]
     print_table("Fig 15c: stretch factor vs routine size", rows)
     # Stretch exists under contention but stays bounded.
     for row in rows:

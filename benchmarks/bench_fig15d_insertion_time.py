@@ -5,7 +5,7 @@ a large 10-command routine takes ~1 ms; typical 5-command routines are
 far cheaper.  This is the one genuinely CPU-bound benchmark, so it also
 exercises pytest-benchmark's statistics on the placement path itself.
 
-Thin wrapper over the registered ``scheduler_insertion`` smoke
+Shape assertions over the registered ``scheduler_insertion`` smoke
 benchmark (per-insertion milliseconds live in its ``timing`` payload —
 they are wall-clock, not virtual time).
 """
@@ -16,8 +16,7 @@ from repro.experiments.report import print_table
 
 
 def test_fig15d_insertion_time(benchmark):
-    outcome = run_once(benchmark, call, "scheduler_insertion",
-                       routine_sizes=(1, 2, 4, 6, 8, 10))
+    outcome = run_once(benchmark, call, "scheduler_insertion")
     rows = outcome["timing"]["rows"]
     print_table("Fig 15d: Algorithm 1 insertion time vs routine size",
                 rows)

@@ -5,11 +5,12 @@ EV/WV for small routines but approaches GSV as C grows; EV stays the
 fastest serializing model; rising α (popularity skew) slows PSV toward
 GSV while EV stays close to WV.
 
-Thin wrapper over the registered ``routine_size`` and
+Shape assertions over the registered ``routine_size`` and
 ``device_popularity`` benchmarks.
 """
 
-from benchmarks.conftest import bench_rows, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
@@ -19,8 +20,7 @@ def _lat(rows, model, key, value):
 
 
 def test_fig16abc_routine_size(benchmark):
-    rows = run_once(benchmark, bench_rows, "routine_size", trials=8,
-                    command_counts=(1, 2, 3, 4, 6, 8))
+    rows = run_once(benchmark, call, "routine_size")["metrics"]["rows"]
     print_table("Fig 16a-c: impact of commands per routine", rows)
 
     # GSV latency rises with C.
@@ -46,8 +46,8 @@ def test_fig16abc_routine_size(benchmark):
 
 
 def test_fig16d_device_popularity(benchmark):
-    rows = run_once(benchmark, bench_rows, "device_popularity", trials=8,
-                    alphas=(0.0, 0.05, 0.5, 1.0))
+    rows = run_once(benchmark, call,
+                    "device_popularity")["metrics"]["rows"]
     print_table("Fig 16d: device popularity (Zipf alpha) vs latency",
                 rows)
     # EV stays close to WV even under skew (within 2x here).

@@ -6,17 +6,16 @@ fraction of long routines (L%) raises conflict and temporary
 incongruence while order mismatch falls (post-leases dominate).  Order
 mismatch stays low overall (3-10%).
 
-Thin wrapper over the registered ``long_routines`` benchmark.
+Shape assertions over the registered ``long_routines`` benchmark.
 """
 
-from benchmarks.conftest import bench_metrics, run_once
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 
 
 def test_fig17_long_routines(benchmark):
-    data = run_once(benchmark, bench_metrics, "long_routines", trials=8,
-                    long_durations=(60.0, 300.0, 900.0),
-                    long_pcts=(0, 10, 25, 50))
+    data = run_once(benchmark, call, "long_routines")["metrics"]
     print_table("Fig 17a: long-command duration sweep (EV/TL)",
                 data["duration_sweep"])
     print_table("Fig 17b: long-routine percentage sweep (EV/TL)",

@@ -1,41 +1,26 @@
-"""Fleet scale-out: homes/sec throughput at N ∈ {1, 10, 100, 1000}.
+"""Fleet scale-out: the engine at N ∈ {1, 10, 100, 1000} homes.
 
-Thin wrapper over the registered ``fleet_scale`` (smoke) and
-``fleet_scale_sweep`` (full) benchmarks.  Run standalone for the quick
-table::
-
-    PYTHONPATH=src python benchmarks/bench_fleet_scale.py
-
-or through the unified harness for calibrated min-of-N timings and the
-baseline gate::
-
-    PYTHONPATH=src python -m repro bench --filter fleet_scale \
-        --baseline benchmarks/baseline.json
-
-The serial backend is the baseline; on multi-core machines pass
-``--backend process`` (standalone mode) to measure pool speedup.
+Shape assertions over the fleet engine and the registered
+``fleet_scale_sweep`` benchmark (``repro bench --suite full --filter
+fleet_scale_sweep`` prints its table; ``repro fleet --stats`` times one
+fleet).  Throughput is judged by the perf ledger's ``fleet_mix`` and
+``fleet_process`` workloads, not here.
 """
-
-import argparse
-import time
 
 import pytest
 
-try:
-    from benchmarks.conftest import run_once
-except ModuleNotFoundError:  # standalone: python benchmarks/bench_....py
-    run_once = None
+from benchmarks.conftest import run_once
+from repro.bench import call
 from repro.experiments.report import print_table
 from repro.fleet import FleetConfig, FleetEngine
 
 SCALES = (1, 10, 100, 1000)
 
 
-def run_fleet_scale(homes: int, backend: str = "serial",
-                    workers: int = 0, seed: int = 42):
+def run_fleet_scale(homes: int, seed: int = 42):
     engine = FleetEngine(FleetConfig(
-        homes=homes, seed=seed, backend=backend, workers=workers,
-        # The scale sweep measures engine throughput; the O(n!)-ish
+        homes=homes, seed=seed,
+        # The scale sweep measures the engine; the O(n!)-ish
         # final-serializability search is benchmarked elsewhere.
         check_final=False))
     return engine.run()
@@ -55,46 +40,10 @@ def test_fleet_scale(benchmark, homes):
     }])
 
 
-def test_fleet_scale_registered_smoke_entry(benchmark):
+def test_fleet_scale_sweep_matches_direct_run(benchmark):
     """The harness entry reports the same aggregate as a direct run."""
-    from repro.bench import call
-
-    outcome = run_once(benchmark, call, "fleet_scale", homes=25)
+    rows = run_once(benchmark, call, "fleet_scale_sweep",
+                    scales=(25,))["metrics"]["rows"]
     direct = run_fleet_scale(25)
-    assert outcome["homes"] == 25
-    assert outcome["metrics"]["routines"] == \
-        direct.aggregate["routines"]
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"))
-    parser.add_argument("--workers", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--scales", type=int, nargs="*",
-                        default=list(SCALES))
-    args = parser.parse_args()
-
-    rows = []
-    for homes in args.scales:
-        started = time.perf_counter()
-        result = run_fleet_scale(homes, backend=args.backend,
-                                 workers=args.workers, seed=args.seed)
-        elapsed = time.perf_counter() - started
-        rows.append({
-            "homes": homes,
-            "backend": args.backend,
-            "wall_s": round(elapsed, 3),
-            "homes_per_sec": round(homes / elapsed, 1),
-            "routines": result.aggregate["routines"],
-            "lat_p50": round(result.aggregate["latency"]["p50"], 2),
-            "lat_p99": round(result.aggregate["latency"]["p99"], 2),
-            "abort_rate": round(result.aggregate["abort_rate"], 4),
-        })
-    print_table("Fleet scale-out (heterogeneous mix)", rows)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert [row["homes"] for row in rows] == [25]
+    assert rows[0]["routines"] == direct.aggregate["routines"]

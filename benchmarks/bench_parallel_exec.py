@@ -1,38 +1,16 @@
 """Serial vs parallel plan execution on the wide fan-out workload.
 
-Thin wrapper over the registered ``parallel_exec`` smoke benchmark
-(the comparison logic lives in
-:mod:`repro.bench.suites.perf`).  Run standalone for deterministic
-JSON::
-
-    PYTHONPATH=src python benchmarks/bench_parallel_exec.py
-
-or through the unified harness for calibrated wall-clock timings::
-
-    PYTHONPATH=src python -m repro bench --filter parallel_exec
+Shape assertions over the comparison behind the registered
+``parallel_exec`` smoke benchmark (the logic lives in
+:mod:`repro.bench.suites.perf`; ``repro bench --filter parallel_exec
+--json out.json`` writes the deterministic per-model table).
 """
-
-import argparse
-import json
 
 import pytest
 
-try:
-    from benchmarks.conftest import run_once
-except ModuleNotFoundError:  # standalone: python benchmarks/bench_....py
-    run_once = None
+from benchmarks.conftest import run_once
 from repro.bench.suites.perf import (PARALLEL_EXEC_MODELS,
                                      parallel_exec_compare)
-
-
-def bench_payload(seed: int = 0, routines: int = 6, width: int = 8) -> dict:
-    from repro.bench import call
-
-    metrics = call("parallel_exec", seed=seed, routines=routines,
-                   width=width)["metrics"]
-    return {"benchmark": "parallel_exec",
-            "workload": metrics["workload"],
-            "models": metrics["models"]}
 
 
 @pytest.mark.parametrize("model", PARALLEL_EXEC_MODELS)
@@ -42,19 +20,3 @@ def test_parallel_speedup(benchmark, model):
     row = run_once(benchmark, parallel_exec_compare, model)
     assert row["parallel"]["committed"] == row["serial"]["committed"]
     assert row["speedup"] is not None and row["speedup"] >= 1.5, row
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--routines", type=int, default=6)
-    parser.add_argument("--width", type=int, default=8)
-    args = parser.parse_args()
-    payload = bench_payload(seed=args.seed, routines=args.routines,
-                            width=args.width)
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -11,41 +11,18 @@ cost scales with how much history must be re-executed and re-checked:
   recovery, but (with compaction) a shorter observation suffix to
   compare record-by-record.
 
-Thin wrapper over the registered ``recovery_replay`` (smoke) and
-``recovery_sweep`` (full) benchmarks; the builders live in
-:mod:`repro.bench.suites.recovery_util`.  Run standalone for the JSON
-report::
-
-    PYTHONPATH=src python benchmarks/bench_recovery.py
-
-or through the unified harness::
-
-    PYTHONPATH=src python -m repro bench --filter recovery_sweep
+Shape assertions over the builders behind the registered
+``recovery_sweep`` benchmark (:mod:`repro.bench.suites.recovery_util`);
+``repro bench --suite full --filter recovery_sweep --json out.json``
+writes the sweep's rows.
 """
-
-import argparse
-import json
 
 import pytest
 
-try:
-    from benchmarks.conftest import run_once
-except ModuleNotFoundError:  # standalone: python benchmarks/bench_....py
-    run_once = None
-from repro.bench.suites.recovery_util import build_home, crash_and_recover
+from benchmarks.conftest import run_once
+from repro.bench.suites.recovery_util import crash_and_recover
 
 REPEATS = (1, 2, 4, 8)
-CHECKPOINT_INTERVALS = (8, 32, 128, 0)   # 0 = checkpoints disabled
-
-__all__ = ["build_home", "crash_and_recover"]
-
-
-def bench_rows(repeats_list=REPEATS, intervals=CHECKPOINT_INTERVALS):
-    from repro.bench import call
-
-    outcome = call("recovery_sweep", repeats_list=tuple(repeats_list),
-                   intervals=tuple(intervals))
-    return outcome["timing"]["rows"]
 
 
 @pytest.mark.parametrize("repeats", REPEATS)
@@ -59,21 +36,3 @@ def test_recovery_replay_lengths_grow():
     """More history ⇒ more replayed events (the WAL-length axis)."""
     lengths = [crash_and_recover(n)[1].replayed_events for n in (1, 4)]
     assert lengths[1] > lengths[0]
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", default="",
-                        help="also write the rows to this path")
-    args = parser.parse_args()
-    rows = bench_rows()
-    payload = json.dumps({"recovery": rows}, indent=2, sort_keys=True)
-    print(payload)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,28 +1,14 @@
-"""Shared helpers for the figure-regeneration benchmarks.
+"""Shared helper for the paper-shape assertions.
 
-Each ``bench_*.py`` file is a thin wrapper over one entry in the
-unified benchmark registry (:mod:`repro.bench`): it fetches the
-entry's rows through :func:`repro.bench.call` (so the script and
-``repro bench`` can never drift apart), asserts the paper's figure
-shapes, and prints the same tables the figure reports.  Trial counts
-are reduced relative to the paper's 1M-trial datapoints; shapes are
-stable at these counts.
+Each ``bench_*.py`` file fetches one registered entry's tables through
+:func:`repro.bench.call` — at the parameters ``repro bench`` runs it
+with, unless the assertion needs a wider axis — asserts the paper's
+figure shapes on them and prints the tables.  ``scripts/check.sh`` runs
+the directory (``python -m pytest benchmarks/bench_*.py``).
 """
-
-from repro.bench import call
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run a sweep exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
-
-
-def bench_metrics(name, **params):
-    """Invoke a registered benchmark once; return its metrics dict."""
-    return call(name, **params)["metrics"]
-
-
-def bench_rows(name, **params):
-    """Invoke a registered benchmark once; return its ``rows`` table."""
-    return bench_metrics(name, **params)["rows"]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The one-command CI gate: tests, doc doctests, ledger check, lint.
+# The one-command CI gate: tests, doc doctests, determinism, paper
+# figure shapes, ledger check, lint.
 # Usage: ./scripts/check.sh   (from anywhere; PYTHON=... to override)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,6 +50,22 @@ done
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=14 tests/test_metrics_equivalence.py
 echo "report-path passes equal their reference definitions"
+# Two `repro bench` runs agree on every non-timing field.
+for run in bench_a bench_b; do
+    "$PY" -m repro bench --suite smoke --repeats 1 --warmup 0 \
+        --filter example_timeline --json "$DET_DIR/$run.json" \
+        >/dev/null 2>&1
+done
+"$PY" - "$DET_DIR/bench_a.json" "$DET_DIR/bench_b.json" <<'PYEOF'
+import json, sys
+from repro.bench.result import BenchResult
+def strip(path):
+    return [BenchResult.from_dict(entry).deterministic_dict()
+            for entry in json.load(open(path))["results"]]
+assert strip(sys.argv[1]) == strip(sys.argv[2]), \
+    "bench metrics are not deterministic"
+PYEOF
+echo "bench summary deterministic (non-timing fields)"
 
 echo
 echo "== crash-recovery gate (durable hub, chaos workload) =="
@@ -76,6 +93,18 @@ echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="
 "$PY" scripts/gen_fsck_fixtures.py --check
 "$PY" scripts/fsck_matrix.py --models ev,gsv --json "$DET_DIR/fsck.json"
+
+echo
+echo "== paper figure shapes =="
+# The §7 shapes (EV rolls back the fewest commands, TL <= JiT <= FCFS,
+# ...) asserted on the rows `repro bench` reports; timings are not the
+# gate, so pytest-benchmark only runs each sweep once.
+if "$PY" -c "import pytest_benchmark" >/dev/null 2>&1; then
+    "$PY" -m pytest -q -p no:cacheprovider --benchmark-disable \
+        benchmarks/bench_*.py
+else
+    echo "(pytest-benchmark not installed; figure shapes NOT checked)"
+fi
 
 echo
 echo "== perf ledger gate (its tests + all workloads traced/untraced) =="

@@ -118,7 +118,8 @@ def main(argv=None) -> int:
                              "per home)")
     parser.add_argument("--check-final", action="store_true",
                         help="include the final-serializability search "
-                             "(excluded by default, as in fleet_scale)")
+                             "(excluded by default, as in the ledger's "
+                             "fleet_mix)")
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort key (default: cumulative)")

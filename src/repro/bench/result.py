@@ -34,7 +34,7 @@ class BenchResult:
         wall_s_all: every timed iteration, in order.
         events: simulator events processed by one iteration (None when
             the benchmark runs no simulator, e.g. pure-CPU paths).
-        events_per_sec: ``events / wall_s`` (the perf-gate metric).
+        events_per_sec: ``events / wall_s``.
         homes: fleet size for fleet benchmarks.
         homes_per_sec: ``homes / wall_s``.
         virtual_s: simulated virtual time covered by one iteration.
@@ -42,7 +42,7 @@ class BenchResult:
             benchmark reports one (virtual seconds — deterministic).
         metrics: free-form deterministic payload (figure rows, counts).
         timing: free-form wall-clock-derived payload (excluded from
-            determinism and baseline checks).
+            determinism checks).
         meta: environment stamp (git describe etc.); summary-level by
             default, per-result when running a single benchmark.
     """

@@ -6,13 +6,12 @@ The summary is one document per invocation::
       "schema": "repro-bench-summary/1",
       "suite": "smoke",
       "meta": {"git": "...", "python": "...", ...},
-      "results": [BenchResult..., keyed-by-name order],
-      "baseline": {"tolerance": 0.25, "rows": [...], "ok": true},
-      "hotpath_pass": {...}     # copied from the baseline file when present
+      "results": [BenchResult..., keyed-by-name order]
     }
 
-``repro bench --json BENCH_summary.json`` writes it; the CI perf job
-fails the build when the baseline comparison reports a regression.
+``repro bench --json BENCH_summary.json`` writes it.  The timings are a
+developer's table, not a gate: wall-clock regressions are judged by
+``perf_ledger/compare.py`` on interleaved parent-vs-change runs.
 """
 
 import json
@@ -22,7 +21,6 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.bench import baseline as baseline_mod
 from repro.bench import registry, timing
 from repro.bench.registry import BenchError
 from repro.bench.result import BenchResult
@@ -53,8 +51,6 @@ def describe_environment(with_timestamp: bool = True) -> Dict[str, Any]:
 def run_suite(suite: str = "smoke", pattern: Optional[str] = None,
               warmup: int = 1, repeats: int = 3,
               overrides: Optional[Dict[str, Dict[str, Any]]] = None,
-              baseline_path: Optional[str] = None,
-              tolerance: float = 0.25,
               progress: Optional[Callable[[str], None]] = None,
               ) -> Dict[str, Any]:
     """Measure every selected benchmark in one process.
@@ -64,15 +60,12 @@ def run_suite(suite: str = "smoke", pattern: Optional[str] = None,
         pattern: optional glob/substring filter on benchmark names.
         warmup / repeats: timing policy per benchmark (min-of-N).
         overrides: per-benchmark parameter overrides,
-            ``{"fleet_scale": {"homes": 10}}`` — used by tests to
+            ``{"parallel_exec": {"width": 4}}`` — used by tests to
             shrink workloads; the CLI runs registry defaults.
-        baseline_path: compare tracked metrics against this file.
-        tolerance: allowed fractional drop before a comparison fails.
         progress: optional callable for one line per benchmark.
 
     Returns:
-        The summary dict (see module docstring).  ``summary["ok"]`` is
-        False when a baseline comparison failed.
+        The summary dict (see module docstring).
     """
     load_builtin_suites()
     specs = registry.select(suite=suite, pattern=pattern)
@@ -94,29 +87,13 @@ def run_suite(suite: str = "smoke", pattern: Optional[str] = None,
                      + (f", {row['events_per_sec']} events/s"
                         if row["events_per_sec"] else ""))
 
-    summary: Dict[str, Any] = {
+    return {
         "schema": SUMMARY_SCHEMA,
         "suite": suite,
         "filter": pattern,
         "meta": describe_environment(),
         "results": [result.to_dict() for result in results],
-        "ok": True,
     }
-    if baseline_path:
-        payload = baseline_mod.load_baseline(baseline_path)
-        rows, ok = baseline_mod.compare(results, payload,
-                                        tolerance=tolerance)
-        summary["baseline"] = {"path": baseline_path,
-                               "tolerance": tolerance,
-                               "rows": rows, "ok": ok}
-        summary["ok"] = ok
-        # Surface the recorded optimization-pass before/after speedup
-        # tables so BENCH_summary.json carries them alongside the fresh
-        # numbers.
-        for table in ("hotpath_pass", "fleet_pass", "scaling_mp"):
-            if table in payload:
-                summary[table] = payload[table]
-    return summary
 
 
 def summary_results(summary: Dict[str, Any]) -> List[BenchResult]:

@@ -1,148 +1,21 @@
-"""Smoke-suite benchmarks: the fast, CI-gated performance entries.
+"""Benchmarks that are not experiment drivers.
 
-These are the hot-path probes — the simulator dispatch loop, the fleet
-engine, parallel plan execution, scheduler insertion, durable-hub
-recovery and checkpoint capture.  Each runs in well under a second per iteration so the CI
-perf job stays cheap.
+The smoke entries are hot-path probes for a developer's timing table —
+the simulator dispatch loop, parallel plan execution, the synthesis
+engine — each well under a second per iteration (the two figure-shaped
+smoke entries register in :mod:`repro.experiments.figures`).  The two
+sweeps at the end are the fleet scale-out and recovery-cost tables.
+Wall-clock regressions are judged by ``perf_ledger/``, not here.
 """
 
-import functools
 from typing import Any, Dict
 
 from repro.bench.registry import benchmark
 from repro.core.controller import ControllerConfig
-from repro.experiments.figures import fig02_example, fig15d_insertion_time
 from repro.experiments.runner import ExperimentSetup, run_workload
 from repro.workloads.fanout import fanout_scenario
 
 PARALLEL_EXEC_MODELS = ("wv", "gsv", "psv", "ev", "occ")
-
-
-@benchmark("fleet_scale", suite="smoke", homes=100, seed=42)
-def fleet_scale(homes: int, seed: int) -> Dict[str, Any]:
-    """Fleet engine throughput: N heterogeneous homes, serial backend."""
-    from repro.fleet import FleetConfig, FleetEngine
-
-    result = FleetEngine(FleetConfig(
-        homes=homes, seed=seed, backend="serial",
-        # The scale benchmark measures engine throughput; the O(n!)-ish
-        # final-serializability search is benchmarked elsewhere.
-        check_final=False)).run()
-    aggregate = result.aggregate
-    return {
-        "homes": homes,
-        "virtual_s": aggregate["makespan_mean"],
-        "latency_p50": aggregate["latency"]["p50"],
-        "latency_p95": aggregate["latency"]["p95"],
-        "metrics": {
-            "routines": aggregate["routines"],
-            "committed": aggregate["committed"],
-            "abort_rate": round(aggregate["abort_rate"], 6),
-            "latency_p99": round(aggregate["latency"]["p99"], 6),
-            "makespan_max": round(aggregate["makespan_max"], 6),
-        },
-    }
-
-
-@benchmark("fleet_scale_process", suite="smoke", homes=100, seed=42,
-           chunk=0)
-def fleet_scale_process(homes: int, seed: int, chunk: int
-                        ) -> Dict[str, Any]:
-    """Fleet engine throughput on the process pool (persistent workers,
-    one-time context broadcast, compact tuple chunks).
-
-    Simulator events fire in the worker processes, so only ``homes``
-    (and therefore homes/sec) is measurable from the parent.  Worker
-    count follows the machine (one per CPU) — the recorded floor is
-    machine-dependent; see docs/fleet-performance.md.
-    """
-    from repro.fleet import FleetConfig, FleetEngine
-
-    result = FleetEngine(FleetConfig(
-        homes=homes, seed=seed, backend="process", chunk=chunk,
-        check_final=False)).run()
-    aggregate = result.aggregate
-    return {
-        "homes": homes,
-        "virtual_s": aggregate["makespan_mean"],
-        "latency_p50": aggregate["latency"]["p50"],
-        "latency_p95": aggregate["latency"]["p95"],
-        "metrics": {
-            "routines": aggregate["routines"],
-            "committed": aggregate["committed"],
-            "abort_rate": round(aggregate["abort_rate"], 6),
-        },
-    }
-
-
-@benchmark("fleet_scale_mp", suite="scale", homes=96, seed=42,
-           worker_counts=(1, 2, 4), inner_repeats=2)
-def fleet_scale_mp(homes: int, seed: int, worker_counts,
-                   inner_repeats: int) -> Dict[str, Any]:
-    """Multi-core scaling: homes/s and parallel efficiency vs workers.
-
-    Runs the same fixed fleet at each worker count on the process pool
-    with streaming aggregation, interleaving the worker counts across
-    ``inner_repeats`` rounds and taking the min wall per count (so
-    machine noise hits every count equally).  Two efficiencies are
-    reported per count ``k``:
-
-    * ``efficiency_raw``  = speedup(k) / k — the headline parallel
-      efficiency; only meaningful when the machine has ≥ k cores.
-    * ``efficiency`` = speedup(k) / min(k, cores) — core-normalized;
-      identical to ``efficiency_raw`` on a ≥4-core machine, and on
-      smaller machines it measures pool overhead (how close k GIL-free
-      processes on c cores come to the ideal c-fold speedup).  This is
-      the number ``scripts/gate_scaling.py`` gates at ≥ 0.75.
-
-    Wall-clock numbers are machine-dependent, so the whole scaling
-    table lives under ``timing`` (excluded from determinism checks);
-    ``metrics`` keeps the layout-independent exact counters.
-    """
-    import time
-
-    from repro.fleet import FleetConfig, FleetEngine
-    from repro.fleet.engine import available_cpus
-
-    worker_counts = tuple(worker_counts)
-    if not worker_counts or worker_counts[0] != 1:
-        raise ValueError("worker_counts must start at 1 (the "
-                         "single-worker reference time)")
-    cores = available_cpus()
-    walls: Dict[int, list] = {count: [] for count in worker_counts}
-    aggregate = None
-    for _ in range(max(1, inner_repeats)):
-        for count in worker_counts:
-            config = FleetConfig(
-                homes=homes, seed=seed, backend="process",
-                workers=count, aggregate="stream", check_final=False)
-            started = time.perf_counter()
-            result = FleetEngine(config).run()
-            walls[count].append(time.perf_counter() - started)
-            aggregate = result.aggregate
-    best = {count: min(samples) for count, samples in walls.items()}
-    reference = best[1]
-    scaling = []
-    for count in worker_counts:
-        speedup = reference / best[count] if best[count] > 0 else 0.0
-        scaling.append({
-            "workers": count,
-            "wall_s": round(best[count], 4),
-            "homes_per_sec": round(homes / best[count], 2)
-                             if best[count] > 0 else 0.0,
-            "speedup": round(speedup, 4),
-            "efficiency_raw": round(speedup / count, 4),
-            "efficiency": round(speedup / min(count, cores), 4),
-        })
-    return {
-        "homes": homes,
-        "metrics": {
-            "routines": aggregate["routines"],
-            "committed": aggregate["committed"],
-            "abort_rate": round(aggregate["abort_rate"], 6),
-        },
-        "timing": {"cores": cores, "scaling": scaling},
-    }
 
 
 @benchmark("sim_dispatch", suite="smoke", events=20000, fanout=4)
@@ -221,29 +94,6 @@ def parallel_exec(seed: int, routines: int, width: int) -> Dict[str, Any]:
     }
 
 
-@benchmark("example_timeline", suite="smoke", seed=1)
-def example_timeline(seed: int) -> Dict[str, Any]:
-    """Fig 2 / Table 1: the five-routine example under GSV/PSV/EV."""
-    rows = fig02_example(seed=seed)
-    return {"metrics": {"rows": rows}}
-
-
-@benchmark("scheduler_insertion", suite="smoke",
-           routine_sizes=(1, 4, 10))
-def scheduler_insertion(routine_sizes) -> Dict[str, Any]:
-    """Fig 15d: Timeline (Algorithm 1) placement cost vs routine size.
-
-    Per-insertion milliseconds are wall-clock, so they live under
-    ``timing``; the deterministic part is the sweep shape itself.
-    """
-    rows = fig15d_insertion_time(routine_sizes=tuple(routine_sizes))
-    return {
-        "metrics": {"routine_sizes": list(routine_sizes),
-                    "insertions": len(rows)},
-        "timing": {"rows": rows},
-    }
-
-
 @benchmark("synth_throughput", suite="smoke", seed=11, specs=6,
            routines=24)
 def synth_throughput(seed: int, specs: int, routines: int
@@ -285,123 +135,49 @@ def synth_throughput(seed: int, specs: int, routines: int
     }
 
 
-@functools.lru_cache(maxsize=1)
-def _finished_micro_home(routines: int, seed: int):
-    """One EV Table-3 micro home run to completion, built once: the
-    warmup call pays for the run, the timed calls only for the report."""
-    from repro.hub.safehome import SafeHome
-    from repro.workloads.micro import MicroParams, generate_microbenchmark
+@benchmark("fleet_scale_sweep", scales=(1, 10, 100), seed=42)
+def fleet_scale_sweep(scales, seed: int) -> Dict[str, Any]:
+    """Fleet engine scale-out table: routines, p99 latency, abort rate."""
+    from repro.fleet import FleetConfig, FleetEngine
 
-    home = SafeHome(visibility="ev", seed=seed)
-    home.load_workload(generate_microbenchmark(
-        MicroParams(routines=routines), seed=seed))
-    return home.run(), home.initial, home.sim.events_processed
-
-
-@benchmark("metrics_analyze", suite="smoke", routines=4000, seed=42)
-def metrics_analyze(routines: int, seed: int) -> Dict[str, Any]:
-    """Cost of a report: ``analyze`` + oracle ``check_run`` on one home
-    (``events``: the analysed run's simulator events)."""
-    from repro.metrics.collector import analyze
-    from repro.metrics.oracle import check_run
-
-    result, initial, events = _finished_micro_home(routines, seed)
-    report = analyze(result, initial)
-    verdict = check_run(result, initial)
-    return {
-        "events": events,
-        "virtual_s": result.makespan,
-        "metrics": {"row": report.row(),
-                    "serial_order": len(report.serial_order),
-                    "oracle_violations": len(verdict.violations)},
-    }
+    rows = []
+    for homes in scales:
+        result = FleetEngine(FleetConfig(
+            homes=homes, seed=seed, check_final=False)).run()
+        rows.append({
+            "homes": homes,
+            "routines": result.aggregate["routines"],
+            "lat_p99": round(result.aggregate["latency"]["p99"], 6),
+            "abort_rate": round(result.aggregate["abort_rate"], 6),
+        })
+    return {"metrics": {"rows": rows}}
 
 
-@functools.lru_cache(maxsize=1)
-def _finished_durable_home(routines: int, seed: int):
-    """One durable EV Table-3 micro home run to completion, built once:
-    the warmup call pays for the run, the timed calls only for the
-    checkpoints they take on top of its history."""
-    from repro.hub.safehome import SafeHome
-    from repro.workloads.micro import MicroParams, generate_microbenchmark
-
-    home = SafeHome(visibility="ev", seed=seed, durability=True)
-    home.load_workload(generate_microbenchmark(
-        MicroParams(routines=routines), seed=seed))
-    result = home.run()
-    return home, result.makespan, len(home.durability.checkpoints)
-
-
-@benchmark("checkpoint_capture", suite="smoke", routines=2000, seed=42,
-           checkpoints=100)
-def checkpoint_capture(routines: int, seed: int,
-                       checkpoints: int) -> Dict[str, Any]:
-    """Cost of a checkpoint at the end of a long history: N
-    ``take_checkpoint`` calls on one finished durable home (``events``:
-    the checkpoints taken, so events/sec is checkpoints per second)."""
-    home, makespan, run_checkpoints = _finished_durable_home(routines, seed)
-    for _ in range(checkpoints):
-        checkpoint = home.durability.take_checkpoint()
-    return {
-        "events": checkpoints,
-        "virtual_s": makespan,
-        "metrics": {"run_checkpoints": run_checkpoints,
-                    "digest": checkpoint.digest},
-    }
-
-
-@benchmark("recovery_replay", suite="smoke", repeats_workload=2,
-           checkpoint_every=32)
-def recovery_replay(repeats_workload: int,
-                    checkpoint_every: int) -> Dict[str, Any]:
-    """Durable-hub crash at the end of history, verified replay."""
+@benchmark("recovery_sweep", repeats_list=(1, 2, 4),
+           intervals=(8, 32, 0))
+def recovery_sweep(repeats_list, intervals) -> Dict[str, Any]:
+    """Recovery cost vs WAL length and checkpoint interval."""
     from repro.bench.suites.recovery_util import crash_and_recover
 
-    _home, report = crash_and_recover(
-        repeats_workload, checkpoint_every=checkpoint_every)
-    return {
-        "metrics": {
+    cells = [("wal-length", repeats, 32, False)
+             for repeats in repeats_list]
+    cells += [("checkpoint-interval", 4, interval, bool(interval))
+              for interval in intervals]
+    rows = []
+    for sweep, repeats, interval, compact in cells:
+        _home, report = crash_and_recover(
+            repeats, checkpoint_every=interval, compact=compact)
+        rows.append({
+            "sweep": sweep, "repeats": repeats,
+            "checkpoint_every": interval,
             "wal_records": report.wal_records,
             "replayed_events": report.replayed_events,
             "replayed_records": report.replayed_records,
             "checkpoints_verified": report.checkpoints_verified,
-        },
-        "timing": {"recovery_ms": round(report.wall_s * 1e3, 3)},
-    }
-
-
-@benchmark("serve_latency", suite="smoke", tenants=8, per_tenant=40,
-           seed=7)
-def serve_latency(tenants: int, per_tenant: int,
-                  seed: int) -> Dict[str, Any]:
-    """Service-mode hub throughput: virtual-paced closed-loop serving.
-
-    One home, ``tenants`` closed-loop clients each submitting
-    ``per_tenant`` seeded menu picks through admission control; the
-    deterministic metrics double as a drift alarm on service latency.
-    """
-    from repro.serve import (ServeConfig, ServeHub, build_serve_home,
-                             run_closed_loop)
-
-    hub = ServeHub(build_serve_home(seed=seed), ServeConfig())
-    for i in range(tenants):
-        hub.add_tenant(f"t{i}", weight=1 + (i % 2))
-    run_closed_loop(hub, per_tenant=per_tenant, seed=seed)
-    status = hub.status()
-    total = status["latency"]["total"]
-    return {
-        "events": sum(row["events_processed"]
-                      for row in status["homes"].values()),
-        "virtual_s": max(row["virtual_now"]
-                         for row in status["homes"].values()),
-        "metrics": {
-            "routines": tenants * per_tenant,
-            "committed": sum(row["committed"]
-                             for row in status["tenants"].values()),
-            "latency_p50": total["p50"],
-            "latency_p95": total["p95"],
-            "latency_p99": total["p99"],
-            "max_queue_depth": max(row["max_depth"]
-                                   for row in status["tenants"].values()),
-        },
-    }
+            "recovery_ms": round(report.wall_s * 1e3, 3),
+        })
+    # recovery_ms is wall clock: split it out of the deterministic rows.
+    deterministic = [{k: v for k, v in row.items() if k != "recovery_ms"}
+                     for row in rows]
+    return {"metrics": {"rows": deterministic},
+            "timing": {"rows": rows}}

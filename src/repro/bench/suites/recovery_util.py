@@ -1,7 +1,6 @@
 """Shared builders for the durable-hub recovery benchmarks.
 
-Used by the ``recovery_replay`` smoke entry, the ``recovery_sweep``
-full entry and the ``benchmarks/bench_recovery.py`` wrapper.
+Used by the ``recovery_sweep`` entry and ``benchmarks/bench_recovery.py``.
 """
 
 from typing import Tuple

@@ -3,8 +3,7 @@
 Commands:
 
 * ``figures [NAME ...]`` — regenerate one or all paper figures and
-  print their data tables (fig01, fig02, fig12a, fig12b, fig13, fig14,
-  fig15ab, fig15c, fig15d, fig16, fig16d, fig17).
+  print their data tables (``repro figures --help`` lists the ids).
 * ``scenario NAME --model M`` — run one trace scenario and report.
 * ``export-trace NAME PATH`` — write a scenario to a trace JSON file.
 * ``run-trace PATH --model M`` — run a trace file under a model.
@@ -31,8 +30,9 @@ Commands:
   corrupt log at its last good checkpoint and rebuild an oracle-clean
   home.  Exit 0 healthy, 1 damage corrected, 2 damage uncorrected.
 * ``bench`` — run registered benchmark suites through the unified
-  harness, write the merged ``BENCH_summary.json`` and optionally gate
-  events/sec against a checked-in baseline (see docs/benchmarks.md).
+  harness: deterministic sweep metrics plus a min-of-N timing table,
+  merged into ``BENCH_summary.json`` (see docs/benchmarks.md; the
+  wall-clock gate is ``perf_ledger/compare.py``).
 * ``hunt`` — adversarial search over generated scenarios
   (:mod:`repro.workloads.synth`): seeded random + hill-climbing
   mutation maximizing incongruence/abort/lock-wait pressure per
@@ -47,9 +47,10 @@ Commands:
 
 import argparse
 import sys
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-from repro.experiments import figures as fig_mod
+from repro.bench import registry, runner
+from repro.bench.suites import load_builtin_suites
 from repro.experiments.report import print_table
 from repro.experiments.runner import ExperimentSetup, run_workload
 from repro.workloads.fanout import fanout_scenario
@@ -64,51 +65,24 @@ _SCENARIOS = {
 }
 
 
-def _figure_registry(trials: int) -> Dict[str, Callable[[], None]]:
-    def show(title, rows):
-        print_table(title, rows)
-
-    return {
-        "fig01": lambda: show("Fig 1", fig_mod.fig01_weak_visibility(
-            trials=trials)),
-        "fig02": lambda: show("Fig 2", fig_mod.fig02_example()),
-        "fig12a": lambda: show("Fig 12a", fig_mod.fig12a_scenarios(
-            trials=max(3, trials // 4))),
-        "fig12b": lambda: show("Fig 12b",
-                               fig_mod.fig12b_final_incongruence(
-                                   runs=max(20, trials))),
-        "fig13": lambda: [show(f"Fig 13 ({key})", rows) for key, rows
-                          in fig_mod.fig13_failures(
-                              trials=max(2, trials // 5)).items()],
-        "fig14": lambda: show("Fig 14", fig_mod.fig14_schedulers(
-            trials=max(2, trials // 5))),
-        "fig15ab": lambda: show("Fig 15a/b", fig_mod.fig15ab_leasing(
-            trials=max(2, trials // 5))),
-        "fig15c": lambda: show("Fig 15c", [
-            {k: v for k, v in row.items() if k != "cdf"}
-            for row in fig_mod.fig15c_stretch(
-                trials=max(2, trials // 5))]),
-        "fig15d": lambda: show("Fig 15d", fig_mod.fig15d_insertion_time()),
-        "fig16": lambda: show("Fig 16a-c", fig_mod.fig16_routine_size(
-            trials=max(2, trials // 5))),
-        "fig16d": lambda: show("Fig 16d", fig_mod.fig16d_popularity(
-            trials=max(2, trials // 5))),
-        "fig17": lambda: [show(f"Fig 17 ({key})", rows) for key, rows
-                          in fig_mod.fig17_long_routines(
-                              trials=max(2, trials // 5)).items()],
-    }
+def _print_sweep(spec: registry.BenchSpec, trials: int) -> None:
+    """Run one registered experiment driver and print its table(s)."""
+    result = spec.fn(**(spec.cli(trials) if spec.cli else {}))
+    for key, rows in spec.tables(result).items():
+        print_table(spec.title if key == "rows"
+                    else f"{spec.title} ({key})", rows)
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    registry = _figure_registry(args.trials)
-    names = args.names or sorted(registry)
-    unknown = [name for name in names if name not in registry]
+    figures = registry.figures()
+    names = args.names or sorted(figures)
+    unknown = [name for name in names if name not in figures]
     if unknown:
         print(f"unknown figures: {unknown}; "
-              f"available: {sorted(registry)}", file=sys.stderr)
+              f"available: {sorted(figures)}", file=sys.stderr)
         return 2
     for name in names:
-        registry[name]()
+        _print_sweep(figures[name], args.trials)
     return 0
 
 
@@ -386,14 +360,7 @@ def cmd_fsck(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import registry, runner
-    from repro.bench.registry import BenchError
-    from repro.bench.suites import load_builtin_suites
-
     if args.list:
-        load_builtin_suites()
         for spec in registry.select(suite=args.suite,
                                     pattern=args.filter or None):
             print(f"{spec.name:24s} [{spec.suite}] {spec.description}")
@@ -402,47 +369,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         summary = runner.run_suite(
             suite=args.suite, pattern=args.filter or None,
             warmup=args.warmup, repeats=args.repeats,
-            baseline_path=args.baseline or None,
-            tolerance=args.tolerance,
             progress=lambda line: print(line, file=sys.stderr))
-    except BenchError as error:
+    except registry.BenchError as error:
         print(str(error), file=sys.stderr)
         return 2
     results = runner.summary_results(summary)
     print_table(f"bench suite={args.suite}"
                 + (f" filter={args.filter}" if args.filter else ""),
                 [result.row() for result in results])
-    comparison = summary.get("baseline")
-    if comparison:
-        print_table(f"baseline: {comparison['path']} "
-                    f"(tolerance {comparison['tolerance']:.0%})",
-                    comparison["rows"])
     if args.json:
         runner.write_summary(summary, args.json)
         print(f"wrote {args.json}", file=sys.stderr)
-    if args.update_baseline:
-        from repro.bench import load_baseline, make_baseline
-
-        extra = {}
-        old = None
-        try:
-            # Preserve the recorded optimization-pass tables and the
-            # floors of benchmarks outside this (possibly filtered) run.
-            old = load_baseline(args.update_baseline)
-            for table in ("hotpath_pass", "fleet_pass", "scaling_mp"):
-                if table in old:
-                    extra[table] = old[table]
-        except (OSError, BenchError):
-            pass
-        payload = make_baseline(results, extra=extra, merge_into=old)
-        with open(args.update_baseline, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"updated baseline {args.update_baseline}", file=sys.stderr)
-    if not summary["ok"]:
-        print("FAIL: benchmark regression vs baseline "
-              f"{comparison['path']}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -580,27 +517,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_ablations(args: argparse.Namespace) -> int:
-    from repro.experiments import ablations
-
-    print_table("Leniency factor (noisy estimates)",
-                ablations.ablate_leniency(trials=args.trials))
-    print_table("Duration-estimate error (Timeline)",
-                ablations.ablate_estimate_error(trials=args.trials))
-    print_table("Failure-detector ping period",
-                ablations.ablate_detector_period(trials=args.trials))
-    print_table("Network jitter vs WV incongruence",
-                ablations.ablate_network_jitter())
+    for spec in registry.parts("ablations"):
+        _print_sweep(spec, args.trials)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The figures help text below and the figures / ablations / bench
+    # handlers all read the benchmark registry.
+    load_builtin_suites()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SafeHome reproduction (EuroSys 2021) experiment CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
     figures = sub.add_parser("figures", help="regenerate paper figures")
-    figures.add_argument("names", nargs="*")
+    figures.add_argument("names", nargs="*",
+                         help="figure ids (default: all): "
+                              + ", ".join(sorted(registry.figures())))
     figures.add_argument("--trials", type=int, default=20)
     figures.set_defaults(func=cmd_figures)
 
@@ -718,9 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run benchmark suites through the unified harness")
     bench.add_argument("--suite", default="smoke",
-                       choices=("smoke", "scale", "full"),
-                       help="benchmark suite (default: smoke); 'scale' "
-                            "holds the multi-core scaling measurements")
+                       choices=registry.SUITES,
+                       help="benchmark suite (default: smoke)")
     bench.add_argument("--filter", default="",
                        help="glob/substring filter on benchmark names")
     bench.add_argument("--warmup", type=int, default=1,
@@ -730,15 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "minimum (default: 3)")
     bench.add_argument("--json", default="",
                        help="write the merged summary JSON to this path")
-    bench.add_argument("--baseline", default="",
-                       help="compare events/sec + homes/sec against "
-                            "this baseline JSON (exit 1 on regression)")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed fractional drop below the baseline "
-                            "before failing (default: 0.25)")
-    bench.add_argument("--update-baseline", default="",
-                       help="rewrite this baseline file from the "
-                            "measured results")
     bench.add_argument("--list", action="store_true",
                        help="list the selected benchmarks and exit")
     bench.set_defaults(func=cmd_bench)

@@ -76,7 +76,7 @@ class CommandExecution:
 
     A ``__slots__`` class, not a dataclass: one is allocated per issued
     command, which makes it a measured hot-path allocation (see the
-    ``fleet_scale`` benchmark).
+    perf ledger's ``fleet_mix`` workload).
     """
 
     __slots__ = ("command", "started_at", "finished_at", "applied",

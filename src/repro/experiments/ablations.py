@@ -11,11 +11,16 @@ sweeps characterize each one:
   abort timing under failures;
 * **network jitter** — how link quality moves WV's incongruence and
   EV's latency overhead.
+
+The four register as tables of the one ``ablations`` benchmark entry
+(``repro ablations`` prints them); ``occ_vs_ev`` is the extension sweep
+behind the paper's choice of pessimistic locking.
 """
 
 from dataclasses import replace
 from typing import Any, Dict, List
 
+from repro.bench.registry import benchmark, parts, scaled_trials, sweep
 from repro.core.controller import ControllerConfig
 from repro.devices.network import LatencyModel
 from repro.experiments.runner import ExperimentSetup, run_workload
@@ -34,6 +39,8 @@ def _sweep_micro(params: MicroParams, setup: ExperimentSetup,
     return reports
 
 
+@sweep("leniency", "Leniency factor (noisy estimates)",
+       part_of="ablations", cli=scaled_trials())
 def ablate_leniency(trials: int = 6, seed: int = 21,
                     leniencies=(1.0, 1.1, 1.5, 3.0),
                     estimate_error: float = 0.5
@@ -58,6 +65,8 @@ def ablate_leniency(trials: int = 6, seed: int = 21,
     return rows
 
 
+@sweep("estimate_error", "Duration-estimate error (Timeline)",
+       part_of="ablations", cli=scaled_trials())
 def ablate_estimate_error(trials: int = 6, seed: int = 22,
                           errors=(0.0, 0.25, 0.5, 1.0)
                           ) -> List[Dict[str, Any]]:
@@ -81,6 +90,8 @@ def ablate_estimate_error(trials: int = 6, seed: int = 22,
     return rows
 
 
+@sweep("detector_period", "Failure-detector ping period",
+       part_of="ablations", cli=scaled_trials())
 def ablate_detector_period(trials: int = 6, seed: int = 23,
                            periods=(0.25, 1.0, 4.0)
                            ) -> List[Dict[str, Any]]:
@@ -136,6 +147,8 @@ def ablate_detector_period(trials: int = 6, seed: int = 23,
     return rows
 
 
+@sweep("network_jitter", "Network jitter vs WV incongruence",
+       part_of="ablations")
 def ablate_network_jitter(trials: int = 20, seed: int = 24,
                           sigmas=(0.0, 0.4, 0.8, 1.2)
                           ) -> List[Dict[str, Any]]:
@@ -157,4 +170,50 @@ def ablate_network_jitter(trials: int = 20, seed: int = 24,
             "sigma": sigma,
             "incongruent_fraction": incongruent / trials,
         })
+    return rows
+
+
+@benchmark("ablations", trials=3, jitter_trials=None,
+           sweeps=tuple(spec.name for spec in parts("ablations")))
+def ablations(trials: int, sweeps, jitter_trials) -> Dict[str, Any]:
+    """Design-choice sweeps: leniency, estimate error, detector, jitter."""
+    drivers = {spec.name: spec.fn for spec in parts("ablations")}
+    counts = dict.fromkeys(sweeps, trials)
+    if "network_jitter" in counts:
+        # A fraction of coin-flip outcomes, not a mean of latencies.
+        counts["network_jitter"] = jitter_trials or max(10, trials)
+    return {"metrics": {name: drivers[name](trials=count)
+                        for name, count in counts.items()}}
+
+
+@sweep("occ_extension", "Extension: OCC vs EV", trials=3, seed=31,
+       alphas=(0.0, 0.5, 1.5))
+def occ_vs_ev(trials: int = 6, seed: int = 31,
+              alphas=(0.0, 0.5, 1.5)) -> List[Dict[str, Any]]:
+    """Optimistic vs pessimistic control across contention (Zipf alpha)."""
+    rows = []
+    for model in ("occ", "ev"):
+        for alpha in alphas:
+            params = MicroParams(routines=30, concurrency=4, devices=12,
+                                 zipf_alpha=alpha, long_routine_pct=10,
+                                 long_duration_s=120.0,
+                                 short_duration_s=5.0)
+            latencies, aborts, undo = [], [], []
+            for trial in range(trials):
+                workload = generate_microbenchmark(
+                    params, seed=seed * 37 + trial)
+                setup = ExperimentSetup(model=model, seed=seed + trial,
+                                        check_final=False)
+                result, report, _c = run_workload(workload, setup,
+                                                  trial=trial)
+                latencies.append(report.latency["p50"])
+                aborts.append(report.abort_rate)
+                undo.append(sum(r.rolled_back_commands
+                                for r in result.runs))
+            rows.append({
+                "model": model, "alpha": alpha,
+                "lat_p50": mean(latencies),
+                "abort_rate": mean(aborts),
+                "undo_commands_per_run": mean(undo),
+            })
     return rows

@@ -3,11 +3,17 @@ series behind the corresponding figure in the paper's evaluation (§7),
 returning printable rows.  Trial counts are parameters — the paper used
 up to 1M trials per datapoint; defaults here keep the full suite fast
 while preserving the shapes (see EXPERIMENTS.md).
+
+Each driver's ``@sweep`` line is its one registration (see
+:mod:`repro.bench.registry`): benchmark name, table title, ``repro
+figures`` id and ``--trials`` rule, and the reduced parameters ``repro
+bench`` runs it with — the shapes are stable at those sizes.
 """
 
 from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
+from repro.bench.registry import scaled_trials, sweep
 from repro.core.controller import ControllerConfig
 from repro.devices.network import LatencyModel
 from repro.experiments.runner import (ExperimentSetup, aggregate,
@@ -24,6 +30,7 @@ _SCENARIOS = {
     "party": party_scenario,
     "factory": factory_scenario,
 }
+_FIFTH_OF_TRIALS = scaled_trials(5, 2)
 
 
 def _micro_reports(params: MicroParams, model: str, trials: int,
@@ -45,6 +52,8 @@ def _micro_reports(params: MicroParams, model: str, trials: int,
 # -- Fig 1: concurrency causes incongruent end states under WV ------------------
 
 
+@sweep("weak_visibility", "Fig 1", figure="fig01", cli=scaled_trials(),
+       trials=20, device_counts=(2, 4, 8, 15), offsets=(0.0, 0.5, 2.0))
 def fig01_weak_visibility(device_counts=(2, 4, 6, 8, 10, 12, 15),
                           offsets=(0.0, 0.5, 1.0, 2.0),
                           trials: int = 50, seed: int = 1
@@ -75,6 +84,7 @@ def fig01_weak_visibility(device_counts=(2, 4, 6, 8, 10, 12, 15),
 # -- Fig 2: the 5-routine example under GSV / PSV / EV ----------------------------
 
 
+@sweep("example_timeline", "Fig 2", figure="fig02", suite="smoke", seed=1)
 def fig02_example(seed: int = 1) -> List[Dict[str, Any]]:
     """Execution times of the paper's 5 concurrent example routines.
 
@@ -127,6 +137,8 @@ def fig02_example(seed: int = 1) -> List[Dict[str, Any]]:
 # -- Fig 12a/12b: trace-based scenarios -------------------------------------------
 
 
+@sweep("scenarios", "Fig 12a", figure="fig12a", cli=scaled_trials(4, 3),
+       trials=5)
 def fig12a_scenarios(trials: int = 20, seed: int = 3,
                      scenarios=("morning", "party", "factory"),
                      models=MODELS) -> List[Dict[str, Any]]:
@@ -163,6 +175,8 @@ def fig12a_scenarios(trials: int = 20, seed: int = 3,
     return rows
 
 
+@sweep("final_incongruence", "Fig 12b", figure="fig12b",
+       cli=scaled_trials(floor=20, param="runs"), runs=40, n_routines=9)
 def fig12b_final_incongruence(runs: int = 100, n_routines: int = 9,
                               seed: int = 4,
                               models=MODELS) -> List[Dict[str, Any]]:
@@ -196,13 +210,15 @@ def fig12b_final_incongruence(runs: int = 100, n_routines: int = 9,
 # -- Fig 13: effect of failures -----------------------------------------------------
 
 
+@sweep("failures", "Fig 13", figure="fig13", cli=_FIFTH_OF_TRIALS, trials=4)
 def fig13_failures(trials: int = 10, seed: int = 5,
                    must_pcts=(0, 25, 50, 75, 100),
                    failure_pcts=(0, 10, 25, 50, 75),
                    models=("gsv", "sgsv", "psv", "ev")
                    ) -> Dict[str, List[Dict[str, Any]]]:
-    """Abort rate and rollback overhead vs Must% (F=25%) and vs F%
-    (M=100%) — Fig 13a-d."""
+    """Abort rate and rollback overhead under device failures.
+
+    Must% sweep at F=25% and F% sweep at M=100% — Fig 13a-d."""
     base = MicroParams(routines=40, concurrency=4, devices=15,
                        long_duration_s=120.0, short_duration_s=5.0)
     must_rows, failure_rows = [], []
@@ -232,12 +248,15 @@ def fig13_failures(trials: int = 10, seed: int = 5,
 # -- Fig 14: scheduling policies -----------------------------------------------------
 
 
+@sweep("schedulers", "Fig 14", figure="fig14", cli=_FIFTH_OF_TRIALS,
+       trials=4, concurrencies=(1, 2, 4, 8))
 def fig14_schedulers(trials: int = 10, seed: int = 6,
                      concurrencies=(1, 2, 4, 8),
                      schedulers=("fcfs", "jit", "timeline")
                      ) -> List[Dict[str, Any]]:
-    """FCFS vs JiT vs Timeline under EV (normalized latency,
-    temporary incongruence, parallelism)."""
+    """FCFS vs JiT vs Timeline under EV.
+
+    Normalized latency, temporary incongruence, parallelism."""
     rows = []
     for scheduler in schedulers:
         for rho in concurrencies:
@@ -262,6 +281,8 @@ def fig14_schedulers(trials: int = 10, seed: int = 6,
 # -- Fig 15: leasing ablation and TL internals ----------------------------------------
 
 
+@sweep("leasing", "Fig 15a/b", figure="fig15ab", cli=_FIFTH_OF_TRIALS,
+       trials=4, concurrencies=(2, 4, 8))
 def fig15ab_leasing(trials: int = 10, seed: int = 7,
                     concurrencies=(2, 4, 8),
                     variants=None) -> List[Dict[str, Any]]:
@@ -291,6 +312,8 @@ def fig15ab_leasing(trials: int = 10, seed: int = 7,
     return rows
 
 
+@sweep("stretch", "Fig 15c", figure="fig15c", cli=_FIFTH_OF_TRIALS,
+       hide=("cdf",), trials=4, command_counts=(2, 4, 8))
 def fig15c_stretch(trials: int = 10, seed: int = 8,
                    command_counts=(2, 4, 8)) -> List[Dict[str, Any]]:
     """CDF of the stretch factor as routine size C varies."""
@@ -320,6 +343,16 @@ def fig15c_stretch(trials: int = 10, seed: int = 8,
     return rows
 
 
+def _insertion_outcome(rows, params):
+    # Per-insertion milliseconds are wall-clock, so they live under
+    # ``timing``; the deterministic part is the sweep shape itself.
+    return {"metrics": {"routine_sizes": list(params["routine_sizes"]),
+                        "insertions": len(rows)},
+            "timing": {"rows": rows}}
+
+
+@sweep("scheduler_insertion", "Fig 15d", figure="fig15d", suite="smoke",
+       outcome=_insertion_outcome, routine_sizes=(1, 4, 10))
 def fig15d_insertion_time(routine_sizes=(1, 2, 4, 6, 8, 10),
                           n_devices: int = 15, n_routines: int = 30,
                           seed: int = 9) -> List[Dict[str, Any]]:
@@ -347,6 +380,8 @@ def fig15d_insertion_time(routine_sizes=(1, 2, 4, 6, 8, 10),
 # -- Fig 16: routine size and device popularity -------------------------------------------
 
 
+@sweep("routine_size", "Fig 16a-c", figure="fig16", cli=_FIFTH_OF_TRIALS,
+       trials=4, command_counts=(1, 2, 3, 4, 6, 8))
 def fig16_routine_size(trials: int = 10, seed: int = 10,
                        command_counts=(1, 2, 3, 4, 6, 8),
                        models=MODELS) -> List[Dict[str, Any]]:
@@ -371,6 +406,8 @@ def fig16_routine_size(trials: int = 10, seed: int = 10,
     return rows
 
 
+@sweep("device_popularity", "Fig 16d", figure="fig16d",
+       cli=_FIFTH_OF_TRIALS, trials=4, alphas=(0.0, 0.05, 0.5, 1.0))
 def fig16d_popularity(trials: int = 10, seed: int = 11,
                       alphas=(0.0, 0.05, 0.2, 0.5, 1.0),
                       models=MODELS) -> List[Dict[str, Any]]:
@@ -392,6 +429,9 @@ def fig16d_popularity(trials: int = 10, seed: int = 11,
 # -- Fig 17: long-running routines --------------------------------------------------------
 
 
+@sweep("long_routines", "Fig 17", figure="fig17", cli=_FIFTH_OF_TRIALS,
+       trials=4, long_durations=(60.0, 300.0, 900.0),
+       long_pcts=(0, 10, 25, 50))
 def fig17_long_routines(trials: int = 10, seed: int = 12,
                         long_durations=(60.0, 300.0, 900.0),
                         long_pcts=(0, 10, 25, 50)

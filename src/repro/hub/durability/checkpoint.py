@@ -17,7 +17,7 @@ checkpoint.  Checkpoints serve three roles:
 * **replay verification** — recovery re-executes the input log, and the
   regenerated checkpoints' digests must match the logged ones, so a
   divergence anywhere in the prefix is caught even after compaction;
-* **measurement** — `benchmarks/bench_recovery.py` sweeps the
+* **measurement** — the `recovery_sweep` benchmark sweeps the
   checkpoint interval against recovery time and WAL length.
 
 The digest is defined over ``json.dumps(jsonify(state), sort_keys=True)``.

@@ -1,19 +1,15 @@
-"""WAL spooling, the worker clamp, the scaling gate and CLI knobs (PR 7).
+"""WAL spooling, the worker clamp and CLI knobs (PR 7).
 
 Covers worker-local WAL spooling (merge determinism, indexed loads,
 verified replay equality, durable-fleet JSON byte-identity), the
-workers-exceed-chunks clamp, ``scripts/gate_scaling.py`` and the
-``--workers``/``--wal-dir`` flags.
+workers-exceed-chunks clamp and the ``--workers``/``--wal-dir`` flags.
 """
 
 import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 from repro.errors import CorruptionError, RecoveryError
 from repro.fleet import FleetConfig, FleetEngine, run_fleet
@@ -181,81 +177,6 @@ class TestWorkerClamp:
             chunks = plan_chunks([(i, "cooling", i) for i in range(5)],
                                  chunk_size)
             assert all(chunks), chunks
-
-
-# -- scaling gate script -------------------------------------------------------
-
-
-class TestGateScaling:
-    def write_summary(self, tmp_path, cores, efficiency):
-        rows = [
-            {"workers": 1, "wall_s": 1.0, "homes_per_sec": 96.0,
-             "speedup": 1.0, "efficiency_raw": 1.0, "efficiency": 1.0},
-            {"workers": 4, "wall_s": 0.5, "homes_per_sec": 192.0,
-             "speedup": 2.0, "efficiency_raw": 0.5,
-             "efficiency": efficiency},
-        ]
-        summary = {"results": [{"name": "fleet_scale_mp",
-                                "timing": {"cores": cores,
-                                           "transport": "shm",
-                                           "scaling": rows}}]}
-        path = tmp_path / "scale.json"
-        path.write_text(json.dumps(summary))
-        return str(path)
-
-    def test_gate_passes_above_floor(self, tmp_path, capsys):
-        import gate_scaling
-
-        summary = self.write_summary(tmp_path, cores=4, efficiency=0.9)
-        assert gate_scaling.main([summary, "--baseline",
-                                  str(tmp_path / "missing.json")]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_gate_fails_below_floor_on_big_machine(self, tmp_path,
-                                                   capsys):
-        import gate_scaling
-
-        summary = self.write_summary(tmp_path, cores=4, efficiency=0.5)
-        assert gate_scaling.main([summary, "--baseline",
-                                  str(tmp_path / "missing.json")]) == 1
-        assert "FAIL" in capsys.readouterr().err
-
-    def test_gate_only_warns_below_four_cores(self, tmp_path, capsys):
-        import gate_scaling
-
-        summary = self.write_summary(tmp_path, cores=1, efficiency=0.5)
-        assert gate_scaling.main([summary, "--baseline",
-                                  str(tmp_path / "missing.json")]) == 0
-        assert "WARN" in capsys.readouterr().err
-
-    def test_update_baseline_preserves_other_tables(self, tmp_path):
-        import gate_scaling
-
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps(
-            {"schema": "x", "benchmarks": {"keep": {"floor": 1}},
-             "hotpath_pass": {"keep": True}}))
-        summary = self.write_summary(tmp_path, cores=4, efficiency=0.9)
-        assert gate_scaling.main(
-            [summary, "--baseline", str(baseline_path),
-             "--update-baseline"]) == 0
-        rewritten = json.loads(baseline_path.read_text())
-        assert rewritten["benchmarks"] == {"keep": {"floor": 1}}
-        assert rewritten["hotpath_pass"] == {"keep": True}
-        assert rewritten["scaling_mp"]["cores"] == 4
-        assert rewritten["scaling_mp"]["rows"][-1]["efficiency"] == 0.9
-
-    def test_markdown_delta_written(self, tmp_path):
-        import gate_scaling
-
-        summary = self.write_summary(tmp_path, cores=4, efficiency=0.9)
-        markdown = tmp_path / "delta.md"
-        assert gate_scaling.main(
-            [summary, "--baseline", str(tmp_path / "missing.json"),
-             "--markdown", str(markdown)]) == 0
-        text = markdown.read_text()
-        assert "| workers |" in text
-        assert "| 4 |" in text
 
 
 # -- CLI knobs -----------------------------------------------------------------
