@@ -42,6 +42,8 @@ twice_identical() {
 }
 for exec_mode in serial parallel; do
     twice_identical scenario morning --model ev --execution "$exec_mode"
+    twice_identical scenario morning --model ev --scheduler jit \
+        --execution "$exec_mode"
     twice_identical scenario fanout --model psv --execution "$exec_mode"
     echo "execution=$exec_mode deterministic"
 done
@@ -50,6 +52,12 @@ done
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=14 tests/test_metrics_equivalence.py
 echo "report-path passes equal their reference definitions"
+# EV's chain-edge precedence graph and two-neighbour gap answers agree
+# exactly with the all-pairs definitions: generated tables (cyclic ones
+# included) and whole micro homes, timeline / jit / fcfs x both plans.
+REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=17 tests/test_closure_equivalence.py
+echo "EV preSet/postSet queries equal their all-pairs definitions"
 # Two `repro bench` runs agree on every non-timing field.
 for run in bench_a bench_b; do
     "$PY" -m repro bench --suite smoke --repeats 1 --warmup 0 \

@@ -22,8 +22,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.command import Command, CommandExecution
 from repro.core.controller import RoutineRun, RoutineStatus
 from repro.core.execution.engine import PlanExecutionMixin
-from repro.core.lineage import (UNSET, Gap, LineageTable, LockAccess,
-                                LockStatus)
+from repro.core.lineage import (UNSET, ClosureIndex, Gap, LineageTable,
+                                LockAccess, LockStatus)
 from repro.core.routine import LockRequest
 from repro.errors import SchedulingError
 from repro.sim.events import Event
@@ -44,60 +44,6 @@ class Placement:
     def __repr__(self) -> str:
         return (f"Placement(dev={self.request.device_id}, idx={self.index}, "
                 f"t={self.planned_start:g}+{self.duration:g})")
-
-
-class ClosureIndex:
-    """Lazily memoized transitive preSet/postSet queries.
-
-    Built from one pass over the live lineages (plus the compacted-
-    before edges); individual reach sets are computed on first request
-    and cached.  Placement touches only the owners of the gaps it
-    actually examines and a commit needs a single routine's preSet, so
-    most nodes' closures are never materialized — the results are
-    value-identical to the old eager ``closure_sets()`` dict.
-    """
-
-    __slots__ = ("_successors", "_predecessors", "_pre", "_post")
-
-    def __init__(self, successors: Dict[int, set],
-                 predecessors: Dict[int, set]) -> None:
-        self._successors = successors
-        self._predecessors = predecessors
-        self._pre: Dict[int, set] = {}
-        self._post: Dict[int, set] = {}
-
-    @staticmethod
-    def _reach(start: int, graph: Dict[int, set],
-               memo: Dict[int, set]) -> set:
-        cached = memo.get(start)
-        if cached is not None:
-            return cached
-        seen: set = set()
-        frontier = list(graph.get(start, ()))
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            done = memo.get(node)
-            if done is not None:
-                seen.add(node)
-                seen |= done
-                continue
-            seen.add(node)
-            frontier.extend(graph.get(node, ()))
-        memo[start] = seen
-        return seen
-
-    def pre(self, node: int) -> set:
-        """Transitive predecessors (the paper's preSet)."""
-        return self._reach(node, self._predecessors, self._pre)
-
-    def post(self, node: int) -> set:
-        """Transitive successors (the paper's postSet)."""
-        return self._reach(node, self._successors, self._post)
-
-    def nodes(self) -> set:
-        return set(self._successors) | set(self._predecessors)
 
 
 class EventualVisibilityController(PlanExecutionMixin):
@@ -176,70 +122,15 @@ class EventualVisibilityController(PlanExecutionMixin):
     # -- precedence closure (Invariant 4 / preSet-postSet) ------------------------
 
     def closure_index(self) -> ClosureIndex:
-        """Lazy transitive preSet/postSet queries over live lineages.
+        """Lazy transitive preSet/postSet queries over the live table.
 
         The paper's preSet/postSet are "the routines positioned before
         and after R in the serialization order" — transitively, which is
-        what makes the emptiness test equivalent to acyclicity.
+        what makes the emptiness test equivalent to acyclicity.  Built
+        per placement and per commit (O(live entries + ghosts)); the
+        result is stale once the table or ``compacted_before`` changes.
         """
-        successors: Dict[int, set] = {}
-        predecessors: Dict[int, set] = {}
-        for lineage in self.table.lineages():
-            entries = lineage.entries
-            n = len(entries)
-            if n < 2:       # no pairs — skip the owners() allocation
-                continue
-            owners = [entry.routine_id for entry in entries]
-            for i in range(n - 1):
-                before = owners[i]
-                succ = successors.get(before)
-                if succ is None:
-                    succ = successors[before] = set()
-                for j in range(i + 1, n):
-                    after = owners[j]
-                    succ.add(after)
-                    pred = predecessors.get(after)
-                    if pred is None:
-                        pred = predecessors[after] = set()
-                    pred.add(before)
-        # Compacted-away predecessors precede every live access on that
-        # device (those all sit right of the committed write).
-        for device_id, hidden in self.compacted_before.items():
-            owners = self.table.lineage(device_id).owners()
-            for before in hidden:
-                for after in owners:
-                    successors.setdefault(before, set()).add(after)
-                    predecessors.setdefault(after, set()).add(before)
-        return ClosureIndex(successors, predecessors)
-
-    def closure_sets(self) -> Dict[int, Tuple[set, set]]:
-        """Eager dict view of :meth:`closure_index` (tests, tooling)."""
-        index = self.closure_index()
-        return {node: (index.pre(node), index.post(node))
-                for node in index.nodes()}
-
-    def _predecessor_index(self) -> ClosureIndex:
-        """Predecessor-only closure: half the adjacency build of
-        :meth:`closure_index` for callers (the commit path) that only
-        query preSets.  ``post()`` on the result is meaningless."""
-        predecessors: Dict[int, set] = {}
-        for lineage in self.table.lineages():
-            entries = lineage.entries
-            n = len(entries)
-            if n < 2:
-                continue
-            owners = [entry.routine_id for entry in entries]
-            for j in range(1, n):
-                after = owners[j]
-                pred = predecessors.get(after)
-                if pred is None:
-                    pred = predecessors[after] = set()
-                pred.update(owners[:j])
-        for device_id, hidden in self.compacted_before.items():
-            if hidden:
-                for after in self.table.lineage(device_id).owners():
-                    predecessors.setdefault(after, set()).update(hidden)
-        return ClosureIndex({}, predecessors)
+        return self.table.closure_index(self.compacted_before)
 
     def before_after_for_gap(self, device_id: int, index: int,
                              closures: ClosureIndex,
@@ -247,25 +138,33 @@ class EventualVisibilityController(PlanExecutionMixin):
                              ) -> Tuple[set, set]:
         """preSet/postSet contribution of placing an access at ``index``.
 
+        The gap's two neighbours answer for the whole lineage: the left
+        one's preSet already holds every earlier owner, the device's
+        ghosts and all of their preSets; the right one's postSet every
+        later owner's.  The returned sets are fresh — callers may keep
+        or mutate them.
+
         ``owners`` may carry the device's owner list when the caller
         already snapshotted it (the Timeline search asks about many gaps
         of the same, unchanging lineage).
         """
         if owners is None:
             owners = self.table.lineage(device_id).owners()
-        pre: set = set()
-        post: set = set()
-        # Every placement position is after the device's committed
-        # state, hence after any active routine compacted behind it.
-        for owner in self.compacted_before.get(device_id, ()):
-            pre.add(owner)
-            pre |= closures.pre(owner)
-        for owner in owners[:index]:
-            pre.add(owner)
-            pre |= closures.pre(owner)
-        for owner in owners[index:]:
-            post.add(owner)
-            post |= closures.post(owner)
+        if index:
+            left = owners[index - 1]
+            pre = closures.pre(left) | {left}
+        else:
+            # Every placement position is after the device's committed
+            # state, hence after any active routine compacted behind it.
+            pre = set()
+            for ghost in self.compacted_before.get(device_id, ()):
+                pre.add(ghost)
+                pre |= closures.pre(ghost)
+        if index < len(owners):
+            right = owners[index]
+            post = closures.post(right) | {right}
+        else:
+            post = set()
         return pre, post
 
     # -- placement ---------------------------------------------------------------
@@ -304,7 +203,7 @@ class EventualVisibilityController(PlanExecutionMixin):
                                         index=placement.index)
         self.scheduler_stats["placements"] += 1
         if self.config.paranoid:
-            self.table.verify_all()
+            self.table.verify_all(self.compacted_before)
         self._pump(run)
 
     @staticmethod
@@ -493,7 +392,7 @@ class EventualVisibilityController(PlanExecutionMixin):
         # contradict an order that only this (about-to-vanish) routine's
         # entries were witnessing.
         before_commit = {
-            rid for rid in self._predecessor_index().pre(run.routine_id)
+            rid for rid in self.closure_index().pre(run.routine_id)
             if not self.is_finished(rid) and rid != run.routine_id}
         released_devices: List[int] = []
         for device_id in run.routine.device_ids:
@@ -525,7 +424,7 @@ class EventualVisibilityController(PlanExecutionMixin):
             released_devices.append(device_id)
         self.commit(run)
         if self.config.paranoid:
-            self.table.verify_all()
+            self.table.verify_all(self.compacted_before)
         for device_id in released_devices:
             self.scheduler.on_release(device_id)
         self._pump_released(released_devices)
@@ -557,7 +456,7 @@ class EventualVisibilityController(PlanExecutionMixin):
                 lineage.remove(run.routine_id)
             released_devices.append(device_id)
         if self.config.paranoid:
-            self.table.verify_all()
+            self.table.verify_all(self.compacted_before)
         for device_id in released_devices:
             self.scheduler.on_release(device_id)
         self._pump_released(released_devices)
@@ -638,13 +537,3 @@ class EventualVisibilityController(PlanExecutionMixin):
         state["scheduler_stats"] = dict(self.scheduler_stats)
         state["armed_revocations"] = sorted(self._revocations)
         return state
-
-    # -- helpers -----------------------------------------------------------------------------
-
-    def serialization_edges(self) -> List[Tuple[int, int]]:
-        """Live precedence edges (testing/visualisation)."""
-        edges = []
-        for lineage in self.table.lineages():
-            owners = lineage.owners()
-            edges.extend(zip(owners, owners[1:]))
-        return edges

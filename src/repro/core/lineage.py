@@ -15,13 +15,19 @@ follows a ``RELEASED`` access whose owner has not finished.
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Collection, Dict, Iterable, List,
+                    Mapping, Optional, Tuple)
 
 from repro.errors import LineageInvariantError
 
 # Sentinel distinguishing "no write applied yet" from "wrote None".
 UNSET = object()
+
+# EV's ``compacted_before``: device id -> routines compacted away behind
+# the device's committed state while still active ("ghosts").
+Ghosts = Mapping[int, Collection[int]]
 
 
 class LockStatus(enum.Enum):
@@ -396,6 +402,75 @@ class Lineage:
         return gaps
 
 
+class ClosureIndex:
+    """Lazily memoized transitive preSet/postSet queries.
+
+    Holds the precedence graph :meth:`LineageTable.closure_index` built
+    from one table state; a reach set is computed on first request and
+    cached, so the index is valid only until the table next changes
+    (one placement, one commit).  Placement touches the neighbours of
+    the gaps it examines and a commit needs one routine's preSet, so
+    most nodes' closures are never materialized.  ``pre``/``post``
+    return the memoized sets themselves: callers must not mutate them.
+    """
+
+    __slots__ = ("_successors", "_predecessors", "_pre", "_post")
+
+    def __init__(self, successors: Mapping[int, Collection[int]],
+                 predecessors: Mapping[int, Collection[int]]) -> None:
+        self._successors = successors
+        self._predecessors = predecessors
+        self._pre: Dict[int, set] = {}
+        self._post: Dict[int, set] = {}
+
+    @staticmethod
+    def _reach(start: int, graph: Mapping[int, Collection[int]],
+               memo: Dict[int, set]) -> set:
+        cached = memo.get(start)
+        if cached is not None:
+            return cached
+        seen: set = set()
+        frontier = list(graph.get(start, ()))
+        while frontier:
+            node = frontier.pop()
+            if node in seen:
+                continue
+            done = memo.get(node)
+            if done is not None:
+                seen.add(node)
+                seen |= done
+                continue
+            seen.add(node)
+            frontier.extend(graph.get(node, ()))
+        memo[start] = seen
+        return seen
+
+    def pre(self, node: int) -> set:
+        """Transitive predecessors (the paper's preSet)."""
+        return self._reach(node, self._predecessors, self._pre)
+
+    def post(self, node: int) -> set:
+        """Transitive successors (the paper's postSet)."""
+        return self._reach(node, self._successors, self._post)
+
+    def cyclic(self) -> List[int]:
+        """Routines that precede themselves, sorted (empty when the
+        order is consistent).  Peels sources off the graph (Kahn), so
+        the consistent case costs O(edges); only a contradiction pays
+        for reach sets, to name the routines on a cycle rather than
+        everything downstream of one."""
+        indegree = {node: len(before)
+                    for node, before in self._predecessors.items()}
+        ready = [node for node in self._successors if node not in indegree]
+        while ready:
+            for after in self._successors.get(ready.pop(), ()):
+                indegree[after] -= 1
+                if not indegree[after]:
+                    ready.append(after)
+        return sorted(node for node, left in indegree.items()
+                      if left and node in self.pre(node))
+
+
 class LineageTable:
     """All device lineages plus the wait queue bookkeeping (Fig 4).
 
@@ -479,28 +554,49 @@ class LineageTable:
 
     # -- invariant 4 ------------------------------------------------------------
 
-    def precedence_pairs(self) -> Dict[Tuple[int, int], List[int]]:
-        """(before, after) routine pairs implied by every lineage."""
-        pairs: Dict[Tuple[int, int], List[int]] = {}
+    def closure_index(self, compacted_before: Optional[Ghosts] = None
+                      ) -> ClosureIndex:
+        """The serialization order of this table state as a graph.
+
+        A lineage is a total order, so its adjacent entries
+        (``o_k -> o_{k+1}``) carry every pair it orders.  Routines in
+        ``compacted_before[device]`` (EV's ghosts: compacted away, still
+        active) precede every live access of the device, which one edge
+        to its first entry says.  One pass: O(live entries + ghosts).
+        """
+        ghosts = compacted_before or {}
+        successors: Dict[int, List[int]] = defaultdict(list)
+        predecessors: Dict[int, List[int]] = defaultdict(list)
         for lineage in self._lineages.values():
-            owners = lineage.owners()
-            for i, before in enumerate(owners):
-                for after in owners[i + 1:]:
-                    pairs.setdefault((before, after), []).append(
-                        lineage.device_id)
-        return pairs
+            chain = iter(lineage.entries)
+            first = next(chain, None)
+            if first is None:
+                continue
+            before = first.routine_id
+            hidden = ghosts.get(lineage.device_id)
+            if hidden:
+                predecessors[before].extend(hidden)
+                for ghost in hidden:
+                    successors[ghost].append(before)
+            for entry in chain:
+                after = entry.routine_id
+                successors[before].append(after)
+                predecessors[after].append(before)
+                before = after
+        return ClosureIndex(successors, predecessors)
 
-    def verify_serialize_before(self) -> None:
-        """Invariant 4: pairwise order is consistent across devices."""
-        pairs = self.precedence_pairs()
-        for (before, after), devices in pairs.items():
-            if (after, before) in pairs:
-                raise LineageInvariantError(
-                    f"invariant 4 violated: R{before} and R{after} ordered "
-                    f"both ways (devices {devices} vs "
-                    f"{pairs[(after, before)]})")
+    def verify_serialize_before(
+            self, compacted_before: Optional[Ghosts] = None) -> None:
+        """Invariant 4: no routine precedes itself — through any number
+        of devices, and through orders only ``compacted_before`` still
+        holds."""
+        cyclic = self.closure_index(compacted_before).cyclic()
+        if cyclic:
+            raise LineageInvariantError(
+                "invariant 4 violated: the serialization order is cyclic "
+                f"through routines {cyclic}")
 
-    def verify_all(self) -> None:
+    def verify_all(self, compacted_before: Optional[Ghosts] = None) -> None:
         """Full invariant sweep (used by tests and paranoid mode)."""
         for lineage in self._lineages.values():
             lineage.check_local_invariants()
@@ -509,4 +605,4 @@ class LineageTable:
                 raise LineageInvariantError(
                     f"invariant 1 violated on device {lineage.device_id}: "
                     f"{overlaps}")
-        self.verify_serialize_before()
+        self.verify_serialize_before(compacted_before)

@@ -10,7 +10,7 @@ devices F (0%).
 
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 from repro.core.command import Command
 from repro.core.routine import Routine
@@ -33,7 +33,7 @@ class MicroParams:
     must_pct: float = 100.0       # M
     failed_device_pct: float = 0.0      # F
     devices: int = 25             # home size (§7.3 text)
-    restart_after_s: float | None = None
+    restart_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.routines <= 0 or self.devices <= 0:

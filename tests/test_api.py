@@ -1,8 +1,11 @@
 """The ``repro.api`` facade: keyword-only constructors, pinned
 deprecation shims, and coverage of every public entry point the docs
-examples import."""
+examples import — and the declared platform: every module must import
+on the oldest Python ``pyproject.toml`` promises."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +76,59 @@ def test_facade_objects_behave_like_the_real_ones():
     engine = FleetEngine(config=FleetConfig(homes=2, seed=1))
     result = engine.run()
     assert len(result.rows) == 2
+
+
+# -- declared platform (requires-python >= 3.9) ---------------------------------
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                        + [args.vararg, args.kwarg]):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def pep604_unions(source: str):
+    """Line numbers of ``X | Y`` annotations Python 3.9 would evaluate
+    (and fail on): none when the module defers annotations.  Annotated
+    locals, which no Python evaluates, are held to the same rule."""
+    tree = ast.parse(source)
+    deferred = any(isinstance(node, ast.ImportFrom)
+                   and node.module == "__future__"
+                   and any(a.name == "annotations" for a in node.names)
+                   for node in tree.body)
+    if deferred:
+        return []
+    return sorted({inner.lineno for annotation in _annotations(tree)
+                   for inner in ast.walk(annotation)
+                   if isinstance(inner, ast.BinOp)
+                   and isinstance(inner.op, ast.BitOr)})
+
+
+def test_pep604_detector_sees_fields_arguments_and_returns():
+    bad = ("from dataclasses import dataclass\n"
+           "@dataclass\n"
+           "class P:\n"
+           "    x: float | None = None\n"
+           "def f(a: 'int', b: list[int | str] = ()) -> int | None: ...\n")
+    assert pep604_unions(bad) == [4, 5]
+    assert pep604_unions("from __future__ import annotations\n" + bad) == []
+    assert pep604_unions("x: int = 1 | 2\n") == []
+
+
+def test_no_module_evaluates_a_pep604_union_on_python_39():
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = {}
+    for path in sorted(src.rglob("*.py")):
+        lines = pep604_unions(path.read_text(encoding="utf-8"))
+        if lines:
+            offenders[str(path.relative_to(src))] = lines
+    assert not offenders, (
+        f"`X | Y` annotations without `from __future__ import "
+        f"annotations` raise TypeError on Python 3.9: {offenders}")
