@@ -101,6 +101,29 @@ echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="
 "$PY" scripts/gen_fsck_fixtures.py --check
 "$PY" scripts/fsck_matrix.py --models ev,gsv --json "$DET_DIR/fsck.json"
+# The fleet log is a bundle of home logs: byte-identical whichever
+# backend spooled it, clean to fsck, and one flipped byte is refused.
+for backend in serial process; do
+    "$PY" -m repro fleet --homes 12 --seed 42 --crashes 1 \
+        --backend "$backend" --wal-dir "$DET_DIR/wal-$backend" >/dev/null
+done
+cmp "$DET_DIR/wal-serial/fleet-wal.segs" "$DET_DIR/wal-process/fleet-wal.segs"
+cmp "$DET_DIR/wal-serial/fleet-wal-index.json" \
+    "$DET_DIR/wal-process/fleet-wal-index.json"
+"$PY" -m repro fsck "$DET_DIR/wal-serial" --report "$DET_DIR/fleet-fsck.json"
+"$PY" - "$DET_DIR/wal-serial/fleet-wal.segs" <<'PYEOF'
+import sys
+with open(sys.argv[1], "r+b") as log:
+    log.seek(20000)
+    byte = log.read(1)[0]
+    log.seek(20000)
+    log.write(bytes([byte ^ 0x01]))
+PYEOF
+code=0
+"$PY" -m repro fsck "$DET_DIR/wal-serial" \
+    --report "$DET_DIR/fleet-fsck.json" 2>/dev/null || code=$?
+[ "$code" -eq 2 ] || { echo "fleet fsck: flipped byte exited $code, not 2"; exit 1; }
+echo "fleet log: backend-invariant bytes, fsck 0 clean / 2 after a flipped byte"
 
 echo
 echo "== paper figure shapes =="

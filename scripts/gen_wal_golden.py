@@ -9,7 +9,9 @@ log) is crashed at event 300, recovered by verified replay, run on and
 closed; the fixture records the sha256 of every segment file, the
 checkpoint digest list and ``RecoveryReport.row()``.  Any change to the
 frame format, a record payload, the checkpoint state or its digest
-shows up as a fixture diff (``tests/test_storage_wal.py``).
+shows up as a fixture diff (``tests/test_storage_wal.py``).  One more
+entry, ``fleet``, pins the fleet container the same way: the sha256 of
+the merged log and of its index for a seeded 3-home durable fleet.
 
 Usage::
 
@@ -27,6 +29,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.fleet import FleetConfig, FleetEngine  # noqa: E402
+from repro.fleet.spool import INDEX_NAME, MERGED_NAME  # noqa: E402
 from repro.hub.durability.storage import list_segments  # noqa: E402
 from repro.hub.safehome import SafeHome  # noqa: E402
 from repro.workloads.micro import (MicroParams,  # noqa: E402
@@ -42,6 +46,7 @@ SEED, CRASH_AFTER_EVENTS = 15, 300
 PARAMS = dict(routines=120, concurrency=4, long_routine_pct=0.0,
               failed_device_pct=12.0, restart_after_s=60.0)
 DETECTOR_PING_PERIOD_S = 5.0
+FLEET_CONFIG = dict(homes=3, seed=SEED, crashes=1)
 
 
 def build_cell(model: str, execution: str, wal_dir: str) -> dict:
@@ -68,9 +73,18 @@ def build_cell(model: str, execution: str, wal_dir: str) -> dict:
     }
 
 
+def build_fleet(wal_dir: str) -> dict:
+    """The merged log + index a seeded 3-home durable fleet leaves."""
+    FleetEngine(FleetConfig(**FLEET_CONFIG, wal_dir=wal_dir)).run()
+    return {name: hashlib.sha256(
+        (Path(wal_dir) / name).read_bytes()).hexdigest()
+        for name in (MERGED_NAME, INDEX_NAME)}
+
+
 def build_golden() -> dict:
     golden = {}
     with tempfile.TemporaryDirectory(prefix="wal-golden-") as scratch:
+        golden["fleet"] = build_fleet(str(Path(scratch) / "fleet"))
         for model in MODELS:
             for execution in EXECUTIONS:
                 golden[f"{model}/{execution}"] = build_cell(
@@ -90,14 +104,14 @@ def main() -> int:
         GOLDEN_PATH.write_text(
             json.dumps(fresh, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-        print(f"wrote {GOLDEN_PATH} ({len(fresh)} cells)")
+        print(f"wrote {GOLDEN_PATH} ({len(fresh)} entries)")
         return 0
     committed = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     drift = [cell for cell in fresh if committed.get(cell) != fresh[cell]]
     for cell in drift:
         print(f"DRIFT: {cell} no longer writes the committed bytes")
     if not drift:
-        print(f"ok: {len(fresh)} cells")
+        print(f"ok: {len(fresh)} entries")
     return 1 if drift else 0
 
 

@@ -332,17 +332,14 @@ def cmd_crash_recovery(args: argparse.Namespace) -> int:
 
 
 def cmd_fsck(args: argparse.Namespace) -> int:
-    from repro.errors import CorruptionError, SafeHomeError
+    from repro.errors import SafeHomeError
     from repro.hub.durability.fsck import fsck_path
 
     try:
         report = fsck_path(args.path, salvage=args.salvage)
-    except CorruptionError as error:
-        # Structurally unreadable before a report could be built
-        # (e.g. an unparseable fleet index): uncorrected damage.
-        print(f"fsck: {error}", file=sys.stderr)
-        return 2
     except (SafeHomeError, OSError, ValueError) as error:
+        # Unreadable before a report could be built (not a WAL
+        # directory, a foreign or missing fleet index): uncorrected.
         print(f"fsck: {error}", file=sys.stderr)
         return 2
     text = report.to_json() + "\n"
@@ -612,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
              "a segmented home WAL dir or a merged fleet spool")
     fsck.add_argument("path",
                       help="home WAL directory (wal-*.seg), fleet spool "
-                           "directory, or a fleet-wal.jsonl path")
+                           "directory, or a fleet-wal.segs path")
     fsck.add_argument("--salvage", action="store_true",
                       help="on corruption, cut the log at its last good "
                            "checkpoint, replay the surviving prefix and "
@@ -715,10 +712,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force exact pooled-percentile aggregation "
                             "(the default; overrides --aggregate)")
     fleet.add_argument("--wal-dir", default=None,
-                       help="spool per-home WALs to worker-local segment "
-                            "files in this directory and merge them into "
-                            "an indexed fleet-wal.jsonl (forces durable "
-                            "homes)")
+                       help="spool per-home WALs to worker-local files "
+                            "in this directory and merge them into an "
+                            "indexed fleet-wal.segs, one CRC-framed log "
+                            "image per home (forces durable homes)")
     fleet.add_argument("--crashes", type=int, default=None,
                        help="hub crashes per home at seeded times "
                             "(default: 0 = no chaos)")

@@ -157,11 +157,6 @@ class RoutineRun:
             return None
         return self.finish_time - self.submit_time
 
-    @property
-    def executed_write_count(self) -> int:
-        return sum(1 for e in self.executions
-                   if e.applied and e.command.is_write)
-
     def effective_final_writes(self) -> Dict[int, Any]:
         """Last *applied* write per device (skips excluded)."""
         values: Dict[int, Any] = {}

@@ -38,13 +38,14 @@ class RecoveryError(SafeHomeError):
 
 
 class CorruptionError(SafeHomeError):
-    """An on-disk WAL (or fleet spool) holds damaged data.
+    """An on-disk WAL (a home's, or a fleet's bundle of them) holds
+    damaged data.
 
     Raised by the storage scanner and the fleet spool loader when a log
     is corrupt *before* its crash-consistent tail: bit rot, duplicated
-    or reordered frames, a truncated mid-log segment, a missing seal, a
-    garbled spool line, or a stale index.  A torn tail after the last
-    seal is NOT corruption — crash-consistency truncates it by design.
+    or reordered frames, a truncated mid-log segment, a missing seal,
+    or a stale fleet index.  A torn tail after the last seal is NOT
+    corruption — crash-consistency truncates it by design.
 
     The message always carries the damaged record's sequence number,
     record type and byte offset (``?`` when unknowable), so operators
@@ -53,22 +54,19 @@ class CorruptionError(SafeHomeError):
     """
 
     def __init__(self, detail, path=None, offset=None, seq=None,
-                 record_type=None, line=None):
+                 record_type=None):
         self.detail = detail
         self.path = path
         self.offset = offset
         self.seq = seq
         self.record_type = record_type
-        self.line = line
 
         def show(value):
             return "?" if value is None else str(value)
 
-        where = f"path={show(path)}"
-        if line is not None:
-            where += f", line={line}"
-        message = (f"corrupt WAL: {detail} ({where}, seq={show(seq)}, "
-                   f"type={show(record_type)}, offset={show(offset)})")
+        message = (f"corrupt WAL: {detail} (path={show(path)}, "
+                   f"seq={show(seq)}, type={show(record_type)}, "
+                   f"offset={show(offset)})")
         super().__init__(message)
 
     def to_dict(self):
@@ -81,7 +79,9 @@ class CorruptionError(SafeHomeError):
             "offset": self.offset,
             "seq": self.seq,
             "type": self.record_type,
-            "line": self.line,
+            # Always null since the line-oriented fleet log went; the
+            # key stays so repro-fsck-report/1 documents do not move.
+            "line": None,
         }
 
 

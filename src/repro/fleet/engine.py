@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.fleet.pool import (AGGREGATE_MODES, POOLS, WorkerContext,
                               default_chunk_size, plan_chunks)
-from repro.fleet.spool import merge_spool
+from repro.fleet.spool import merge_spool, refuse_leftover_workers
 from repro.fleet.seeding import SeedSplitter
 from repro.fleet.sharding import (DEFAULT_CHECK_FINAL, DEFAULT_CRASHES,
                                   DEFAULT_EXECUTION,
@@ -79,7 +79,7 @@ class FleetConfig:
     # passes it; validated in __post_init__ and read by nothing else.
     transport: str = "pickle"
     # Directory for worker-spooled WALs ("" disables; forces durable
-    # homes and produces fleet-wal.jsonl + index after the run).
+    # homes and produces fleet-wal.segs + index after the run).
     wal_dir: str = ""
     # Directory for per-worker cProfile dumps ("" disables; used by
     # scripts/profile_fleet.py for the process backend).
@@ -300,6 +300,7 @@ class FleetEngine:
         started = time.perf_counter()
         if config.wal_dir:
             os.makedirs(config.wal_dir, exist_ok=True)
+            refuse_leftover_workers(config.wal_dir)
         chunks = plan_chunks(self.tasks(), config.effective_chunk())
         # Never spin up more workers than there are chunks to feed
         # them (e.g. --workers 8 over 3 homes): idle workers only cost

@@ -18,7 +18,7 @@ bit-for-bit.
 
 from dataclasses import dataclass
 
-from repro.sim.random import RandomStreams, derive_seed
+from repro.sim.random import derive_seed
 
 
 def home_seed(master_seed: int, home_id: int) -> int:
@@ -28,13 +28,9 @@ def home_seed(master_seed: int, home_id: int) -> int:
 
 @dataclass(frozen=True)
 class SeedSplitter:
-    """Splits one master seed into per-home seeds and stream families."""
+    """Splits one master seed into per-home seeds."""
 
     master_seed: int
 
     def for_home(self, home_id: int) -> int:
         return home_seed(self.master_seed, home_id)
-
-    def streams_for_home(self, home_id: int) -> RandomStreams:
-        """A ready-made stream family for one home's simulation."""
-        return RandomStreams(seed=self.for_home(home_id))

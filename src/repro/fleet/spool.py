@@ -1,97 +1,96 @@
 """Worker-local WAL spooling for durable fleets.
 
-Before this module, a durable fleet's write-ahead logs lived and died
-inside the workers: rows carried recovery *counters* back, but the WAL
-itself — the complete, replayable recipe for each home — was dropped,
-and any design that persisted it would have funneled every record
-through the parent.  Spooling makes the workers the durability plane:
+A fleet log is a bundle of home logs, in the one on-disk format of
+:mod:`repro.hub.durability.storage`.  The workers are the durability
+plane:
 
-* each worker appends its homes' WALs (input + observation records,
-  plus checkpoint digests) to its **own** segment file in ``wal_dir``
-  — one compact JSON line per home, no parent involvement while the
-  fleet runs;
+* each worker appends every finished home's WAL to its **own** file in
+  ``wal_dir`` as one log image (:func:`~repro.hub.durability.storage.
+  encode_log`) — the bytes of the ``wal-000000.seg`` that home would
+  have written with a ``wal_dir`` of its own, its header frame also
+  carrying ``home_id``, ``scenario`` and ``seed``;
 * after the pool drains, the parent performs one O(homes) pass:
-  :func:`merge_spool` concatenates the segments into a single
-  ``fleet-wal.jsonl`` ordered by home id and writes a byte-offset
-  index (``fleet-wal-index.json``) so any home's log is one seek away;
-* replay determinism is preserved end-to-end: a home rebuilt from its
-  spooled record (:func:`replay_spooled_home`) re-applies the logged
-  inputs through the replay engine hub recovery uses
-  (:mod:`repro.hub.durability.replay`), which checks every regenerated
-  observation and checkpoint digest against the spooled ones, and
-  reaches a byte-identical report — crashes, recoveries and all.
+  :func:`merge_spool` concatenates the images in home-id order into
+  ``fleet-wal.segs`` and writes a byte-offset index
+  (``fleet-wal-index.json``) so any home's log is one seek away;
+* a home rebuilt from its slice (:func:`replay_spooled_home`) goes
+  through the scanner and the replay engine every home log goes
+  through, and reaches a byte-identical report — crashes, recoveries
+  and all.
 
-Spooled WAL records hold virtual times and seeded decisions only, so
-segment contents are a pure function of the fleet config; the merged
-file is byte-deterministic across backends, worker counts and chunk
-layouts (segment *names* differ per run, the merged artifact does not).
+Records hold virtual times and seeded decisions only, so the merged log
+and its index are byte-deterministic across backends, worker counts and
+chunk layouts (worker file *names* differ per run).
 """
 
+import glob
 import json
 import os
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, SafeHomeError
+from repro.hub.durability.storage import encode_log, scan_log, split_images
 
 #: Merged artifact names inside ``wal_dir``.
-MERGED_NAME = "fleet-wal.jsonl"
+MERGED_NAME = "fleet-wal.segs"
 INDEX_NAME = "fleet-wal-index.json"
-_SEGMENT_PREFIX = "spool-"
-_SEGMENT_SUFFIX = ".seg"
-
-INDEX_SCHEMA = "repro-fleet-wal-index/1"
+INDEX_SCHEMA = "repro-fleet-wal-index/2"
+_WORKER_FILES = "spool-*.seg"
 
 
-def home_wal_record(home_id: int, scenario: str, seed: int,
-                    home) -> Dict[str, Any]:
-    """One home's spool line: identity + full WAL + checkpoint digests.
-
-    ``home`` is a durable :class:`~repro.hub.safehome.SafeHome` that
-    has finished running; its WAL inputs are a complete replay recipe,
-    and its observations, compaction counter and checkpoint digests are
-    the evidence :func:`replay_spooled_home` verifies the replay against.
-    """
+def home_wal_record(home_id: int, scenario: str, seed: int, home) -> bytes:
+    """One finished durable home's block of the fleet log: its whole WAL
+    as a log image labelled with the home's fleet identity.  The input
+    records are a complete replay recipe; the observations and seals
+    are the evidence replay and ``repro fsck`` verify it against."""
     manager = home.durability
     if manager is None:
         raise ValueError(f"home {home_id} is not durable; nothing to spool")
-    return {
-        "home_id": home_id,
-        "scenario": scenario,
-        "seed": seed,
-        "wal": [record.to_dict() for record in manager.wal.records],
-        "compacted_observations": manager.wal.compacted_observations,
-        "checkpoints": [checkpoint.to_dict()
-                        for checkpoint in manager.checkpoints],
-    }
+    if manager.wal.compacted_observations:
+        raise ValueError(
+            f"home {home_id} compacted its WAL; a log image needs every "
+            f"record (compact_on_checkpoint must stay off in a fleet)")
+    records = manager.wal.records
+    created = records[0].payload
+    return encode_log(
+        records, manager.checkpoints,
+        home=f"{created['visibility']}:{created['seed']}",
+        header_extra={"home_id": home_id, "scenario": scenario,
+                      "seed": seed},
+        events=home.sim.events_processed, time=home.sim.now)
+
+
+def refuse_leftover_workers(wal_dir: str) -> None:
+    """A worker file from an earlier run would be merged into this
+    one's log: refuse before any home is simulated (the home writer
+    refuses to overwrite existing segments the same way)."""
+    leftovers = sorted(glob.glob(os.path.join(wal_dir, _WORKER_FILES)))
+    if leftovers:
+        raise SafeHomeError(
+            f"refusing to spool into {wal_dir!r}: found the worker file "
+            f"{os.path.basename(leftovers[0])} of an earlier, unmerged "
+            f"run; remove it first")
 
 
 class SpoolWriter:
-    """One worker's append-only segment file.
+    """One worker's append-only file of home log images.
 
     The file name is unique per (process, thread) so serial, thread and
     process pools all spool without coordination; the handle stays open
-    across homes (flushed per record) so durability never re-opens the
-    file on the per-home path.
+    across homes and is flushed per home.
     """
 
     def __init__(self, wal_dir: str) -> None:
         self.wal_dir = wal_dir
         self._handle = None
 
-    def _open(self):
+    def write(self, block: bytes) -> None:
         if self._handle is None:
-            name = (f"{_SEGMENT_PREFIX}{os.getpid()}-"
-                    f"{threading.get_ident()}{_SEGMENT_SUFFIX}")
-            self._handle = open(os.path.join(self.wal_dir, name),
-                                "a", encoding="utf-8")
-        return self._handle
-
-    def write(self, record: Dict[str, Any]) -> None:
-        handle = self._open()
-        handle.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-        handle.flush()
+            name = f"spool-{os.getpid()}-{threading.get_ident()}.seg"
+            self._handle = open(os.path.join(self.wal_dir, name), "ab")
+        self._handle.write(block)
+        self._handle.flush()
 
     def close(self) -> None:
         if self._handle is not None:
@@ -101,91 +100,72 @@ class SpoolWriter:
 
 def merge_spool(wal_dir: str,
                 expected_homes: Optional[int] = None) -> Dict[str, Any]:
-    """Concatenate every worker segment into the indexed merged log.
+    """Concatenate every worker file into the indexed merged log.
 
-    Reads all ``spool-*.seg`` files, orders records by home id, writes
-    ``fleet-wal.jsonl`` + ``fleet-wal-index.json`` and removes the
-    segments.  Returns the summary the index also records.
+    Worker files are split into their images by walking frame lengths
+    (a worker that died mid-write, or a rotted file, is the typed
+    :class:`~repro.errors.CorruptionError` with path and offset), the
+    images ordered by home id and written to ``fleet-wal.segs`` +
+    ``fleet-wal-index.json``; the worker files are removed.  Returns
+    the summary the index also records.
     """
-    records: List[Dict[str, Any]] = []
-    segments = sorted(
-        entry for entry in os.listdir(wal_dir)
-        if entry.startswith(_SEGMENT_PREFIX)
-        and entry.endswith(_SEGMENT_SUFFIX))
-    for segment in segments:
-        path = os.path.join(wal_dir, segment)
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    # A worker died mid-write (truncated line) or the
-                    # segment rotted: surface the typed error with the
-                    # damage location, never a raw decode traceback.
-                    raise CorruptionError(
-                        f"undecodable spool line ({exc.msg})",
-                        path=path, line=number) from exc
-    records.sort(key=lambda record: record["home_id"])
-    seen = [record["home_id"] for record in records]
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"duplicate home ids in spooled WAL: {seen}")
-    if expected_homes is not None and len(records) != expected_homes:
+    workers = sorted(glob.glob(os.path.join(wal_dir, _WORKER_FILES)))
+    blocks = {}
+    seen = []
+    for path in workers:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        for header, offset, length in split_images(data, path):
+            if not isinstance(header.get("home_id"), int):
+                raise CorruptionError(
+                    "log image carries no home_id", path=path,
+                    offset=offset, record_type="header")
+            seen.append(header["home_id"])
+            blocks[header["home_id"]] = data[offset:offset + length]
+    if len(blocks) != len(seen):
         raise ValueError(
-            f"spooled WALs cover {len(records)} homes, fleet ran "
+            f"duplicate home ids in spooled WAL: {sorted(seen)}")
+    if expected_homes is not None and len(blocks) != expected_homes:
+        raise ValueError(
+            f"spooled WALs cover {len(blocks)} homes, fleet ran "
             f"{expected_homes}")
 
     index: Dict[str, Dict[str, int]] = {}
-    offset = 0
-    wal_records = 0
-    merged_path = os.path.join(wal_dir, MERGED_NAME)
-    with open(merged_path, "w", encoding="utf-8") as merged:
-        for record in records:
-            line = json.dumps(record, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-            encoded = len(line.encode("utf-8"))
-            index[str(record["home_id"])] = {"offset": offset,
-                                             "length": encoded}
-            merged.write(line)
-            offset += encoded
-            wal_records += len(record["wal"])
-    summary = {"homes": len(records), "wal_records": wal_records}
+    with open(os.path.join(wal_dir, MERGED_NAME), "wb") as merged:
+        for home_id in sorted(blocks):
+            index[str(home_id)] = {"offset": merged.tell(),
+                                   "length": len(blocks[home_id])}
+            merged.write(blocks[home_id])
+    summary = {"homes": len(blocks)}
     with open(os.path.join(wal_dir, INDEX_NAME), "w",
               encoding="utf-8") as handle:
         json.dump({"schema": INDEX_SCHEMA, **summary, "index": index},
                   handle, indent=2, sort_keys=True)
         handle.write("\n")
-    for segment in segments:
-        os.remove(os.path.join(wal_dir, segment))
+    for path in workers:
+        os.remove(path)
     return summary
 
 
-def _line_number_at(path: str, offset: int) -> int:
-    """1-based line number of the byte at ``offset`` (error paths only:
-    the hot path stays a single seek, damage reports pay one scan)."""
-    with open(path, "rb") as handle:
-        return handle.read(offset).count(b"\n") + 1
-
-
-def load_spooled_home(wal_dir: str, home_id: int) -> Dict[str, Any]:
-    """One home's spooled record, via the index (single seek + read).
-
-    The indexed slice is *verified* against the merged log before it
-    is trusted: out-of-bounds offsets, a slice that is not exactly one
-    newline-terminated line, an undecodable payload or a home-id
-    mismatch all mean the index is stale (the merged log was rewritten
-    under it) or the log rotted — every case raises the typed
-    :class:`~repro.errors.CorruptionError`, never a silent misread.
-    """
+def read_index(wal_dir: str) -> Dict[str, Any]:
+    """The merged log's index document.  The schema is checked, so a
+    directory from before the one-format break fails here instead of
+    being misread."""
     with open(os.path.join(wal_dir, INDEX_NAME), "r",
               encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("schema") != INDEX_SCHEMA:
         raise ValueError(f"unexpected index schema "
                          f"{payload.get('schema')!r}")
-    entry = payload["index"].get(str(home_id))
+    return payload
+
+
+def read_block(wal_dir: str, home_id: int,
+               index: Dict[str, Any]) -> Tuple[int, bytes]:
+    """``(offset, bytes)`` of the slice the index names for one home
+    (single seek + read); a slice the merged log cannot hold means the
+    index is stale."""
+    entry = index["index"].get(str(home_id))
     if entry is None:
         raise KeyError(f"home {home_id} is not in the spooled index")
     merged_path = os.path.join(wal_dir, MERGED_NAME)
@@ -198,46 +178,44 @@ def load_spooled_home(wal_dir: str, home_id: int) -> Dict[str, Any]:
             path=merged_path, offset=entry["offset"])
     with open(merged_path, "rb") as handle:
         handle.seek(entry["offset"])
-        line = handle.read(entry["length"])
-    if not line.endswith(b"\n") or b"\n" in line[:-1]:
+        return entry["offset"], handle.read(entry["length"])
+
+
+def load_spooled_home(wal_dir: str, home_id: int) -> Dict[str, Any]:
+    """One home's verified slice of the merged log, via the index.
+
+    The slice is checked before it is trusted — in bounds, exactly one
+    whole log image (:func:`~repro.hub.durability.storage.split_images`)
+    whose header names ``home_id`` — and every failure is the typed
+    :class:`~repro.errors.CorruptionError` with path and offset.
+    Nothing but the header is decoded: the verified *bytes* come back
+    under ``"log"``; decoding them is :func:`replay_spooled_home`'s and
+    ``repro fsck``'s job.
+    """
+    offset, block = read_block(wal_dir, home_id, read_index(wal_dir))
+    merged_path = os.path.join(wal_dir, MERGED_NAME)
+    headers = [image[0] for image in split_images(block, merged_path, offset)]
+    if [header.get("home_id") for header in headers] != [home_id]:
         raise CorruptionError(
-            f"stale index: home {home_id} slice is not one whole line "
-            f"of the merged log",
-            path=merged_path, offset=entry["offset"],
-            line=_line_number_at(merged_path, entry["offset"]))
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptionError(
-            f"undecodable merged WAL line for home {home_id}",
-            path=merged_path, offset=entry["offset"],
-            line=_line_number_at(merged_path, entry["offset"])) from exc
-    if record.get("home_id") != home_id:
-        raise CorruptionError(
-            f"stale index: slice for home {home_id} holds home "
-            f"{record.get('home_id')}",
-            path=merged_path, offset=entry["offset"],
-            line=_line_number_at(merged_path, entry["offset"]))
-    return record
+            f"stale index: slice for home {home_id} holds "
+            f"{[header.get('home_id') for header in headers]}",
+            path=merged_path, offset=offset, record_type="header")
+    return {"home_id": home_id, "scenario": headers[0]["scenario"],
+            "seed": headers[0]["seed"], "log": block}
 
 
 def replay_spooled_home(record: Dict[str, Any]):
-    """Rebuild one home from its spooled WAL, by verified replay.
-
-    Re-applies the durable input records — including any mid-run
-    crash/recovery sequences — through the replay engine hub recovery
-    uses, so the returned :class:`SafeHome` has run to the same final
-    state the fleet worker reported (the spooled-WAL byte-identity test
-    in ``tests/test_fleet_transport.py`` pins the whole row).  The
-    line's own observations and checkpoint digests are the evidence: a
-    spooled record that does not replay to them raises
-    :class:`~repro.errors.RecoveryError` naming the diverging record.
-    """
+    """Rebuild one home from its slice of the fleet log: the strict scan
+    every home log gets, then the replay engine hub recovery uses.  The
+    returned :class:`SafeHome` has run to the final state the fleet
+    worker reported — mid-run crash/recovery sequences included — and
+    the slice's own observations and checkpoint seals are the evidence:
+    a log that does not replay to them raises
+    :class:`~repro.errors.RecoveryError` naming the diverging record."""
     from repro.hub.durability.replay import build_home, replay
-    from repro.hub.durability.wal import WalRecord
 
-    records = [WalRecord.from_dict(entry) for entry in record["wal"]]
-    home = build_home(records)
-    replay(home, records, checkpoints=record["checkpoints"],
-           compacted=record["compacted_observations"])
+    scan = scan_log(record["log"])
+    home = build_home(scan.records)
+    replay(home, scan.records,
+           checkpoints=[seal for seal in scan.seals if not seal["final"]])
     return home

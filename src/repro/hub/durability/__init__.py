@@ -6,7 +6,8 @@ the on-disk frame layout and the per-model recovery policy table.
 
 from repro.hub.durability.checkpoint import (Checkpoint, capture_checkpoint,
                                              state_digest)
-from repro.hub.durability.faults import FAULT_KINDS, inject_fault
+from repro.hub.durability.faults import (FAULT_KINDS, inject_fault,
+                                         inject_fleet_fault)
 from repro.hub.durability.fsck import FsckReport, fsck_path
 from repro.hub.durability.recovery import (RECOVERY_MODES, CrashPlan,
                                            DurabilityConfig,
@@ -37,6 +38,7 @@ __all__ = [
     "scan_wal_dir",
     "FAULT_KINDS",
     "inject_fault",
+    "inject_fleet_fault",
     "FsckReport",
     "fsck_path",
 ]

@@ -7,6 +7,9 @@ fault is a pure function of ``(wal_dir contents, kind, seed)``, so a
 corruption grid is exactly replayable — the same discipline the
 simulator applies to time and randomness, extended to bit rot.
 
+A fleet log is a bundle of home logs, so :func:`inject_fleet_fault`
+applies the same faults to one home's image inside it.
+
 Fault kinds (:data:`FAULT_KINDS`):
 
 * ``torn-tail`` — chop the last segment mid-frame: the designed crash
@@ -40,7 +43,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CorruptionError, RecoveryError, SafeHomeError
 from repro.hub.durability.storage import (FRAME, KIND_HEADER, KIND_RECORD,
-                                          KIND_SEAL, MAGIC, list_segments)
+                                          KIND_SEAL, MAGIC, list_segments,
+                                          segment_name)
 
 #: Every injectable fault kind, in grid order.
 FAULT_KINDS = (
@@ -213,6 +217,32 @@ def inject_fault(wal_dir: str, kind: str, seed: int = 0) -> Dict[str, Any]:
                     "bytes_dropped": total}
     raise SafeHomeError("log has no removable seal (no checkpoint "
                         "fired); lower checkpoint_every")
+
+
+def inject_fleet_fault(wal_dir: str, home_id: int, kind: str,
+                       seed: int = 0) -> Dict[str, Any]:
+    """Damage one home's image inside a merged fleet log, in place.
+
+    The image is a home log, so it is damaged as one: written out as
+    ``wal-000000.seg``, hit by :func:`inject_fault`, spliced back where
+    it was.  The index is left alone — a fault that changes the image's
+    length stales every later slice too.
+    """
+    import tempfile
+
+    from repro.fleet.spool import MERGED_NAME, read_block, read_index
+
+    offset, block = read_block(wal_dir, home_id, read_index(wal_dir))
+    with tempfile.TemporaryDirectory(prefix="repro-fleet-fault-") as scratch:
+        path = os.path.join(scratch, segment_name(0))
+        _write(path, block)
+        injection = inject_fault(scratch, kind, seed=seed)
+        damaged = _read(path)
+    merged_path = os.path.join(wal_dir, MERGED_NAME)
+    merged = _read(merged_path)
+    _write(merged_path,
+           merged[:offset] + damaged + merged[offset + len(block):])
+    return {**injection, "home_id": home_id}
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,27 @@
 """``repro fsck``: offline verification and salvage of durable logs.
 
-The filesystem-checker for this repo's two durable artifacts:
+The filesystem-checker for this repo's two durable artifacts, which
+share one on-disk format and therefore one pipeline:
 
 * **single-home WAL directories** — segmented CRC-framed logs written
   by ``SafeHome(durability=True, wal_dir=...)``;
-* **fleet spool directories** — ``fleet-wal.jsonl`` plus its byte
-  offset index, written by :func:`repro.fleet.spool.merge_spool`.
+* **fleet spool directories** — ``fleet-wal.segs``, every home's log
+  as one single-segment image, plus the byte-offset index written by
+  :func:`repro.fleet.spool.merge_spool`.
 
-A home check runs the full pipeline: :func:`~repro.hub.durability.
-storage.scan_wal_dir` classifies the bytes (clean / crash-consistent
-torn tail / corrupt), then the surviving records are *replayed and
-verified* by the shared engine (:mod:`repro.hub.durability.replay`:
+A home check runs the full pipeline: the scanner
+(:func:`~repro.hub.durability.storage.scan_wal_dir`) classifies the
+bytes (clean / crash-consistent torn tail / corrupt), then the
+surviving records are *replayed and verified* by the shared engine
+(:mod:`repro.hub.durability.replay`:
 :func:`~repro.hub.durability.replay.build_home` +
 :meth:`SafeHome.salvage_records`) and the congruence oracle passes over
 the replayed home.  With ``salvage=True`` a corrupt log is additionally
-cut at its last good checkpoint and salvaged.
+cut at its last good checkpoint and salvaged.  A fleet check runs every
+home's slice of the merged log through that same pipeline.
 
-Exit-code contract (classic fsck convention, pinned by tests):
+Exit-code contract (classic fsck convention, pinned by tests; a fleet
+exits with its worst home's code):
 
 * ``0`` — healthy: clean log, or a crash-consistent torn tail whose
   surviving prefix replays and verifies;
@@ -38,7 +43,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import CorruptionError, RecoveryError, SafeHomeError
 from repro.hub.durability.replay import build_home
 from repro.hub.durability.storage import (SEGMENT_PREFIX, SEGMENT_SUFFIX,
-                                          WalScan, scan_wal_dir)
+                                          WalScan, scan_log, scan_wal_dir)
 
 REPORT_SCHEMA = "repro-fsck-report/1"
 
@@ -59,11 +64,17 @@ class FsckReport:
     corruption: Optional[Dict[str, Any]] = None
     verify: Optional[Dict[str, Any]] = None
     salvage: Optional[Dict[str, Any]] = None
+    #: Fleet only: the summary, and the report of every home that is
+    #: not clean with exit code 0, by home id.
     fleet: Optional[Dict[str, Any]] = None
+    homes: Dict[int, "FsckReport"] = field(default_factory=dict)
     #: The home rebuilt by verification/salvage (not serialized).
     replayed_home: Any = None
 
     def exit_code(self) -> int:
+        if self.target == "fleet":
+            return max((home.exit_code() for home in self.homes.values()),
+                       default=0)
         if self.status in ("clean", "truncated"):
             if self.verify is not None and not self.verify["ok"]:
                 return 2
@@ -95,7 +106,8 @@ class FsckReport:
             })
         else:
             data["fleet"] = self.fleet
-            data["corruption"] = self.corruption
+            data["homes"] = {str(home_id): home.to_dict()
+                             for home_id, home in self.homes.items()}
         return data
 
     def to_json(self, indent: int = 2) -> str:
@@ -132,11 +144,11 @@ def _replay_and_verify(scan: WalScan, bounded: bool) -> tuple:
              "row": report.row()}, home)
 
 
-def fsck_home_dir(wal_dir: str, salvage: bool = False) -> FsckReport:
-    """Check (and optionally salvage) one segmented home WAL dir."""
-    scan = scan_wal_dir(wal_dir, strict=False)
+def _check(scan: WalScan, path: str, salvage: bool) -> FsckReport:
+    """Everything after the scan: replay-verify the survivors, or
+    salvage a corrupt log, and file the home report."""
     report = FsckReport(
-        target="home", path=wal_dir, status=scan.status,
+        target="home", path=path, status=scan.status,
         clean_close=scan.clean_close, home=scan.home,
         segments=[seg.to_dict() for seg in scan.segments],
         records=len(scan.records), seals=len(scan.seals),
@@ -159,51 +171,52 @@ def fsck_home_dir(wal_dir: str, salvage: bool = False) -> FsckReport:
     return report
 
 
-def fsck_fleet_dir(wal_dir: str) -> FsckReport:
-    """Verify a merged fleet spool (``fleet-wal.jsonl`` + index).
+def fsck_home_dir(wal_dir: str, salvage: bool = False) -> FsckReport:
+    """Check (and optionally salvage) one segmented home WAL dir."""
+    return _check(scan_wal_dir(wal_dir, strict=False), wal_dir, salvage)
 
-    Structural check per home: index entry in bounds, line decodes,
-    identity matches, record counts agree with the index summary.
-    Damage surfaces as the typed ``CorruptionError`` the spool loader
-    raises (satellite: never a raw ``json.JSONDecodeError``).
+
+def fsck_fleet_dir(wal_dir: str, salvage: bool = False) -> FsckReport:
+    """Check (and optionally salvage, home by home) a merged fleet log:
+    each slice the index names goes through the home pipeline.
+
+    Two things a home log may legitimately show are damage here: a
+    header naming another home (a stale index), and a log that does not
+    end on its final seal — a fleet image is written whole, after its
+    home finished, so it has no crash window.
     """
-    from repro.fleet.spool import INDEX_NAME, MERGED_NAME, load_spooled_home
+    from repro.fleet.spool import MERGED_NAME, read_block, read_index
 
-    index_path = os.path.join(wal_dir, INDEX_NAME)
+    index = read_index(wal_dir)
     merged_path = os.path.join(wal_dir, MERGED_NAME)
-    if not os.path.exists(index_path):
-        raise SafeHomeError(f"no {INDEX_NAME} in {wal_dir!r}")
-    with open(index_path, "r", encoding="utf-8") as handle:
-        index = json.load(handle)
-    fleet: Dict[str, Any] = {
-        "homes": index.get("homes"),
-        "wal_records": index.get("wal_records"),
-        "verified_homes": 0,
-        "verified_records": 0,
-        "merged_bytes": os.path.getsize(merged_path)
-        if os.path.exists(merged_path) else None,
-    }
-    report = FsckReport(target="fleet", path=wal_dir, status="clean",
-                        fleet=fleet)
-    try:
-        for key in sorted(index.get("index", {}), key=int):
-            record = load_spooled_home(wal_dir, int(key))
-            fleet["verified_homes"] += 1
-            fleet["verified_records"] += len(record["wal"])
-        if fleet["verified_homes"] != fleet["homes"]:
-            raise CorruptionError(
-                f"index names {fleet['homes']} homes but "
-                f"{fleet['verified_homes']} were loadable",
-                path=index_path)
-        if fleet["wal_records"] is not None and \
-                fleet["verified_records"] != fleet["wal_records"]:
-            raise CorruptionError(
-                f"index sums {fleet['wal_records']} WAL records, merged "
-                f"log holds {fleet['verified_records']}",
-                path=index_path)
-    except CorruptionError as exc:
-        report.status = "corrupt"
-        report.corruption = exc.to_dict()
+    report = FsckReport(target="fleet", path=wal_dir, status="clean")
+    records = 0
+    for home_id in sorted(map(int, index["index"])):
+        try:
+            offset, block = read_block(wal_dir, home_id, index)
+        except CorruptionError as exc:
+            scan = WalScan(corruption=exc)
+        else:
+            scan = scan_log(block, strict=False)
+            holder = (scan.header or {}).get("home_id")
+            if scan.corruption is None and holder != home_id:
+                scan.corruption = CorruptionError(
+                    f"stale index: slice for home {home_id} holds home "
+                    f"{holder}", path=merged_path, offset=offset)
+            elif scan.corruption is None and not scan.clean_close:
+                scan.corruption = CorruptionError(
+                    "fleet log image does not end on a final seal",
+                    path=merged_path, offset=offset)
+        home = _check(scan, merged_path, salvage)
+        records += home.records
+        if home.status != "clean" or home.exit_code():
+            report.homes[home_id] = home
+            if home.status == "corrupt":
+                report.status = "corrupt"
+    report.fleet = {"homes": len(index["index"]),
+                    "clean_homes": len(index["index"]) - len(report.homes),
+                    "records": records,
+                    "merged_bytes": os.path.getsize(merged_path)}
     return report
 
 
@@ -212,7 +225,7 @@ def fsck_path(path: str, salvage: bool = False) -> FsckReport:
     from repro.fleet.spool import MERGED_NAME
 
     if os.path.isfile(path) and os.path.basename(path) == MERGED_NAME:
-        return fsck_fleet_dir(os.path.dirname(path) or ".")
+        return fsck_fleet_dir(os.path.dirname(path) or ".", salvage=salvage)
     if not os.path.isdir(path):
         raise SafeHomeError(f"{path!r} is not a WAL directory")
     entries = os.listdir(path)
@@ -220,7 +233,7 @@ def fsck_path(path: str, salvage: bool = False) -> FsckReport:
            and entry.endswith(SEGMENT_SUFFIX) for entry in entries):
         return fsck_home_dir(path, salvage=salvage)
     if MERGED_NAME in entries:
-        return fsck_fleet_dir(path)
+        return fsck_fleet_dir(path, salvage=salvage)
     raise SafeHomeError(
         f"{path!r} holds neither WAL segments ({SEGMENT_PREFIX}*"
         f"{SEGMENT_SUFFIX}) nor a fleet spool ({MERGED_NAME})")

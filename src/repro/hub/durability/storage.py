@@ -14,9 +14,8 @@ WAL record into segment files:
 * **frames** — every record is one length-prefixed frame
   (``<u32 payload_len, u32 crc32, u8 kind>`` + canonical-JSON payload).
   The CRC covers kind + payload, so a single flipped bit anywhere in a
-  record is caught.  The payload is the same canonical JSON record form
-  (``WalRecord.to_dict`` with sorted keys) the fleet spool writes, so
-  both durable artifacts share one record format.
+  record is caught.  The payload is the canonical JSON record form
+  (``WalRecord.to_dict`` with sorted keys).
 * **seals** — at every checkpoint boundary the writer appends a seal
   frame holding the checkpoint's sequence floor, event count and state
   digest; ``close()`` appends a final seal.  Everything at or before a
@@ -47,6 +46,11 @@ the input history under fresh sequence numbers, so the disk image of
 the new incarnation is written into a staging directory and swapped in
 only after replay verification passes (``commit_staging``); a failed
 recovery leaves the crashed log untouched for retry or post-mortem.
+
+The fleet's durable artifact is the same format: :func:`encode_log`
+turns a finished in-memory log into one single-segment image, a fleet
+log is a concatenation of such images (:func:`split_images`), and any
+one of them reads back through :func:`scan_log`.
 """
 
 import json
@@ -85,6 +89,21 @@ MAX_PAYLOAD = 64 * 1024 * 1024
 RESYNC_WINDOW = 4 * 1024 * 1024
 
 
+def _frame_at(data: bytes, offset: int) -> Optional[Tuple[int, bytes, int]]:
+    """``(kind, payload, end)`` of the coherent frame at ``offset`` —
+    whole, sane kind and length, CRC-valid — else None."""
+    if offset + FRAME.size > len(data):
+        return None
+    length, crc, kind = FRAME.unpack_from(data, offset)
+    end = offset + FRAME.size + length
+    if kind > KIND_SEAL or length > MAX_PAYLOAD or end > len(data):
+        return None
+    payload = data[offset + FRAME.size:end]
+    if zlib.crc32(bytes([kind]) + payload) & 0xFFFFFFFF != crc:
+        return None
+    return kind, payload, end
+
+
 def _find_frame_after(data: bytes, start: int) -> Optional[int]:
     """Offset of the first coherent frame at/after ``start``, else None.
 
@@ -96,27 +115,72 @@ def _find_frame_after(data: bytes, start: int) -> Optional[int]:
     """
     end = min(len(data), start + RESYNC_WINDOW)
     for candidate in range(start, end - FRAME.size + 1):
-        length, crc, kind = FRAME.unpack_from(data, candidate)
-        if kind > KIND_SEAL or length > MAX_PAYLOAD:
-            continue
-        body = candidate + FRAME.size
-        if body + length > len(data):
-            continue
-        payload = data[body:body + length]
-        if zlib.crc32(bytes([kind]) + payload) & 0xFFFFFFFF == crc:
+        if _frame_at(data, candidate) is not None:
             return candidate
     return None
 
 
 def canonical_json(payload: Dict[str, Any]) -> bytes:
-    """The one serialized form every frame payload uses (shared with
-    the fleet spool: sorted keys, compact separators, UTF-8)."""
+    """The one serialized form every frame payload uses (sorted keys,
+    compact separators, UTF-8)."""
     return encode_compact(payload).encode("utf-8")
 
 
 def encode_frame(kind: int, payload: bytes) -> bytes:
     crc = zlib.crc32(bytes([kind]) + payload) & 0xFFFFFFFF
     return FRAME.pack(len(payload), crc, kind) + payload
+
+
+def header_frame(home: str, segment: int, base_seq: int,
+                 extra: Optional[Dict[str, Any]] = None) -> bytes:
+    """A segment's header frame; ``extra`` keys ride beside the five the
+    scanner checks (the fleet spool's ``home_id``/``scenario``/``seed``)."""
+    return encode_frame(KIND_HEADER, canonical_json({
+        **(extra or {}), "base_seq": base_seq, "home": home,
+        "schema": SEGMENT_SCHEMA, "segment": segment,
+        "version": SEGMENT_VERSION}))
+
+
+def record_frame(record: WalRecord) -> bytes:
+    """One WAL record as a frame: ``canonical_json(record.to_dict())``
+    byte for byte, assembled around the record's memoized payload
+    encoding so the payload is encoded once for disk and replay
+    verification alike ("payload" sorts before the other keys)."""
+    rest = canonical_json({"seq": record.seq, "time": record.time,
+                           "type": record.type})
+    return encode_frame(KIND_RECORD, b'{"payload":%b,%b' % (
+        record.canonical_payload().encode("utf-8"), rest[1:]))
+
+
+def seal_frame(seq: int, digest: Optional[str], events: int, time: float,
+               index: int, final: bool = False) -> bytes:
+    return encode_frame(KIND_SEAL, canonical_json({
+        "digest": digest, "events": events, "final": final,
+        "index": index, "seq": seq, "time": time}))
+
+
+def encode_log(records, checkpoints, *, home: str = "home",
+               header_extra: Optional[Dict[str, Any]] = None,
+               events: int = 0, time: float = 0.0) -> bytes:
+    """A finished in-memory log as one single-segment image: byte for
+    byte what a :class:`SegmentedWalWriter` that never rolled leaves
+    after ``close()`` — magic, header, the record frames with a seal
+    ahead of each checkpoint's record, a final seal carrying the hub's
+    ``events`` / ``time``.  ``records`` must be uncompacted (sequence
+    numbers contiguous from 0), or the image will not scan."""
+    sealed = {checkpoint.seq: (index, checkpoint)
+              for index, checkpoint in enumerate(checkpoints)}
+    parts = [MAGIC, header_frame(home, 0, 0, header_extra)]
+    for record in records:
+        if record.seq in sealed:
+            index, checkpoint = sealed[record.seq]
+            parts.append(seal_frame(
+                record.seq, checkpoint.digest,
+                checkpoint.events_processed, checkpoint.time, index))
+        parts.append(record_frame(record))
+    parts.append(seal_frame(len(records), None, events, time,
+                            len(checkpoints), final=True))
+    return b"".join(parts)
 
 
 def segment_name(index: int) -> str:
@@ -176,42 +240,25 @@ class SegmentedWalWriter:
         self._segment_index += 1
         path = os.path.join(self._dir, segment_name(self._segment_index))
         self._handle = open(path, "wb")
-        self._handle.write(MAGIC)
-        header = canonical_json({
-            "base_seq": self._next_seq,
-            "home": self.home,
-            "schema": SEGMENT_SCHEMA,
-            "segment": self._segment_index,
-            "version": SEGMENT_VERSION,
-        })
-        frame = encode_frame(KIND_HEADER, header)
-        self._handle.write(frame)
+        frame = header_frame(self.home, self._segment_index,
+                             self._next_seq)
+        self._handle.write(MAGIC + frame)
         self._segment_bytes = len(MAGIC) + len(frame)
 
-    def _write(self, kind: int, payload: bytes) -> None:
+    def _write(self, frame: bytes) -> None:
         if self.closed:
             raise SafeHomeError("the WAL writer is closed")
         if self._handle is None or \
                 self._segment_bytes >= self.segment_max_bytes:
             self._roll()
-        frame = encode_frame(kind, payload)
         self._handle.write(frame)
         self._segment_bytes += len(frame)
 
     # -- the durable surface --------------------------------------------------
 
     def append(self, record: WalRecord) -> None:
-        """Append one materialized WAL record (any type, in order).
-
-        The frame payload is ``canonical_json(record.to_dict())`` byte
-        for byte, assembled around the record's memoized payload
-        encoding so the payload is encoded once for disk and replay
-        verification alike ("payload" sorts before the other keys).
-        """
-        rest = canonical_json({"seq": record.seq, "time": record.time,
-                               "type": record.type})
-        self._write(KIND_RECORD, b'{"payload":%b,%b' % (
-            record.canonical_payload().encode("utf-8"), rest[1:]))
+        """Append one materialized WAL record (any type, in order)."""
+        self._write(record_frame(record))
         self._next_seq = record.seq + 1
 
     def seal(self, seq: int, digest: Optional[str], events: int,
@@ -221,9 +268,7 @@ class SegmentedWalWriter:
         Everything below ``seq`` is now digest-protected history; a
         torn tail can only ever cost records after the last seal.
         """
-        payload = {"digest": digest, "events": events, "final": final,
-                   "index": index, "seq": seq, "time": time}
-        self._write(KIND_SEAL, canonical_json(payload))
+        self._write(seal_frame(seq, digest, events, time, index, final))
         self.flush()
 
     def flush(self) -> None:
@@ -313,9 +358,11 @@ class SegmentInfo:
 
 @dataclass
 class WalScan:
-    """Everything one pass over a WAL directory learned."""
+    """Everything one pass over a log (a WAL directory's segments, or
+    one in-memory image) learned."""
 
-    home: Optional[str] = None
+    #: The first segment's header frame, extra keys included.
+    header: Optional[Dict[str, Any]] = None
     segments: List[SegmentInfo] = field(default_factory=list)
     records: List[WalRecord] = field(default_factory=list)
     #: Byte offset of each record's frame inside its segment, parallel
@@ -327,6 +374,10 @@ class WalScan:
     clean_close: bool = False
 
     @property
+    def home(self) -> Optional[str]:
+        return self.header.get("home") if self.header else None
+
+    @property
     def status(self) -> str:
         if self.corruption is not None:
             return "corrupt"
@@ -334,16 +385,19 @@ class WalScan:
             return "truncated"
         return "clean"
 
-    def good_records(self) -> List[WalRecord]:
-        """Records safe to replay: everything parsed before damage."""
-        return self.records
-
     def last_seal_before_corruption(self) -> Optional[Dict[str, Any]]:
         """The salvage floor: seals always precede the damage point
         in scan order, so the last parsed seal is the last good
         checkpoint boundary."""
         non_final = [s for s in self.seals if not s.get("final")]
         return non_final[-1] if non_final else None
+
+
+def _decode(payload: bytes) -> Optional[Dict[str, Any]]:
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
 
 
 def _parse_frames(data: bytes, name: str, is_last_segment: bool,
@@ -422,9 +476,8 @@ def _parse_frames(data: bytes, name: str, is_last_segment: bool,
                         f"frame",
                         record_type=_KIND_NAMES.get(kind))
             break
-        try:
-            doc = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        doc = _decode(payload)
+        if doc is None:
             corrupt(offset, "undecodable frame payload (valid crc)",
                     record_type=_KIND_NAMES.get(kind))
             break
@@ -454,8 +507,8 @@ def _parse_frames(data: bytes, name: str, is_last_segment: bool,
                         record_type="header")
                 break
             base_seq = doc["base_seq"]
-            if scan.home is None:
-                scan.home = doc.get("home")
+            if scan.header is None:
+                scan.header = doc
         elif not saw_header:
             corrupt(offset, "first frame is not a segment header",
                     record_type=_KIND_NAMES.get(kind))
@@ -531,6 +584,25 @@ def _cross_check_seals(scan: WalScan) -> None:
             return
 
 
+def _conclude(scan: WalScan, strict: bool) -> WalScan:
+    """The end of every scan: seal cross-check, then the strict raise."""
+    if scan.corruption is None:
+        _cross_check_seals(scan)
+    if strict and scan.corruption is not None:
+        raise scan.corruption
+    return scan
+
+
+def scan_log(data: bytes, strict: bool = True) -> WalScan:
+    """Scan one single-segment log image held in memory — what
+    :func:`encode_log` builds, i.e. one home's slice of a fleet log —
+    exactly as :func:`scan_wal_dir` scans that image saved as
+    ``wal-000000.seg``."""
+    scan = WalScan()
+    _parse_frames(data, segment_name(0), True, scan, 0)
+    return _conclude(scan, strict)
+
+
 def scan_wal_dir(wal_dir: str, strict: bool = True) -> WalScan:
     """Read a segmented WAL directory into a classified :class:`WalScan`.
 
@@ -561,8 +633,40 @@ def scan_wal_dir(wal_dir: str, strict: bool = True) -> WalScan:
         expected_seq = _parse_frames(
             data, name, is_last_segment=(position == len(names) - 1),
             scan=scan, expected_seq=expected_seq)
-    if scan.corruption is None:
-        _cross_check_seals(scan)
-    if strict and scan.corruption is not None:
-        raise scan.corruption
-    return scan
+    return _conclude(scan, strict)
+
+
+def split_images(data: bytes, path: str, base: int = 0
+                 ) -> List[Tuple[Dict[str, Any], int, int]]:
+    """``(header, offset, length)`` of each log image concatenated in
+    ``data`` — the integrity pass over a fleet log's bytes.  Every frame
+    must be coherent (:func:`_frame_at`); only an image's header frame
+    and last frame are decoded.  An image opens with the magic and a
+    header and ends exactly on a final seal (it is written whole, so a
+    fleet log has no crash window); anything else raises
+    :class:`~repro.errors.CorruptionError` naming ``path`` and the
+    offset, counted from ``base``."""
+    images = []
+    offset = 0
+    while offset < len(data):
+        start = offset
+        first = last = None
+        if data.startswith(MAGIC, offset):
+            offset += len(MAGIC)
+            while offset < len(data) and not data.startswith(MAGIC, offset):
+                last = _frame_at(data, offset)
+                if last is None:
+                    raise CorruptionError(
+                        "torn frame or crc mismatch", path=path,
+                        offset=base + offset)
+                first = first or last
+                offset = last[2]
+        header = seal = None
+        if first and first[0] == KIND_HEADER and last[0] == KIND_SEAL:
+            header, seal = _decode(first[1]), _decode(last[1])
+        if not header or not seal or not seal.get("final"):
+            raise CorruptionError(
+                "not a whole log image (magic, header frame ... final "
+                "seal)", path=path, offset=base + start)
+        images.append((header, start, offset - start))
+    return images

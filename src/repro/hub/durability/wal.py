@@ -18,10 +18,11 @@ ordered, JSON-serializable journal of
   (lost record, non-determinism) is detected rather than silently
   accepted.  Observations may be compacted away below a checkpoint.
 
-Records are plain dataclasses held in memory; :meth:`WriteAheadLog.
-to_json` / :meth:`from_json` give the serialized form.  Payload values
-pass through :func:`jsonify` so arbitrary device states never make the
-log unserializable.
+Records are plain dataclasses held in memory; their one serialized
+form is the CRC-framed log image of
+:mod:`repro.hub.durability.storage`.  Payload values pass through
+:func:`jsonify` so arbitrary device states never make the log
+unserializable.
 """
 
 import json
@@ -160,7 +161,7 @@ class WriteAheadLog:
     in buffer order, and any input/marker append flushes first, so the
     materialized log is record-for-record identical to the old
     append-immediately behavior.  Every read surface (:attr:`records`,
-    iteration, views, serialization) flushes before exposing records.
+    iteration, views) flushes before exposing records.
     """
 
     def __init__(self) -> None:
@@ -300,19 +301,3 @@ class WriteAheadLog:
         self._records = kept
         self.compacted_observations += removed
         return removed
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps([record.to_dict() for record in self.records],
-                          indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WriteAheadLog":
-        wal = cls()
-        data = json.loads(text)
-        for entry in data:
-            record = WalRecord.from_dict(entry)
-            wal._records.append(record)
-            wal._next_seq = max(wal._next_seq, record.seq + 1)
-        return wal

@@ -14,6 +14,7 @@ from repro.errors import HubCrashedError, SafeHomeError
 from repro.hub.durability import (DurabilityConfig, WriteAheadLog,
                                   state_digest)
 from repro.hub.durability import replay as replay_engine
+from repro.hub.durability.storage import encode_log, scan_log
 from repro.hub.log import FeedbackKind
 from repro.hub.safehome import SafeHome
 from tests.conftest import routine
@@ -66,7 +67,9 @@ class TestWriteAheadLog:
         wal.append("invoked", {"spec": {"routineName": "r"}, "when": 1.5},
                    1.5)
         wal.append("detection", {"kind": "failure", "device_id": 2}, 2.0)
-        restored = WriteAheadLog.from_json(wal.to_json())
+        # The one serialized form: a CRC-framed log image.
+        restored = scan_log(encode_log(wal.records, []))
+        assert restored.status == "clean" and restored.clean_close
         assert [r.to_dict() for r in restored.records] == \
             [r.to_dict() for r in wal.records]
 
@@ -283,10 +286,15 @@ class TestCrashRecoverApi:
         home.run()
         home.recover()
         home.run()
-        restored = WriteAheadLog.from_json(home.wal.to_json())
+        restored = scan_log(encode_log(home.wal.records,
+                                       home.durability.checkpoints))
         types = [r.type for r in restored.records]
         assert "crash" in types and "recovery" in types
         assert types[0] == "home-created"
+        assert [r.to_dict() for r in restored.records] == \
+            [r.to_dict() for r in home.wal.records]
+        assert [seal["digest"] for seal in restored.seals[:-1]] == \
+            [c.digest for c in home.durability.checkpoints]
 
 
 @pytest.mark.parametrize("model", ["wv", "gsv", "psv", "ev", "occ"])
@@ -317,7 +325,9 @@ def test_every_replay_door_reaches_one_answer(model):
     migrated.recover("replay")
     boundary = len(migrated.durability.checkpoints)
     migrated.migrate(model)
-    spooled = replay_spooled_home(home_wal_record(0, "doors", 3, crashed()))
+    spooled = replay_spooled_home({
+        "home_id": 0, "scenario": "doors", "seed": 3,
+        "log": home_wal_record(0, "doors", 3, crashed())})
     assert spooled.crashed      # left where the log ends, unhealed
 
     at_crash = answer(recovered)

@@ -1,7 +1,8 @@
 """WAL spooling, the worker clamp and CLI knobs (PR 7).
 
 Covers worker-local WAL spooling (merge determinism, indexed loads,
-verified replay equality, durable-fleet JSON byte-identity), the
+verified replay equality, durable-fleet JSON byte-identity; since PR 19
+the fleet log is a bundle of CRC-framed home log images), the
 workers-exceed-chunks clamp and the ``--workers``/``--wal-dir`` flags.
 """
 
@@ -11,11 +12,36 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import CorruptionError, RecoveryError
+from repro.errors import CorruptionError, RecoveryError, SafeHomeError
 from repro.fleet import FleetConfig, FleetEngine, run_fleet
 from repro.fleet.pool import POOLS, SerialPool
-from repro.fleet.spool import (SpoolWriter, load_spooled_home,
-                               merge_spool, replay_spooled_home)
+from repro.fleet.spool import (INDEX_NAME, MERGED_NAME, SpoolWriter,
+                               load_spooled_home, merge_spool,
+                               replay_spooled_home)
+from repro.hub.durability.fsck import fsck_path
+from repro.hub.durability.storage import (FRAME, KIND_RECORD, KIND_SEAL,
+                                          MAGIC, canonical_json,
+                                          encode_frame, encode_log)
+
+
+def reframe(block, edit):
+    """A log image with every frame payload passed through ``edit(kind,
+    doc)`` and framed again — tampering that keeps every CRC valid."""
+    out = [MAGIC]
+    offset = len(MAGIC)
+    while offset < len(block):
+        length, _crc, kind = FRAME.unpack_from(block, offset)
+        body = offset + FRAME.size
+        doc = json.loads(block[body:body + length])
+        edit(kind, doc)
+        out.append(encode_frame(kind, canonical_json(doc)))
+        offset = body + length
+    return b"".join(out)
+
+
+def empty_block(home_id):
+    return encode_log([], [], header_extra={
+        "home_id": home_id, "scenario": "none", "seed": 0})
 
 
 # -- worker-local WAL spooling -------------------------------------------------
@@ -45,23 +71,43 @@ class TestWalSpooling:
 
     def test_merged_log_is_backend_and_layout_invariant(self, tmp_path):
         _, reference_dir = self.run_spooled(tmp_path, "serial")
-        reference = (
-            (tmp_path / "serial" / "fleet-wal.jsonl").read_bytes(),
-            (tmp_path / "serial" / "fleet-wal-index.json").read_bytes())
+        reference = ((tmp_path / "serial" / MERGED_NAME).read_bytes(),
+                     (tmp_path / "serial" / INDEX_NAME).read_bytes())
         for name, overrides in (
                 ("thread", dict(backend="thread", workers=4, chunk=1)),
-                ("process", dict(backend="process", workers=2, chunk=2))):
+                ("process", dict(backend="process", workers=2, chunk=2)),
+                ("wide", dict(backend="process", workers=3, chunk=1))):
             self.run_spooled(tmp_path, name, **overrides)
-            assert (tmp_path / name /
-                    "fleet-wal.jsonl").read_bytes() == reference[0]
-            assert (tmp_path / name /
-                    "fleet-wal-index.json").read_bytes() == reference[1]
+            assert (tmp_path / name / MERGED_NAME).read_bytes() \
+                == reference[0]
+            assert (tmp_path / name / INDEX_NAME).read_bytes() \
+                == reference[1]
 
     def test_segments_are_merged_away(self, tmp_path):
         _, wal_dir = self.run_spooled(tmp_path, "wal",
                                       backend="process", workers=2)
         entries = sorted(os.listdir(wal_dir))
-        assert entries == ["fleet-wal-index.json", "fleet-wal.jsonl"]
+        assert entries == ["fleet-wal-index.json", "fleet-wal.segs"]
+
+    def test_leftover_worker_file_is_refused_before_any_home_runs(
+            self, tmp_path, monkeypatch):
+        """Regression: a stale worker file made a durable fleet fail
+        with a bare duplicate-ids ValueError *after* simulating every
+        home, leaving this run's worker file un-merged."""
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        stale = wal_dir / "spool-999-1.seg"
+        stale.write_bytes(empty_block(0))
+
+        def no_pool(workers):
+            raise AssertionError("a pool was spawned")
+
+        monkeypatch.setitem(POOLS, "serial", no_pool)
+        with pytest.raises(SafeHomeError, match="spool-999-1.seg"):
+            FleetEngine(FleetConfig(homes=3, seed=1,
+                                    wal_dir=str(wal_dir))).run()
+        assert os.listdir(wal_dir) == ["spool-999-1.seg"]
+        assert stale.read_bytes() == empty_block(0)
 
     def test_indexed_load_and_verified_replay(self, tmp_path):
         result, wal_dir = self.run_spooled(tmp_path, "wal",
@@ -71,6 +117,8 @@ class TestWalSpooling:
             assert record["home_id"] == row["home_id"]
             assert record["scenario"] == row["scenario"]
             assert record["seed"] == row["seed"]
+            assert sorted(record) == ["home_id", "log", "scenario", "seed"]
+            assert isinstance(record["log"], bytes)
             home = replay_spooled_home(record)
             report = home.report(check_final=True)
             assert report.routines == row["routines"]
@@ -83,41 +131,54 @@ class TestWalSpooling:
                                         "observation-payload"])
     def test_tampered_spool_line_fails_verified_replay(self, tmp_path,
                                                        victim):
-        """Regression: spool replay verified nothing — a line edited in
-        place (valid JSON, same length, index still consistent) loaded,
-        replayed and fsck'd as clean."""
+        """Tampering that keeps the container whole (same length, every
+        frame framed again with a valid CRC, index still consistent)
+        loads — and is caught by the replay verifier, in
+        ``replay_spooled_home`` and in fsck alike.  (Without the new
+        CRCs it does not even load; the fleet-flipped-bit fixture in
+        tests/test_fsck.py pins that.)"""
         _, wal_dir = self.run_spooled(tmp_path, "wal")
         record = load_spooled_home(wal_dir, 0)
-        if victim == "checkpoint-digest":
-            # Both places the digest occurs: the checkpoint list and
-            # the in-log checkpoint observation.
-            digest = record["checkpoints"][0]["digest"]
-            old = digest.encode()
-            new = ("0" if digest[0] != "0" else "1").encode() + old[1:]
-            named = next(r for r in record["wal"]
-                         if r["type"] == "checkpoint")
-        else:
-            named = next(r for r in record["wal"]
-                         if r["type"] == "command-dispatched")
-            old = json.dumps(named, sort_keys=True,
-                             separators=(",", ":")).encode()
-            new = old.replace(b'"read":false', b'"read":true ')
-        merged = Path(wal_dir) / "fleet-wal.jsonl"
+        named = {}
+
+        def edit(kind, doc):
+            if victim == "checkpoint-digest":
+                # Both places digest 0 occurs: its seal frame and the
+                # in-log checkpoint observation.
+                holder = doc if kind == KIND_SEAL else \
+                    doc["payload"] if doc.get("type") == "checkpoint" \
+                    else {}
+                if holder.get("index") == 0 and holder.get("digest"):
+                    digest = holder["digest"]
+                    holder["digest"] = \
+                        ("0" if digest[0] != "0" else "1") + digest[1:]
+                    if kind == KIND_RECORD:
+                        named.update(doc)
+            elif doc.get("type") == "command-dispatched" and not named:
+                doc["payload"]["device_id"] = 9
+                named.update(doc)
+
+        tampered_log = reframe(record["log"], edit)
+        assert named and tampered_log != record["log"]
+        assert len(tampered_log) == len(record["log"])
+        merged = Path(wal_dir) / MERGED_NAME
         data = merged.read_bytes()
-        assert data.count(old) >= 1 and len(new) == len(old)
-        merged.write_bytes(data.replace(old, new))
-        tampered = load_spooled_home(wal_dir, 0)   # index still fits
-        assert tampered != record
+        assert data.startswith(record["log"])       # home 0 comes first
+        merged.write_bytes(tampered_log + data[len(tampered_log):])
+        tampered = load_spooled_home(wal_dir, 0)    # the container is whole
+        assert tampered["log"] == tampered_log
         with pytest.raises(RecoveryError) as excinfo:
             replay_spooled_home(tampered)
         assert f"seq {named['seq']}" in str(excinfo.value)
         assert f"type {named['type']!r}" in str(excinfo.value)
+        report = fsck_path(wal_dir)
+        assert report.exit_code() == 2 and list(report.homes) == [0]
+        assert report.homes[0].status == "clean"
+        assert not report.homes[0].verify["ok"]
 
     def test_spool_without_home_created_is_typed_corruption(self):
         with pytest.raises(CorruptionError, match="home-created"):
-            replay_spooled_home({"home_id": 0, "wal": [],
-                                 "compacted_observations": 0,
-                                 "checkpoints": []})
+            replay_spooled_home({"home_id": 0, "log": empty_block(0)})
 
     def test_load_unknown_home_raises(self, tmp_path):
         _, wal_dir = self.run_spooled(tmp_path, "wal")
@@ -128,8 +189,8 @@ class TestWalSpooling:
         wal_dir = str(tmp_path / "dup")
         os.makedirs(wal_dir)
         writer = SpoolWriter(wal_dir)
-        writer.write({"home_id": 0, "wal": []})
-        writer.write({"home_id": 0, "wal": []})
+        writer.write(empty_block(0))
+        writer.write(empty_block(0))
         writer.close()
         with pytest.raises(ValueError, match="duplicate"):
             merge_spool(wal_dir)
@@ -138,7 +199,7 @@ class TestWalSpooling:
         wal_dir = str(tmp_path / "short")
         os.makedirs(wal_dir)
         writer = SpoolWriter(wal_dir)
-        writer.write({"home_id": 0, "wal": []})
+        writer.write(empty_block(0))
         writer.close()
         with pytest.raises(ValueError, match="cover 1 homes"):
             merge_spool(wal_dir, expected_homes=2)
@@ -214,4 +275,4 @@ class TestCliKnobs:
         assert main(["fleet", "--homes", "2", "--crashes", "1",
                      "--wal-dir", wal_dir]) == 0
         assert sorted(os.listdir(wal_dir)) == \
-            ["fleet-wal-index.json", "fleet-wal.jsonl"]
+            ["fleet-wal-index.json", "fleet-wal.segs"]

@@ -11,8 +11,10 @@ import pytest
 from repro.errors import CorruptionError, SafeHomeError
 from repro.hub.durability.storage import (FRAME, KIND_RECORD, MAGIC,
                                           SegmentedWalWriter, canonical_json,
-                                          encode_frame, list_segments,
-                                          scan_wal_dir, segment_name)
+                                          encode_frame, encode_log,
+                                          list_segments, scan_log,
+                                          scan_wal_dir, segment_name,
+                                          split_images)
 from repro.hub.durability.wal import WalRecord
 from repro.hub.safehome import SafeHome
 
@@ -314,6 +316,80 @@ class TestDurableHomeOnDisk:
         assert scan.clean_close
 
 
+class TestLogImage:
+    """``encode_log`` is the writer's bytes without the file, one image
+    reads back through the one scanner, and a concatenation of images
+    (a fleet log) splits by walking frame lengths."""
+
+    @pytest.mark.parametrize("model", ["wv", "gsv", "psv", "ev", "occ"])
+    def test_encode_log_is_what_the_writer_leaves_on_disk(self, tmp_path,
+                                                          model):
+        home, wal_dir = build_durable(tmp_path, model=model,
+                                      checkpoint_every=4)
+        assert list_segments(wal_dir) == [segment_name(0)]
+        assert len(home.durability.checkpoints) > 0
+        image = encode_log(home.wal.records, home.durability.checkpoints,
+                           home=f"{model}:3",
+                           events=home.sim.events_processed,
+                           time=home.sim.now)
+        assert image == (Path(wal_dir) / segment_name(0)).read_bytes()
+
+    def test_scan_log_equals_scan_wal_dir_of_the_saved_image(self, tmp_path):
+        home, wal_dir = build_durable(tmp_path, checkpoint_every=4)
+        image = (Path(wal_dir) / segment_name(0)).read_bytes()
+        for data in (image, image[:-7], image[:200] + image[231:]):
+            (Path(wal_dir) / segment_name(0)).write_bytes(data)
+            from_disk = scan_wal_dir(wal_dir, strict=False)
+            in_memory = scan_log(data, strict=False)
+            assert in_memory.status == from_disk.status
+            assert in_memory.header == from_disk.header
+            assert in_memory.truncated == from_disk.truncated
+            assert str(in_memory.corruption) == str(from_disk.corruption)
+            assert in_memory.record_offsets == from_disk.record_offsets
+            assert [r.to_dict() for r in in_memory.records] == \
+                [r.to_dict() for r in from_disk.records]
+        with pytest.raises(CorruptionError):
+            scan_log(image[:200] + image[231:])
+
+    def test_header_extra_rides_beside_the_scanner_keys(self):
+        image = encode_log(make_records(2), [], home="x:1",
+                           header_extra={"home_id": 7, "home": "spoofed"})
+        scan = scan_log(image)
+        assert scan.clean_close and scan.home == "x:1"
+        assert scan.header["home_id"] == 7
+        assert [r.seq for r in scan.records] == [0, 1]
+
+    def test_split_images_walks_a_concatenation(self):
+        images = [encode_log(make_records(count), [],
+                             header_extra={"home_id": count})
+                  for count in (3, 0, 5)]
+        data = b"".join(images)
+        split = split_images(data, "bundle")
+        assert [header["home_id"] for header, _, _ in split] == [3, 0, 5]
+        assert [data[offset:offset + length]
+                for _, offset, length in split] == images
+        assert split_images(b"", "bundle") == []
+
+    def test_split_images_names_path_and_offset_of_damage(self):
+        first, second = (encode_log(make_records(3), []) for _ in range(2))
+        flipped = bytearray(first + second)
+        flipped[len(first) + 40] ^= 0x04
+        cases = {
+            "torn": first + second[:-5],
+            "crc": bytes(flipped),
+            "magic": first + b"garbage",
+            # Cut on a frame boundary: whole frames, no final seal.
+            "unsealed": first + second[:second.rindex(b'{"digest"') - 9],
+        }
+        for name, data in cases.items():
+            with pytest.raises(CorruptionError) as excinfo:
+                split_images(data, "bundle", base=1000)
+            assert excinfo.value.path == "bundle", name
+            # Inside the second image, counted from ``base``.
+            assert 1000 + len(first) <= excinfo.value.offset \
+                < 1000 + len(data), name
+
+
 class TestGoldenHealthyLog:
     """What a healthy durable hub writes is pinned byte for byte: the
     sha256 of every segment file, the checkpoint digests and the
@@ -331,3 +407,7 @@ class TestGoldenHealthyLog:
         assert json.loads(json.dumps(fresh)) == \
             golden[f"{model}/{execution}"]
         assert len(fresh["checkpoint_digests"]) > 10
+
+    def test_fleet_container_bytes(self, tmp_path):
+        golden = json.loads(gen_wal_golden.GOLDEN_PATH.read_text())
+        assert gen_wal_golden.build_fleet(str(tmp_path)) == golden["fleet"]
