@@ -101,6 +101,8 @@ echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="
 "$PY" scripts/gen_fsck_fixtures.py --check
 "$PY" scripts/fsck_matrix.py --models ev,gsv --json "$DET_DIR/fsck.json"
+# WAL shape: no observation frames, bytes per routine under the ceiling.
+"$PY" scripts/check_wal_shape.py
 # The fleet log is a bundle of home logs: byte-identical whichever
 # backend spooled it, clean to fsck, and one flipped byte is refused.
 for backend in serial process; do

@@ -46,6 +46,10 @@ SEED, CRASH_AFTER_EVENTS = 15, 300
 PARAMS = dict(routines=120, concurrency=4, long_routine_pct=0.0,
               failed_device_pct=12.0, restart_after_s=60.0)
 DETECTOR_PING_PERIOD_S = 5.0
+# A log is mostly its inputs (observations are folded, not framed), so
+# the writer's 256 KiB default would never roll here: at 48 KiB the EV
+# and OCC cells keep a second segment in the fixture, as they had.
+SEGMENT_MAX_BYTES = 48 * 1024
 FLEET_CONFIG = dict(homes=3, seed=SEED, crashes=1)
 
 
@@ -56,10 +60,13 @@ def build_cell(model: str, execution: str, wal_dir: str) -> dict:
                     durability=True, wal_dir=wal_dir)
     home.load_workload(generate_microbenchmark(MicroParams(**PARAMS),
                                                seed=SEED))
+    home.durability.storage.segment_max_bytes = SEGMENT_MAX_BYTES
     home.crash(after_events=CRASH_AFTER_EVENTS)
     home.run()
     assert home.crashed, f"{model}/{execution}: the crash never fired"
     recovery = home.recover(mode="replay")
+    # Recovery swapped in the staged incarnation's writer.
+    home.durability.storage.segment_max_bytes = SEGMENT_MAX_BYTES
     home.run()
     home.close_wal()
     return {

@@ -159,14 +159,13 @@ def recovery_sweep(repeats_list, intervals) -> Dict[str, Any]:
     """Recovery cost vs WAL length and checkpoint interval."""
     from repro.bench.suites.recovery_util import crash_and_recover
 
-    cells = [("wal-length", repeats, 32, False)
-             for repeats in repeats_list]
-    cells += [("checkpoint-interval", 4, interval, bool(interval))
+    cells = [("wal-length", repeats, 32) for repeats in repeats_list]
+    cells += [("checkpoint-interval", 4, interval)
               for interval in intervals]
     rows = []
-    for sweep, repeats, interval, compact in cells:
-        _home, report = crash_and_recover(
-            repeats, checkpoint_every=interval, compact=compact)
+    for sweep, repeats, interval in cells:
+        _home, report = crash_and_recover(repeats,
+                                          checkpoint_every=interval)
         rows.append({
             "sweep": sweep, "repeats": repeats,
             "checkpoint_every": interval,

@@ -11,12 +11,11 @@ from repro.workloads.chaos import chaos_workload
 
 
 def build_home(repeats: int, checkpoint_every: int = 32,
-               compact: bool = False, seed: int = 7) -> SafeHome:
+               seed: int = 7) -> SafeHome:
     """A durable EV home running ``repeats`` copies of the chaos scene."""
     home = SafeHome(visibility="ev", seed=seed,
                     durability=DurabilityConfig(
-                        checkpoint_every=checkpoint_every,
-                        compact_on_checkpoint=compact))
+                        checkpoint_every=checkpoint_every))
     workload = chaos_workload(seed)
     home.load_workload(workload)
     # Stack additional rounds of the same routines, shifted in time, so
@@ -28,14 +27,14 @@ def build_home(repeats: int, checkpoint_every: int = 32,
     return home
 
 
-def crash_and_recover(repeats: int, checkpoint_every: int = 32,
-                      compact: bool = False) -> Tuple[SafeHome, object]:
+def crash_and_recover(repeats: int, checkpoint_every: int = 32
+                      ) -> Tuple[SafeHome, object]:
     """Run to near-completion, crash, recover; return (home, report)."""
-    probe = build_home(repeats, checkpoint_every, compact)
+    probe = build_home(repeats, checkpoint_every)
     probe.run()
     total_events = probe.sim.events_processed
 
-    home = build_home(repeats, checkpoint_every, compact)
+    home = build_home(repeats, checkpoint_every)
     home.crash(after_events=max(1, total_events - 1))
     home.run()
     report = home.recover()

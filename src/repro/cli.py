@@ -337,11 +337,11 @@ def cmd_fsck(args: argparse.Namespace) -> int:
 
     try:
         report = fsck_path(args.path, salvage=args.salvage)
-    except (SafeHomeError, OSError, ValueError) as error:
-        # Unreadable before a report could be built (not a WAL
-        # directory, a foreign or missing fleet index): uncorrected.
-        print(f"fsck: {error}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as error:
+        # Unreadable before a report could be built (a foreign or
+        # missing fleet index): uncorrected, refused like "not a WAL
+        # directory" is — main() prints it and exits 2.
+        raise SafeHomeError(str(error)) from error
     text = report.to_json() + "\n"
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="in-flight routine handling on recovery "
                             "(default: replay)")
     crash.add_argument("--checkpoint-every", type=int, default=32,
-                       help="observation records per checkpoint "
+                       help="observations per checkpoint "
                             "(default: 32)")
     crash.add_argument("--scenario", default="",
                        help="run a generated 'synth:...' scenario "
@@ -810,9 +810,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str] = None) -> int:
+    from repro.errors import SafeHomeError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SafeHomeError as error:
+        # A typed refusal (existing WAL segments, a leftover spool
+        # worker file, not a WAL directory) is an answer, not a crash.
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,22 +35,18 @@ from repro.hub.durability.storage import encode_log, scan_log, split_images
 #: Merged artifact names inside ``wal_dir``.
 MERGED_NAME = "fleet-wal.segs"
 INDEX_NAME = "fleet-wal-index.json"
-INDEX_SCHEMA = "repro-fleet-wal-index/2"
+INDEX_SCHEMA = "repro-fleet-wal-index/3"
 _WORKER_FILES = "spool-*.seg"
 
 
 def home_wal_record(home_id: int, scenario: str, seed: int, home) -> bytes:
     """One finished durable home's block of the fleet log: its whole WAL
     as a log image labelled with the home's fleet identity.  The input
-    records are a complete replay recipe; the observations and seals
-    are the evidence replay and ``repro fsck`` verify it against."""
+    records are a complete replay recipe; the checkpoints, markers and
+    seals are the evidence replay and ``repro fsck`` verify it against."""
     manager = home.durability
     if manager is None:
         raise ValueError(f"home {home_id} is not durable; nothing to spool")
-    if manager.wal.compacted_observations:
-        raise ValueError(
-            f"home {home_id} compacted its WAL; a log image needs every "
-            f"record (compact_on_checkpoint must stay off in a fleet)")
     records = manager.wal.records
     created = records[0].payload
     return encode_log(
@@ -58,7 +54,8 @@ def home_wal_record(home_id: int, scenario: str, seed: int, home) -> bytes:
         home=f"{created['visibility']}:{created['seed']}",
         header_extra={"home_id": home_id, "scenario": scenario,
                       "seed": seed},
-        events=home.sim.events_processed, time=home.sim.now)
+        events=home.sim.events_processed, time=home.sim.now,
+        observed=manager.wal.observed())
 
 
 def refuse_leftover_workers(wal_dir: str) -> None:
@@ -209,13 +206,12 @@ def replay_spooled_home(record: Dict[str, Any]):
     every home log gets, then the replay engine hub recovery uses.  The
     returned :class:`SafeHome` has run to the final state the fleet
     worker reported — mid-run crash/recovery sequences included — and
-    the slice's own observations and checkpoint seals are the evidence:
-    a log that does not replay to them raises
-    :class:`~repro.errors.RecoveryError` naming the diverging record."""
+    the slice's own checkpoints, ``crash`` markers and final seal are
+    the evidence: a log that does not replay to them raises
+    :class:`~repro.errors.RecoveryError` naming the diverging interval."""
     from repro.hub.durability.replay import build_home, replay
 
     scan = scan_log(record["log"])
     home = build_home(scan.records)
-    replay(home, scan.records,
-           checkpoints=[seal for seal in scan.seals if not seal["final"]])
+    replay(home, scan.records, end=scan.seals[-1])
     return home

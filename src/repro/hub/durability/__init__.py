@@ -4,8 +4,7 @@ See ``docs/durability.md`` for the record taxonomy, checkpoint format,
 the on-disk frame layout and the per-model recovery policy table.
 """
 
-from repro.hub.durability.checkpoint import (Checkpoint, capture_checkpoint,
-                                             state_digest)
+from repro.hub.durability.checkpoint import Checkpoint, state_digest
 from repro.hub.durability.faults import (FAULT_KINDS, inject_fault,
                                          inject_fleet_fault)
 from repro.hub.durability.fsck import FsckReport, fsck_path
@@ -26,7 +25,6 @@ __all__ = [
     "MARKER_TYPES",
     "jsonify",
     "Checkpoint",
-    "capture_checkpoint",
     "state_digest",
     "DurabilityConfig",
     "DurabilityManager",

@@ -12,11 +12,13 @@ way a log becomes a hub again re-executes the inputs from the start
 (:mod:`repro.hub.durability.replay`), so no path restores from a
 checkpoint.  Checkpoints serve three roles:
 
-* **compaction floor** — observation records below the checkpoint may
-  be dropped from the WAL; the checkpoint's digest stands in for them;
+* **observation seal** — the log keeps no observation records; each
+  checkpoint carries the WAL's rolling observation digest and count at
+  capture (:attr:`Checkpoint.observed`);
 * **replay verification** — recovery re-executes the input log, and the
-  regenerated checkpoints' digests must match the logged ones, so a
-  divergence anywhere in the prefix is caught even after compaction;
+  regenerated checkpoints' state digests and observation seals must
+  match the logged ones, which locates a divergence to one checkpoint
+  interval;
 * **measurement** — the `recovery_sweep` benchmark sweeps the
   checkpoint interval against recovery time and WAL length.
 
@@ -75,15 +77,4 @@ class Checkpoint:
     time: float                 # virtual time of capture
     events_processed: int       # simulator event count at capture
     digest: str                 # sha256 over the jsonified state
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"seq": self.seq, "time": self.time,
-                "events": self.events_processed, "digest": self.digest}
-
-
-def capture_checkpoint(seq: int, time: float, events_processed: int,
-                       state: Dict[str, Any]) -> Checkpoint:
-    """Build a checkpoint: ``state`` is digested here and dropped."""
-    return Checkpoint(seq=seq, time=time,
-                      events_processed=events_processed,
-                      digest=state_digest(state))
+    observed: Dict[str, Any]    # WriteAheadLog.observed() at capture

@@ -127,7 +127,9 @@ def _replay_and_verify(scan: WalScan, bounded: bool) -> tuple:
     """(result_dict, replayed_home_or_None) for one scanned log."""
     try:
         home = build_home(scan.records)
-        report = home.salvage_records(scan.records, bounded=bounded)
+        report = home.salvage_records(
+            scan.records, bounded=bounded,
+            end=scan.seals[-1] if scan.clean_close and not bounded else None)
         if bounded:
             # Salvage leaves the hub at the checkpoint boundary with
             # the event queue intact; life resumes from there.  Run to

@@ -19,7 +19,7 @@ the hub died (``DurabilityConfig.recovery``):
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.hub.durability.checkpoint import Checkpoint, capture_checkpoint
+from repro.hub.durability.checkpoint import Checkpoint, state_digest
 from repro.hub.durability.wal import WriteAheadLog
 
 #: Recovery modes (see module docstring).
@@ -30,14 +30,10 @@ RECOVERY_MODES = ("replay", "policy")
 class DurabilityConfig:
     """Tunables of the durable hub."""
 
-    #: Take a checkpoint every N observation records (0 disables).
+    #: Take a checkpoint every N observations (0 disables).
     checkpoint_every: int = 64
     #: Default recovery mode for :meth:`SafeHome.recover`.
     recovery: str = "replay"
-    #: Drop observation records below each new checkpoint (bounds WAL
-    #: memory; verification then covers the digest-protected prefix
-    #: plus the live suffix).
-    compact_on_checkpoint: bool = False
 
     def __post_init__(self) -> None:
         if self.recovery not in RECOVERY_MODES:
@@ -83,8 +79,8 @@ class RecoveryReport:
     crash_time: float
     crash_events: int
     replayed_events: int        # simulator events re-executed
-    replayed_records: int       # observation records re-verified
-    wal_records: int            # total WAL length at crash
+    replayed_records: int       # observations the verified seals cover
+    wal_records: int            # journal entries, folded or framed
     checkpoints_verified: int
     resumed: List[int] = field(default_factory=list)    # routine ids
     aborted: List[int] = field(default_factory=list)    # routine ids
@@ -153,9 +149,9 @@ class DurabilityManager:
 
     def observe(self, type_: str, payload: Dict[str, Any],
                 time: float) -> None:
-        # Buffered: the WAL materializes (and sequence-numbers) the
-        # observation at the next event boundary — see on_event_processed
-        # — so the hub's per-decision path only appends a tuple.
+        # Buffered: the WAL folds the observation into its digest at
+        # the next event boundary — see on_event_processed — so the
+        # hub's per-decision path only appends a tuple.
         self.wal.buffer_observation(type_, payload, time)
         if self.config.checkpoint_every:
             self._observations_since_checkpoint += 1
@@ -170,14 +166,15 @@ class DurabilityManager:
             **plan_payload,
             "time": self._now(),
             "events": self._events(),
+            **self.wal.observed(),
         }, self._now())
 
     # -- checkpointing ---------------------------------------------------------
 
     def on_event_processed(self) -> None:
-        """Simulator post-event hook: flush the observation buffer
-        (batch JSON-ready record construction per event boundary) and
-        take due checkpoints here."""
+        """Simulator post-event hook: fold the observation buffer (one
+        encoder call per event boundary) and take due checkpoints
+        here."""
         self.wal.flush()
         if self._checkpoint_due:
             self._checkpoint_due = False
@@ -189,26 +186,28 @@ class DurabilityManager:
 
     def take_checkpoint(self) -> Checkpoint:
         self._observations_since_checkpoint = 0
-        checkpoint = capture_checkpoint(
+        # The state is digested here and dropped.
+        checkpoint = Checkpoint(
             seq=self.wal.next_seq, time=self._now(),
             events_processed=self._events(),
-            state=self._capture_state())
+            digest=state_digest(self._capture_state()),
+            observed=self.wal.observed())
         self.checkpoints.append(checkpoint)
         if self.storage is not None:
-            # The seal lands *before* the checkpoint observation record
-            # (which materializes at the next flush with this seq), so
-            # the scanner's floor invariant is seal.seq == next record.
+            # The seal lands *before* the checkpoint record (which
+            # materializes at the next flush with this seq), so the
+            # scanner's floor invariant is seal.seq == next record.
             self.storage.seal(
                 seq=checkpoint.seq, digest=checkpoint.digest,
                 events=checkpoint.events_processed, time=checkpoint.time,
-                index=len(self.checkpoints) - 1)
-        # The marker doubles as in-log digest evidence: replay
-        # regenerates it and the observation comparison covers it.
+                index=len(self.checkpoints) - 1,
+                observed=checkpoint.observed)
+        # In-log evidence, compared whole with the one replay
+        # regenerates; an observation too (folded, and counted).
         self.observe("checkpoint", {
             "digest": checkpoint.digest,
             "events": checkpoint.events_processed,
             "index": len(self.checkpoints) - 1,
+            **checkpoint.observed,
         }, self._now())
-        if self.config.compact_on_checkpoint:
-            self.wal.compact(checkpoint.seq)
         return checkpoint

@@ -4,9 +4,10 @@ The hub is a deterministic asynchronous system: the event queue is
 totally ordered and every random draw comes from a named seeded stream.
 A log is therefore a complete recipe (Vlad's *regular asynchronous
 systems*): rebuild a fresh stack, re-apply the input records in order,
-re-execute — and *verify*, not assume: the regenerated observations and
-checkpoint digests must match the logged ones, and any divergence
-raises :class:`~repro.errors.RecoveryError`.
+re-execute — and *verify*, not assume: the regenerated observation
+seals (rolling digest + count, at every checkpoint, ``crash`` marker
+and clean close) and checkpoint digests must match the logged ones, and
+any divergence raises :class:`~repro.errors.RecoveryError`.
 
 Every door — :meth:`SafeHome.recover`, :meth:`SafeHome.salvage_records`
 (``repro fsck``), :meth:`SafeHome.migrate`, the fleet's
@@ -183,24 +184,25 @@ def _last(records, type_: str):
 
 
 def replay(home, records, *, floor=None, heal_crashes: bool = False,
-           checkpoints=None, compacted: int = 0) -> ReplayOutcome:
+           end=None) -> ReplayOutcome:
     """Re-apply ``records``' inputs to the freshly built ``home``, then
     verify the evidence ``records`` hold against what replay regenerated.
 
     ``home-created`` is skipped (the fresh hub journaled its own);
-    markers and observations regenerate.  ``floor`` (a ``checkpoint``
-    record) bounds the replay: only inputs below it are applied and
-    every run stops at its event count.  With ``heal_crashes`` a crash
-    that fires with no ``recovery`` record up next — the log was cut
-    there, or another model reached a crash point the logged one never
-    hit — is resumed in ``replay`` mode and journaled, and the hub must
-    end alive; without it the hub ends wherever the log does.
+    markers, checkpoints and observations regenerate.  ``floor`` (a
+    ``checkpoint`` record) bounds the replay: only inputs below it are
+    applied and every run stops at its event count.  With
+    ``heal_crashes`` a crash that fires with no ``recovery`` record up
+    next — the log was cut there, or another model reached a crash point
+    the logged one never hit — is resumed in ``replay`` mode and
+    journaled, and the hub must end alive; without it the hub ends
+    wherever the log does.
 
-    ``checkpoints`` (``Checkpoint.to_dict`` forms) and ``compacted`` are
-    evidence kept beside the records.  Given ``checkpoints``, the log is
-    taken to be whole: replay must regenerate exactly its observation
-    and checkpoint counts.  Otherwise the checkpoint records up to the
-    floor are the digest evidence and replay may outrun them.
+    ``end`` is the log's closing observation seal (the old manager's,
+    or a final seal frame), kept beside the records.  Given it, the log
+    is taken to be whole: replay must end on exactly that seal.
+    Otherwise the evidence horizon is the log's last checkpoint or
+    ``crash`` marker and replay may outrun it.
     """
     floor_seq = floor.seq if floor is not None else None
     inputs = [r for r in records
@@ -230,65 +232,83 @@ def replay(home, records, *, floor=None, heal_crashes: bool = False,
         raise RecoveryError(
             "replay ended crashed: a crash plan fired inside the replay "
             "window and could not be healed")
-    return ReplayOutcome(info, *_verify(home, records, floor_seq,
-                                       checkpoints, compacted))
+    return ReplayOutcome(info, *_verify(home, records, floor_seq, end))
 
 
-def _verify(home, records, floor_seq, checkpoints, compacted) -> tuple:
-    """Cross-check regenerated observations and checkpoint digests
-    against the logged evidence; raises :class:`RecoveryError` naming
-    the diverging record.  Returns the two evidence counts."""
-    whole = checkpoints is not None
-    wal, new_cps = home.durability.wal, home.durability.checkpoints
-    below = [r for r in records if floor_seq is None or r.seq <= floor_seq]
-    old_obs = [r for r in below if r.is_observation and r.seq != floor_seq]
-    if whole:
-        digests = [(index, entry["digest"], entry["seq"])
-                   for index, entry in enumerate(checkpoints)]
-    else:
-        digests = [(r.payload.get("index"), r.payload.get("digest"), r.seq)
-                   for r in below if r.type == "checkpoint"]
-    new_obs = wal.observations()
-    # Compaction drops a prefix of the observation stream on either side
-    # (checkpoint digests cover it), so compare by stream position.
-    shift = compacted - wal.compacted_observations
-    regenerated = (len(new_obs) - shift, len(new_cps))
-    logged = (len(old_obs), len(digests))
-    if regenerated[0] < logged[0] or (whole and regenerated != logged):
-        raise RecoveryError(
-            f"replay diverged from the log: regenerated {regenerated[0]} "
-            f"observation records and {regenerated[1]} checkpoints, the "
-            f"log holds {logged[0]} and {logged[1]}")
-    for index, old in enumerate(old_obs):
-        if index + shift < 0:
-            continue        # compacted away on the replayed side too
-        new = new_obs[index + shift]
+#: The records that carry an observation seal (and, for a checkpoint,
+#: a state digest): what a log holds as evidence about its replay.
+_EVIDENCE_TYPES = ("checkpoint", "crash")
+
+
+def _seal(payload) -> tuple:
+    return payload.get("obs_digest"), payload.get("observations")
+
+
+def _seals(logged, replayed) -> str:
+    (was, count), (now, regenerated) = _seal(logged), _seal(replayed)
+    return (f"the log seals {count} observations ({was!s:.12}), replay "
+            f"regenerated {regenerated} ({now!s:.12})")
+
+
+def _verify(home, records, floor_seq, end) -> tuple:
+    """Cross-check every logged evidence record against the one replay
+    regenerated in its place — observation seal, state digest, the rest
+    of the payload — and the closing seal ``end``; raises
+    :class:`RecoveryError` naming the first interval that differs.
+    Returns the observation and checkpoint counts verified."""
+    wal = home.durability.wal
+    logged = [r for r in records if r.type in _EVIDENCE_TYPES
+              and (floor_seq is None or r.seq <= floor_seq)]
+    replayed = [r for r in wal.records if r.type in _EVIDENCE_TYPES]
+    events = observed = 0
+    for position, old in enumerate(logged):
+        index = old.payload.get("index")
+        interval = f"checkpoint interval {index}" \
+            if old.type == "checkpoint" else "the interval up to the crash"
+        where = (f"(seq {old.seq}, type {old.type!r}, events "
+                 f"{events}..{old.payload.get('events')})")
+        if position >= len(replayed):
+            raise RecoveryError(
+                f"replay regenerated {len(replayed)} checkpoints and crash "
+                f"markers; the end of {interval} {where} was never reached")
+        new = replayed[position]
+        same = old.type == new.type
+        if same and _seal(old.payload) != _seal(new.payload):
+            raise RecoveryError(
+                f"replay diverged from the log: the observations of "
+                f"{interval} differ {where}: "
+                + _seals(old.payload, new.payload))
         if old.identity() != new.identity():
+            what = f"checkpoint {index} digest mismatch" if same and \
+                old.payload.get("digest") != new.payload.get("digest") \
+                else f"the record closing {interval} differs"
             raise RecoveryError(
-                f"replay diverged from the log: observation #{index} "
-                f"(seq {old.seq}, type {old.type!r}) differs: logged "
+                f"replay diverged from the log: {what} {where}: logged "
                 f"{old.identity()}, replayed {new.identity()}")
-    for index, digest, seq in digests:
-        if index is None or index >= len(new_cps):
+        events, observed = old.payload["events"], old.payload["observations"]
+    if end is not None:
+        closing = wal.observed()
+        if len(replayed) != len(logged):
             raise RecoveryError(
-                f"replay regenerated {len(new_cps)} checkpoints; logged "
-                f"checkpoint index {index} (seq {seq}, type "
-                f"'checkpoint') was never reached")
-        if new_cps[index].digest != digest:
+                f"replay regenerated {len(replayed)} checkpoints and crash "
+                f"markers, the whole log holds {len(logged)}")
+        if _seal(closing) != _seal(end):
             raise RecoveryError(
-                f"replay diverged from the log: checkpoint {index} "
-                f"digest mismatch (seq {seq}, type 'checkpoint')")
-    return len(old_obs), len(digests)
+                f"replay diverged from the log: the observations after the "
+                f"last checkpoint or crash marker differ (events "
+                f"{events}..{home.sim.events_processed}): "
+                + _seals(end, closing))
+        observed = closing["observations"]
+    return observed, sum(r.type == "checkpoint" for r in logged)
 
 
 # -- the doors (SafeHome.recover / salvage_records / migrate delegate here) -----
 
 
-def _salvage(home, records, bounded: bool, compacted: int = 0
-             ) -> ReplayOutcome:
+def _salvage(home, records, bounded: bool, end=None) -> ReplayOutcome:
     """Healing replay of a (possibly damaged) log, cut at its last good
     checkpoint when ``bounded``."""
-    outcome = replay(home, records, heal_crashes=True, compacted=compacted,
+    outcome = replay(home, records, heal_crashes=True, end=end,
                      floor=_last(records, "checkpoint") if bounded else None)
     # The crash this log died of already happened; the salvaged
     # incarnation must not die of it again (journaled, so the new WAL
@@ -298,9 +318,14 @@ def _salvage(home, records, bounded: bool, compacted: int = 0
 
 
 def _finish(home, mode: str, records, outcome: ReplayOutcome,
-            started: float, compacted: int) -> RecoveryReport:
+            started: float) -> RecoveryReport:
     """Restart the replayed hub under ``mode`` and file the report."""
     resumed, aborted = restart(home, mode)
+    observed = outcome.observations_verified
+    # A checkpoint is both a record and an observation later seals count.
+    framed_observations = sum(
+        1 for r in records if r.type == "checkpoint"
+        and r.payload["observations"] < observed)
     crash = _last(records, "crash")
     if crash is not None:
         crash_time = crash.payload["time"]
@@ -315,8 +340,8 @@ def _finish(home, mode: str, records, outcome: ReplayOutcome,
         crash_time=crash_time,
         crash_events=crash_events,
         replayed_events=home.sim.events_processed,
-        replayed_records=outcome.observations_verified,
-        wal_records=len(records) + compacted,
+        replayed_records=observed,
+        wal_records=len(records) + observed - framed_observations,
         checkpoints_verified=outcome.checkpoints_verified,
         resumed=resumed,
         aborted=aborted,
@@ -338,7 +363,6 @@ def recover(home, mode: Optional[str] = None) -> RecoveryReport:
                          f"pick from {RECOVERY_MODES + ('salvage',)}")
     started = time.perf_counter()
     records = list(home.durability.wal.records)
-    compacted = home.durability.wal.compacted_observations
     if mode != "salvage" and _last(records, "crash") is None:
         # A failed migration marks the hub crashed without a crash
         # record: there is no boundary to replay to, only a WAL to
@@ -349,34 +373,31 @@ def recover(home, mode: Optional[str] = None) -> RecoveryReport:
             "(e.g. by an aborted migration), not crashed mid-run")
     with staged_rebuild(home) as old_manager:
         if mode == "salvage":
-            outcome = _salvage(home, records, bounded=True,
-                               compacted=compacted)
+            outcome = _salvage(home, records, bounded=True)
         else:
-            outcome = replay(
-                home, records, compacted=compacted,
-                checkpoints=[checkpoint.to_dict()
-                             for checkpoint in old_manager.checkpoints])
+            outcome = replay(home, records, end=old_manager.wal.observed())
             if not home._crashed:
                 raise RecoveryError(
                     "replay finished without reaching the crash "
                     "point (corrupt or truncated WAL)")
-    return _finish(home, mode, records, outcome, started, compacted)
+    return _finish(home, mode, records, outcome, started)
 
 
-def salvage(home, records, bounded: bool = True) -> RecoveryReport:
+def salvage(home, records, bounded: bool = True, end=None
+            ) -> RecoveryReport:
     """:meth:`SafeHome.salvage_records`: another incarnation's records
     into a :func:`build_home` twin."""
     if home.durability is None:
         raise SafeHomeError("durability is not enabled")
     started = time.perf_counter()
     records = list(records)
-    outcome = _salvage(home, records, bounded)
-    return _finish(home, "salvage", records, outcome, started, 0)
+    outcome = _salvage(home, records, bounded, end)
+    return _finish(home, "salvage", records, outcome, started)
 
 
 def migrate(home, visibility) -> MigrationReport:
     """:meth:`SafeHome.migrate`: the live hub's inputs under another
-    visibility model.  Observations made under the source model are no
+    visibility model.  Seals made under the source model are no
     evidence about the target's, so only the inputs are handed to
     :func:`replay` and nothing is verified; the forced boundary
     checkpoint's digest goes into the report and ``migration`` marker."""

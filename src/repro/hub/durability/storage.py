@@ -3,8 +3,9 @@
 PR 3 gave the hub a typed in-memory WAL; this module puts it on disk in
 a form that *detects and survives* storage faults instead of trusting
 the filesystem.  A durable home constructed with
-``SafeHome(durability=True, wal_dir=...)`` streams every materialized
-WAL record into segment files:
+``SafeHome(durability=True, wal_dir=...)`` streams every WAL record
+(inputs, markers, checkpoints — never another observation) into
+segment files:
 
 * **segments** — append-only files ``wal-000000.seg``, rolled once a
   segment passes ``segment_max_bytes``.  Each starts with an 8-byte
@@ -17,10 +18,11 @@ WAL record into segment files:
   record is caught.  The payload is the canonical JSON record form
   (``WalRecord.to_dict`` with sorted keys).
 * **seals** — at every checkpoint boundary the writer appends a seal
-  frame holding the checkpoint's sequence floor, event count and state
-  digest; ``close()`` appends a final seal.  Everything at or before a
-  seal is *digest-protected history*; anything after the last seal is
-  the crash-window tail.
+  frame holding the checkpoint's sequence floor, event count, state
+  digest and observation seal; ``close()`` appends a final seal with
+  the closing one.  Everything at or before a seal is
+  *digest-protected history*; anything after the last seal is the
+  crash-window tail.
 * **flush discipline** — the observation buffer drains at simulator
   event boundaries (PR 5); the storage writer flushes to the OS at the
   same boundary and at every seal, so the on-disk tail is torn only
@@ -53,6 +55,7 @@ log is a concatenation of such images (:func:`split_images`), and any
 one of them reads back through :func:`scan_log`.
 """
 
+import hashlib
 import json
 import os
 import struct
@@ -66,11 +69,15 @@ from repro.hub.durability.wal import WalRecord, encode_compact
 #: File-format constants.  The magic rejects foreign files before any
 #: frame parsing; the version lives in every segment header.
 MAGIC = b"REPROWAL"
-SEGMENT_SCHEMA = "repro-wal-seg/1"
-SEGMENT_VERSION = 1
+SEGMENT_SCHEMA = "repro-wal-seg/2"
+SEGMENT_VERSION = 2
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".seg"
 STAGING_DIR = ".staging-wal"
+
+#: The observation seal of a log that folded nothing.
+NO_OBSERVATIONS = {"obs_digest": hashlib.sha256().hexdigest(),
+                   "observations": 0}
 
 #: Frame header: payload length, crc32(kind + payload), frame kind.
 FRAME = struct.Struct("<IIB")
@@ -153,21 +160,22 @@ def record_frame(record: WalRecord) -> bytes:
 
 
 def seal_frame(seq: int, digest: Optional[str], events: int, time: float,
-               index: int, final: bool = False) -> bytes:
+               index: int, final: bool = False,
+               observed: Dict[str, Any] = NO_OBSERVATIONS) -> bytes:
     return encode_frame(KIND_SEAL, canonical_json({
-        "digest": digest, "events": events, "final": final,
+        **observed, "digest": digest, "events": events, "final": final,
         "index": index, "seq": seq, "time": time}))
 
 
 def encode_log(records, checkpoints, *, home: str = "home",
                header_extra: Optional[Dict[str, Any]] = None,
-               events: int = 0, time: float = 0.0) -> bytes:
+               events: int = 0, time: float = 0.0,
+               observed: Dict[str, Any] = NO_OBSERVATIONS) -> bytes:
     """A finished in-memory log as one single-segment image: byte for
     byte what a :class:`SegmentedWalWriter` that never rolled leaves
     after ``close()`` — magic, header, the record frames with a seal
     ahead of each checkpoint's record, a final seal carrying the hub's
-    ``events`` / ``time``.  ``records`` must be uncompacted (sequence
-    numbers contiguous from 0), or the image will not scan."""
+    ``events`` / ``time`` and closing observation seal."""
     sealed = {checkpoint.seq: (index, checkpoint)
               for index, checkpoint in enumerate(checkpoints)}
     parts = [MAGIC, header_frame(home, 0, 0, header_extra)]
@@ -176,10 +184,11 @@ def encode_log(records, checkpoints, *, home: str = "home",
             index, checkpoint = sealed[record.seq]
             parts.append(seal_frame(
                 record.seq, checkpoint.digest,
-                checkpoint.events_processed, checkpoint.time, index))
+                checkpoint.events_processed, checkpoint.time, index,
+                observed=checkpoint.observed))
         parts.append(record_frame(record))
     parts.append(seal_frame(len(records), None, events, time,
-                            len(checkpoints), final=True))
+                            len(checkpoints), True, observed))
     return b"".join(parts)
 
 
@@ -262,13 +271,15 @@ class SegmentedWalWriter:
         self._next_seq = record.seq + 1
 
     def seal(self, seq: int, digest: Optional[str], events: int,
-             time: float, index: int, final: bool = False) -> None:
+             time: float, index: int, final: bool = False,
+             observed: Dict[str, Any] = NO_OBSERVATIONS) -> None:
         """Seal the log at a checkpoint boundary (or at clean close).
 
         Everything below ``seq`` is now digest-protected history; a
         torn tail can only ever cost records after the last seal.
         """
-        self._write(seal_frame(seq, digest, events, time, index, final))
+        self._write(seal_frame(seq, digest, events, time, index, final,
+                               observed))
         self.flush()
 
     def flush(self) -> None:
@@ -277,7 +288,8 @@ class SegmentedWalWriter:
             self._handle.flush()
 
     def close(self, seal_events: int = 0, seal_time: float = 0.0,
-              seal_index: int = 0, write_final_seal: bool = True) -> None:
+              seal_index: int = 0, write_final_seal: bool = True,
+              observed: Dict[str, Any] = NO_OBSERVATIONS) -> None:
         """Finish the log: optional final seal, flush, close handles.
 
         A log whose last frame is a ``final`` seal was closed cleanly;
@@ -287,7 +299,8 @@ class SegmentedWalWriter:
             return
         if write_final_seal and self._handle is not None:
             self.seal(seq=self._next_seq, digest=None, events=seal_events,
-                      time=seal_time, index=seal_index, final=True)
+                      time=seal_time, index=seal_index, final=True,
+                      observed=observed)
         if self._handle is not None:
             self._handle.flush()
             self._handle.close()
@@ -555,12 +568,13 @@ def _parse_frames(data: bytes, name: str, is_last_segment: bool,
 
 
 def _cross_check_seals(scan: WalScan) -> None:
-    """Every checkpoint observation record must have a matching seal.
+    """Every checkpoint record must have a matching seal.
 
     The seal frame is written at capture time, the checkpoint record
     flushes at the next event boundary — so a checkpoint record whose
-    seal is absent (or whose digest disagrees) means a seal frame was
-    removed or tampered with, not a crash window.
+    seal is absent (or whose state digest or observation seal
+    disagrees) means a seal frame was removed or tampered with, not a
+    crash window.
     """
     seals_by_index = {s.get("index"): s for s in scan.seals
                       if not s.get("final")}
@@ -576,7 +590,8 @@ def _cross_check_seals(scan: WalScan) -> None:
                 path=name, offset=offset, seq=record.seq,
                 record_type=record.type)
             return
-        if seal.get("digest") != record.payload.get("digest"):
+        if any(seal.get(key) != record.payload.get(key)
+               for key in ("digest", "obs_digest", "observations")):
             scan.corruption = CorruptionError(
                 f"checkpoint {index} digest disagrees with its seal",
                 path=name, offset=offset, seq=record.seq,

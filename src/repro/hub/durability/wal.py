@@ -8,15 +8,17 @@ ordered, JSON-serializable journal of
 
 * **inputs** — everything the outside world told the hub (devices
   added, routines registered, invocations, failure plans, run calls,
-  scheduled crashes).  Inputs are never compacted: together with the
-  hub's seed they are a complete recipe for deterministic re-execution.
+  scheduled crashes).  Together with the hub's seed they are a complete
+  recipe for deterministic re-execution.
 * **observations** — everything the hub decided or witnessed while
   executing (admission decisions, lock grants, command dispatch/ack,
   lineage mutations, detections, commits/aborts).  Observations are
-  *redo evidence*: recovery re-derives them by replaying the inputs and
-  cross-checks the regenerated stream against the log, so a divergence
-  (lost record, non-determinism) is detected rather than silently
-  accepted.  Observations may be compacted away below a checkpoint.
+  *redo evidence*: replay re-derives every one of them from the inputs,
+  so the log keeps none.  They are folded, in order, into a rolling
+  SHA-256 beside a count (:meth:`WriteAheadLog.observed`), and that
+  pair is sealed wherever evidence is written — every checkpoint, every
+  ``crash`` marker, the final seal — for replay to regenerate and
+  compare.  Only ``checkpoint`` observations also become records.
 
 Records are plain dataclasses held in memory; their one serialized
 form is the CRC-framed log image of
@@ -25,6 +27,7 @@ form is the CRC-framed log image of
 unserializable.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -44,7 +47,8 @@ INPUT_TYPES = frozenset({
     "recovery",
 })
 
-#: Record types regenerated by replay and verified against the log.
+#: Entry types regenerated by replay and verified against the log's
+#: sealed digests; ``checkpoint`` is the only one that is also a record.
 OBSERVATION_TYPES = frozenset({
     "routine-submitted",
     "routine-admitted",
@@ -72,6 +76,14 @@ MARKER_TYPES = frozenset({"crash", "migration"})
 _PLAIN_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
+def _jsonify_leaf(value: Any) -> Any:
+    """What :func:`jsonify` makes of a value the JSON encoder cannot
+    walk itself (sets sort, everything else is its ``repr``)."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(jsonify(item) for item in value)
+    return repr(value)
+
+
 def jsonify(value: Any) -> Any:
     """Make ``value`` JSON-serializable, deterministically.
 
@@ -89,17 +101,22 @@ def jsonify(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [item if type(item) in _PLAIN_SCALARS else jsonify(item)
                 for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(jsonify(item) for item in value)
     if isinstance(value, (bool, int, float, str)):      # scalar subclasses
         return value
-    return repr(value)
+    return _jsonify_leaf(value)
 
 
 #: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` — the
 #: text form of every frame payload — without an encoder per call.
 encode_compact = json.JSONEncoder(sort_keys=True,
                                   separators=(",", ":")).encode
+
+
+#: The observation fold's encoder: compact canonical text, the C
+#: encoder walking the plain containers and calling back only for a
+#: non-JSON leaf — no Python-level pass over every payload.
+_encode_observations = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_jsonify_leaf).encode
 
 
 @dataclass
@@ -111,19 +128,13 @@ class WalRecord:
     type: str
     payload: Dict[str, Any] = field(default_factory=dict)
     # Canonical payload JSON, encoded once: the on-disk frame is
-    # assembled from it and every identity() comparison reuses it
-    # (recovery verifies each observation at least twice: the logged
-    # record and its replayed twin).
+    # assembled from it and every identity() comparison reuses it.
     _canonical: Optional[str] = field(default=None, init=False,
                                       repr=False, compare=False)
 
     @property
     def is_input(self) -> bool:
         return self.type in INPUT_TYPES
-
-    @property
-    def is_observation(self) -> bool:
-        return self.type in OBSERVATION_TYPES
 
     def canonical_payload(self) -> str:
         """Deterministic payload encoding (sorted keys, the frame
@@ -135,8 +146,8 @@ class WalRecord:
         return canonical
 
     def identity(self) -> tuple:
-        """What replay verification compares (seq excluded: compaction
-        and copied inputs shift absolute sequence numbers)."""
+        """What replay verification compares (seq excluded: a healing
+        replay journals recoveries the log never had)."""
         return (self.type, self.time, self.canonical_payload())
 
     def to_dict(self) -> Dict[str, Any]:
@@ -151,67 +162,69 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """Append-only typed record log with checkpoint compaction.
+    """Append-only typed record log with an observation digest.
 
-    Observation records are *buffered*: the hub's hot path hands
-    ``(type, payload, time)`` triples to :meth:`buffer_observation` and
-    the durability manager drains them once per simulator event
-    boundary (:meth:`flush`), which batches record construction away
-    from the per-decision path.  Sequence numbers are assigned at flush
-    in buffer order, and any input/marker append flushes first, so the
-    materialized log is record-for-record identical to the old
-    append-immediately behavior.  Every read surface (:attr:`records`,
-    iteration, views) flushes before exposing records.
+    The log holds what replay cannot re-derive — inputs, markers — and
+    the ``checkpoint`` records.  Every other observation is *folded*:
+    the hub's hot path hands ``(type, payload, time)`` triples to
+    :meth:`buffer_observation`, and :meth:`flush` (once per simulator
+    event boundary, and before any read or append) feeds the batch to a
+    rolling SHA-256 as the canonical text of each ``[type, time,
+    payload]`` followed by a comma.  The text of a batch is the
+    concatenation of its entries' texts, so the digest depends on the
+    observations and their order only, never on where the flush
+    boundaries fell.  Sequence numbers count records; any input/marker
+    append flushes first, so a ``checkpoint`` record sits exactly where
+    its observation was emitted.
     """
 
     def __init__(self) -> None:
         self._records: List[WalRecord] = []
         #: Buffered observations awaiting the next event boundary.
-        self._pending: List[Tuple[str, Dict[str, Any], float]] = []
+        self._pending: List[Tuple[str, float, Dict[str, Any]]] = []
         self._next_seq = 0
-        #: Observation records dropped by :meth:`compact` (they were
-        #: covered by a checkpoint digest); kept as a count so stats
-        #: stay truthful after compaction.
-        self.compacted_observations = 0
+        self._observations = hashlib.sha256()
+        #: Observations folded so far, ``checkpoint`` ones included.
+        self.observation_count = 0
         #: Optional durable sink: called with each record exactly once,
         #: at materialization (flush/append/copy), in sequence order —
         #: so an on-disk log sees the same total order as memory,
         #: regardless of which code path triggered the flush.
-        #: Compaction never reaches the sink: disk keeps full history.
         self.sink = None
 
     @property
     def records(self) -> List[WalRecord]:
         """The materialized log (drains the observation buffer)."""
-        if self._pending:
-            self.flush()
+        self.flush()
         return self._records
 
     @property
     def next_seq(self) -> int:
         """The sequence number the next record will get — a checkpoint's
         floor (drains the observation buffer, which it must cover)."""
-        if self._pending:
-            self.flush()
+        self.flush()
         return self._next_seq
 
-    def __len__(self) -> int:
-        return len(self._records) + len(self._pending)
-
-    def __iter__(self):
-        return iter(self.records)
+    def observed(self) -> Dict[str, Any]:
+        """The observation seal — the rolling digest over every
+        observation emitted so far, and their count: what each piece of
+        evidence (checkpoint, ``crash`` marker, final seal) carries."""
+        self.flush()
+        return {"obs_digest": self._observations.hexdigest(),
+                "observations": self.observation_count}
 
     def buffer_observation(self, type_: str, payload: Dict[str, Any],
                            time: float) -> None:
         """Queue one observation for the next :meth:`flush`."""
         if type_ not in OBSERVATION_TYPES:
             raise ValueError(f"not an observation type: {type_!r}")
-        self._pending.append((type_, payload, time))
+        self._pending.append((type_, time, payload))
 
     def flush(self) -> int:
-        """Materialize buffered observations (batch, in buffer order).
+        """Fold the buffered observations into the digest (one encoder
+        call for the batch) and materialize the ``checkpoint`` ones.
 
-        Returns the number of records appended.  Called by the
+        Returns the number of entries consumed.  Called by the
         durability manager at every simulator event boundary and
         implicitly by any read or input append.
         """
@@ -219,85 +232,42 @@ class WriteAheadLog:
         if not pending:
             return 0
         self._pending = []
-        seq = self._next_seq
-        records = self._records
-        sink = self.sink
-        for type_, payload, time in pending:
-            record = WalRecord(seq=seq, time=time, type=type_,
-                               payload=payload)
-            seq += 1
-            records.append(record)
-            if sink is not None:
-                sink(record)
-        self._next_seq = seq
+        # "[a,b]" -> "a,b,": each entry's text, comma-terminated.
+        text = _encode_observations(pending)
+        self._observations.update(f"{text[1:-1]},".encode("utf-8"))
+        self.observation_count += len(pending)
+        for type_, time, payload in pending:
+            if type_ == "checkpoint":
+                self._materialize(WalRecord(
+                    seq=self._next_seq, time=time, type=type_,
+                    payload=payload))
         return len(pending)
 
-    def append(self, type_: str, payload: Dict[str, Any],
-               time: float) -> WalRecord:
-        if type_ not in INPUT_TYPES and type_ not in OBSERVATION_TYPES \
-                and type_ not in MARKER_TYPES:
-            raise ValueError(f"unknown WAL record type {type_!r}")
-        if self._pending:
-            # Keep total order: buffered observations precede this
-            # record exactly as they were emitted.
-            self.flush()
-        record = WalRecord(seq=self._next_seq, time=time, type=type_,
-                           payload=payload)
+    def _materialize(self, record: WalRecord) -> WalRecord:
         self._next_seq += 1
         self._records.append(record)
         if self.sink is not None:
             self.sink(record)
         return record
 
+    def append(self, type_: str, payload: Dict[str, Any],
+               time: float) -> WalRecord:
+        if type_ not in INPUT_TYPES and type_ not in MARKER_TYPES:
+            raise ValueError(f"not an input or marker type: {type_!r}")
+        # next_seq keeps total order: buffered observations precede
+        # this record exactly as they were emitted.
+        return self._materialize(WalRecord(
+            seq=self.next_seq, time=time, type=type_, payload=payload))
+
     def copy_record(self, record: WalRecord) -> WalRecord:
         """Re-append a record from a previous incarnation's log (used by
         recovery to carry the input history forward), assigning a fresh
         sequence number but preserving time/type/payload."""
-        if self._pending:
-            self.flush()
-        fresh = WalRecord(seq=self._next_seq, time=record.time,
+        fresh = WalRecord(seq=self.next_seq, time=record.time,
                           type=record.type, payload=dict(record.payload))
-        if record._canonical is not None:
-            # Shallow-copied payloads encode identically — share the
-            # memoized canonical form instead of re-encoding.
-            fresh._canonical = record._canonical
-        self._next_seq += 1
-        self._records.append(fresh)
-        if self.sink is not None:
-            self.sink(fresh)
-        return fresh
-
-    # -- views ----------------------------------------------------------------
+        # A shallow copy encodes identically: share the memoized form.
+        fresh._canonical = record._canonical
+        return self._materialize(fresh)
 
     def inputs(self) -> List[WalRecord]:
         return [r for r in self.records if r.is_input]
-
-    def observations(self) -> List[WalRecord]:
-        return [r for r in self.records if r.is_observation]
-
-    def stats(self) -> Dict[str, int]:
-        """Record counts by type (plus compaction bookkeeping)."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.type] = counts.get(record.type, 0) + 1
-        counts["_total"] = len(self.records)
-        counts["_compacted"] = self.compacted_observations
-        return counts
-
-    # -- compaction ------------------------------------------------------------
-
-    def compact(self, below_seq: int) -> int:
-        """Drop observation records with ``seq < below_seq``.
-
-        Only safe below a checkpoint: the checkpoint's state digest
-        stands in for the dropped redo evidence.  Inputs are never
-        dropped.  Returns the number of records removed.
-        """
-        if self._pending:
-            self.flush()
-        kept = [r for r in self._records
-                if not (r.is_observation and r.seq < below_seq)]
-        removed = len(self._records) - len(kept)
-        self._records = kept
-        self.compacted_observations += removed
-        return removed

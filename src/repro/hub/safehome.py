@@ -246,18 +246,19 @@ class SafeHome:
     def close_wal(self) -> None:
         """Cleanly shut down the on-disk WAL (no-op without one).
 
-        Flushes the observation buffer and appends a *final seal*, the
-        clean-shutdown marker: ``repro fsck`` reports a log without one
-        as a crash image (``clean_close: false``).  Appending to the
-        hub after this raises — a closed log must not grow silently.
+        Folds the observation buffer and appends a *final seal* (the
+        clean-shutdown marker, carrying the closing observation seal):
+        ``repro fsck`` reports a log without one as a crash image
+        (``clean_close: false``).  Appending to the hub after this
+        raises — a closed log must not grow silently.
         """
         if self.durability is None or self.durability.storage is None:
             return
-        self.durability.wal.flush()
         self.durability.storage.close(
             seal_events=self.sim.events_processed,
             seal_time=self.sim.now,
-            seal_index=len(self.durability.checkpoints))
+            seal_index=len(self.durability.checkpoints),
+            observed=self.durability.wal.observed())
 
     # -- setup -----------------------------------------------------------------
 
@@ -555,7 +556,7 @@ class SafeHome:
 
         Deterministic replay: a fresh stack re-applies the WAL's input
         records and re-executes to the exact crash boundary; the
-        regenerated observation stream and checkpoint digests are
+        regenerated observation seals and checkpoint digests are
         verified against the log (:class:`~repro.errors.RecoveryError`
         on divergence).  ``mode`` is ``"replay"`` (resume everything
         exactly), ``"policy"`` (each visibility model decides the fate
@@ -565,8 +566,8 @@ class SafeHome:
         """
         return replay.recover(self, mode)
 
-    def salvage_records(self, records,
-                        bounded: bool = True) -> RecoveryReport:
+    def salvage_records(self, records, bounded: bool = True,
+                        end=None) -> RecoveryReport:
         """Salvage another incarnation's (possibly damaged) WAL records
         into this freshly built durable hub.
 
@@ -574,15 +575,16 @@ class SafeHome:
         :func:`~repro.hub.durability.storage.scan_wal_dir` chopped a
         corrupt on-disk log down to its good prefix: bounded replay to
         the last good checkpoint, per-model recovery policy for
-        routines caught in flight, checkpoint digests (and the
-        observation prefix) verified — a divergence raises
+        routines caught in flight, checkpoint digests and observation
+        seals verified — a divergence raises
         :class:`~repro.errors.RecoveryError`, never a silent pass.
 
         ``bounded=False`` replays *all* good inputs to their natural
         end instead of cutting at the last checkpoint — full replay
-        verification for clean or merely tail-torn logs.
+        verification for clean or merely tail-torn logs; ``end`` is a
+        cleanly closed log's final seal, which replay must then end on.
         """
-        return replay.salvage(self, records, bounded=bounded)
+        return replay.salvage(self, records, bounded=bounded, end=end)
 
     # -- live migration (docs/control-plane.md) -----------------------------------------
 

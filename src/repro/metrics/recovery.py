@@ -1,7 +1,7 @@
 """Recovery metrics: how long hub crash-recovery takes and why.
 
 Summaries over :class:`~repro.hub.durability.RecoveryReport` rows —
-replay length (events re-executed, observation records re-verified),
+replay length (events re-executed, observations the verified seals cover),
 WAL length at crash, checkpoints verified, and the per-model policy
 outcome (routines resumed vs aborted).  Wall-clock recovery time is
 summarized separately (:func:`recovery_wall_summary`) so deterministic

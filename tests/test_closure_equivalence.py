@@ -12,9 +12,9 @@ functions; the chain forms must agree with them *exactly*:
   absent hidden sets;
 * end to end, on seeded micro homes run once as shipped and once with
   the references monkeypatched onto the controller: report row, device
-  access orders, scheduler stats and the whole journaled record stream
-  (every ``lineage-placed`` / ``lineage-compacted`` observation and
-  every checkpoint digest);
+  access orders, scheduler stats, the journaled record stream (every
+  checkpoint's state digest and observation seal) and the closing seal
+  over every ``lineage-placed`` / ``lineage-compacted`` observation;
 * structurally: the adjacency of an n-entry lineage holds n − 1 edges
   and a gap costs at most two closure queries, so the quadratic form
   cannot come back unnoticed.
@@ -255,12 +255,21 @@ class TestParanoidInvariant4:
 
 def run_micro_home(scheduler, execution, concurrency, long_pct, seed,
                    wal_dir=None):
-    # The in-memory WAL journals every observation and digests the
-    # whole state (lineage table and compacted_before included) every
-    # 16 observations.
+    # The in-memory WAL folds every observation into its rolling digest
+    # and seals it, beside a digest of the whole state (lineage table
+    # and compacted_before included), in a checkpoint record every 64
+    # observations.
     home = SafeHome(visibility="ev", scheduler=scheduler,
                     execution=execution, seed=seed, durability=True,
                     wal_dir=wal_dir)
+    observed_types = set()
+    observe = home.durability.observe
+
+    def tally(type_, payload, time):
+        observed_types.add(type_)
+        observe(type_, payload, time)
+
+    home.durability.observe = tally
     home.load_workload(generate_microbenchmark(
         MicroParams(routines=48, concurrency=concurrency, devices=6,
                     zipf_alpha=0.8, long_routine_pct=long_pct,
@@ -275,6 +284,8 @@ def run_micro_home(scheduler, execution, concurrency, long_pct, seed,
         "device_access_order": result.device_access_order,
         "scheduler_stats": dict(home.controller.scheduler_stats),
         "records": records,
+        "observed": home.wal.observed(),
+        "observed_types": observed_types,
     }
 
 
@@ -302,9 +313,10 @@ class TestEndToEnd:
                     reference = run_micro_home(*cell)
                 for key in shipped:
                     assert shipped[key] == reference[key], (cell, key)
-                types = {record[2] for record in shipped["records"]}
                 assert {"lineage-placed", "lineage-compacted",
-                        "checkpoint"} <= types, cell
+                        "checkpoint"} <= shipped["observed_types"], cell
+                assert "checkpoint" in {record[2] for record
+                                        in shipped["records"]}, cell
                 leased += shipped["scheduler_stats"]["pre_leases"]
         # FCFS never pre-leases (§5), and a parallel plan acquires a
         # routine's devices together, leaving no SCHEDULED access to

@@ -53,37 +53,35 @@ class TestWriteAheadLog:
     def test_append_and_views(self):
         wal = WriteAheadLog()
         wal.append("device-added", {"type": "light", "name": "l"}, 0.0)
-        wal.append("command-dispatched", {"routine_id": 0}, 1.0)
+        wal.buffer_observation("command-dispatched", {"routine_id": 0}, 1.0)
         assert len(wal.inputs()) == 1
-        assert len(wal.observations()) == 1
-        assert wal.stats()["_total"] == 2
+        # The observation is folded, not kept.
+        assert [r.type for r in wal.records] == ["device-added"]
+        assert wal.observed()["observations"] == 1
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             WriteAheadLog().append("nonsense", {}, 0.0)
 
+    def test_observations_cannot_be_appended_as_records(self):
+        with pytest.raises(ValueError, match="input or marker"):
+            WriteAheadLog().append("command-dispatched", {}, 0.0)
+
     def test_json_round_trip(self):
         wal = WriteAheadLog()
         wal.append("invoked", {"spec": {"routineName": "r"}, "when": 1.5},
                    1.5)
-        wal.append("detection", {"kind": "failure", "device_id": 2}, 2.0)
+        wal.buffer_observation("detection",
+                               {"kind": "failure", "device_id": 2}, 2.0)
+        wal.append("crash", {"at": None, "after_events": 7}, 2.0)
         # The one serialized form: a CRC-framed log image.
-        restored = scan_log(encode_log(wal.records, []))
+        restored = scan_log(encode_log(wal.records, [],
+                                       observed=wal.observed()))
         assert restored.status == "clean" and restored.clean_close
         assert [r.to_dict() for r in restored.records] == \
             [r.to_dict() for r in wal.records]
-
-    def test_compaction_drops_only_old_observations(self):
-        wal = WriteAheadLog()
-        wal.append("device-added", {"name": "d"}, 0.0)
-        wal.append("command-acked", {"i": 0}, 0.1)
-        wal.append("command-acked", {"i": 1}, 0.2)
-        floor = wal.records[-1].seq
-        removed = wal.compact(floor)
-        assert removed == 1
-        assert [r.type for r in wal.records] == \
-            ["device-added", "command-acked"]
-        assert wal.compacted_observations == 1
+        assert wal.observed().items() <= restored.seals[-1].items()
+        assert wal.observed()["observations"] == 1
 
 
 class TestSnapshotContracts:
@@ -238,13 +236,11 @@ class TestCrashRecoverApi:
         assert report_json(home) == report_json(baseline)
         assert len(home.recoveries) == 3
 
-    def test_checkpoints_and_compaction_stay_congruent(self):
-        config = DurabilityConfig(checkpoint_every=5,
-                                  compact_on_checkpoint=True)
+    def test_checkpoints_stay_congruent(self):
+        config = DurabilityConfig(checkpoint_every=5)
         baseline = build_home(durability=config)
         baseline.run()
-        home = build_home(durability=DurabilityConfig(
-            checkpoint_every=5, compact_on_checkpoint=True))
+        home = build_home(durability=DurabilityConfig(checkpoint_every=5))
         home.crash(after_events=30)
         home.run()
         report = home.recover()
@@ -445,7 +441,9 @@ class TestParallelDispatchRegression:
 
 
 class TestObservationBuffering:
-    """WAL observations buffer per event boundary (PR 5)."""
+    """WAL observations buffer per event boundary (PR 5) and are folded
+    into the rolling digest there (PR 22): only ``checkpoint`` ones
+    become records."""
 
     def test_buffer_flushes_in_order_before_inputs(self):
         from repro.hub.durability.wal import WriteAheadLog
@@ -453,25 +451,41 @@ class TestObservationBuffering:
         wal = WriteAheadLog()
         wal.append("device-added", {"type": "light", "name": "a"}, 0.0)
         wal.buffer_observation("routine-submitted", {"routine_id": 0}, 1.0)
+        wal.buffer_observation("checkpoint", {"index": 0}, 1.0)
         wal.buffer_observation("lineage-placed", {"routine_id": 0}, 1.0)
-        assert len(wal) == 3                      # pending counted
+        assert wal.observation_count == 0         # folded at flush
         # An input append drains the buffer first, keeping total order.
         wal.append("invoked", {"spec": {}}, 2.0)
         types = [record.type for record in wal.records]
-        assert types == ["device-added", "routine-submitted",
-                         "lineage-placed", "invoked"]
-        assert [record.seq for record in wal.records] == [0, 1, 2, 3]
+        assert types == ["device-added", "checkpoint", "invoked"]
+        assert [record.seq for record in wal.records] == [0, 1, 2]
+        assert wal.observation_count == 3
 
-    def test_reads_and_compaction_drain_the_buffer(self):
+    def test_reads_drain_the_buffer(self):
         from repro.hub.durability.wal import WriteAheadLog
 
         wal = WriteAheadLog()
+        empty = wal.observed()
         wal.buffer_observation("admission", {"routine_id": 1}, 0.5)
-        assert wal.observations()[0].type == "admission"
+        assert wal.records == [] and wal.observation_count == 1
+        assert wal.observed()["obs_digest"] != empty["obs_digest"]
         wal.buffer_observation("detection", {"kind": "failure"}, 0.7)
-        assert wal.flush() == 1
-        assert wal.compact(below_seq=1) == 1
-        assert [r.type for r in wal.records] == ["detection"]
+        assert wal.flush() == 1 and wal.flush() == 0
+        assert wal.observation_count == 2
+
+    def test_digest_is_the_comma_terminated_canonical_texts(self):
+        import hashlib
+
+        from repro.hub.durability.wal import WriteAheadLog
+
+        wal = WriteAheadLog()
+        wal.buffer_observation("admission", {"b": {3, 1}, "a": (1, 2)}, 0.5)
+        wal.buffer_observation("detection", {"state": object}, 0.75)
+        text = ('["admission",0.5,{"a":[1,2],"b":[1,3]}],'
+                '["detection",0.75,{"state":"<class \'object\'>"}],')
+        assert wal.observed() == {
+            "obs_digest": hashlib.sha256(text.encode()).hexdigest(),
+            "observations": 2}
 
     def test_buffer_rejects_non_observation_types(self):
         from repro.hub.durability.wal import WriteAheadLog
@@ -484,8 +498,8 @@ class TestObservationBuffering:
         from repro.hub.durability.wal import WriteAheadLog
 
         wal = WriteAheadLog()
-        record = wal.append("detection", {"kind": "failure",
-                                          "device_id": 3}, 1.0)
+        record = wal.append("failure-planned", {"fail_at": 1.5,
+                                                "device_id": 3}, 1.0)
         first = record.identity()
         assert record._canonical is not None
         copied = WriteAheadLog().copy_record(record)

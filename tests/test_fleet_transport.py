@@ -144,7 +144,7 @@ class TestWalSpooling:
         def edit(kind, doc):
             if victim == "checkpoint-digest":
                 # Both places digest 0 occurs: its seal frame and the
-                # in-log checkpoint observation.
+                # in-log checkpoint record.
                 holder = doc if kind == KIND_SEAL else \
                     doc["payload"] if doc.get("type") == "checkpoint" \
                     else {}
@@ -154,8 +154,23 @@ class TestWalSpooling:
                         ("0" if digest[0] != "0" else "1") + digest[1:]
                     if kind == KIND_RECORD:
                         named.update(doc)
-            elif doc.get("type") == "command-dispatched" and not named:
-                doc["payload"]["device_id"] = 9
+            elif doc.get("type") == "invoked" and "edited" not in named:
+                # No observation is kept to tamper with; an input the
+                # observations depend on is.  Same length: another
+                # digit in the first command's duration.
+                command = doc["payload"]["spec"]["commands"][0]
+                text = repr(command["durationSec"])
+                point = text.index(".") + 1
+                command["durationSec"] = next(
+                    value for value in (
+                        float(text[:point] + digit + text[point + 1:])
+                        for digit in "123456789")
+                    if value != command["durationSec"]
+                    and len(repr(value)) == len(text))
+                named["edited"] = True
+            elif doc.get("type") == "checkpoint" and "seq" not in named:
+                # ... and the first seal after it is where replay sees
+                # the observation stream differ.
                 named.update(doc)
 
         tampered_log = reframe(record["log"], edit)
@@ -171,6 +186,9 @@ class TestWalSpooling:
             replay_spooled_home(tampered)
         assert f"seq {named['seq']}" in str(excinfo.value)
         assert f"type {named['type']!r}" in str(excinfo.value)
+        if victim == "observation-payload":
+            assert "the observations of checkpoint interval 0 differ" \
+                in str(excinfo.value)
         report = fsck_path(wal_dir)
         assert report.exit_code() == 2 and list(report.homes) == [0]
         assert report.homes[0].status == "clean"

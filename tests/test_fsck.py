@@ -22,10 +22,8 @@ from repro.hub.durability.faults import (FAULT_KINDS, baseline_state,
                                          run_corruption_matrix)
 from repro.hub.durability.fsck import (REPORT_SCHEMA, fsck_home_dir,
                                        fsck_path)
-from repro.hub.durability.recovery import DurabilityConfig
 from repro.hub.durability.replay import build_home
 from repro.hub.durability.storage import scan_wal_dir
-from repro.hub.safehome import SafeHome
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "fsck"
 
@@ -166,18 +164,28 @@ class TestErrorContextPins:
         assert "offset=?" in str(error)
 
     def test_recovery_error_names_seq_and_type(self, tmp_path):
-        # Tamper a logged observation in memory: replay verification
-        # must name the diverging record, not just "mismatch".
+        # Tamper a logged observation seal in memory: replay
+        # verification must name the diverging interval — checkpoint
+        # index, seq, type, event range, both counts — not just
+        # "mismatch".
         home, wal_dir = build_wal(tmp_path)
         scan = scan_wal_dir(wal_dir)
-        victim = next(r for r in scan.records if r.is_observation)
-        victim.payload["tampered"] = True
+        first, victim = [r for r in scan.records
+                         if r.type == "checkpoint"][:2]
+        victim.payload["observations"] += 1
         twin = build_home(scan.records)
         with pytest.raises(RecoveryError) as excinfo:
             twin.salvage_records(scan.records, bounded=False)
         message = str(excinfo.value)
+        assert "the observations of checkpoint interval 1 differ" in message
         assert f"seq {victim.seq}" in message
         assert f"type {victim.type!r}" in message
+        assert (f"events {first.payload['events']}.."
+                f"{victim.payload['events']}") in message
+        digest = victim.payload["obs_digest"][:12]
+        assert (f"seals {victim.payload['observations']} observations "
+                f"({digest}), replay regenerated "
+                f"{victim.payload['observations'] - 1} ({digest})") in message
 
     def test_checkpoint_mismatch_names_seq(self, tmp_path):
         home, wal_dir = build_wal(tmp_path)
@@ -347,7 +355,12 @@ class TestFleetSpool:
                 == ("clean", True, 0)
             assert doc["verify"]["ok"] and doc["verify"]["oracle"]["ok"]
             assert doc["home"] == f"{model}:{row['seed']}"
-            assert doc["verify"]["row"]["wal_records"] == doc["records"]
+            # Journal entries: the frames plus the folded observations
+            # (a checkpoint is both).
+            verified = doc["verify"]["row"]
+            assert verified["wal_records"] == doc["records"] \
+                + verified["replayed_records"] \
+                - verified["checkpoints_verified"]
             home = report.replayed_home
             replayed = home.report(check_final=True)
             assert (replayed.routines, replayed.committed,
@@ -355,16 +368,6 @@ class TestFleetSpool:
                     home.last_result.makespan) == \
                 (row["routines"], row["committed"], row["aborted"],
                  row["lat_p50"], row["makespan"])
-
-    def test_compacted_home_cannot_be_spooled(self):
-        home = SafeHome(visibility="ev", seed=3, durability=DurabilityConfig(
-            checkpoint_every=8, compact_on_checkpoint=True))
-        from repro.workloads.chaos import chaos_workload
-        home.load_workload(chaos_workload(seed=3))
-        home.run()
-        assert home.wal.compacted_observations > 0
-        with pytest.raises(ValueError, match="compacted"):
-            home_wal_record(0, "chaos", 3, home)
 
     def test_fleet_cell_of_the_corruption_matrix(self, tmp_path):
         """Every fault the injector can apply to a home log, applied to

@@ -6,10 +6,14 @@ serializability; they must stay green forever.
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.controller import ControllerConfig, RoutineStatus
+from repro.hub.safehome import SafeHome
 from repro.metrics.congruence import final_state_serializable
+from repro.metrics.oracle import check_run
 from repro.metrics.serialization import (reconstruct_serial_order,
                                          validate_serial_order)
+from repro.workloads.micro import MicroParams, generate_microbenchmark
 from tests.conftest import Home, routine
 
 
@@ -124,3 +128,56 @@ class TestRevocationPostLeaseInteraction:
         assert all(run.status is RoutineStatus.COMMITTED
                    for run in result.runs)
         assert final_state_serializable(result, home.initial)
+
+
+class TestEvLeaseCounterexamples:
+    """ROADMAP item 1, checked in red: the two smallest seeded micro
+    homes on which EV under leases is not serializable (no abort, no
+    failure).  ``strict`` turns the fix into a failure here, so the
+    markers come off in the PR that makes them pass."""
+
+    @staticmethod
+    def violations(params, seed, **home):
+        hub = SafeHome(visibility="ev", seed=seed, **home)
+        hub.load_workload(generate_microbenchmark(params, seed=seed))
+        return check_run(hub.run(), hub.initial).violations
+
+    @pytest.mark.xfail(strict=True, reason="ev-lineage-acyclic: ROADMAP "
+                                           "item 1 (timeline pre-lease)")
+    def test_timeline_26_routines_12_devices_seed_11(self):
+        assert self.violations(
+            MicroParams(routines=26, concurrency=8, devices=12), 11,
+            scheduler="timeline", execution="serial") == []
+
+    @pytest.mark.xfail(strict=True, reason="ev-lineage-acyclic: ROADMAP "
+                                           "item 1 (JiT pre-lease)")
+    def test_jit_40_routines_seed_4(self):
+        assert self.violations(
+            MicroParams(routines=40, concurrency=8), 4,
+            scheduler="jit") == []
+
+
+class TestTypedRefusalsReachTheUserAsOneLine:
+    """A ``SafeHomeError`` used to leave ``repro`` as a traceback with
+    exit 1; ``cli.main`` now prints ``repro: <message>`` and exits 2."""
+
+    def test_crash_recovery_into_a_used_wal_dir(self, tmp_path, capsys):
+        argv = ["crash-recovery", "--model", "ev", "--seed", "3",
+                "--wal-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "repro: refusing to overwrite existing WAL segments")
+        assert captured.err.count("\n") == 1 and "Traceback" not in \
+            captured.err
+
+    def test_fleet_into_a_dir_with_a_leftover_worker_file(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "spool-999-1.seg").write_bytes(b"")
+        assert cli_main(["fleet", "--homes", "4", "--crashes", "1",
+                         "--wal-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: refusing to spool into")
+        assert captured.err.count("\n") == 1 and captured.out == ""

@@ -235,6 +235,9 @@ class TestDurableHomeOnDisk:
         for seal, checkpoint in zip(seals, home.durability.checkpoints):
             assert seal["digest"] == checkpoint.digest
             assert seal["seq"] == checkpoint.seq
+            assert checkpoint.observed.items() <= seal.items()
+        # The final seal closes on every observation the home made.
+        assert home.wal.observed().items() <= scan.seals[-1].items()
 
     def test_wal_dir_forces_durability(self, tmp_path):
         home = SafeHome(visibility="ev", seed=0,
@@ -331,7 +334,8 @@ class TestLogImage:
         image = encode_log(home.wal.records, home.durability.checkpoints,
                            home=f"{model}:3",
                            events=home.sim.events_processed,
-                           time=home.sim.now)
+                           time=home.sim.now,
+                           observed=home.wal.observed())
         assert image == (Path(wal_dir) / segment_name(0)).read_bytes()
 
     def test_scan_log_equals_scan_wal_dir_of_the_saved_image(self, tmp_path):
