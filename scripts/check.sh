@@ -96,6 +96,9 @@ REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=15 tests/test_checkpoint_equivalence.py
 "$PY" scripts/gen_wal_golden.py --check
 echo "checkpoint digests equal their reference definition"
+# Every figure, ablation and probe of `repro bench --suite full` still
+# reports the committed rows (tier-1 skips Fig 13; this runs all 19).
+"$PY" scripts/gen_sweeps_golden.py --check
 
 echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="

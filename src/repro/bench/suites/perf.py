@@ -11,7 +11,6 @@ Wall-clock regressions are judged by ``perf_ledger/``, not here.
 from typing import Any, Dict
 
 from repro.bench.registry import benchmark
-from repro.core.controller import ControllerConfig
 from repro.experiments.runner import ExperimentSetup, run_workload
 from repro.workloads.fanout import fanout_scenario
 
@@ -59,9 +58,8 @@ def parallel_exec_compare(model: str, seed: int = 0, routines: int = 6,
     for execution in ("serial", "parallel"):
         workload = fanout_scenario(seed=seed, routines=routines,
                                    width=width)
-        setup = ExperimentSetup(
-            model=model, seed=seed, check_final=False,
-            config=ControllerConfig(execution=execution))
+        setup = ExperimentSetup(model=model, execution=execution,
+                                seed=seed, check_final=False)
         result, report, _controller = run_workload(workload, setup)
         row[execution] = {
             "makespan": round(result.makespan, 6),

@@ -4,7 +4,7 @@ Commands:
 
 * ``figures [NAME ...]`` — regenerate one or all paper figures and
   print their data tables (``repro figures --help`` lists the ids).
-* ``scenario NAME --model M`` — run one trace scenario and report.
+* ``scenario NAME --model M`` — run one registered or ``synth:...`` scenario.
 * ``export-trace NAME PATH`` — write a scenario to a trace JSON file.
 * ``run-trace PATH --model M`` — run a trace file under a model.
 * ``ablations`` — run the design-choice ablation sweeps.
@@ -51,18 +51,11 @@ from typing import Dict, List
 
 from repro.bench import registry, runner
 from repro.bench.suites import load_builtin_suites
+from repro.errors import SafeHomeError
 from repro.experiments.report import print_table
 from repro.experiments.runner import ExperimentSetup, run_workload
-from repro.workloads.fanout import fanout_scenario
-from repro.workloads.scenarios import (factory_scenario, morning_scenario,
-                                       party_scenario)
-
-_SCENARIOS = {
-    "morning": morning_scenario,
-    "party": party_scenario,
-    "factory": factory_scenario,
-    "fanout": fanout_scenario,
-}
+from repro.workloads.fleet_mix import (FLEET_SCENARIOS,
+                                       build_fleet_workload)
 
 
 def _print_sweep(spec: registry.BenchSpec, trials: int) -> None:
@@ -99,32 +92,40 @@ def _report_json(report) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    factory = _SCENARIOS.get(args.name)
-    if factory is None:
-        print(f"unknown scenario {args.name!r}; "
-              f"available: {sorted(_SCENARIOS)}", file=sys.stderr)
-        return 2
-    workload = factory(seed=args.seed)
-    setup = ExperimentSetup(model=args.model, scheduler=args.scheduler,
-                            execution=args.execution,
-                            seed=args.seed, check_final=False)
-    _result, report, _controller = run_workload(workload, setup)
-    print_table(f"{args.name} under {args.model}", [report.row()])
-    if args.json:
+def _run_and_print(args: argparse.Namespace, load, name: str = "") -> int:
+    """The body of ``scenario`` and ``run-trace``: load the workload,
+    run it on one hub under the command's flags, print its report row."""
+    try:
+        workload = load()
+        setup = ExperimentSetup(model=args.model, scheduler=args.scheduler,
+                                execution=args.execution,
+                                seed=args.seed, check_final=False)
+        _result, report, _controller = run_workload(workload, setup)
+    except (OSError, ValueError) as error:
+        # A typo (unknown scenario, model or scheduler; a missing or
+        # device-less trace) is an answer: main() prints it, exits 2.
+        raise SafeHomeError(str(error)) from error
+    print_table(f"{name or workload.name} under {args.model}",
+                [report.row()])
+    if getattr(args, "json", ""):
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(_report_json(report))
     return 0
 
 
+def cmd_scenario(args: argparse.Namespace) -> int:
+    return _run_and_print(
+        args, lambda: build_fleet_workload(args.name, args.seed), args.name)
+
+
 def cmd_export_trace(args: argparse.Namespace) -> int:
     from repro.workloads.traces import save_workload
 
-    factory = _SCENARIOS.get(args.name)
-    if factory is None:
-        print(f"unknown scenario {args.name!r}", file=sys.stderr)
-        return 2
-    save_workload(factory(seed=args.seed), args.path)
+    try:
+        workload = build_fleet_workload(args.name, args.seed)
+    except ValueError as error:
+        raise SafeHomeError(str(error)) from error
+    save_workload(workload, args.path)
     print(f"wrote {args.name} trace to {args.path}")
     return 0
 
@@ -132,13 +133,7 @@ def cmd_export_trace(args: argparse.Namespace) -> int:
 def cmd_run_trace(args: argparse.Namespace) -> int:
     from repro.workloads.traces import load_workload
 
-    workload = load_workload(args.path)
-    setup = ExperimentSetup(model=args.model, scheduler=args.scheduler,
-                            execution=args.execution,
-                            seed=args.seed, check_final=False)
-    _result, report, _controller = run_workload(workload, setup)
-    print_table(f"{workload.name} under {args.model}", [report.row()])
-    return 0
+    return _run_and_print(args, lambda: load_workload(args.path))
 
 
 def _fleet_plan_section(path: str) -> Dict[str, object]:
@@ -332,7 +327,6 @@ def cmd_crash_recovery(args: argparse.Namespace) -> int:
 
 
 def cmd_fsck(args: argparse.Namespace) -> int:
-    from repro.errors import SafeHomeError
     from repro.hub.durability.fsck import fsck_path
 
     try:
@@ -535,33 +529,33 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--trials", type=int, default=20)
     figures.set_defaults(func=cmd_figures)
 
-    scenario = sub.add_parser("scenario", help="run one trace scenario")
-    scenario.add_argument("name")
-    scenario.add_argument("--model", default="ev")
-    scenario.add_argument("--scheduler", default="timeline")
-    scenario.add_argument("--execution", default=None,
-                          choices=("serial", "parallel"),
-                          help="command-plan strategy (default: serial)")
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--json", default="",
-                          help="write the report JSON to this path "
-                               "(deterministic; used by the CI gate)")
+    scenario_name = ("a registered scenario ("
+                     + ", ".join(sorted(FLEET_SCENARIOS)) + ") or a "
+                     "generated 'synth:...' name (e.g. from a hunt corpus)")
+    scenario = sub.add_parser("scenario", help="run one scenario")
+    scenario.add_argument("name", help=scenario_name)
     scenario.set_defaults(func=cmd_scenario)
 
     export = sub.add_parser("export-trace", help="write a scenario trace")
-    export.add_argument("name")
+    export.add_argument("name", help=scenario_name)
     export.add_argument("path")
     export.add_argument("--seed", type=int, default=0)
     export.set_defaults(func=cmd_export_trace)
 
     run_trace = sub.add_parser("run-trace", help="run a trace file")
     run_trace.add_argument("path")
-    run_trace.add_argument("--model", default="ev")
-    run_trace.add_argument("--scheduler", default="timeline")
-    run_trace.add_argument("--execution", default=None,
-                           choices=("serial", "parallel"))
-    run_trace.add_argument("--seed", type=int, default=0)
     run_trace.set_defaults(func=cmd_run_trace)
+
+    for command in (scenario, run_trace):   # one body, one set of flags
+        command.add_argument("--model", default="ev")
+        command.add_argument("--scheduler", default="timeline")
+        command.add_argument("--execution", default=None,
+                             choices=("serial", "parallel"),
+                             help="command-plan strategy (default: serial)")
+        command.add_argument("--seed", type=int, default=0)
+    scenario.add_argument("--json", default="",
+                          help="write the report JSON to this path "
+                               "(deterministic; used by the CI gate)")
 
     ablate = sub.add_parser("ablations", help="design-choice sweeps")
     ablate.add_argument("--trials", type=int, default=4)
@@ -810,8 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str] = None) -> int:
-    from repro.errors import SafeHomeError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -23,20 +23,21 @@ from typing import Any, Dict, List
 from repro.bench.registry import benchmark, parts, scaled_trials, sweep
 from repro.core.controller import ControllerConfig
 from repro.devices.network import LatencyModel
-from repro.experiments.runner import ExperimentSetup, run_workload
+from repro.experiments.runner import (ExperimentSetup, run_trials,
+                                      run_workload)
+from repro.hub.safehome import SafeHome
 from repro.metrics.stats import mean
+from repro.sim.random import RandomStreams
 from repro.workloads.lights import lights_workload
 from repro.workloads.micro import MicroParams, generate_microbenchmark
 
 
 def _sweep_micro(params: MicroParams, setup: ExperimentSetup,
                  trials: int, seed: int) -> List:
-    reports = []
-    for trial in range(trials):
-        workload = generate_microbenchmark(params, seed=seed * 97 + trial)
-        _result, report, _c = run_workload(workload, setup, trial=trial)
-        reports.append(report)
-    return reports
+    return run_trials(
+        lambda trial: generate_microbenchmark(params,
+                                              seed=seed * 97 + trial),
+        setup, trials)
 
 
 @sweep("leniency", "Leniency factor (noisy estimates)",
@@ -96,15 +97,6 @@ def ablate_detector_period(trials: int = 6, seed: int = 23,
                            periods=(0.25, 1.0, 4.0)
                            ) -> List[Dict[str, Any]]:
     """Ping period vs detection latency and rollback overhead."""
-    from repro.devices.driver import Driver
-    from repro.devices.registry import DeviceRegistry
-    from repro.hub.failure_detector import FailureDetector
-    from repro.core.controller import RunResult
-    from repro.core.visibility import make_controller
-    from repro.devices.failures import FailureInjector
-    from repro.sim.engine import Simulator
-    from repro.sim.random import RandomStreams
-
     params = MicroParams(routines=30, concurrency=4, devices=10,
                          failed_device_pct=25.0, long_duration_s=120.0,
                          short_duration_s=5.0)
@@ -114,25 +106,14 @@ def ablate_detector_period(trials: int = 6, seed: int = 23,
         for trial in range(trials):
             workload = generate_microbenchmark(params,
                                                seed=seed * 97 + trial)
-            sim = Simulator()
-            registry = DeviceRegistry()
-            for type_name, name in workload.devices:
-                registry.create(type_name, name)
-            driver = Driver(sim=sim, registry=registry,
-                            latency=LatencyModel(),
-                            streams=RandomStreams(seed).spawn(trial))
-            controller = make_controller("ev", sim, registry, driver,
-                                         ControllerConfig())
-            FailureDetector(sim, registry, driver, controller,
-                            ping_period_s=period).start()
-            injector = FailureInjector(sim, registry,
-                                       plans=list(workload.failure_plans))
-            injector.arm()
-            for stream in workload.streams:
-                for routine in stream:
-                    controller.submit(routine)
-            sim.run(max_events=2_000_000)
-            result = RunResult.from_controller(controller)
+            home = SafeHome(seed=RandomStreams(seed).spawn(trial).seed,
+                            detector_ping_period_s=period)
+            # Every routine submitted up front, not closed-loop.
+            home.load_workload(replace(
+                workload, streams=[],
+                arrivals=[(routine, 0.0) for stream in workload.streams
+                          for routine in stream]))
+            result = home.run(detector=True, max_events=2_000_000)
             fail_times = {plan.device_id: plan.fail_at
                           for plan in workload.failure_plans}
             for kind, device_id, when in result.detection_events:

@@ -16,37 +16,26 @@ from typing import Any, Dict, List, Optional
 from repro.bench.registry import scaled_trials, sweep
 from repro.core.controller import ControllerConfig
 from repro.devices.network import LatencyModel
-from repro.experiments.runner import (ExperimentSetup, aggregate,
+from repro.experiments.runner import (ExperimentSetup, run_trials,
                                       run_workload)
 from repro.metrics.stats import cdf_points, mean, percentile
+from repro.workloads.fleet_mix import build_fleet_workload
 from repro.workloads.lights import lights_workload
 from repro.workloads.micro import MicroParams, generate_microbenchmark
-from repro.workloads.scenarios import (factory_scenario, morning_scenario,
-                                       party_scenario)
 
 MODELS = ("wv", "ev", "psv", "gsv")
-_SCENARIOS = {
-    "morning": morning_scenario,
-    "party": party_scenario,
-    "factory": factory_scenario,
-}
 _FIFTH_OF_TRIALS = scaled_trials(5, 2)
 
 
 def _micro_reports(params: MicroParams, model: str, trials: int,
                    seed: int, scheduler: str = "timeline",
-                   config: Optional[ControllerConfig] = None,
-                   check_final: bool = False) -> List:
+                   config: Optional[ControllerConfig] = None) -> List:
     setup = ExperimentSetup(model=model, scheduler=scheduler,
-                            config=config, seed=seed,
-                            check_final=check_final)
-    reports = []
-    for trial in range(trials):
-        workload = generate_microbenchmark(params, seed=seed * 7919 + trial)
-        _result, report, _controller = run_workload(workload, setup,
-                                                    trial=trial)
-        reports.append(report)
-    return reports
+                            config=config, seed=seed, check_final=False)
+    return run_trials(
+        lambda trial: generate_microbenchmark(params,
+                                              seed=seed * 7919 + trial),
+        setup, trials)
 
 
 # -- Fig 1: concurrency causes incongruent end states under WV ------------------
@@ -145,14 +134,14 @@ def fig12a_scenarios(trials: int = 20, seed: int = 3,
     """Latency / temporary incongruence / parallelism per scenario."""
     rows = []
     for scenario_name in scenarios:
-        factory = _SCENARIOS[scenario_name]
         for model in models:
             latencies: List[float] = []
             waits: List[float] = []
             incongruences: List[float] = []
             parallelisms: List[float] = []
             for trial in range(trials):
-                workload = factory(seed=seed * 131 + trial)
+                workload = build_fleet_workload(scenario_name,
+                                                seed * 131 + trial)
                 setup = ExperimentSetup(model=model, seed=seed + trial,
                                         check_final=False)
                 result, report, _c = run_workload(workload, setup,

@@ -1,25 +1,23 @@
-"""Shared experiment executor.
+"""Shared experiment executor: a trial loop over the hub.
 
-Builds a fresh simulator + device stack per trial, injects the workload
-(open-loop arrivals and/or closed-loop streams), runs to completion and
-returns the :class:`RunResult` (plus a :class:`MetricsReport` from
-:func:`repro.metrics.analyze`).
+Each trial builds one :class:`~repro.hub.safehome.SafeHome` — the same
+edge stack the fleet, the serve hub and the durable hub run — loads the
+workload (open-loop arrivals and/or closed-loop streams), runs it to
+completion and returns the :class:`RunResult` plus the hub's
+:class:`MetricsReport`.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.controller import (Controller, ControllerConfig, RunResult)
-from repro.core.visibility import VisibilityModel, make_controller
-from repro.devices.driver import Driver
-from repro.devices.failures import FailureInjector
+from repro.core.visibility import VisibilityModel
+from repro.devices.failures import FailurePlan
 from repro.devices.network import LatencyModel
-from repro.devices.registry import DeviceRegistry
-from repro.hub.failure_detector import FailureDetector
-from repro.metrics.collector import MetricsReport, analyze
-from repro.sim.engine import Simulator
+from repro.hub.safehome import SafeHome
+from repro.metrics.collector import MetricsReport
 from repro.sim.random import RandomStreams
-from repro.workloads.base import Workload, attach_streams
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -35,13 +33,6 @@ class ExperimentSetup:
     check_final: bool = True
     exhaustive_limit: int = 7
     max_events: int = 5_000_000
-
-    def make_config(self) -> ControllerConfig:
-        config = self.config or ControllerConfig()
-        config = replace(config, scheduler=self.scheduler)
-        if self.execution is not None:
-            config = replace(config, execution=self.execution)
-        return config
 
 
 def run_workload(workload: Workload, setup: ExperimentSetup,
@@ -61,17 +52,13 @@ def run_workload(workload: Workload, setup: ExperimentSetup,
 
 def _scale_failure_plans(workload: Workload, setup: ExperimentSetup,
                          trial: int) -> Workload:
-    dry = replace(workload, failure_plans=[],
-                  meta={**workload.meta, "scale_failures": False})
     dry_result, _report, _controller = _run_once(
-        replace(dry, arrivals=list(workload.arrivals),
-                streams=[list(s) for s in workload.streams]),
+        replace(workload, failure_plans=[]),
         replace(setup, check_final=False), trial)
     makespan = max(dry_result.makespan, 1.0)
     generated_horizon = workload.meta.get(
         "failure_horizon", workload.horizon_hint or makespan)
     scale = makespan / max(generated_horizon, 1e-9)
-    from repro.devices.failures import FailurePlan
     scaled = []
     for plan in workload.failure_plans:
         fail_at = plan.fail_at * scale
@@ -86,50 +73,24 @@ def _scale_failure_plans(workload: Workload, setup: ExperimentSetup,
 def _run_once(workload: Workload, setup: ExperimentSetup,
               trial: int = 0
               ) -> Tuple[RunResult, MetricsReport, Controller]:
-    sim = Simulator()
-    registry = DeviceRegistry()
-    for type_name, name in workload.devices:
-        registry.create(type_name, name)
-    initial = registry.snapshot()
-
-    streams = RandomStreams(seed=setup.seed).spawn(trial)
-    driver = Driver(sim=sim, registry=registry, latency=setup.latency,
-                    streams=streams)
-    controller = make_controller(setup.model, sim, registry, driver,
-                                 setup.make_config())
-
-    injector = FailureInjector(sim, registry,
-                               plans=list(workload.failure_plans))
-    injector.arm()
-    if workload.failure_plans:
-        detector = FailureDetector(sim, registry, driver, controller)
-        detector.start()
-    else:
-        # Implicit detection still feeds the controller.
-        driver.on_timeout = controller.on_failure_detected
-
-    for routine, at in workload.arrivals:
-        controller.submit(routine, when=at)
-    attach_streams(controller, workload.streams)
-
-    sim.run(max_events=setup.max_events)
-    result = RunResult.from_controller(controller)
-    report = analyze(result, initial, check_final=setup.check_final,
-                     exhaustive_limit=setup.exhaustive_limit)
-    return result, report, controller
+    home = SafeHome(
+        visibility=setup.model, scheduler=setup.scheduler,
+        execution=setup.execution, config=setup.config,
+        latency=setup.latency,
+        seed=RandomStreams(seed=setup.seed).spawn(trial).seed)
+    home.load_workload(workload)
+    result = home.run(max_events=setup.max_events)
+    report = home.report(check_final=setup.check_final,
+                         exhaustive_limit=setup.exhaustive_limit)
+    return result, report, home.controller
 
 
-def run_trials(workload_factory, setup: ExperimentSetup, trials: int,
-               ) -> List[MetricsReport]:
+def run_trials(workload_factory: Callable[[int], Workload],
+               setup: ExperimentSetup, trials: int) -> List[MetricsReport]:
     """Run ``trials`` independent trials; ``workload_factory(trial)``
     returns the (re-seeded) workload for each."""
-    reports = []
-    for trial in range(trials):
-        workload = workload_factory(trial)
-        _result, report, _controller = run_workload(workload, setup,
-                                                    trial=trial)
-        reports.append(report)
-    return reports
+    return [run_workload(workload_factory(trial), setup, trial=trial)[1]
+            for trial in range(trials)]
 
 
 def aggregate(reports: List[MetricsReport]) -> Dict[str, Any]:

@@ -35,6 +35,7 @@ one engine, :mod:`repro.hub.durability.replay`; the methods here only
 delegate to it.
 """
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.controller import (ControllerConfig, RoutineRun,
@@ -82,14 +83,21 @@ class SafeHome:
                  durability: Union[bool, DurabilityConfig, None] = None,
                  wal_dir: Optional[str] = None
                  ) -> None:
-        # Everything the stack is built from, kept so recovery can
-        # rebuild an identical stack (the latency model and config are
-        # reused by reference: both are pure parameter holders).
+        # This home's own config (the caller's may build other homes)
+        # with the scheduler and the plan strategy applied: "serial"
+        # (bit-compatible command chain) or "parallel" (command-DAG
+        # dispatch; see docs/execution-model.md).
+        self.config = dataclasses.replace(
+            config or ControllerConfig(), scheduler=scheduler)
+        if execution is not None:
+            self.config.execution = execution
+        # Everything else the stack is built from, kept so recovery can
+        # rebuild an identical stack (the latency model is reused by
+        # reference: a pure parameter holder).
         self._ctor: Dict[str, Any] = {
             "visibility": visibility,
             "scheduler": scheduler,
             "execution": execution,
-            "config": config,
             "latency": latency,
             "seed": seed,
             "detector_ping_period_s": detector_ping_period_s,
@@ -129,12 +137,6 @@ class SafeHome:
         :meth:`_build_stack` so :meth:`reset` can reuse the substrate
         objects in place while rebuilding the per-home state."""
         ctor = self._ctor
-        self.config = ctor["config"] or ControllerConfig()
-        self.config.scheduler = ctor["scheduler"]
-        if ctor["execution"] is not None:
-            # "serial" (bit-compatible command chain) or "parallel"
-            # (command-DAG dispatch; see docs/execution-model.md).
-            self.config.execution = ctor["execution"]
         self.controller = make_controller(
             ctor["visibility"], self.sim, self.registry, self.driver,
             self.config)
@@ -310,10 +312,10 @@ class SafeHome:
         """Populate this home from a :class:`Workload` in one call.
 
         Creates the workload's devices, scripts its failure plans,
-        submits its open-loop arrivals and wires its closed-loop streams
-        — the same injection the experiment runner performs, but against
-        a user-facing hub.  This is how the fleet engine turns a home
-        spec into a running :class:`SafeHome`.
+        submits its open-loop arrivals and wires its closed-loop streams.
+        The one way a workload becomes a running home: the experiment
+        runner (figures, ablations, ``repro scenario``, the hunter) and
+        the fleet engine both come through here.
         """
         self._ensure_alive()
         for type_name, name in workload.devices:

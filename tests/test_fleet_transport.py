@@ -129,8 +129,7 @@ class TestWalSpooling:
 
     @pytest.mark.parametrize("victim", ["checkpoint-digest",
                                         "observation-payload"])
-    def test_tampered_spool_line_fails_verified_replay(self, tmp_path,
-                                                       victim):
+    def test_tampered_spool_image_is_caught(self, tmp_path, victim):
         """Tampering that keeps the container whole (same length, every
         frame framed again with a valid CRC, index still consistent)
         loads — and is caught by the replay verifier, in

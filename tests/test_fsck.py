@@ -223,9 +223,9 @@ class TestFleetSpool:
         path = Path(wal_dir) / INDEX_NAME
         return path, json.loads(path.read_text())
 
-    def test_undecodable_spool_line_is_typed(self, tmp_path):
-        """An undecodable worker file (the name predates the framed
-        container): a worker that died mid-write, or a foreign file."""
+    def test_undecodable_spool_image_is_typed(self, tmp_path):
+        """An undecodable worker file: a worker that died mid-write,
+        or a foreign file."""
         wal_dir = str(tmp_path)
         home = build_durable_home("ev", "serial", None, seed=0)
         block = home_wal_record(0, "chaos", 0, home)

@@ -181,3 +181,56 @@ class TestTypedRefusalsReachTheUserAsOneLine:
         captured = capsys.readouterr()
         assert captured.err.startswith("repro: refusing to spool into")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["scenario", "morning", "--model", "foo"],
+         "repro: unknown visibility model 'foo'; pick from ["),
+        (["scenario", "morning", "--scheduler", "foo"],
+         "repro: unknown scheduler 'foo'; pick from ["),
+        (["scenario", "beach-day"],
+         "repro: unknown fleet scenario 'beach-day'; pick from ["),
+        (["export-trace", "beach-day", "unwritten.json"],
+         "repro: unknown fleet scenario 'beach-day'; pick from ["),
+        (["run-trace", "/nonexistent/trace.json"],
+         "repro: [Errno 2] No such file or directory"),
+    ], ids=["model", "scheduler", "scenario", "export-trace", "no-such-trace"])
+    def test_a_typo_on_scenario_or_run_trace(self, argv, message, capsys):
+        """Each of these was a ValueError / FileNotFoundError traceback
+        (the unknown scenario a bare line without the choices on
+        ``export-trace``)."""
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_run_trace_on_a_trace_without_devices(self, tmp_path, capsys):
+        trace = tmp_path / "empty.json"
+        trace.write_text('{"name": "empty", "devices": []}')
+        assert cli_main(["run-trace", str(trace)]) == 2
+        assert capsys.readouterr().err == \
+            "repro: workload 'empty' has no devices\n"
+
+
+class TestHomesBuiltFromOneConfigDoNotAlias:
+    """``SafeHome`` wrote its scheduler and execution into the caller's
+    ``ControllerConfig``: a second home built from the same object
+    changed the first one's — and ``execution`` is read lazily, so a
+    live home switched plan strategy mid-run."""
+
+    def test_each_home_keeps_its_own_scheduler_and_execution(self):
+        shared = ControllerConfig(leniency_factor=1.5)
+        first = SafeHome(scheduler="fcfs", config=shared)
+        second = SafeHome(scheduler="jit", execution="parallel",
+                          config=shared)
+        assert first.config is not second.config
+        assert (first.config.scheduler, first.config.execution) == \
+            ("fcfs", "serial")
+        assert (second.config.scheduler, second.config.execution) == \
+            ("jit", "parallel")
+        assert first.config.leniency_factor == \
+            second.config.leniency_factor == 1.5
+        assert shared == ControllerConfig(leniency_factor=1.5)
+        # reset() rebuilds the policy layers: still no write-through.
+        second.reset(seed=1)
+        assert shared.scheduler == "timeline" and \
+            first.config.scheduler == "fcfs"
