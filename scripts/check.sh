@@ -99,6 +99,9 @@ echo "checkpoint digests equal their reference definition"
 # Every figure, ablation and probe of `repro bench --suite full` still
 # reports the committed rows (tier-1 skips Fig 13; this runs all 19).
 "$PY" scripts/gen_sweeps_golden.py --check
+# A served hub (shared bank routines, 2 homes x 8 tenants x 60 tickets
+# per model) still reports the committed digests and oracle verdicts.
+"$PY" scripts/gen_serve_golden.py --check
 
 echo
 echo "== fsck gate (golden fixtures + seeded corruption matrix) =="

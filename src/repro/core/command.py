@@ -80,14 +80,13 @@ class CommandExecution:
     """
 
     __slots__ = ("command", "started_at", "finished_at", "applied",
-                 "skipped", "rolled_back", "observed", "extra")
+                 "skipped", "rolled_back", "observed")
 
     def __init__(self, command: Command,
                  started_at: Optional[float] = None,
                  finished_at: Optional[float] = None,
                  applied: bool = False, skipped: bool = False,
-                 rolled_back: bool = False, observed: Any = None,
-                 extra: Optional[dict] = None) -> None:
+                 rolled_back: bool = False, observed: Any = None) -> None:
         self.command = command
         self.started_at = started_at
         self.finished_at = finished_at
@@ -95,7 +94,6 @@ class CommandExecution:
         self.skipped = skipped         # best-effort command skipped
         self.rolled_back = rolled_back
         self.observed = observed       # value seen, for reads
-        self.extra = {} if extra is None else extra
 
     def __repr__(self) -> str:
         return (f"CommandExecution({self.command.describe()}, "

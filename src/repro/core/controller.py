@@ -108,9 +108,6 @@ class RoutineRun:
     lock_wait_s: float = 0.0
     # Order of arrival at the controller (lock-table admission FIFO).
     arrival_seq: int = -1
-    # device id -> index of the routine's last command on that device,
-    # precomputed once so per-command bookkeeping is O(1).
-    last_index_by_device: Dict[int, int] = field(default_factory=dict)
     # Devices → state observed just before this routine's first write
     # (rollback target for the lineage-less models).
     prior_states: Dict[int, Any] = field(default_factory=dict)
@@ -121,10 +118,11 @@ class RoutineRun:
     failed_after_last_touch: Set[int] = field(default_factory=set)
     rolled_back_commands: int = 0
 
-    def __post_init__(self) -> None:
-        self.last_index_by_device = {
-            command.device_id: index
-            for index, command in enumerate(self.routine.commands)}
+    @property
+    def last_index_by_device(self) -> Dict[int, int]:
+        """Device id -> index of the last command on it; derived once
+        per routine and shared by every run of that routine."""
+        return self.routine.last_index_by_device
 
     @property
     def inflight(self) -> bool:

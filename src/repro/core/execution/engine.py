@@ -102,7 +102,7 @@ class PlanExecutionMixin(Controller):
 
     @staticmethod
     def _last_index_on_device(run: RoutineRun, device_id: int) -> int:
-        return run.last_index_by_device.get(device_id, -1)
+        return run.routine.last_index_by_device.get(device_id, -1)
 
     def _finish_point(self, run: RoutineRun) -> None:
         """All commands processed; default is to commit immediately."""

@@ -6,7 +6,7 @@ its first to its last command on that device (§4.3's lock-accessD(Ri)).
 relative time offsets the Timeline scheduler needs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.command import Command
@@ -51,7 +51,6 @@ class Routine:
     commands: List[Command]
     user: str = ""
     trigger: str = ""
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.commands:
@@ -85,8 +84,20 @@ class Routine:
     # The footprint views below are cached on first use: commands are
     # fixed after construction (the contiguity check would be meaningless
     # otherwise) and the controllers re-derive these on every placement,
-    # finish and rollback.  Callers must treat the returned lists as
-    # read-only.
+    # finish and rollback.  A bank routine is shared by every run that
+    # invokes it, so nothing may mutate a routine, its commands or these
+    # views after construction.  Callers must treat the returned lists
+    # and dicts as read-only.
+
+    @property
+    def last_index_by_device(self) -> Dict[int, int]:
+        """Device id -> index of the routine's last command on it."""
+        cached = self.__dict__.get("_last_index")
+        if cached is None:
+            cached = self.__dict__["_last_index"] = {
+                command.device_id: index
+                for index, command in enumerate(self.commands)}
+        return cached
 
     @property
     def device_ids(self) -> List[int]:

@@ -9,7 +9,7 @@ timeout (100 ms by default), which doubles as implicit failure detection.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.devices.network import LatencyModel
 from repro.devices.registry import DeviceRegistry
@@ -25,18 +25,6 @@ class CommandOutcome(enum.Enum):
 
 
 @dataclass
-class IssueRecord:
-    """Audit record of one API call (used by tests and the metrics log)."""
-
-    time_issued: float
-    time_done: float
-    device_id: int
-    value: Any
-    outcome: CommandOutcome
-    source: Any
-
-
-@dataclass
 class Driver:
     """Asynchronous command issue with latency and timeout semantics."""
 
@@ -45,7 +33,6 @@ class Driver:
     latency: LatencyModel = field(default_factory=LatencyModel.deterministic)
     streams: Optional[RandomStreams] = None
     timeout_s: float = 0.1
-    records: List[IssueRecord] = field(default_factory=list)
     # Called with (device_id,) whenever an API call times out; the hub's
     # failure detector hooks this for implicit detection.
     on_timeout: Optional[Callable[[int], None]] = None
@@ -65,10 +52,9 @@ class Driver:
 
         The sim/registry/streams objects are reused by reference (the
         fleet home factory resets them in place); the driver only needs
-        to drop its audit log, re-resolve the network stream from the
-        re-keyed family and detach the previous home's timeout hook.
+        to re-resolve the network stream from the re-keyed family and
+        detach the previous home's timeout hook.
         """
-        self.records.clear()
         self._network = self.streams.stream("network")
         self.on_timeout = None
 
@@ -85,33 +71,23 @@ class Driver:
         per-command closure) — this path fires once per command in every
         fleet home; ``cb_args`` lets callers route context the same way.
         """
-        self.sim.call_after(self._delay(), self._land, self.sim.now,
-                            device_id, value, source, callback, cb_args,
-                            label="land")
+        self.sim.call_after(self._delay(), self._land, device_id, value,
+                            source, callback, cb_args, label="land")
 
-    def _land(self, issued_at: float, device_id: int, value: Any,
-              source: Any, callback: Callable[..., None],
-              cb_args: tuple) -> None:
+    def _land(self, device_id: int, value: Any, source: Any,
+              callback: Callable[..., None], cb_args: tuple) -> None:
         device = self.registry.get(device_id)
         if device.failed:
             self.sim.call_after(
-                self.timeout_s, self._timed_out,
-                issued_at, device_id, value, source, callback, cb_args,
-                label=f"timeout:{device.name}")
+                self.timeout_s, self._timed_out, device_id, callback,
+                cb_args, label=f"timeout:{device.name}")
             return
         prior = device.state
         device.apply(value, self.sim.now, source)
-        self.records.append(IssueRecord(
-            issued_at, self.sim.now, device_id, value,
-            CommandOutcome.APPLIED, source))
         callback(CommandOutcome.APPLIED, prior, *cb_args)
 
-    def _timed_out(self, issued_at: float, device_id: int, value: Any,
-                   source: Any, callback: Callable[..., None],
-                   cb_args: tuple = ()) -> None:
-        self.records.append(IssueRecord(
-            issued_at, self.sim.now, device_id, value,
-            CommandOutcome.TIMED_OUT, source))
+    def _timed_out(self, device_id: int, callback: Callable[..., None],
+                   cb_args: tuple) -> None:
         if self.on_timeout is not None:
             self.on_timeout(device_id)
         callback(CommandOutcome.TIMED_OUT, None, *cb_args)

@@ -2,18 +2,16 @@
 
 Users submit routine definitions once; the dispatcher invokes them by
 name, possibly many times (e.g. a timed Monday-night trash routine).
+Every invocation runs the registered :class:`Routine` itself: the
+engine never mutates a routine or its commands after construction, so
+N runs of one routine share its command list and the footprint derived
+from it (``tests/test_routine_values.py`` pins this).
 """
 
-import copy
-import dataclasses
 from typing import Dict, Iterator, List
 
 from repro.core.routine import Routine
 from repro.errors import RoutineSpecError
-
-
-#: Command values of these types carry no state a copy could share.
-_ATOMS = (str, int, float, bool, type(None))
 
 
 class RoutineBank:
@@ -42,18 +40,6 @@ class RoutineBank:
         if routine is None:
             raise RoutineSpecError(f"no routine named {name!r}")
         return routine
-
-    def instantiate(self, name: str) -> Routine:
-        """A fresh copy for one invocation (runs must not share state)."""
-        template = self.get(name)
-        commands = [copy.copy(command) for command in template.commands]
-        for command in commands:
-            if not isinstance(command.value, _ATOMS):
-                command.value = copy.deepcopy(command.value)
-            if not isinstance(command.undo_value, _ATOMS):
-                command.undo_value = copy.deepcopy(command.undo_value)
-        return dataclasses.replace(template, commands=commands,
-                                   meta=copy.deepcopy(template.meta))
 
     def names(self) -> List[str]:
         return sorted(self._routines)

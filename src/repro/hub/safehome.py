@@ -360,7 +360,7 @@ class SafeHome:
         if isinstance(routine_or_name, Routine):
             routine = routine_or_name
         else:
-            routine = self.bank.instantiate(routine_or_name)
+            routine = self.bank.get(routine_or_name)
         return self._submit_recorded(routine, at)
 
     def invoke_repeating(self, name: str, start_at: float, period: float,

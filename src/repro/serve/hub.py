@@ -3,7 +3,8 @@
 A served deployment is one or more live :class:`SafeHome` instances
 fielding routine submissions from many concurrent tenants.  Clients
 (threads, or the inline closed-loop generator) call :meth:`submit`,
-which only touches the tenant's bounded admission queue; a single
+which resolves the routine against the tenant's home and touches only
+the tenant's bounded admission queue; a single
 serve loop — the only code that ever drives the simulators — admits
 queued requests with weighted fair dequeue and paces each home's
 virtual clock through a :class:`~repro.serve.pacing.RealTimeDriver`.
@@ -35,7 +36,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.core.controller import RoutineStatus, RunResult
 from repro.core.routine import Routine
 from repro.core.spec import parse_routine
-from repro.errors import AdmissionRejected, ServeError
+from repro.errors import (AdmissionRejected, DeviceError, RoutineSpecError,
+                          ServeError)
 from repro.hub.safehome import SafeHome
 from repro.metrics.collector import MetricsReport
 from repro.serve.admission import AdmissionControl
@@ -58,6 +60,20 @@ class ServeConfig:
     max_total_events: Optional[int] = None   # per-home livelock valve
 
 
+def _resolve(home: SafeHome,
+             routine: Union[str, Dict[str, Any], Routine]) -> Routine:
+    """The routine a submission names: a bank entry (shared, never
+    copied), a spec parsed against the home's registry, or itself."""
+    if isinstance(routine, Routine):
+        return routine
+    if isinstance(routine, str):
+        return home.bank.get(routine)
+    try:
+        return parse_routine(routine, home.registry)
+    except DeviceError as error:
+        raise RoutineSpecError(str(error)) from error
+
+
 class Ticket:
     """One submission's journey through the served hub."""
 
@@ -65,7 +81,7 @@ class Ticket:
                  "enqueued_v", "admitted_v", "finished_v", "routine_id",
                  "done")
 
-    def __init__(self, seq: int, tenant: str, routine: Any,
+    def __init__(self, seq: int, tenant: str, routine: Routine,
                  home: str, enqueued_v: float) -> None:
         self.seq = seq
         self.tenant = tenant
@@ -156,11 +172,14 @@ class ServeHub:
         """Submit one routine invocation for ``tenant``.
 
         ``routine`` is a bank name, a Fig-10 JSON spec dict, or a
-        :class:`Routine`.  Returns a :class:`Ticket` whose ``done``
-        event fires at commit/abort; raises
-        :class:`~repro.errors.AdmissionRejected` when the tenant's
-        queue is full (``retry_after_s`` backoff hint) or the hub is
-        draining (``retry_after_s is None``).
+        :class:`Routine`.  It is resolved against the tenant's home
+        here, so the serve loop only ever admits runnable routines: an
+        unknown name or a malformed spec raises
+        :class:`~repro.errors.RoutineSpecError` with nothing enqueued.
+        Returns a :class:`Ticket` whose ``done`` event fires at
+        commit/abort; raises :class:`~repro.errors.AdmissionRejected`
+        when the tenant's queue is full (``retry_after_s`` backoff
+        hint) or the hub is draining (``retry_after_s is None``).
         """
         with self._lock:
             if self._state in ("draining", "stopped"):
@@ -168,8 +187,9 @@ class ServeHub:
                     f"hub is {self._state}; not accepting new routines",
                     tenant=tenant, retry_after_s=None)
             state = self.admission.tenant(tenant)
-            ticket = Ticket(self._seq, tenant, routine, state.home,
-                            enqueued_v=self.homes[state.home].sim.now)
+            home = self.homes[state.home]
+            ticket = Ticket(self._seq, tenant, _resolve(home, routine),
+                            state.home, enqueued_v=home.sim.now)
             self.admission.offer(tenant, ticket)   # raises when full
             self._seq += 1
             return ticket
@@ -199,11 +219,7 @@ class ServeHub:
             batch = self.admission.drain(self.config.admit_batch)
         for ticket in batch:
             home = self.homes[ticket.home]
-            routine = ticket.routine
-            if isinstance(routine, (str, Routine)):
-                run = home.invoke(routine)
-            else:
-                run = home.invoke(parse_routine(routine, home.registry))
+            run = home.invoke(ticket.routine)
             ticket.routine_id = run.routine_id
             ticket.admitted_v = home.sim.now
             ticket.status = "admitted"

@@ -61,16 +61,6 @@ class TestIssue:
         sim.run()
         assert outcomes == [CommandOutcome.TIMED_OUT]
 
-    def test_records_audit_log(self):
-        sim, registry, driver = make_stack()
-        driver.issue(0, "ON", source=9,
-                     callback=lambda outcome, prior: None)
-        sim.run()
-        record = driver.records[0]
-        assert record.device_id == 0
-        assert record.outcome is CommandOutcome.APPLIED
-        assert record.source == 9
-
 
 class TestPing:
     def test_ping_up_device(self):

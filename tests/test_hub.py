@@ -34,34 +34,19 @@ class TestRoutineBank:
         with pytest.raises(RoutineSpecError):
             RoutineBank().get("missing")
 
-    def test_instantiate_returns_fresh_copy(self):
-        bank = RoutineBank()
-        bank.register(plain_routine("a"))
-        first = bank.instantiate("a")
-        second = bank.instantiate("a")
-        assert first is not second
-        assert first.commands[0] is not second.commands[0]
-
-    def test_instances_share_no_state_with_template_or_siblings(self):
-        bank = RoutineBank()
-        bank.register(Routine(
-            name="scene", user="ann", meta={"tags": ["evening"]},
-            commands=[Command(device_id=0, value={"level": 3},
-                              undo_value=["OFF"], duration=1.0),
-                      Command(device_id=1, value="ON", duration=2.0,
-                              must=False)]))
-        pristine = bank.instantiate("scene")
-        assert pristine == bank.get("scene")      # a faithful copy
-        mutated = bank.instantiate("scene")
-        mutated.commands.pop()
-        mutated.commands[0].duration = 99.0
-        mutated.commands[0].value["level"] = 0
-        mutated.commands[0].undo_value.append("ON")
-        mutated.meta["tags"].append("dirty")
-        mutated.meta["extra"] = True
-        mutated.trigger = "timer"
-        assert bank.get("scene") == pristine
-        assert bank.instantiate("scene") == pristine
+    def test_invocations_share_the_bank_routine(self):
+        home = SafeHome(visibility="ev")
+        home.add_device("plug", "p0")
+        home.add_device("plug", "p1")
+        home.register_routine(Routine(name="scene", commands=[
+            Command(device_id=0, value="ON", duration=1.0),
+            Command(device_id=1, value="ON", duration=1.0)]))
+        run_a = home.invoke("scene")
+        run_b = home.invoke("scene")
+        assert run_a is not run_b
+        assert run_a.routine is run_b.routine is home.bank.get("scene")
+        assert run_a.last_index_by_device is run_b.last_index_by_device
+        assert run_a.last_index_by_device == {0: 0, 1: 1}
 
 
 class TestSafeHomeFacade:

@@ -12,7 +12,8 @@ import urllib.request
 
 import pytest
 
-from repro.errors import AdmissionRejected, SafeHomeError, ServeError
+from repro.errors import (AdmissionRejected, RoutineSpecError, SafeHomeError,
+                          ServeError)
 from repro.hub.safehome import SafeHome
 from repro.serve import (AdmissionControl, RealTimeDriver, RollingWindow,
                          ServeConfig, ServeHub, StatusServer,
@@ -273,6 +274,24 @@ class TestServeHub:
             hub.submit("ghost", "cool-living")
         with pytest.raises(ServeError):
             hub.add_tenant("t9", home="no-such-home")
+
+    def test_bad_routine_is_refused_at_submit_not_in_the_loop(self):
+        # An unknown name or a spec naming an unknown device used to be
+        # queued and then raise inside the serve loop, stranding the
+        # tickets admitted beside it.
+        hub = small_hub()
+        first = hub.submit("t0", "cool-living")
+        with pytest.raises(RoutineSpecError):
+            hub.submit("t0", "no-such-routine")
+        with pytest.raises(RoutineSpecError):
+            hub.submit("t0", {"routineName": "x", "commands": [
+                {"device": "no-such-device", "action": "ON"}]})
+        third = hub.submit("t0", {"routineName": "x", "commands": [
+            {"device": "bed-light", "action": "ON", "durationSec": 0.2}]})
+        assert hub.admission.tenant("t0").offered == 2
+        hub.serve_until_idle()
+        assert [first.status, third.status] == ["committed", "committed"]
+        assert first.done.is_set() and third.done.is_set()
 
     def test_serve_until_idle_runs_everything_inline(self):
         hub = small_hub()
