@@ -58,6 +58,9 @@ echo "report-path passes equal their reference definitions"
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=17 tests/test_closure_equivalence.py
 echo "EV preSet/postSet queries equal their all-pairs definitions"
+# EV under leases is serializable: 200 seeded micro homes x timeline /
+# jit x both plans, every run judged by the oracle (~30 s).
+"$PY" scripts/check_ev_serializable.py
 # Two `repro bench` runs agree on every non-timing field.
 for run in bench_a bench_b; do
     "$PY" -m repro bench --suite smoke --repeats 1 --warmup 0 \

@@ -66,14 +66,6 @@ class EventualVisibilityController(PlanExecutionMixin):
         # release pumps exactly these candidates (in submission order)
         # instead of scanning every run in the home; see _pump_released.
         self._waiters: Dict[int, Dict[int, RoutineRun]] = {}
-        # Commit compaction (Fig 7) can remove a *still-active* routine's
-        # lock-access (a later routine overwrote it and committed).  The
-        # ordering "that routine precedes everything placed on this
-        # device afterwards" must survive the removal, or a subsequent
-        # pre-lease could contradict it and break serializability.
-        # device_id -> active routine ids serialized before the device's
-        # committed state.
-        self.compacted_before: Dict[int, set] = {}
         self.scheduler = self._make_scheduler()
         self.scheduler_stats: Dict[str, float] = {
             "placements": 0, "pre_leases": 0, "post_leases": 0}
@@ -121,28 +113,20 @@ class EventualVisibilityController(PlanExecutionMixin):
 
     # -- precedence closure (Invariant 4 / preSet-postSet) ------------------------
 
-    def closure_index(self) -> ClosureIndex:
-        """Lazy transitive preSet/postSet queries over the live table.
-
-        The paper's preSet/postSet are "the routines positioned before
-        and after R in the serialization order" — transitively, which is
-        what makes the emptiness test equivalent to acyclicity.  Built
-        per placement and per commit (O(live entries + ghosts)); the
-        result is stale once the table or ``compacted_before`` changes.
-        """
-        return self.table.closure_index(self.compacted_before)
-
     def before_after_for_gap(self, device_id: int, index: int,
                              closures: ClosureIndex,
                              owners: Optional[List[int]] = None
                              ) -> Tuple[set, set]:
         """preSet/postSet contribution of placing an access at ``index``.
 
-        The gap's two neighbours answer for the whole lineage: the left
-        one's preSet already holds every earlier owner, the device's
-        ghosts and all of their preSets; the right one's postSet every
-        later owner's.  The returned sets are fresh — callers may keep
-        or mutate them.
+        The paper's preSet/postSet are "the routines positioned before
+        and after R in the serialization order" — transitively, which is
+        what makes the emptiness test equivalent to acyclicity.  The
+        gap's two neighbours answer for the whole device: the left one
+        (the device's tail, when the gap sits right behind it) already
+        precedes every earlier owner and everything that left the
+        lineage; the right one's postSet holds every later owner's.
+        The returned sets are fresh — callers may keep or mutate them.
 
         ``owners`` may carry the device's owner list when the caller
         already snapshotted it (the Timeline search asks about many gaps
@@ -150,16 +134,12 @@ class EventualVisibilityController(PlanExecutionMixin):
         """
         if owners is None:
             owners = self.table.lineage(device_id).owners()
-        if index:
-            left = owners[index - 1]
-            pre = closures.pre(left) | {left}
+        tail = self.table.order.frontier.get(device_id)
+        if tail is not None and index == tail[1]:
+            left = tail[0]
         else:
-            # Every placement position is after the device's committed
-            # state, hence after any active routine compacted behind it.
-            pre = set()
-            for ghost in self.compacted_before.get(device_id, ()):
-                pre.add(ghost)
-                pre |= closures.pre(ghost)
+            left = owners[index - 1] if index else None
+        pre = set() if left is None else closures.pre(left) | {left}
         if index < len(owners):
             right = owners[index]
             post = closures.post(right) | {right}
@@ -203,7 +183,7 @@ class EventualVisibilityController(PlanExecutionMixin):
                                         index=placement.index)
         self.scheduler_stats["placements"] += 1
         if self.config.paranoid:
-            self.table.verify_all(self.compacted_before)
+            self.table.verify_all()
         self._pump(run)
 
     @staticmethod
@@ -386,14 +366,6 @@ class EventualVisibilityController(PlanExecutionMixin):
     # -- finish: commit with compaction (§4.3, Fig 7) ----------------------------------
 
     def _finish_point(self, run: RoutineRun) -> None:
-        # Active routines transitively serialized before this commit
-        # must also precede anything placed over the committed states it
-        # writes — remember them per device, or a later pre-lease could
-        # contradict an order that only this (about-to-vanish) routine's
-        # entries were witnessing.
-        before_commit = {
-            rid for rid in self.closure_index().pre(run.routine_id)
-            if not self.is_finished(rid) and rid != run.routine_id}
         released_devices: List[int] = []
         for device_id in run.routine.device_ids:
             lineage = self.table.lineage(device_id)
@@ -416,22 +388,18 @@ class EventualVisibilityController(PlanExecutionMixin):
                                   routine_id=run.routine_id,
                                   device_id=device_id,
                                   removed=sorted(compacted))
-                if before_commit:
-                    self.compacted_before.setdefault(
-                        device_id, set()).update(before_commit)
             else:
-                lineage.remove(run.routine_id)
+                self.table.leave(run.routine_id, device_id)
             released_devices.append(device_id)
         self.commit(run)
         if self.config.paranoid:
-            self.table.verify_all(self.compacted_before)
+            self.table.verify_all()
         for device_id in released_devices:
             self.scheduler.on_release(device_id)
         self._pump_released(released_devices)
 
     def _policy_after_finish(self, run: RoutineRun) -> None:
-        for hidden in self.compacted_before.values():
-            hidden.discard(run.routine_id)
+        self.table.order.retire(run.routine_id, self.is_finished)
         self.scheduler.on_finish(run)
 
     # -- abort & rollback (§4.3) ---------------------------------------------------------
@@ -444,19 +412,18 @@ class EventualVisibilityController(PlanExecutionMixin):
             if entry is None:
                 continue
             self._cancel_revocation(run, device_id)
+            # Unless we never wrote the device, or a successor's write
+            # is already the latest, restore what precedes our write.
+            target = UNSET
             if lineage.is_last_writer(run.routine_id):
                 target = self.resolve_undo(
                     run, device_id,
                     lineage.rollback_target(run.routine_id))
-                lineage.remove(run.routine_id)
-                self._restore_device(run, device_id, target)
-            else:
-                # Either we never wrote the device, or a successor's
-                # write is already the latest — just drop the access.
-                lineage.remove(run.routine_id)
+            self.table.leave(run.routine_id, device_id)
+            self._restore_device(run, device_id, target)
             released_devices.append(device_id)
         if self.config.paranoid:
-            self.table.verify_all(self.compacted_before)
+            self.table.verify_all()
         for device_id in released_devices:
             self.scheduler.on_release(device_id)
         self._pump_released(released_devices)
@@ -531,9 +498,7 @@ class EventualVisibilityController(PlanExecutionMixin):
     def snapshot_state(self):
         state = super().snapshot_state()
         state["lineage"] = self.table.snapshot()
-        state["compacted_before"] = {
-            device_id: sorted(hidden) for device_id, hidden in
-            sorted(self.compacted_before.items()) if hidden}
+        state["compacted_before"] = self.table.order.snapshot()
         state["scheduler_stats"] = dict(self.scheduler_stats)
         state["armed_revocations"] = sorted(self._revocations)
         return state

@@ -201,7 +201,7 @@ class LockTable:
             granted.append(grant)
         return granted
 
-    # -- snapshot / restore (durability contract) ------------------------------
+    # -- snapshot (durability contract) ----------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-serializable image of every grant and waiter.
@@ -225,25 +225,6 @@ class LockTable:
             "wait_seconds": dict(self.wait_seconds),
             "stats": dict(self.stats),
         }
-
-    def restore(self, snapshot: dict) -> None:
-        """Rebuild the table from a :meth:`snapshot` image (inverse)."""
-        self._resources = {}
-        for entry in snapshot["resources"]:
-            res = self._resource(entry["resource"])
-            res.grants = [LockGrant(g["owner"], entry["resource"],
-                                    LockMode(g["mode"]),
-                                    granted_at=g["granted_at"],
-                                    deadline=g["deadline"])
-                          for g in entry["grants"]]
-            res.waiters = [_Waiter(w["owner"], entry["resource"],
-                                   LockMode(w["mode"]),
-                                   enqueued_at=w["enqueued_at"],
-                                   deadline=w["deadline"])
-                           for w in entry["waiters"]]
-        self.wait_seconds = {int(k): v for k, v in
-                             snapshot["wait_seconds"].items()}
-        self.stats = dict(snapshot["stats"])
 
     # -- deadlock handling ----------------------------------------------------
 

@@ -142,11 +142,11 @@ class CommandPlan:
             finish[node.index] = start + node.command.duration
         return max(finish.values(), default=0.0)
 
-    # -- snapshot / restore (durability contract) -------------------------------
+    # -- snapshot (durability contract) -----------------------------------------
 
     def snapshot(self) -> dict:
-        """Per-node lifecycle image (edges are recomputed on restore —
-        they are a pure function of the command list and strategy)."""
+        """Per-node lifecycle image (edges are left out — they are a
+        pure function of the command list and strategy)."""
         return {
             "strategy": self.strategy,
             "nodes": [{"index": node.index, "state": node.state.value,
@@ -154,24 +154,6 @@ class CommandPlan:
                        "issued_at": node.issued_at}
                       for node in self.nodes],
         }
-
-    def restore(self, snapshot: dict) -> None:
-        """Re-apply a :meth:`snapshot` onto a plan compiled from the
-        same command list and strategy."""
-        if snapshot["strategy"] != self.strategy:
-            raise ValueError(
-                f"snapshot strategy {snapshot['strategy']!r} does not "
-                f"match plan strategy {self.strategy!r}")
-        if len(snapshot["nodes"]) != len(self.nodes):
-            raise ValueError("snapshot node count mismatch")
-        self._open = set()
-        for entry in snapshot["nodes"]:
-            node = self.nodes[entry["index"]]
-            node.state = NodeState(entry["state"])
-            node.ready_at = entry["ready_at"]
-            node.issued_at = entry["issued_at"]
-            if node.state is not NodeState.DONE:
-                self._open.add(node.index)
 
     # -- lifecycle ------------------------------------------------------------
 

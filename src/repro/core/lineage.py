@@ -25,10 +25,6 @@ from repro.errors import LineageInvariantError
 # Sentinel distinguishing "no write applied yet" from "wrote None".
 UNSET = object()
 
-# EV's ``compacted_before``: device id -> routines compacted away behind
-# the device's committed state while still active ("ghosts").
-Ghosts = Mapping[int, Collection[int]]
-
 
 class LockStatus(enum.Enum):
     """Lifecycle of a lock-access entry (Invariant 3: R ← A ← S)."""
@@ -99,12 +95,6 @@ class Lineage:
         self.committed_state = committed_state
         self.committed_source: Optional[int] = None
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     # -- lookup ---------------------------------------------------------------
 
     def index_of(self, routine_id: int) -> Optional[int]:
@@ -146,12 +136,6 @@ class Lineage:
 
     def append(self, access: LockAccess) -> None:
         self.insert(len(self.entries), access)
-
-    def remove(self, routine_id: int) -> Optional[LockAccess]:
-        index = self.index_of(routine_id)
-        if index is None:
-            return None
-        return self.entries.pop(index)
 
     # -- lock lifecycle ---------------------------------------------------------
 
@@ -263,12 +247,11 @@ class Lineage:
                 overlaps.append((first, second))
         return overlaps
 
-    # -- snapshot / restore (durability contract) ------------------------------------
+    # -- snapshot (durability contract) ------------------------------------------------
 
     def snapshot(self) -> dict:
         """In-memory image of the lineage (entries in serialization
-        order plus the committed state).  Values are kept raw so a
-        restored lineage preserves rollback-target identity; the
+        order plus the committed state).  Values are kept raw; the
         checkpoint layer jsonifies them for digests.  ``UNSET`` is
         encoded as absence."""
         entries = []
@@ -289,29 +272,6 @@ class Lineage:
         if self.committed_state is not UNSET:
             snap["committed_state"] = self.committed_state
         return snap
-
-    def restore(self, snapshot: dict) -> None:
-        """Rebuild from a :meth:`snapshot` image (inverse)."""
-        if snapshot["device_id"] != self.device_id:
-            raise LineageInvariantError("snapshot belongs to another device")
-        self.committed_state = snapshot.get("committed_state", UNSET)
-        self.committed_source = snapshot.get("committed_source")
-        self.entries = []
-        for entry in snapshot["entries"]:
-            self.entries.append(LockAccess(
-                routine_id=entry["routine_id"],
-                device_id=self.device_id,
-                status=LockStatus(entry["status"]),
-                planned_start=entry["planned_start"],
-                duration=entry["duration"],
-                writes=entry["writes"],
-                reads=entry["reads"],
-                final_value=entry.get("final_value", UNSET),
-                applied_value=entry.get("applied_value", UNSET),
-                acquired_at=entry["acquired_at"],
-                released_at=entry["released_at"],
-                pre_leased=entry["pre_leased"]))
-        self.check_local_invariants()
 
     # -- status inference (Fig 8) --------------------------------------------------
 
@@ -409,9 +369,9 @@ class ClosureIndex:
     from one table state; a reach set is computed on first request and
     cached, so the index is valid only until the table next changes
     (one placement, one commit).  Placement touches the neighbours of
-    the gaps it examines and a commit needs one routine's preSet, so
-    most nodes' closures are never materialized.  ``pre``/``post``
-    return the memoized sets themselves: callers must not mutate them.
+    the gaps it examines, so most nodes' closures are never
+    materialized.  ``pre``/``post`` return the memoized sets
+    themselves: callers must not mutate them.
     """
 
     __slots__ = ("_successors", "_predecessors", "_pre", "_post")
@@ -471,18 +431,71 @@ class ClosureIndex:
                       if left and node in self.pre(node))
 
 
+class RetainedOrder:
+    """The orders the lineages no longer show: the edges departing
+    accesses left (:meth:`LineageTable._depart`) and, per device, the
+    ``(tail, ahead)`` frontier — the last access to leave it in its
+    serialization order, which every later placement there follows, and
+    how many live entries precede it.  Serialization-graph testing's
+    node-deletion rule bounds it: a routine leaves once it has finished
+    and nothing precedes it; its successors cascade."""
+
+    __slots__ = ("successors", "predecessors", "frontier")
+
+    def __init__(self) -> None:
+        self.successors: Dict[int, set] = {}
+        self.predecessors: Dict[int, set] = {}
+        self.frontier: Dict[int, Tuple[int, int]] = {}
+
+    def add(self, before: int, after: int) -> None:
+        self.successors.setdefault(before, set()).add(after)
+        self.predecessors.setdefault(after, set()).add(before)
+
+    def retire(self, routine_id: int,
+               finished: Callable[[int], bool]) -> None:
+        """``routine_id`` has finished: prune it unless something still
+        precedes it, then every finished successor left without one."""
+        if routine_id in self.predecessors:
+            return
+        pruned = set()
+        stack = [routine_id]
+        while stack:
+            node = stack.pop()
+            pruned.add(node)
+            for after in self.successors.pop(node, ()):
+                before = self.predecessors[after]
+                before.discard(node)
+                if not before:
+                    del self.predecessors[after]
+                    if finished(after):
+                        stack.append(after)
+        for device_id, (tail, _) in list(self.frontier.items()):
+            if tail in pruned:
+                del self.frontier[device_id]
+
+    def snapshot(self) -> dict:
+        """Checkpoint image; ``{}`` when nothing is retained."""
+        if not self.successors and not self.frontier:
+            return {}
+        return {"after": {node: sorted(after) for node, after
+                          in self.successors.items()},
+                "frontier": {device_id: list(tail) for device_id, tail
+                             in self.frontier.items()}}
+
+
 class LineageTable:
     """All device lineages plus the wait queue bookkeeping (Fig 4).
 
     ``committed_lookup`` (device_id → state) seeds a lineage's committed
     state lazily at first use, so devices may be registered after the
-    controller is constructed.
-    """
+    controller is constructed.  Every exit from a lineage keeps its
+    order in ``order``."""
 
     def __init__(self, committed_lookup: Optional[
             Callable[[int], Any]] = None) -> None:
         self._lineages: Dict[int, Lineage] = {}
         self._committed_lookup = committed_lookup
+        self.order = RetainedOrder()
 
     def lineage(self, device_id: int) -> Lineage:
         lineage = self._lineages.get(device_id)
@@ -494,9 +507,6 @@ class LineageTable:
             self._lineages[device_id] = lineage
         return lineage
 
-    def __contains__(self, device_id: int) -> bool:
-        return device_id in self._lineages
-
     def lineages(self) -> Iterable[Lineage]:
         return self._lineages.values()
 
@@ -506,16 +516,12 @@ class LineageTable:
         lineage.committed_state = value
         lineage.committed_source = source
 
-    def committed(self, device_id: int) -> Any:
-        return self.lineage(device_id).committed_state
-
-    def remove_routine(self, routine_id: int) -> List[int]:
-        """Drop every access of a routine; returns affected device ids."""
-        affected = []
-        for lineage in self._lineages.values():
-            if lineage.remove(routine_id) is not None:
-                affected.append(lineage.device_id)
-        return affected
+    def leave(self, routine_id: int, device_id: int
+              ) -> Optional[LockAccess]:
+        """Remove one access (a finished non-writer's, or at rollback)."""
+        lineage = self.lineage(device_id)
+        index = lineage.index_of(routine_id)
+        return None if index is None else self._depart(lineage, index)
 
     def compact_commit(self, routine_id: int, device_id: int) -> List[int]:
         """Commit compaction (Fig 7) for one device.
@@ -534,69 +540,89 @@ class LineageTable:
             if entry.status is LockStatus.ACQUIRED:
                 raise LineageInvariantError(
                     f"compaction would drop an ACQUIRED access: {entry}")
-        del lineage.entries[:index + 1]
+        for _ in removed:
+            self._depart(lineage, 0)
         return [e.routine_id for e in removed if e.routine_id != routine_id]
 
-    # -- snapshot / restore ------------------------------------------------------
+    def _depart(self, lineage: Lineage, index: int) -> LockAccess:
+        """The one way out: edges from the left neighbour (or the tail
+        right before it) and to the right one; a RELEASED access leaving
+        behind the tail becomes the device's tail, and the old tail's
+        edge to the first live entry behind it is made explicit."""
+        entries = lineage.entries
+        entry = entries.pop(index)
+        routine_id = entry.routine_id
+        order = self.order
+        device_id = lineage.device_id
+        tail = order.frontier.get(device_id)
+        if tail is not None and index == tail[1]:
+            order.add(tail[0], routine_id)
+        elif index:
+            order.add(entries[index - 1].routine_id, routine_id)
+        if index < len(entries):
+            order.add(routine_id, entries[index].routine_id)
+        if tail is not None and index < tail[1]:
+            order.frontier[device_id] = (tail[0], tail[1] - 1)
+        elif entry.status is LockStatus.RELEASED:
+            if tail is not None and index > tail[1]:
+                order.add(tail[0], entries[tail[1]].routine_id)
+            order.frontier[device_id] = (routine_id, index)
+        return entry
+
+    # -- snapshot ---------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Every device lineage, keyed (sorted) by device id."""
         return {"lineages": [self._lineages[device_id].snapshot()
                              for device_id in sorted(self._lineages)]}
 
-    def restore(self, snapshot: dict) -> None:
-        """Rebuild all lineages from a :meth:`snapshot` image."""
-        self._lineages = {}
-        for entry in snapshot["lineages"]:
-            lineage = Lineage(entry["device_id"])
-            lineage.restore(entry)
-            self._lineages[entry["device_id"]] = lineage
-
     # -- invariant 4 ------------------------------------------------------------
 
-    def closure_index(self, compacted_before: Optional[Ghosts] = None
-                      ) -> ClosureIndex:
+    def closure_index(self) -> ClosureIndex:
         """The serialization order of this table state as a graph.
 
         A lineage is a total order, so its adjacent entries
-        (``o_k -> o_{k+1}``) carry every pair it orders.  Routines in
-        ``compacted_before[device]`` (EV's ghosts: compacted away, still
-        active) precede every live access of the device, which one edge
-        to its first entry says.  One pass: O(live entries + ghosts).
+        (``o_k -> o_{k+1}``) carry every pair it orders.  The retained
+        order adds its edges, and one edge from each device's tail to
+        the first live entry behind it.  One pass: O(live entries +
+        retained edges).
         """
-        ghosts = compacted_before or {}
         successors: Dict[int, List[int]] = defaultdict(list)
         predecessors: Dict[int, List[int]] = defaultdict(list)
+        frontier = self.order.frontier
         for lineage in self._lineages.values():
-            chain = iter(lineage.entries)
-            first = next(chain, None)
-            if first is None:
+            entries = lineage.entries
+            if not entries:
                 continue
-            before = first.routine_id
-            hidden = ghosts.get(lineage.device_id)
-            if hidden:
-                predecessors[before].extend(hidden)
-                for ghost in hidden:
-                    successors[ghost].append(before)
+            tail = frontier.get(lineage.device_id)
+            if tail is not None and tail[1] < len(entries):
+                after = entries[tail[1]].routine_id
+                successors[tail[0]].append(after)
+                predecessors[after].append(tail[0])
+            chain = iter(entries)
+            before = next(chain).routine_id
             for entry in chain:
                 after = entry.routine_id
                 successors[before].append(after)
                 predecessors[after].append(before)
                 before = after
+        for before, afters in self.order.successors.items():
+            successors[before].extend(afters)
+            for after in afters:
+                predecessors[after].append(before)
         return ClosureIndex(successors, predecessors)
 
-    def verify_serialize_before(
-            self, compacted_before: Optional[Ghosts] = None) -> None:
+    def verify_serialize_before(self) -> None:
         """Invariant 4: no routine precedes itself — through any number
-        of devices, and through orders only ``compacted_before`` still
+        of devices, and through orders only the retained order still
         holds."""
-        cyclic = self.closure_index(compacted_before).cyclic()
+        cyclic = self.closure_index().cyclic()
         if cyclic:
             raise LineageInvariantError(
                 "invariant 4 violated: the serialization order is cyclic "
                 f"through routines {cyclic}")
 
-    def verify_all(self, compacted_before: Optional[Ghosts] = None) -> None:
+    def verify_all(self) -> None:
         """Full invariant sweep (used by tests and paranoid mode)."""
         for lineage in self._lineages.values():
             lineage.check_local_invariants()
@@ -605,4 +631,4 @@ class LineageTable:
                 raise LineageInvariantError(
                     f"invariant 1 violated on device {lineage.device_id}: "
                     f"{overlaps}")
-        self.verify_serialize_before(compacted_before)
+        self.verify_serialize_before()

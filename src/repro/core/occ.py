@@ -25,7 +25,6 @@ from repro.core.controller import (Canonical, RoutineRun, RoutineStatus,
                                    canonical_object, encode_fragment)
 from repro.core.execution.engine import PlanExecutionMixin
 from repro.core.routine import Routine
-from repro.core.lineage import UNSET
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,9 @@ class OptimisticController(PlanExecutionMixin):
             device = self.registry.get(device_id)
             if device.last_writer() != run.routine_id:
                 continue  # someone newer owns the state now
-            committed = self.committed_states.get(device_id, UNSET)
-            if committed is UNSET:
-                committed = run.prior_states[device_id]
+            # Never committed: the initial state counts as committed.
+            committed = self.committed_states.get(device_id,
+                                                  device.initial_state)
             targets[device_id] = self.undo_registry.resolve(
                 command, committed)
         return targets

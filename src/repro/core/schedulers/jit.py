@@ -103,7 +103,7 @@ class JiTScheduler(Scheduler):
                     return None
             index = released_prefix
             if not closures:
-                closures.append(controller.closure_index())
+                closures.append(controller.table.closure_index())
             gap_pre, gap_post = controller.before_after_for_gap(
                 request.device_id, index, closures[0])
             pre |= gap_pre

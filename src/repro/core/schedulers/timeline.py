@@ -55,18 +55,18 @@ class TimelineScheduler(Scheduler):
                      for request in requests]
 
         # Fast path: when every requested device's lineage is empty (no
-        # live entries, no compacted-before ghosts) — ~80% of fleet-mix
-        # placements — the search degenerates to the tail chain: each
-        # access lands in its device's sole (index 0, now → ∞) gap with
-        # empty preSet/postSet, which is exactly what the backtracking
-        # search below computes gap-by-gap.  Skips the gap projection,
-        # closure build and recursion without changing one placement.
+        # live entries, no retained tail) — ~80% of fleet-mix placements
+        # — the search degenerates to the tail chain: each access lands
+        # in its device's sole (index 0, now → ∞) gap with empty
+        # preSet/postSet, which is exactly what the backtracking search
+        # below computes gap-by-gap.  Skips the gap projection, closure
+        # build and recursion without changing one placement.
         table = controller.table
-        compacted = controller.compacted_before
+        frontier = table.order.frontier
         empty = True
         for request in requests:
             if table.lineage(request.device_id).entries or \
-                    compacted.get(request.device_id):
+                    request.device_id in frontier:
                 empty = False
                 break
         if empty:
@@ -97,7 +97,7 @@ class TimelineScheduler(Scheduler):
             gaps_by_device[request.device_id] = (
                 gaps, [gap.end for gap in gaps], lineage.owners())
 
-        closures = controller.closure_index()
+        closures = table.closure_index()
         assignment: List[Optional[Placement]] = [None] * len(requests)
         chain = self.chains_devices()
 

@@ -88,16 +88,6 @@ class DeviceRegistry:
             "writes": len(d.write_log),
         } for d in self}
 
-    def restore_full(self, snapshot: Dict[int, Dict[str, object]]) -> None:
-        """Re-apply a :meth:`snapshot_full` image onto this registry's
-        existing devices (ids must match; inventory is rebuilt from the
-        WAL's device-added records, not from snapshots)."""
-        for device_id, entry in snapshot.items():
-            device = self.get(device_id)
-            device.state = entry["state"]
-            device.failed = bool(entry["failed"])
-            device.initial_state = entry["initial_state"]
-
     def failed_ids(self) -> List[int]:
         return [d.device_id for d in self if d.failed]
 

@@ -1,23 +1,25 @@
 """Differential tests for EV's precedence queries.
 
-EV builds its preSet/postSet graph from *adjacent* lineage entries plus
-one edge from each compacted-before ghost to the device's first live
-entry, and answers a gap from its two neighbours.  The all-pairs
-definitions those replaced live on here, and only here, as reference
-functions; the chain forms must agree with them *exactly*:
+EV builds its preSet/postSet graph from *adjacent* lineage entries, the
+edges of the table's retained order and one edge from each device's
+tail to the first live entry behind it, and answers a gap from its two
+neighbours.  The all-pairs definitions those replaced live on here, and
+only here, as reference functions; the chain forms must agree with them
+*exactly*:
 
 * on every synthetic table hypothesis draws — random per-device orders
-  (so cross-device contradictions and cycles occur), ghosts that are
-  also live on the device, one-entry lineages with ghosts, empty and
-  absent hidden sets;
+  (so cross-device contradictions and cycles occur), retained edges
+  between live and departed routines, tails on empty and non-empty
+  lineages with live entries still ahead of them;
 * end to end, on seeded micro homes run once as shipped and once with
-  the references monkeypatched onto the controller: report row, device
-  access orders, scheduler stats, the journaled record stream (every
-  checkpoint's state digest and observation seal) and the closing seal
-  over every ``lineage-placed`` / ``lineage-compacted`` observation;
-* structurally: the adjacency of an n-entry lineage holds n − 1 edges
-  and a gap costs at most two closure queries, so the quadratic form
-  cannot come back unnoticed.
+  the references monkeypatched onto the table and the controller:
+  report row, device access orders, scheduler stats, the journaled
+  record stream (every checkpoint's state digest and observation seal)
+  and the closing seal over every ``lineage-placed`` /
+  ``lineage-compacted`` observation;
+* structurally: the adjacency of an n-entry lineage holds n − 1 edges,
+  a retained edge or a tail costs one, and a gap costs at most two
+  closure queries, so the quadratic form cannot come back unnoticed.
 """
 
 import hashlib
@@ -31,7 +33,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.controller import ControllerConfig
 from repro.core.ev import EventualVisibilityController
-from repro.core.lineage import ClosureIndex, LockAccess
+from repro.core.lineage import ClosureIndex, LineageTable, LockAccess
 from repro.errors import LineageInvariantError
 from repro.hub.safehome import SafeHome
 from repro.workloads.micro import MicroParams, generate_microbenchmark
@@ -40,37 +42,28 @@ from tests.conftest import Home, routine
 
 # -- the all-pairs definitions (reference only) --------------------------------
 
-def ref_closure_index(controller) -> ClosureIndex:
+def ref_closure_index(table) -> ClosureIndex:
     successors: Dict[int, set] = {}
     predecessors: Dict[int, set] = {}
-    for lineage in controller.table.lineages():
+
+    def edge(before, after):
+        successors.setdefault(before, set()).add(after)
+        predecessors.setdefault(after, set()).add(before)
+
+    for lineage in table.lineages():
         owners = lineage.owners()
         n = len(owners)
         for i in range(n - 1):
             for j in range(i + 1, n):
-                successors.setdefault(owners[i], set()).add(owners[j])
-                predecessors.setdefault(owners[j], set()).add(owners[i])
-    for device_id, hidden in controller.compacted_before.items():
-        owners = controller.table.lineage(device_id).owners()
-        for before in hidden:
-            for after in owners:
-                successors.setdefault(before, set()).add(after)
-                predecessors.setdefault(after, set()).add(before)
+                edge(owners[i], owners[j])
+        tail = table.order.frontier.get(lineage.device_id)
+        if tail is not None:
+            for after in owners[tail[1]:]:
+                edge(tail[0], after)
+    for before, afters in table.order.successors.items():
+        for after in afters:
+            edge(before, after)
     return ClosureIndex(successors, predecessors)
-
-
-def ref_predecessor_index(controller) -> ClosureIndex:
-    """The commit path's old predecessor-only build."""
-    predecessors: Dict[int, set] = {}
-    for lineage in controller.table.lineages():
-        owners = lineage.owners()
-        for j in range(1, len(owners)):
-            predecessors.setdefault(owners[j], set()).update(owners[:j])
-    for device_id, hidden in controller.compacted_before.items():
-        if hidden:
-            for after in controller.table.lineage(device_id).owners():
-                predecessors.setdefault(after, set()).update(hidden)
-    return ClosureIndex({}, predecessors)
 
 
 def ref_before_after_for_gap(controller, device_id: int, index: int,
@@ -81,10 +74,11 @@ def ref_before_after_for_gap(controller, device_id: int, index: int,
         owners = controller.table.lineage(device_id).owners()
     pre: set = set()
     post: set = set()
-    for owner in controller.compacted_before.get(device_id, ()):
-        pre.add(owner)
-        pre |= closures.pre(owner)
-    for owner in owners[:index]:
+    tail = controller.table.order.frontier.get(device_id)
+    earlier = list(owners[:index])
+    if tail is not None and index >= tail[1]:
+        earlier.append(tail[0])
+    for owner in earlier:
         pre.add(owner)
         pre |= closures.pre(owner)
     for owner in owners[index:]:
@@ -109,62 +103,68 @@ def ref_reach(start: int, graph: Dict[int, set]) -> set:
 
 @st.composite
 def tables(draw):
-    """``(orders, ghosts)``: a per-device owner order and a
-    ``compacted_before`` map over a small routine population."""
+    """``(orders, edges, tails)``: a per-device owner order, retained
+    edges and per-device ``(tail, ahead)`` over a small population."""
     n_devices = draw(st.integers(1, 8))
     n_routines = draw(st.integers(0, 12))
     population = list(range(n_routines))
     orders = [draw(st.lists(st.sampled_from(population), unique=True))
               if population else [] for _ in range(n_devices)]
-    # Ghost ids reach past the live population: routines compacted away
-    # everywhere.  Keys may be absent, present-but-empty, or overlap the
-    # device's own live owners.
-    ghost_ids = st.integers(0, n_routines + 2)
-    ghosts = draw(st.dictionaries(st.integers(0, n_devices - 1),
-                                  st.sets(ghost_ids, max_size=4)))
-    return orders, ghosts
+    # Retained routines reach past the live population: routines that
+    # left every lineage.
+    ids = st.integers(0, n_routines + 2)
+    edges = draw(st.lists(st.tuples(ids, ids).filter(
+        lambda pair: pair[0] != pair[1]), max_size=8))
+    tails = {}
+    for device_id, owners in enumerate(orders):
+        tail = draw(st.none() | ids.filter(lambda rid: rid not in owners))
+        if tail is not None:
+            tails[device_id] = (tail, draw(st.integers(0, len(owners))))
+    return orders, edges, tails
 
 
-def build_controller(orders, ghosts, paranoid=False):
+def build_controller(orders, edges=(), tails=None, paranoid=False):
     home = Home(model="ev", n_devices=len(orders),
                 config=ControllerConfig(paranoid=paranoid))
-    controller = home.controller
+    table = home.controller.table
     for device_id, owners in enumerate(orders):
-        lineage = controller.table.lineage(device_id)
+        lineage = table.lineage(device_id)
         for position, routine_id in enumerate(owners):
             lineage.append(LockAccess(routine_id=routine_id,
                                       device_id=device_id,
                                       planned_start=10.0 * position,
                                       duration=1.0))
-    controller.compacted_before = {device_id: set(hidden)
-                                   for device_id, hidden in ghosts.items()}
+    for before, after in edges:
+        table.order.add(before, after)
+    for device_id, (tail, ahead) in (tails or {}).items():
+        table.order.frontier[device_id] = (tail, ahead)
+        if ahead:
+            # What a departure records: the live entry before the tail
+            # precedes it.
+            table.order.add(orders[device_id][ahead - 1], tail)
     return home
 
 
 class TestSyntheticTables:
     @given(tables())
     def test_pre_and_post_equal_for_every_node(self, table):
-        orders, ghosts = table
-        controller = build_controller(orders, ghosts).controller
-        fast = controller.closure_index()
-        reference = ref_closure_index(controller)
-        commit = ref_predecessor_index(controller)
-        nodes = {rid for owners in orders for rid in owners}
-        nodes.update(*ghosts.values())
+        controller = build_controller(*table).controller
+        fast = controller.table.closure_index()
+        reference = ref_closure_index(controller.table)
+        nodes = set(reference._successors) | set(reference._predecessors)
         nodes.add(99)       # a routine the table has never seen
         for node in sorted(nodes):
-            expected_pre = ref_reach(node, reference._predecessors)
-            assert fast.pre(node) == expected_pre == \
-                reference.pre(node) == commit.pre(node)
+            assert fast.pre(node) == reference.pre(node) == \
+                ref_reach(node, reference._predecessors)
             assert fast.post(node) == reference.post(node) == \
                 ref_reach(node, reference._successors)
 
     @given(tables())
     def test_every_gap_of_every_device_equal(self, table):
-        orders, ghosts = table
-        controller = build_controller(orders, ghosts).controller
-        fast = controller.closure_index()
-        reference = ref_closure_index(controller)
+        orders = table[0]
+        controller = build_controller(*table).controller
+        fast = controller.table.closure_index()
+        reference = ref_closure_index(controller.table)
         for device_id, owners in enumerate(orders):
             for index in range(len(owners) + 1):
                 expected = ref_before_after_for_gap(
@@ -176,9 +176,9 @@ class TestSyntheticTables:
 
     @given(tables())
     def test_returned_sets_are_the_callers_to_mutate(self, table):
-        orders, ghosts = table
-        controller = build_controller(orders, ghosts).controller
-        fast = controller.closure_index()
+        orders = table[0]
+        controller = build_controller(*table).controller
+        fast = controller.table.closure_index()
         for device_id, owners in enumerate(orders):
             for index in range(len(owners) + 1):
                 pre, post = controller.before_after_for_gap(
@@ -195,22 +195,20 @@ class TestSyntheticTables:
 
     @given(tables())
     def test_paranoid_check_is_r_not_in_pre_r(self, table):
-        """Invariant 4 as paranoid mode checks it: some live routine
-        precedes itself, ghosts included — on the same index."""
-        orders, ghosts = table
-        controller = build_controller(orders, ghosts).controller
-        reference = ref_closure_index(controller)
-        live = {rid for owners in orders for rid in owners}
-        contradicted = sorted(rid for rid in live
+        """Invariant 4 as paranoid mode checks it: some routine
+        precedes itself, retained orders included — on the same
+        index."""
+        controller = build_controller(*table).controller
+        reference = ref_closure_index(controller.table)
+        nodes = set(reference._successors) | set(reference._predecessors)
+        contradicted = sorted(rid for rid in nodes
                               if rid in reference.pre(rid))
-        assert controller.closure_index().cyclic() == contradicted
+        assert controller.table.closure_index().cyclic() == contradicted
         if contradicted:
             with pytest.raises(LineageInvariantError):
-                controller.table.verify_serialize_before(
-                    controller.compacted_before)
+                controller.table.verify_serialize_before()
         else:
-            controller.table.verify_serialize_before(
-                controller.compacted_before)
+            controller.table.verify_serialize_before()
 
 
 class TestParanoidInvariant4:
@@ -219,36 +217,44 @@ class TestParanoidInvariant4:
     THREE_CYCLE = [[0, 1], [1, 2], [2, 0]]
 
     def test_three_device_cycle_has_no_contradicting_pair(self):
-        controller = build_controller(self.THREE_CYCLE, {}).controller
+        controller = build_controller(self.THREE_CYCLE).controller
         with pytest.raises(LineageInvariantError, match="invariant 4"):
             controller.table.verify_serialize_before()
         with pytest.raises(LineageInvariantError, match=r"\[0, 1, 2\]"):
             controller.table.verify_all()
 
     def test_order_held_only_by_compacted_before(self):
-        # Device 1 says R0 < R1; on device 0 R1 was compacted away
-        # behind the committed state R0 now sits after: R1 < R0.
-        orders, ghosts = [[0], [0, 1]], {0: {1}}
-        controller = build_controller(orders, ghosts).controller
-        controller.table.verify_all()       # the live table alone is fine
+        # Device 1 says R0 < R1; R1 left device 0 before R0 was placed
+        # there: R1 < R0, which only the retained order (checkpointed
+        # as ``compacted_before``) still holds.
+        orders = [[0], [0, 1]]
+        build_controller(orders).controller.table.verify_all()
+        controller = build_controller(orders, [(1, 0)]).controller
         with pytest.raises(LineageInvariantError, match=r"\[0, 1\]"):
-            controller.table.verify_all(controller.compacted_before)
+            controller.table.verify_all()
 
-    @pytest.mark.parametrize("orders, ghosts", [
-        (THREE_CYCLE + [[]], {}),
-        ([[0], [0, 1], []], {0: {1}}),
+    def test_order_held_only_by_a_tail(self):
+        # R1 is device 0's tail: every access placed there follows it.
+        controller = build_controller([[0], [0, 1]],
+                                      tails={0: (1, 0)}).controller
+        with pytest.raises(LineageInvariantError, match=r"\[0, 1\]"):
+            controller.table.verify_all()
+
+    @pytest.mark.parametrize("orders, edges", [
+        (THREE_CYCLE + [[]], []),
+        ([[0], [0, 1], []], [(1, 0)]),
     ])
     def test_paranoid_controller_raises_at_the_next_placement(
-            self, orders, ghosts):
-        home = build_controller(orders, ghosts, paranoid=True)
+            self, orders, edges):
+        home = build_controller(orders, edges, paranoid=True)
         home.submit(routine("bystander", [(len(orders) - 1, "ON", 1.0)]))
         with pytest.raises(LineageInvariantError, match="invariant 4"):
             home.run()
 
     def test_downstream_of_a_cycle_is_not_reported(self):
         orders = [[0, 1, 3], [1, 0], [3, 4]]
-        controller = build_controller(orders, {}).controller
-        assert controller.closure_index().cyclic() == [0, 1]
+        controller = build_controller(orders).controller
+        assert controller.table.closure_index().cyclic() == [0, 1]
 
 
 # -- (b) end to end: shipped vs references monkeypatched in ---------------------------
@@ -257,7 +263,7 @@ def run_micro_home(scheduler, execution, concurrency, long_pct, seed,
                    wal_dir=None):
     # The in-memory WAL folds every observation into its rolling digest
     # and seals it, beside a digest of the whole state (lineage table
-    # and compacted_before included), in a checkpoint record every 64
+    # and retained order included), in a checkpoint record every 64
     # observations.
     home = SafeHome(visibility="ev", scheduler=scheduler,
                     execution=execution, seed=seed, durability=True,
@@ -291,7 +297,7 @@ def run_micro_home(scheduler, execution, concurrency, long_pct, seed,
 
 @contextmanager
 def with_references():
-    with mock.patch.object(EventualVisibilityController, "closure_index",
+    with mock.patch.object(LineageTable, "closure_index",
                            ref_closure_index), \
             mock.patch.object(EventualVisibilityController,
                               "before_after_for_gap",
@@ -361,8 +367,8 @@ class TestStructure:
     N = 64
 
     def test_adjacency_is_the_chain(self):
-        controller = build_controller([list(range(self.N))], {}).controller
-        index = controller.closure_index()
+        controller = build_controller([list(range(self.N))]).controller
+        index = controller.table.closure_index()
         for adjacency in (index._successors, index._predecessors):
             endpoints = len(adjacency) + sum(map(len, adjacency.values()))
             assert endpoints <= 2 * (self.N - 1)
@@ -370,16 +376,26 @@ class TestStructure:
         assert index.post(0) == set(range(1, self.N))
 
     def test_ghosts_cost_one_edge_each_and_empty_sets_nothing(self):
+        """Ghosts (routines whose accesses left a lineage while they
+        ran) cost one edge per retained order, a tail one edge to the
+        first live entry behind it, and a tail on an empty lineage
+        nothing."""
         orders = [list(range(self.N)), [], [5]]
-        ghosts = {0: {100, 101}, 1: {102}, 2: set()}
-        controller = build_controller(orders, ghosts).controller
-        index = controller.closure_index()
-        assert sum(map(len, index._successors.values())) == self.N - 1 + 2
-        assert 102 not in index._successors     # no live entry to precede
+        edges = [(100, 101), (101, 102)]
+        tails = {0: (101, 0), 1: (102, 0)}
+        controller = build_controller(orders, edges, tails).controller
+        index = controller.table.closure_index()
+        # The chain, the two retained edges, and device 0's tail ->
+        # first live entry; device 1's tail has no live entry to precede.
+        assert sum(map(len, index._successors.values())) == self.N - 1 + 3
+        assert index.pre(0) == {100, 101}
+        assert 102 not in index._successors
 
     def test_a_gap_costs_at_most_two_queries(self):
-        controller = build_controller([list(range(self.N))], {}).controller
-        for index in range(self.N + 1):
-            counting = CountingIndex(controller.closure_index())
-            controller.before_after_for_gap(0, index, counting)
-            assert counting.queries <= 2
+        for tails in ({}, {0: (100, self.N // 2)}):
+            controller = build_controller([list(range(self.N))],
+                                          tails=tails).controller
+            for index in range(self.N + 1):
+                counting = CountingIndex(controller.table.closure_index())
+                controller.before_after_for_gap(0, index, counting)
+                assert counting.queries <= 2

@@ -9,7 +9,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.execution.locks import GLOBAL, LockMode, LockTable
 from repro.core.execution.plan import CommandPlan, NodeState
 from repro.core.execution.queues import DeviceQueues
-from repro.core.lineage import UNSET, Lineage, LineageTable, LockAccess
+from repro.core.lineage import Lineage, LineageTable, LockAccess
 from repro.errors import HubCrashedError, SafeHomeError
 from repro.hub.durability import (DurabilityConfig, WriteAheadLog,
                                   state_digest)
@@ -85,21 +85,22 @@ class TestWriteAheadLog:
 
 
 class TestSnapshotContracts:
-    def test_lock_table_round_trip(self):
+    def test_lock_table_snapshot(self):
         table = LockTable()
         table.acquire(1, GLOBAL, now=0.5)
         table.acquire(2, GLOBAL, now=0.7)           # queued FIFO
         table.acquire(1, 7, mode=LockMode.SHARED, now=0.9, deadline=5.0)
         snap = table.snapshot()
-        restored = LockTable()
-        restored.restore(snap)
-        assert restored.holds(1, GLOBAL)
-        assert restored.waiting_on(2) == [GLOBAL]
-        assert restored.snapshot() == snap
+        assert [res["resource"] for res in snap["resources"]] == \
+            sorted([GLOBAL, 7])
+        by_resource = {res["resource"]: res for res in snap["resources"]}
+        assert [g["owner"] for g in by_resource[GLOBAL]["grants"]] == [1]
+        assert [w["owner"] for w in by_resource[GLOBAL]["waiters"]] == [2]
+        assert by_resource[7]["grants"][0]["deadline"] == 5.0
         # the snapshot is JSON-serializable as-is
         json.dumps(snap)
 
-    def test_command_plan_round_trip(self):
+    def test_command_plan_snapshot(self):
         commands = [Command(device_id=0, value="ON", duration=1.0),
                     Command(device_id=1, value="ON", duration=1.0),
                     Command(device_id=0, value="OFF", duration=1.0)]
@@ -107,17 +108,10 @@ class TestSnapshotContracts:
         plan.mark_issued(plan.ready_indexes()[0], now=0.0)
         plan.mark_done(0, now=1.0)
         snap = plan.snapshot()
-        clone = CommandPlan(commands, strategy="parallel")
-        clone.restore(snap)
-        assert clone.nodes[0].state is NodeState.DONE
-        assert clone.remaining() == plan.remaining()
-        assert clone.ready_indexes() == plan.ready_indexes()
-
-    def test_command_plan_restore_rejects_mismatch(self):
-        commands = [Command(device_id=0, value="ON", duration=1.0)]
-        snap = CommandPlan(commands, strategy="serial").snapshot()
-        with pytest.raises(ValueError):
-            CommandPlan(commands, strategy="parallel").restore(snap)
+        assert snap["strategy"] == "parallel"
+        assert [node["state"] for node in snap["nodes"]] == \
+            [node.state.value for node in plan.nodes]
+        assert snap["nodes"][0]["state"] == NodeState.DONE.value
 
     def test_device_queue_snapshot(self):
         queues = DeviceQueues()
@@ -125,7 +119,7 @@ class TestSnapshotContracts:
         queues.submit(1, lambda: True)
         assert queues.snapshot() == {"busy": [1], "depths": {1: 1}}
 
-    def test_lineage_round_trip(self):
+    def test_lineage_snapshot(self):
         lineage = Lineage(4, committed_state="OFF")
         lineage.append(LockAccess(routine_id=1, device_id=4,
                                   planned_start=0.0, duration=2.0))
@@ -134,31 +128,29 @@ class TestSnapshotContracts:
         lineage.release(1, 0.4)
         lineage.append(LockAccess(routine_id=2, device_id=4,
                                   planned_start=2.0, duration=1.0))
-        restored = Lineage(4)
-        restored.restore(lineage.snapshot())
-        assert restored.owners() == [1, 2]
-        assert restored.inferred_state() == "ON"
-        assert restored.entries[1].applied_value is UNSET
-        assert restored.snapshot() == lineage.snapshot()
+        snap = lineage.snapshot()
+        assert [e["routine_id"] for e in snap["entries"]] == [1, 2]
+        assert snap["committed_state"] == "OFF"
+        assert snap["entries"][0]["applied_value"] == "ON"
+        assert "applied_value" not in snap["entries"][1]    # UNSET
+        assert "committed_state" not in Lineage(4).snapshot()
 
-    def test_lineage_table_round_trip(self):
+    def test_lineage_table_snapshot(self):
         table = LineageTable(committed_lookup=lambda d: "OFF")
+        table.lineage(3).append(LockAccess(routine_id=9, device_id=3))
         table.lineage(0).append(LockAccess(routine_id=9, device_id=0))
-        restored = LineageTable()
-        restored.restore(table.snapshot())
-        assert restored.lineage(0).owners() == [9]
+        assert [entry["device_id"] for entry
+                in table.snapshot()["lineages"]] == [0, 3]
+        assert table.order.snapshot() == {}
 
-    def test_registry_full_round_trip(self, home_factory):
+    def test_registry_snapshot_full(self, home_factory):
         home = home_factory(n_devices=2)
-        device = home.registry.get(0)
-        device.apply("ON", 1.0, source=7)
+        home.registry.get(0).apply("ON", 1.0, source=7)
         home.registry.get(1).fail()
         snap = home.registry.snapshot_full()
-        device.state = "SCRAMBLED"
-        home.registry.get(1).restart()
-        home.registry.restore_full(snap)
-        assert home.registry.get(0).state == "ON"
-        assert home.registry.get(1).failed
+        assert snap[0]["state"] == "ON" and snap[0]["writes"] == 1
+        assert snap[1]["failed"] and not snap[0]["failed"]
+        assert snap[0]["initial_state"] == home.registry.get(0).initial_state
 
     def test_controller_snapshots_are_digestable(self):
         for model in ("wv", "gsv", "psv", "ev", "occ"):

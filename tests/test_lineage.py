@@ -55,10 +55,11 @@ class TestInsertion:
             lineage.insert(0, access(2))
 
     def test_remove(self):
-        lineage = Lineage(0)
-        lineage.append(access(1))
-        assert lineage.remove(1).routine_id == 1
-        assert lineage.remove(1) is None
+        table = LineageTable()
+        table.lineage(0).append(access(1))
+        assert table.leave(1, 0).routine_id == 1
+        assert table.leave(1, 0) is None
+        assert table.lineage(0).owners() == []
 
 
 class TestLockLifecycle:
@@ -276,8 +277,10 @@ class TestLineageTable:
         table.lineage(0).append(access(1, dev=0))
         table.lineage(1).append(access(1, dev=1))
         table.lineage(2).append(access(2, dev=2))
-        assert sorted(table.remove_routine(1)) == [0, 1]
+        assert [device_id for device_id in (0, 1, 2)
+                if table.leave(1, device_id) is not None] == [0, 1]
         assert table.lineage(2).owners() == [2]
+        assert not table.order.successors
 
     def test_compaction_removes_left_entries(self):
         table = LineageTable()
@@ -295,6 +298,64 @@ class TestLineageTable:
         compacted = table.compact_commit(2, 0)
         assert compacted == [1]
         assert lineage.owners() == [3]
+
+    def test_every_exit_keeps_its_order(self):
+        table = LineageTable()
+        for rid in (1, 2):
+            table.lineage(0).entries.append(
+                access(rid, status=LockStatus.RELEASED))
+        table.lineage(0).entries.append(access(3))
+        table.lineage(1).append(access(4, dev=1))
+        table.lineage(1).append(access(1, dev=1))
+        # A finished non-writer leaves from between R1 and R3: it keeps
+        # both orders and, released, is the tail later placements follow.
+        table.leave(2, 0)
+        assert table.lineage(0).owners() == [1, 3]
+        assert table.order.successors == {1: {2}, 2: {3}}
+        assert table.order.frontier == {0: (2, 1)}
+        assert table.closure_index().pre(3) == {4, 1, 2}
+        # A rolled-back SCHEDULED access right behind the tail keeps its
+        # order too, but is no tail: nothing placed later must follow it.
+        table.leave(3, 0)
+        assert table.order.successors == {1: {2}, 2: {3}}
+        assert table.order.frontier == {0: (2, 1)}
+        # R1 leaves ahead of the tail: the tail now has none ahead.
+        table.lineage(0).entries[0].status = LockStatus.RELEASED
+        assert table.compact_commit(1, 0) == []
+        assert table.order.frontier == {0: (2, 0)}
+
+    def test_a_new_tail_keeps_the_old_tails_order(self):
+        table = LineageTable()
+        for rid in (5, 1):
+            table.lineage(0).entries.append(
+                access(rid, status=LockStatus.RELEASED))
+        assert table.compact_commit(1, 0) == [5]
+        assert table.order.frontier == {0: (1, 0)}
+        for rid in (7, 8):
+            table.lineage(0).entries.append(
+                access(rid, status=LockStatus.RELEASED))
+        # R8 leaves from behind R7, so it becomes the tail; R1's order
+        # before R7, which only the old tail implied, must stay.
+        table.leave(8, 0)
+        assert table.order.frontier == {0: (8, 1)}
+        assert table.closure_index().post(5) == {1, 7, 8}
+
+    def test_a_finished_routine_leaves_once_nothing_precedes_it(self):
+        table = LineageTable()
+        for rid in (1, 2, 3):
+            table.lineage(0).entries.append(
+                access(rid, status=LockStatus.RELEASED))
+        assert table.compact_commit(3, 0) == [1, 2]
+        assert table.order.frontier == {0: (3, 0)}
+        finished = {2, 3}
+        table.order.retire(3, finished.__contains__)
+        table.order.retire(2, finished.__contains__)
+        assert table.order.successors == {1: {2}, 2: {3}}  # R1 runs on
+        finished.add(1)
+        table.order.retire(1, finished.__contains__)      # cascades
+        assert not table.order.successors and not table.order.predecessors
+        assert table.order.frontier == {}
+        assert table.order.snapshot() == {}
 
     def test_compaction_refuses_dropping_acquired(self):
         table = LineageTable()

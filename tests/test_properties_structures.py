@@ -61,7 +61,7 @@ class TestLineageGapGeometry:
                                 planned_start=placed, duration=duration)
             lineage.insert(gap.index, access)
             assert lineage.planned_overlaps() == []
-            lineage.remove(99)
+            del lineage.entries[gap.index]
 
     @settings(max_examples=100, deadline=None)
     @given(lineage=scheduled_lineage(), now=st.floats(0, 20))

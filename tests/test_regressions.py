@@ -65,15 +65,18 @@ class TestCompactionPrecedenceLeak:
         assert validate_serial_order(result, home.initial, order)
 
     def test_constraints_cleared_when_routine_finishes(self):
-        """compacted_before entries must not leak after their routine
-        finishes (they would progressively forbid all pre-leases)."""
+        """The retained order must drain once its routines finish (it
+        would progressively forbid all pre-leases), and serialise as the
+        empty map it replaced."""
         home = Home(model="ev", scheduler="jit", n_devices=2)
         home.submit(routine("a", [(0, "A", 0.5), (1, "B", 1.0)]),
                     when=0.0)
         home.submit(routine("b", [(0, "C", 0.5)]), when=0.1)
         home.run()
-        hidden = home.controller.compacted_before
-        assert all(not members for members in hidden.values())
+        order = home.controller.table.order
+        assert not order.successors and not order.predecessors
+        assert not order.frontier
+        assert home.controller.snapshot_state()["compacted_before"] == {}
 
 
 class TestRollbackRace:
@@ -131,10 +134,10 @@ class TestRevocationPostLeaseInteraction:
 
 
 class TestEvLeaseCounterexamples:
-    """ROADMAP item 1, checked in red: the two smallest seeded micro
-    homes on which EV under leases is not serializable (no abort, no
-    failure).  ``strict`` turns the fix into a failure here, so the
-    markers come off in the PR that makes them pass."""
+    """The two smallest seeded micro homes on which EV under leases was
+    not serializable (no abort, no failure): the lineage table forgot an
+    order a later pre-lease then contradicted.  The retained order keeps
+    every order a lineage exit would have dropped."""
 
     @staticmethod
     def violations(params, seed, **home):
@@ -142,15 +145,11 @@ class TestEvLeaseCounterexamples:
         hub.load_workload(generate_microbenchmark(params, seed=seed))
         return check_run(hub.run(), hub.initial).violations
 
-    @pytest.mark.xfail(strict=True, reason="ev-lineage-acyclic: ROADMAP "
-                                           "item 1 (timeline pre-lease)")
     def test_timeline_26_routines_12_devices_seed_11(self):
         assert self.violations(
             MicroParams(routines=26, concurrency=8, devices=12), 11,
             scheduler="timeline", execution="serial") == []
 
-    @pytest.mark.xfail(strict=True, reason="ev-lineage-acyclic: ROADMAP "
-                                           "item 1 (JiT pre-lease)")
     def test_jit_40_routines_seed_4(self):
         assert self.violations(
             MicroParams(routines=40, concurrency=8), 4,
