@@ -52,14 +52,17 @@ done
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=14 tests/test_metrics_equivalence.py
 echo "report-path passes equal their reference definitions"
-# EV's chain-edge precedence graph and two-neighbour gap answers agree
-# exactly with the all-pairs definitions: generated tables (cyclic ones
-# included) and whole micro homes, timeline / jit / fcfs x both plans.
+# EV's maintained closure (one bit and a preSet/postSet mask per placed
+# routine) equals the closure rebuilt from scratch after every mutation,
+# and its two-neighbour gap answers equal the all-pairs definitions:
+# generated tables (cyclic ones included), generated table walks and
+# whole micro homes, timeline / jit / fcfs x both plans.
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=17 tests/test_closure_equivalence.py
-echo "EV preSet/postSet queries equal their all-pairs definitions"
+echo "EV's maintained closure equals its from-scratch definition"
 # EV under leases is serializable: 200 seeded micro homes x timeline /
-# jit x both plans, every run judged by the oracle (~30 s).
+# jit x both plans, every run judged by the oracle, and neither the
+# retained order nor the closure may outlive the run (~30 s).
 "$PY" scripts/check_ev_serializable.py
 # Two `repro bench` runs agree on every non-timing field.
 for run in bench_a bench_b; do

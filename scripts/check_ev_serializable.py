@@ -7,7 +7,8 @@ Seeds 0-199 each draw one micro home (R 10-60, ρ in {2, 4, 8, 16},
 best-effort commands) and run it under EV with the Timeline and JiT
 schedulers, each with serial and parallel plans.  Exits 1 naming every
 cell whose run ``metrics.oracle.check_run`` rejects, or whose lineage
-table still retains an order once every routine has finished.
+table still retains an order, or still holds a closure bit for some
+routine, once every routine has finished.
 
 Usage::
 
@@ -58,8 +59,12 @@ def check_cell(params: MicroParams, seed: int, scheduler: str,
     result = home.run()
     problems = [violation.invariant for violation
                 in check_run(result, home.initial).violations]
-    if home.controller.table.order.snapshot():
+    table = home.controller.table
+    if table.order.snapshot():
         problems.append("retained order not empty at quiescence")
+    if table.closure.bit:
+        problems.append(f"routines {sorted(table.closure.bit)} still hold "
+                        "a closure bit at quiescence")
     return problems
 
 

@@ -22,8 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.command import Command, CommandExecution
 from repro.core.controller import RoutineRun, RoutineStatus
 from repro.core.execution.engine import PlanExecutionMixin
-from repro.core.lineage import (UNSET, ClosureIndex, Gap, LineageTable,
-                                LockAccess, LockStatus)
+from repro.core.lineage import UNSET, LineageTable, LockAccess, LockStatus
 from repro.core.routine import LockRequest
 from repro.errors import SchedulingError
 from repro.sim.events import Event
@@ -113,38 +112,25 @@ class EventualVisibilityController(PlanExecutionMixin):
 
     # -- precedence closure (Invariant 4 / preSet-postSet) ------------------------
 
-    def before_after_for_gap(self, device_id: int, index: int,
-                             closures: ClosureIndex,
-                             owners: Optional[List[int]] = None
-                             ) -> Tuple[set, set]:
-        """preSet/postSet contribution of placing an access at ``index``.
+    def before_after_for_gap(self, device_id: int, index: int
+                             ) -> Tuple[int, int]:
+        """preSet/postSet masks of placing an access at ``index``.
 
         The paper's preSet/postSet are "the routines positioned before
         and after R in the serialization order" — transitively, which is
-        what makes the emptiness test equivalent to acyclicity.  The
-        gap's two neighbours answer for the whole device: the left one
-        (the device's tail, when the gap sits right behind it) already
-        precedes every earlier owner and everything that left the
-        lineage; the right one's postSet holds every later owner's.
-        The returned sets are fresh — callers may keep or mutate them.
-
-        ``owners`` may carry the device's owner list when the caller
-        already snapshotted it (the Timeline search asks about many gaps
-        of the same, unchanging lineage).
+        what makes the emptiness test (``pre & post == 0``) equivalent
+        to acyclicity.  The gap's two neighbours answer for the whole
+        device: the left one (the device's tail, when the gap sits right
+        behind it) already follows every earlier owner and everything
+        that left the lineage; the right one precedes every later owner.
+        Masks are over ``table.closure.bit``.
         """
-        if owners is None:
-            owners = self.table.lineage(device_id).owners()
-        tail = self.table.order.frontier.get(device_id)
-        if tail is not None and index == tail[1]:
-            left = tail[0]
-        else:
-            left = owners[index - 1] if index else None
-        pre = set() if left is None else closures.pre(left) | {left}
-        if index < len(owners):
-            right = owners[index]
-            post = closures.post(right) | {right}
-        else:
-            post = set()
+        table = self.table
+        left, right = table.neighbours(table.lineage(device_id), index)
+        closure = table.closure
+        pre = 0 if left is None else closure.pre[left] | closure.bit[left]
+        post = 0 if right is None else \
+            closure.post[right] | closure.bit[right]
         return pre, post
 
     # -- placement ---------------------------------------------------------------
@@ -169,7 +155,7 @@ class EventualVisibilityController(PlanExecutionMixin):
             )
             if access.pre_leased:
                 self.scheduler_stats["pre_leases"] += 1
-            lineage.insert(placement.index, access)
+            self.table.insert(placement.index, access)
             if self.journal is not None:
                 self._journal("lineage-placed",
                               routine_id=run.routine_id,
@@ -399,7 +385,7 @@ class EventualVisibilityController(PlanExecutionMixin):
         self._pump_released(released_devices)
 
     def _policy_after_finish(self, run: RoutineRun) -> None:
-        self.table.order.retire(run.routine_id, self.is_finished)
+        self.table.retire(run.routine_id, self.is_finished)
         self.scheduler.on_finish(run)
 
     # -- abort & rollback (§4.3) ---------------------------------------------------------

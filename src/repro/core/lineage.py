@@ -15,10 +15,8 @@ follows a ``RELEASED`` access whose owner has not finished.
 
 import enum
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import (Any, Callable, Collection, Dict, Iterable, List,
-                    Mapping, Optional, Tuple)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import LineageInvariantError
 
@@ -362,73 +360,74 @@ class Lineage:
         return gaps
 
 
-class ClosureIndex:
-    """Lazily memoized transitive preSet/postSet queries.
+_BYTE_BITS = [tuple(offset for offset in range(8) if value >> offset & 1)
+              for value in range(256)]
 
-    Holds the precedence graph :meth:`LineageTable.closure_index` built
-    from one table state; a reach set is computed on first request and
-    cached, so the index is valid only until the table next changes
-    (one placement, one commit).  Placement touches the neighbours of
-    the gaps it examines, so most nodes' closures are never
-    materialized.  ``pre``/``post`` return the memoized sets
-    themselves: callers must not mutate them.
-    """
 
-    __slots__ = ("_successors", "_predecessors", "_pre", "_post")
+class Closure:
+    """The transitive closure of the serialization order, kept current
+    edge by edge (Italiano, TCS 1986).  Every placed routine holds one
+    bit (``bit``; slots are recycled) and two masks over those bits:
+    ``pre``, the routines before it (the paper's preSet), and ``post``,
+    those after it (its postSet).  Orders only grow until the retained
+    order prunes a routine, always a source: only its successors lose
+    its bit."""
 
-    def __init__(self, successors: Mapping[int, Collection[int]],
-                 predecessors: Mapping[int, Collection[int]]) -> None:
-        self._successors = successors
-        self._predecessors = predecessors
-        self._pre: Dict[int, set] = {}
-        self._post: Dict[int, set] = {}
+    __slots__ = ("bit", "pre", "post", "_owners", "_free")
 
-    @staticmethod
-    def _reach(start: int, graph: Mapping[int, Collection[int]],
-               memo: Dict[int, set]) -> set:
-        cached = memo.get(start)
-        if cached is not None:
-            return cached
-        seen: set = set()
-        frontier = list(graph.get(start, ()))
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            done = memo.get(node)
-            if done is not None:
-                seen.add(node)
-                seen |= done
-                continue
-            seen.add(node)
-            frontier.extend(graph.get(node, ()))
-        memo[start] = seen
-        return seen
+    def __init__(self) -> None:
+        self.bit: Dict[int, int] = {}
+        self.pre: Dict[int, int] = {}
+        self.post: Dict[int, int] = {}
+        self._owners: Dict[int, int] = {}      # slot -> latest routine id
+        self._free: List[int] = []
 
-    def pre(self, node: int) -> set:
-        """Transitive predecessors (the paper's preSet)."""
-        return self._reach(node, self._predecessors, self._pre)
+    def add(self, routine_id: int) -> None:
+        if routine_id not in self.bit:
+            slot = self._free.pop() if self._free else len(self._owners)
+            self._owners[slot] = routine_id
+            self.bit[routine_id] = 1 << slot
+            self.pre[routine_id] = self.post[routine_id] = 0
 
-    def post(self, node: int) -> set:
-        """Transitive successors (the paper's postSet)."""
-        return self._reach(node, self._successors, self._post)
+    def members(self, mask: int) -> List[int]:
+        """The routines whose bits ``mask`` holds, a byte at a time."""
+        owners = self._owners
+        out: List[int] = []
+        base = 0
+        for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+            if byte:
+                for offset in _BYTE_BITS[byte]:
+                    out.append(owners[base + offset])
+            base += 8
+        return out
+
+    def link(self, before: int, after: int) -> None:
+        """``before`` precedes ``after``, so everything up to ``before``
+        precedes everything from ``after`` on."""
+        pre, post, bit = self.pre, self.post, self.bit
+        if post[before] & bit[after]:
+            return
+        up = pre[before] | bit[before]
+        down = post[after] | bit[after]
+        for routine_id in self.members(up):
+            post[routine_id] |= down
+        for routine_id in self.members(down):
+            pre[routine_id] |= up
+
+    def drop(self, routine_id: int) -> None:
+        """Forget a source: only its successors held its bit."""
+        bit = self.bit.pop(routine_id, 0)
+        if bit:
+            del self.pre[routine_id]
+            for other in self.members(self.post.pop(routine_id)):
+                self.pre[other] &= ~bit
+            self._free.append(bit.bit_length() - 1)
 
     def cyclic(self) -> List[int]:
-        """Routines that precede themselves, sorted (empty when the
-        order is consistent).  Peels sources off the graph (Kahn), so
-        the consistent case costs O(edges); only a contradiction pays
-        for reach sets, to name the routines on a cycle rather than
-        everything downstream of one."""
-        indegree = {node: len(before)
-                    for node, before in self._predecessors.items()}
-        ready = [node for node in self._successors if node not in indegree]
-        while ready:
-            for after in self._successors.get(ready.pop(), ()):
-                indegree[after] -= 1
-                if not indegree[after]:
-                    ready.append(after)
-        return sorted(node for node, left in indegree.items()
-                      if left and node in self.pre(node))
+        """Routines in their own postSet, sorted: a contradiction names
+        the routines on a cycle, not everything downstream of one."""
+        return sorted(routine_id for routine_id, bit in self.bit.items()
+                      if self.post[routine_id] & bit)
 
 
 class RetainedOrder:
@@ -452,16 +451,16 @@ class RetainedOrder:
         self.predecessors.setdefault(after, set()).add(before)
 
     def retire(self, routine_id: int,
-               finished: Callable[[int], bool]) -> None:
-        """``routine_id`` has finished: prune it unless something still
-        precedes it, then every finished successor left without one."""
+               finished: Callable[[int], bool]) -> List[int]:
+        """``routine_id`` has finished: prune it unless something precedes
+        it, then each finished successor left without one, in order."""
         if routine_id in self.predecessors:
-            return
-        pruned = set()
+            return []
+        pruned = []
         stack = [routine_id]
         while stack:
             node = stack.pop()
-            pruned.add(node)
+            pruned.append(node)
             for after in self.successors.pop(node, ()):
                 before = self.predecessors[after]
                 before.discard(node)
@@ -472,6 +471,7 @@ class RetainedOrder:
         for device_id, (tail, _) in list(self.frontier.items()):
             if tail in pruned:
                 del self.frontier[device_id]
+        return pruned
 
     def snapshot(self) -> dict:
         """Checkpoint image; ``{}`` when nothing is retained."""
@@ -489,13 +489,15 @@ class LineageTable:
     ``committed_lookup`` (device_id → state) seeds a lineage's committed
     state lazily at first use, so devices may be registered after the
     controller is constructed.  Every exit from a lineage keeps its
-    order in ``order``."""
+    order in ``order``; ``closure`` holds everything the lineages and
+    ``order`` imply together."""
 
     def __init__(self, committed_lookup: Optional[
             Callable[[int], Any]] = None) -> None:
         self._lineages: Dict[int, Lineage] = {}
         self._committed_lookup = committed_lookup
         self.order = RetainedOrder()
+        self.closure = Closure()
 
     def lineage(self, device_id: int) -> Lineage:
         lineage = self._lineages.get(device_id)
@@ -515,6 +517,37 @@ class LineageTable:
         lineage = self.lineage(device_id)
         lineage.committed_state = value
         lineage.committed_source = source
+
+    def neighbours(self, lineage: Lineage, index: int
+                   ) -> Tuple[Optional[int], Optional[int]]:
+        """The routines right before and after position ``index``: on the
+        left, the device's tail when ``index`` sits right behind it."""
+        entries = lineage.entries
+        tail = self.order.frontier.get(lineage.device_id)
+        if tail is not None and index == tail[1]:
+            left: Optional[int] = tail[0]
+        else:
+            left = entries[index - 1].routine_id if index else None
+        right = entries[index].routine_id if index < len(entries) else None
+        return left, right
+
+    def insert(self, index: int, access: LockAccess) -> None:
+        """Place ``access`` at ``index`` of its device's lineage and
+        link it to its two neighbours in the closure."""
+        lineage = self.lineage(access.device_id)
+        left, right = self.neighbours(lineage, index)
+        lineage.insert(index, access)
+        self.closure.add(access.routine_id)
+        if left is not None:
+            self.closure.link(left, access.routine_id)
+        if right is not None:
+            self.closure.link(access.routine_id, right)
+
+    def retire(self, routine_id: int,
+               finished: Callable[[int], bool]) -> None:
+        """What the retained order prunes leaves the closure too."""
+        for pruned in self.order.retire(routine_id, finished):
+            self.closure.drop(pruned)
 
     def leave(self, routine_id: int, device_id: int
               ) -> Optional[LockAccess]:
@@ -548,7 +581,8 @@ class LineageTable:
         """The one way out: edges from the left neighbour (or the tail
         right before it) and to the right one; a RELEASED access leaving
         behind the tail becomes the device's tail, and the old tail's
-        edge to the first live entry behind it is made explicit."""
+        edge to the first live entry behind it is made explicit.  Each
+        of these orders the closure already holds."""
         entries = lineage.entries
         entry = entries.pop(index)
         routine_id = entry.routine_id
@@ -578,45 +612,11 @@ class LineageTable:
 
     # -- invariant 4 ------------------------------------------------------------
 
-    def closure_index(self) -> ClosureIndex:
-        """The serialization order of this table state as a graph.
-
-        A lineage is a total order, so its adjacent entries
-        (``o_k -> o_{k+1}``) carry every pair it orders.  The retained
-        order adds its edges, and one edge from each device's tail to
-        the first live entry behind it.  One pass: O(live entries +
-        retained edges).
-        """
-        successors: Dict[int, List[int]] = defaultdict(list)
-        predecessors: Dict[int, List[int]] = defaultdict(list)
-        frontier = self.order.frontier
-        for lineage in self._lineages.values():
-            entries = lineage.entries
-            if not entries:
-                continue
-            tail = frontier.get(lineage.device_id)
-            if tail is not None and tail[1] < len(entries):
-                after = entries[tail[1]].routine_id
-                successors[tail[0]].append(after)
-                predecessors[after].append(tail[0])
-            chain = iter(entries)
-            before = next(chain).routine_id
-            for entry in chain:
-                after = entry.routine_id
-                successors[before].append(after)
-                predecessors[after].append(before)
-                before = after
-        for before, afters in self.order.successors.items():
-            successors[before].extend(afters)
-            for after in afters:
-                predecessors[after].append(before)
-        return ClosureIndex(successors, predecessors)
-
     def verify_serialize_before(self) -> None:
-        """Invariant 4: no routine precedes itself — through any number
-        of devices, and through orders only the retained order still
-        holds."""
-        cyclic = self.closure_index().cyclic()
+        """Invariant 4: no routine is in its own postSet — through any
+        number of devices, and through orders only the retained order
+        still holds."""
+        cyclic = self.closure.cyclic()
         if cyclic:
             raise LineageInvariantError(
                 "invariant 4 violated: the serialization order is cyclic "

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from repro.core.controller import RoutineRun
 from repro.core.ev import Placement
-from repro.core.lineage import ClosureIndex, LockStatus
+from repro.core.lineage import LockStatus
 from repro.core.schedulers.base import Scheduler
 
 
@@ -43,11 +43,8 @@ class JiTScheduler(Scheduler):
         progressed = True
         while progressed:
             progressed = False
-            # One precedence index per table state: the table only
-            # changes at the place_run that ends this scan.
-            closures: List[ClosureIndex] = []
             for run in self._candidates():
-                placements = self._eligible(run, closures)
+                placements = self._eligible(run)
                 if placements is None:
                     continue
                 self.queue.remove(run)
@@ -63,17 +60,11 @@ class JiTScheduler(Scheduler):
         expired = [run for run in live if now - run.submit_time >= ttl]
         return expired if expired else live
 
-    def _eligible(self, run: RoutineRun, closures: List[ClosureIndex]
-                  ) -> Optional[List[Placement]]:
-        """Placement if every lock is acquirable now, else ``None``.
-
-        ``closures`` holds the scan's precedence index once some
-        candidate got past the cheap status checks (empty until then).
-        """
+    def _eligible(self, run: RoutineRun) -> Optional[List[Placement]]:
+        """Placement if every lock is acquirable now, else ``None``."""
         controller = self.controller
         config = controller.config
-        pre: set = set()
-        post: set = set()
+        pre = post = 0
         placements: List[Placement] = []
         now = controller.sim.now
         chain = self.chains_devices()
@@ -102,10 +93,8 @@ class JiTScheduler(Scheduler):
                 if unfinished:
                     return None
             index = released_prefix
-            if not closures:
-                closures.append(controller.table.closure_index())
             gap_pre, gap_post = controller.before_after_for_gap(
-                request.device_id, index, closures[0])
+                request.device_id, index)
             pre |= gap_pre
             post |= gap_post
             if pre & post:

@@ -59,8 +59,8 @@ class TimelineScheduler(Scheduler):
         # — the search degenerates to the tail chain: each access lands
         # in its device's sole (index 0, now → ∞) gap with empty
         # preSet/postSet, which is exactly what the backtracking search
-        # below computes gap-by-gap.  Skips the gap projection, closure
-        # build and recursion without changing one placement.
+        # below computes gap-by-gap.  Skips the gap projection and the
+        # recursion without changing one placement.
         table = controller.table
         frontier = table.order.frontier
         empty = True
@@ -86,36 +86,32 @@ class TimelineScheduler(Scheduler):
         # ends are increasing and every gap with ``end < earliest +
         # duration`` can be skipped wholesale — those are exactly the
         # gaps the old linear scan rejected one ``fits`` call at a time.
-        gaps_by_device: Dict[
-            int, Tuple[List[Gap], List[float], List[int]]] = {}
+        gaps_by_device: Dict[int, Tuple[List[Gap], List[float]]] = {}
         for request in requests:
-            lineage = controller.table.lineage(request.device_id)
-            gaps = lineage.gaps(now, estimator)
+            gaps = table.lineage(request.device_id).gaps(now, estimator)
             if not controller.config.pre_lease:
                 gaps = gaps[-1:]  # tail only: no placement before others
             gaps = gaps[:MAX_GAPS_PER_ACCESS]
             gaps_by_device[request.device_id] = (
-                gaps, [gap.end for gap in gaps], lineage.owners())
+                gaps, [gap.end for gap in gaps])
 
-        closures = table.closure_index()
         assignment: List[Optional[Placement]] = [None] * len(requests)
         chain = self.chains_devices()
 
         def schedule(index: int, earliest: float,
-                     pre: set, post: set) -> bool:
+                     pre: int, post: int) -> bool:
             """Recursive backtracking placement (Algorithm 1)."""
             if index >= len(requests):
                 return True
             request = requests[index]
             duration = durations[index]
-            gaps, ends, owners = gaps_by_device[request.device_id]
+            gaps, ends = gaps_by_device[request.device_id]
             for gap in gaps[bisect_left(ends, earliest + duration):]:
                 if not gap.fits(earliest, duration):
                     continue
                 start = gap.placement(earliest)
                 gap_pre, gap_post = controller.before_after_for_gap(
-                    request.device_id, gap.index, closures,
-                    owners=owners)
+                    request.device_id, gap.index)
                 cur_pre = pre | gap_pre
                 cur_post = post | gap_post
                 if cur_pre & cur_post:
@@ -129,7 +125,7 @@ class TimelineScheduler(Scheduler):
                 assignment[index] = None
             return False
 
-        if not schedule(0, now, set(), set()):
+        if not schedule(0, now, 0, 0):
             # Unreachable in theory (tail gaps always compose), but fall
             # back gracefully rather than dying mid-simulation.
             return self.tail_placements(run)

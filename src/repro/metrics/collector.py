@@ -121,20 +121,23 @@ def analyze(result: RunResult, initial: Dict[int, Any],
              if run.wait_time is not None]
     samples = parallelism_samples(result)
     final: Optional[bool] = None
-    serial_order: List[int] = []
+    cycle: Optional[SafeHomeError] = None
+    try:
+        serial_order = serialization.reconstruct_serial_order(result)
+    except SafeHomeError as error:
+        serial_order, cycle = [], error  # WV may be cyclic — expected
     if check_final:
         if result.detection_events:
-            serial_order = serialization.reconstruct_serial_order(result)
+            if cycle is not None:
+                raise cycle
             final = serialization.validate_serial_order(
                 result, initial, serial_order)
         else:
+            # The reconstructed order is the witness the search tries
+            # first; it decides only when it replays to the end state.
             final = congruence.final_state_serializable(
-                result, initial, exhaustive_limit=exhaustive_limit)
-    try:
-        if not serial_order:
-            serial_order = serialization.reconstruct_serial_order(result)
-    except SafeHomeError:
-        serial_order = []  # WV executions may be cyclic — expected
+                result, initial, exhaustive_limit=exhaustive_limit,
+                witness=None if cycle else serial_order)
 
     submission_order = [run.routine_id for run in
                         sorted(result.runs,

@@ -118,12 +118,20 @@ def end_state_of_order(order: Sequence[int],
 def serial_end_state_exists(observed: Dict[int, Any],
                             writes: Dict[int, Dict[int, Any]],
                             initial: Dict[int, Any],
-                            exhaustive_limit: int = 8) -> bool:
+                            exhaustive_limit: int = 8,
+                            witness: Optional[Sequence[int]] = None
+                            ) -> bool:
     """Does any serial order of the committed routines yield ``observed``?
 
-    Uses brute force for ≤ ``exhaustive_limit`` routines, otherwise the
-    designated-last-writer backtracking search.
+    A ``witness`` order is replayed first: when it names every committed
+    routine and yields ``observed``, such an order exists (keep each
+    routine's last occurrence).  Otherwise brute force decides for
+    ≤ ``exhaustive_limit`` routines, the designated-last-writer
+    backtracking search beyond.
     """
+    if witness is not None and writes.keys() == set(witness) \
+            and end_state_of_order(witness, writes, initial) == observed:
+        return True
     ids = list(writes)
     if len(ids) <= exhaustive_limit:
         return _exists_exhaustive(observed, writes, initial, ids)
@@ -213,13 +221,17 @@ def _acyclic(edges: Dict[int, Set[int]], nodes: List[int]) -> bool:
 
 def final_state_serializable(result: RunResult,
                              initial: Dict[int, Any],
-                             exhaustive_limit: int = 8) -> bool:
+                             exhaustive_limit: int = 8,
+                             witness: Optional[Sequence[int]] = None
+                             ) -> bool:
     """Is the run's end state serially equivalent (§7.1's Final
-    Incongruence check, cf. Fig 12b)?
+    Incongruence check, cf. Fig 12b)?  ``witness`` as in
+    :func:`serial_end_state_exists`.
 
     Only valid for failure-free runs: with failures, compare against
     :func:`repro.metrics.serialization.validate_serial_order` instead.
     """
     writes = effective_writes(result.runs)
     return serial_end_state_exists(result.end_state, writes, initial,
-                                   exhaustive_limit=exhaustive_limit)
+                                   exhaustive_limit=exhaustive_limit,
+                                   witness=witness)

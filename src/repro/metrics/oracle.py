@@ -199,10 +199,14 @@ def _check_serial_end_state(result: RunResult, initial: Dict[int, Any],
         if result.detection_events:
             ok = validate_serial_order(result, initial)
         else:
-            writes = effective_writes(result.runs)
+            try:
+                witness: Optional[List[int]] = \
+                    reconstruct_serial_order(result)
+            except SafeHomeError:
+                witness = None      # cyclic access order: search only
             ok = serial_end_state_exists(
-                result.end_state, writes, initial,
-                exhaustive_limit=exhaustive_limit)
+                result.end_state, effective_writes(result.runs), initial,
+                exhaustive_limit=exhaustive_limit, witness=witness)
     except SafeHomeError as error:
         out.append(Violation(invariant,
                              detail=f"serial-order reconstruction: {error}"))

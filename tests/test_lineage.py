@@ -8,6 +8,7 @@ import pytest
 from repro.core.lineage import (UNSET, Lineage, LineageTable, LockAccess,
                                 LockStatus)
 from repro.errors import LineageInvariantError
+from tests.test_closure_equivalence import ref_closure
 
 
 def access(rid, dev=0, start=0.0, dur=1.0, status=LockStatus.SCHEDULED,
@@ -20,6 +21,26 @@ def access(rid, dev=0, start=0.0, dur=1.0, status=LockStatus.SCHEDULED,
 
 def never_finished(_rid):
     return False
+
+
+def put(table, rid, dev=0, status=LockStatus.SCHEDULED, **kwargs):
+    """Append through the table, then run the access up to ``status``."""
+    lineage = table.lineage(dev)
+    table.insert(len(lineage.entries), access(rid, dev=dev, **kwargs))
+    if status is not LockStatus.SCHEDULED:
+        lineage.acquire(rid, 0.0)
+    if status is LockStatus.RELEASED:
+        lineage.release(rid, 0.0)
+
+
+def pre_of(table, rid):
+    closure = table.closure
+    return set(closure.members(closure.pre[rid]))
+
+
+def post_of(table, rid):
+    closure = table.closure
+    return set(closure.members(closure.post[rid]))
 
 
 class TestInsertion:
@@ -56,7 +77,7 @@ class TestInsertion:
 
     def test_remove(self):
         table = LineageTable()
-        table.lineage(0).append(access(1))
+        put(table, 1)
         assert table.leave(1, 0).routine_id == 1
         assert table.leave(1, 0) is None
         assert table.lineage(0).owners() == []
@@ -274,9 +295,9 @@ class TestLineageTable:
 
     def test_remove_routine_across_devices(self):
         table = LineageTable()
-        table.lineage(0).append(access(1, dev=0))
-        table.lineage(1).append(access(1, dev=1))
-        table.lineage(2).append(access(2, dev=2))
+        put(table, 1, dev=0)
+        put(table, 1, dev=1)
+        put(table, 2, dev=2)
         assert [device_id for device_id in (0, 1, 2)
                 if table.leave(1, device_id) is not None] == [0, 1]
         assert table.lineage(2).owners() == [2]
@@ -285,77 +306,71 @@ class TestLineageTable:
     def test_compaction_removes_left_entries(self):
         table = LineageTable()
         lineage = table.lineage(0)
-        older = access(1, dev=0)
-        older.status = LockStatus.RELEASED
-        older.applied_value = "A"
-        lineage.entries.append(older)
-        mine = access(2, dev=0)
-        mine.status = LockStatus.RELEASED
-        mine.applied_value = "B"
-        lineage.entries.append(mine)
-        later = access(3, dev=0)
-        lineage.entries.append(later)
+        put(table, 1, status=LockStatus.RELEASED, applied_value="A")
+        put(table, 2, status=LockStatus.RELEASED, applied_value="B")
+        put(table, 3)
         compacted = table.compact_commit(2, 0)
         assert compacted == [1]
         assert lineage.owners() == [3]
+        assert pre_of(table, 3) == {1, 2}
 
     def test_every_exit_keeps_its_order(self):
         table = LineageTable()
-        for rid in (1, 2):
-            table.lineage(0).entries.append(
-                access(rid, status=LockStatus.RELEASED))
-        table.lineage(0).entries.append(access(3))
-        table.lineage(1).append(access(4, dev=1))
-        table.lineage(1).append(access(1, dev=1))
+        put(table, 1, status=LockStatus.RELEASED)
+        put(table, 2, status=LockStatus.RELEASED)
+        put(table, 3)
+        put(table, 4, dev=1)
+        put(table, 1, dev=1)
         # A finished non-writer leaves from between R1 and R3: it keeps
         # both orders and, released, is the tail later placements follow.
         table.leave(2, 0)
         assert table.lineage(0).owners() == [1, 3]
         assert table.order.successors == {1: {2}, 2: {3}}
         assert table.order.frontier == {0: (2, 1)}
-        assert table.closure_index().pre(3) == {4, 1, 2}
+        assert pre_of(table, 3) == {4, 1, 2}
+        assert ref_closure(table)[3][0] == {4, 1, 2}
         # A rolled-back SCHEDULED access right behind the tail keeps its
         # order too, but is no tail: nothing placed later must follow it.
         table.leave(3, 0)
         assert table.order.successors == {1: {2}, 2: {3}}
         assert table.order.frontier == {0: (2, 1)}
         # R1 leaves ahead of the tail: the tail now has none ahead.
-        table.lineage(0).entries[0].status = LockStatus.RELEASED
         assert table.compact_commit(1, 0) == []
         assert table.order.frontier == {0: (2, 0)}
 
     def test_a_new_tail_keeps_the_old_tails_order(self):
         table = LineageTable()
         for rid in (5, 1):
-            table.lineage(0).entries.append(
-                access(rid, status=LockStatus.RELEASED))
+            put(table, rid, status=LockStatus.RELEASED)
         assert table.compact_commit(1, 0) == [5]
         assert table.order.frontier == {0: (1, 0)}
         for rid in (7, 8):
-            table.lineage(0).entries.append(
-                access(rid, status=LockStatus.RELEASED))
+            put(table, rid, status=LockStatus.RELEASED)
         # R8 leaves from behind R7, so it becomes the tail; R1's order
-        # before R7, which only the old tail implied, must stay.
+        # before R7, which only the old tail implied, must stay — in the
+        # retained order, not only in the closure, which never forgets.
         table.leave(8, 0)
         assert table.order.frontier == {0: (8, 1)}
-        assert table.closure_index().post(5) == {1, 7, 8}
+        assert post_of(table, 5) == {1, 7, 8}
+        assert ref_closure(table)[5][1] == {1, 7, 8}
 
     def test_a_finished_routine_leaves_once_nothing_precedes_it(self):
         table = LineageTable()
         for rid in (1, 2, 3):
-            table.lineage(0).entries.append(
-                access(rid, status=LockStatus.RELEASED))
+            put(table, rid, status=LockStatus.RELEASED)
         assert table.compact_commit(3, 0) == [1, 2]
         assert table.order.frontier == {0: (3, 0)}
         finished = {2, 3}
-        table.order.retire(3, finished.__contains__)
-        table.order.retire(2, finished.__contains__)
+        table.retire(3, finished.__contains__)
+        table.retire(2, finished.__contains__)
         assert table.order.successors == {1: {2}, 2: {3}}  # R1 runs on
+        assert post_of(table, 1) == {2, 3}
         finished.add(1)
-        table.order.retire(1, finished.__contains__)      # cascades
+        table.retire(1, finished.__contains__)      # cascades
         assert not table.order.successors and not table.order.predecessors
         assert table.order.frontier == {}
         assert table.order.snapshot() == {}
+        assert not table.closure.bit
 
     def test_compaction_refuses_dropping_acquired(self):
         table = LineageTable()
@@ -372,18 +387,18 @@ class TestLineageTable:
 
     def test_invariant4_detects_contradiction(self):
         table = LineageTable()
-        table.lineage(0).append(access(1, dev=0))
-        table.lineage(0).append(access(2, dev=0))
-        table.lineage(1).append(access(2, dev=1))
-        table.lineage(1).append(access(1, dev=1))
+        put(table, 1, dev=0)
+        put(table, 2, dev=0)
+        put(table, 2, dev=1)
+        put(table, 1, dev=1)
         with pytest.raises(LineageInvariantError):
             table.verify_serialize_before()
 
     def test_invariant4_accepts_consistent_orders(self):
         table = LineageTable()
-        table.lineage(0).append(access(1, dev=0, start=0.0))
-        table.lineage(0).append(access(2, dev=0, start=2.0))
-        table.lineage(1).append(access(1, dev=1, start=1.0))
-        table.lineage(1).append(access(2, dev=1, start=3.0))
+        put(table, 1, dev=0, start=0.0)
+        put(table, 2, dev=0, start=2.0)
+        put(table, 1, dev=1, start=1.0)
+        put(table, 2, dev=1, start=3.0)
         table.verify_serialize_before()
         table.verify_all()

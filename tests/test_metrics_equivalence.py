@@ -6,11 +6,19 @@ reference *exactly* on seeded micro homes under every visibility model
 and plan strategy — with failure detections, aborted routines
 (rollback-tagged writes), runs cut short, coinciding timestamps and
 write logs handed over out of time order.
+
+The serial-equivalence check replays a witness order before it
+searches; the search alone is the reference for its verdict, on any
+drawn witness and on seeded micro homes of all five models, WV (where
+the witness fails and the search decides) included.
 """
 
 import random
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
+from unittest import mock
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.command import Command, CommandExecution
@@ -24,7 +32,15 @@ from repro.devices.network import LatencyModel
 from repro.devices.registry import DeviceRegistry
 from repro.errors import SafeHomeError
 from repro.hub.failure_detector import FailureDetector
-from repro.metrics.congruence import (_writer_id, temporary_incongruence,
+from repro.hub.safehome import SafeHome
+from repro.metrics import congruence, oracle
+from repro.metrics.collector import analyze
+from repro.metrics.oracle import check_run
+from repro.metrics.congruence import (_exists_exhaustive,
+                                      _exists_last_writer, _writer_id,
+                                      effective_writes, end_state_of_order,
+                                      serial_end_state_exists,
+                                      temporary_incongruence,
                                       temporary_incongruence_events)
 from repro.metrics.serialization import (place_detection_events,
                                          reconstruct_serial_order)
@@ -155,6 +171,26 @@ def ref_place_detection_events(result: RunResult,
     for after, event in sorted(inserts, key=lambda x: (-x[0], -x[1][2])):
         timeline.insert(after + 1, event)
     return timeline
+
+
+def ref_serial_end_state_exists(observed, writes, initial,
+                                exhaustive_limit: int = 8,
+                                witness=None) -> bool:
+    """The search alone, as it decided before a witness went first."""
+    ids = list(writes)
+    if len(ids) <= exhaustive_limit:
+        return _exists_exhaustive(observed, writes, initial, ids)
+    return _exists_last_writer(observed, writes, initial, ids)
+
+
+@contextmanager
+def search_only():
+    """The oracle and ``analyze`` with the reference search patched in."""
+    with mock.patch.object(congruence, "serial_end_state_exists",
+                           ref_serial_end_state_exists), \
+            mock.patch.object(oracle, "serial_end_state_exists",
+                              ref_serial_end_state_exists):
+        yield
 
 
 def _outcome(fn, *args) -> Any:
@@ -339,6 +375,105 @@ class TestInputsCoverTheHardCases:
         coarsen(result, 5.0)
         assert any(len({t for t, _v, _s in log}) < len(log)
                    for log in result.device_write_logs.values())
+
+
+# -- witness first: the verdict is the search's --------------------------------
+
+@st.composite
+def serial_checks(draw):
+    """``(observed, writes, initial, witness)``: committed writes over a
+    few devices, an end state that is some order's (or a stray value),
+    and a witness that is a permutation, a wrong order, a subset, a
+    repeat or absent."""
+    n_routines = draw(st.integers(0, 9))
+    devices = st.integers(0, 3)
+    values = st.sampled_from(["ON", "OFF", "X"])
+    writes = {rid: draw(st.dictionaries(devices, values, min_size=1,
+                                        max_size=3))
+              for rid in range(n_routines)}
+    initial = {device: "INIT" for device in range(4)}
+    ids = list(writes)
+    observed = end_state_of_order(draw(st.permutations(ids)), writes,
+                                  initial)
+    if draw(st.booleans()):
+        observed[draw(devices)] = draw(values | st.just("INIT"))
+    orders = st.permutations(ids)
+    witness = draw(st.none() | orders | orders.map(lambda p: p[1:])
+                   | orders.map(lambda p: p + p[:1])
+                   | st.lists(st.sampled_from(ids), max_size=10)
+                   if ids else st.none() | st.just([]))
+    return observed, writes, initial, witness
+
+
+def witness_home(model: str, execution: str, seed: int, commands: int,
+                 failed_pct: float):
+    home = SafeHome(visibility=model, execution=execution, seed=seed)
+    home.load_workload(generate_microbenchmark(MicroParams(
+        routines=16, concurrency=4, devices=8,
+        commands_per_routine=float(commands), short_duration_s=5.0,
+        long_duration_s=120.0, failed_device_pct=failed_pct), seed=seed))
+    return home.initial, home.run()
+
+
+class TestWitnessFirst:
+    @given(serial_checks(), st.sampled_from([3, 8]))
+    def test_any_witness_leaves_the_verdict_to_the_search(self, check,
+                                                          limit):
+        observed, writes, initial, witness = check
+        assert serial_end_state_exists(
+            observed, writes, initial, limit, witness=witness) == \
+            ref_serial_end_state_exists(observed, writes, initial, limit)
+
+    def test_a_witness_must_name_every_committed_routine(self):
+        writes = {1: {0: "ON"}, 2: {1: "ON"}}
+        initial = {0: "OFF", 1: "OFF"}
+        observed = {0: "OFF", 1: "ON"}      # R1's write vanished
+        assert not ref_serial_end_state_exists(observed, writes, initial)
+        for witness in ([2], [2, 2], [2, 3]):
+            assert end_state_of_order(witness, writes, initial) == observed
+            assert not serial_end_state_exists(observed, writes, initial,
+                                               witness=witness)
+        for witness in ([1, 2], [2, 1]):    # every routine, no replay
+            assert not serial_end_state_exists(observed, writes, initial,
+                                               witness=witness)
+
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_micro_homes_judged_as_the_search_judges(self, model,
+                                                     execution):
+        decided = searched = 0
+        for seed in range(4):
+            for commands in (1, 2, 4):
+                failed_pct = 20.0 if seed == 3 else 0.0
+                initial, result = witness_home(model, execution, seed,
+                                               commands, failed_pct)
+
+                def judged():
+                    # A cyclic WV run with detections has no order to
+                    # replay them into: analyze raises, in both.
+                    return check_run(result, initial), _outcome(
+                        lambda: analyze(result, initial,
+                                        exhaustive_limit=6).row())
+
+                shipped = judged()
+                with search_only():
+                    assert judged() == shipped
+                if result.detection_events:
+                    continue
+                witness = _outcome(reconstruct_serial_order, result)
+                writes = effective_writes(result.runs)
+                if isinstance(witness, list) and end_state_of_order(
+                        witness, writes, initial) == result.end_state:
+                    decided += 1
+                else:
+                    searched += 1
+        # Serial WV interleaves conflicting writes, so its witness fails
+        # and the search decides; a parallel WV plan issues a routine's
+        # writes at once, and its access order replays like the others'.
+        if (model, execution) == ("wv", "serial"):
+            assert searched, "no WV home left the verdict to the search"
+        else:
+            assert decided, "the witness never decided"
 
 
 # -- scale: a quadratic pass makes these tests take minutes --------------------

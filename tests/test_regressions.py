@@ -156,6 +156,32 @@ class TestEvLeaseCounterexamples:
             scheduler="jit") == []
 
 
+class TestOccRollbackOverAnUncommittedWrite:
+    """Open: OCC restores the last *committed* value when it rolls back,
+    which erases an overwritten writer that later commits.  On device 3,
+    R72 writes ``ON`` at t=114.37; R66 overwrites it with ``OFF`` at
+    115.55 and aborts at 120.77; ``_rollback_targets`` restores R60's
+    committed ``OFF``, a no-op; R72 commits at 125.94 and its write is
+    lost, so the oracle reports ``abort-erasure``.  Restoring R72's
+    ``ON`` instead is no local fix: the right target depends on whether
+    the overwritten writer later commits, and falling back to the
+    initial state (the fix for a never-committed device) shows the same
+    dependence.  Serial OCC fails 4 of 144 cells of Fig 16's micro grid
+    this way (C 1-8, workload seed 13*s+t, hub seed s+t, s 10-12,
+    t 0-3); parallel OCC fails none."""
+
+    @pytest.mark.xfail(strict=True, reason="OCC rollback erases an "
+                       "overwritten writer that later commits")
+    def test_rollback_keeps_the_overwritten_writers_value(self):
+        params = MicroParams(routines=40, concurrency=4, devices=15,
+                             commands_per_routine=2.0,
+                             long_duration_s=120.0, short_duration_s=5.0)
+        home = SafeHome(visibility="occ", seed=12)
+        home.load_workload(generate_microbenchmark(params, seed=132))
+        report = check_run(home.run(), home.initial)
+        assert [v.invariant for v in report.violations] == []
+
+
 class TestTypedRefusalsReachTheUserAsOneLine:
     """A ``SafeHomeError`` used to leave ``repro`` as a traceback with
     exit 1; ``cli.main`` now prints ``repro: <message>`` and exits 2."""
