@@ -11,7 +11,7 @@ cost scales with how much history must be re-executed and re-checked:
   recovery, but (with compaction) a shorter observation suffix to
   compare record-by-record.
 
-Shape assertions over the builders behind the registered
+Shape assertions over the crash-and-recover step behind the registered
 ``recovery_sweep`` benchmark (:mod:`repro.bench.suites.recovery_util`);
 ``repro bench --suite full --filter recovery_sweep --json out.json``
 writes the sweep's rows.

@@ -95,6 +95,10 @@ PYEOF
 done
 twice_identical fleet --homes 10 --seed 42 --crashes 2
 echo "durable fleet (crashes=2) deterministic"
+# Any interleaving of invoke/cancel/failure/run/crash+recover/migrate leaves a log whose replayed twin matches the live hub, and an oracle-clean end.
+REPRO_HYPOTHESIS_EXAMPLES=200 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=18 tests/test_hub_machine.py
+echo "hub state machine: 200 interleavings replay-equal and oracle-clean"
 # Checkpoint digests and record frames agree exactly with their plain
 # definitions (deeper example budget than tier-1, seed pinned), and a
 # healthy log still has the committed bytes.

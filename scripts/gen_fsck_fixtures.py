@@ -30,9 +30,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.fleet import FleetConfig, FleetEngine  # noqa: E402
-from repro.hub.durability.faults import (build_durable_home,  # noqa: E402
-                                         inject_fault, inject_fleet_fault)
+from repro.hub.durability.faults import (inject_fault,  # noqa: E402
+                                         inject_fleet_fault)
 from repro.hub.durability.fsck import fsck_path  # noqa: E402
+from repro.workloads.chaos import chaos_home  # noqa: E402
 
 FIXTURE_ROOT = REPO_ROOT / "tests" / "fixtures" / "fsck"
 
@@ -42,8 +43,10 @@ FLEET_VICTIM = 1
 
 
 def damaged_home(target: str, kind: str) -> dict:
-    build_durable_home(MODEL, EXECUTION, target, seed=SEED,
-                       checkpoint_every=CHECKPOINT_EVERY)
+    home = chaos_home(MODEL, EXECUTION, SEED, CHECKPOINT_EVERY,
+                      wal_dir=target)
+    home.run()
+    home.close_wal()
     return {
         "injection": inject_fault(target, kind, seed=SEED),
         "report": fsck_path(target, salvage=True).to_dict(),

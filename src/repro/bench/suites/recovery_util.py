@@ -1,42 +1,30 @@
-"""Shared builders for the durable-hub recovery benchmarks.
+"""Shared crash-and-recover step of the durable-hub recovery benchmarks.
 
 Used by the ``recovery_sweep`` entry and ``benchmarks/bench_recovery.py``.
 """
 
 from typing import Tuple
 
-from repro.hub.durability import DurabilityConfig
+from repro.hub.durability import CrashPlan, RecoveryReport, run_crashing
 from repro.hub.safehome import SafeHome
-from repro.workloads.chaos import chaos_workload
-
-
-def build_home(repeats: int, checkpoint_every: int = 32,
-               seed: int = 7) -> SafeHome:
-    """A durable EV home running ``repeats`` copies of the chaos scene."""
-    home = SafeHome(visibility="ev", seed=seed,
-                    durability=DurabilityConfig(
-                        checkpoint_every=checkpoint_every))
-    workload = chaos_workload(seed)
-    home.load_workload(workload)
-    # Stack additional rounds of the same routines, shifted in time, so
-    # the WAL grows linearly with `repeats`.
-    for round_index in range(1, repeats):
-        offset = 20.0 * round_index
-        for routine, at in workload.arrivals:
-            home.invoke(routine, at=at + offset)
-    return home
+from repro.workloads.chaos import chaos_home, chaos_workload
 
 
 def crash_and_recover(repeats: int, checkpoint_every: int = 32
-                      ) -> Tuple[SafeHome, object]:
-    """Run to near-completion, crash, recover; return (home, report)."""
-    probe = build_home(repeats, checkpoint_every)
+                      ) -> Tuple[SafeHome, RecoveryReport]:
+    """Run ``repeats`` copies of the chaos scene on a durable EV home,
+    crash one event before its end, recover; return (home, report)."""
+    arrivals = chaos_workload(7).arrivals
+    # A probe that sizes the run, then the victim: each also runs shifted
+    # copies of the scene, so the WAL grows with `repeats`.
+    probe, home = [chaos_home("ev", seed=7, checkpoint_every=checkpoint_every)
+                   for _ in range(2)]
+    for twin in (probe, home):
+        for round_index in range(1, repeats):
+            for routine, at in arrivals:
+                twin.invoke(routine, at=at + 20.0 * round_index)
     probe.run()
-    total_events = probe.sim.events_processed
-
-    home = build_home(repeats, checkpoint_every)
-    home.crash(after_events=max(1, total_events - 1))
-    home.run()
-    report = home.recover()
+    plan = CrashPlan(after_events=max(1, probe.sim.events_processed - 1))
+    [report] = run_crashing(home, [plan], home.recover)
     home.run()
     return home, report

@@ -284,13 +284,6 @@ def cmd_crash_recovery(args: argparse.Namespace) -> int:
     from repro.metrics.recovery import recovery_wall_summary
     from repro.workloads.chaos import run_chaos
 
-    if args.crash_at is not None and args.crash_event is not None:
-        print("--crash-at and --crash-event are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.crash_event is not None and args.crash_event < 1:
-        print("--crash-event must be >= 1", file=sys.stderr)
-        return 2
     try:
         result = run_chaos(
             model=args.model, execution=args.execution or "serial",

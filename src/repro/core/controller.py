@@ -242,8 +242,12 @@ class Controller:
         if self.journal is not None:
             self._journal("routine-submitted", routine_id=run.routine_id,
                           name=routine.name, when=when)
-        self.sim.call_at(when, self._arrive, run, label="arrive")
+        self.sim.call_at(when, self._arrival, run, label="arrive")
         return run
+
+    def _arrival(self, run: RoutineRun) -> None:
+        if not run.done:    # cancelled before it arrived: stays aborted
+            self._arrive(run)
 
     def _arrive(self, run: RoutineRun) -> None:
         """Routine reaches the hub; policy decides when it starts."""

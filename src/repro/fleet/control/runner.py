@@ -1,8 +1,8 @@
 """Worker-side controlled execution: supervise + migrate one home.
 
 The control loop's counterpart of :func:`repro.fleet.worker.run_home`.
-A controlled home owns a full hub lifecycle: the seed-derived hub-crash
-chaos schedule (the fault source, same draw as plain durable fleets),
+A controlled home owns a full hub lifecycle: the seeded crash schedule
+plain durable fleets draw (``CrashPlan.seeded``, run by ``run_crashing``),
 supervised restarts with bounded (journaled, virtual) backoff, an
 optional live model migration at its directive's virtual time, and a
 closing congruence-oracle pass.  Everything the supervisor does lands
@@ -17,7 +17,8 @@ from typing import Any, Dict, List
 from repro.errors import MigrationError, RecoveryError
 from repro.fleet.sharding import HomeSpec
 from repro.fleet.control.program import HomeDirective, SupervisionPolicy
-from repro.fleet.worker import _CRASH_HORIZON_S, _crash_times, home_row
+from repro.fleet.worker import _CRASH_HORIZON_S, home_row
+from repro.hub.durability.recovery import CrashPlan, run_crashing
 from repro.hub.safehome import SafeHome
 from repro.metrics.oracle import check_run
 from repro.workloads.fleet_mix import build_fleet_workload
@@ -94,9 +95,9 @@ def run_controlled_home(spec: HomeSpec, directive: HomeDirective,
                         policy: SupervisionPolicy) -> Dict[str, Any]:
     """Run one home under the control plane; return its metrics row.
 
-    The timeline interleaves the spec's seed-derived crash schedule
-    with the directive's migration step in virtual-time order.  Crashes
-    are healed by :func:`_heal`; an unfired crash (the queue drained
+    The crash driver runs the spec's seeded crash schedule around the
+    directive's migration step, in virtual-time order.  Crashes are
+    healed by :func:`_heal`; an unfired crash (the queue drained
     first) is cancelled before migrating so the replayed history stays
     crash-free past that point.  The row carries ``cohort``,
     ``restarts``, ``migrated``, the oracle verdict and the ``ops``
@@ -115,52 +116,38 @@ def run_controlled_home(spec: HomeSpec, directive: HomeDirective,
                     durability=durable)
     home.load_workload(workload)
 
-    horizon = workload.horizon_hint or _CRASH_HORIZON_S
-    # Ties order crashes before the migration step ("crash" < "migrate").
-    events = [(t, "crash") for t in _crash_times(spec, horizon)]
-    if directive.migrate_to:
-        events.append((directive.migrate_at, "migrate"))
-    events.sort()
-
+    plans = CrashPlan.seeded(
+        spec.seed, spec.crashes,
+        horizon=workload.horizon_hint or _CRASH_HORIZON_S)
+    # Crashes up to the migration step (ties included) fire before it.
+    cut = sum(plan.at <= directive.migrate_at for plan in plans) \
+        if directive.migrate_to else len(plans)
     ops: List[Dict[str, Any]] = []
     restarts = 0
-    crashes_fired = 0
-    replayed_events = 0
-    recovery_aborted = 0
     migrated = False
-    drained = False
     failed = ""
+
+    def heal():
+        nonlocal restarts
+        ops.append({"op": "crash", "home": spec.home_id, "t": _now(home)})
+        restarts = _heal(home, policy, spec, ops, restarts)
+        return home.recoveries[-1]
+
     try:
-        for at, kind in events:
-            if kind == "crash":
-                if drained:
-                    # An earlier (smaller) crash time never fired: the
-                    # queue is gone, later times cannot fire either.
-                    continue
-                home.crash(at=at)
-                home.run(max_events=spec.max_events)
-                if not home.crashed:
-                    drained = True
-                    continue
-                crashes_fired += 1
-                ops.append({"op": "crash", "home": spec.home_id,
-                            "t": _now(home)})
-                before = len(home.recoveries)
-                restarts = _heal(home, policy, spec, ops, restarts)
-                for report in home.recoveries[before:]:
-                    replayed_events += report.replayed_events
-                    recovery_aborted += len(report.aborted)
-            else:
-                home.run(until=at, max_events=spec.max_events)
-                if home.crashed:       # pragma: no cover - defensive
-                    restarts = _heal(home, policy, spec, ops, restarts)
-                # A scheduled-but-unfired crash would replay as pending
-                # under the target model; withdraw it first.
-                home.cancel_crash()
-                report = home.migrate(directive.migrate_to)
-                migrated = True
-                ops.append({"op": "migrate", "home": spec.home_id,
-                            **report.row()})
+        fired = run_crashing(home, plans[:cut], heal, spec.max_events)
+        if directive.migrate_to:
+            home.run(until=directive.migrate_at, max_events=spec.max_events)
+            if home.crashed:       # pragma: no cover - defensive
+                heal()
+            # A scheduled-but-unfired crash would replay as pending
+            # under the target model; withdraw it first.
+            home.cancel_crash()
+            report = home.migrate(directive.migrate_to)
+            migrated = True
+            ops.append({"op": "migrate", "home": spec.home_id,
+                        **report.row()})
+            if len(fired) == cut:   # no earlier crash found the queue empty
+                run_crashing(home, plans[cut:], heal, spec.max_events)
     except _Abandoned as exc:
         failed = str(exc)
     except MigrationError as exc:
@@ -186,8 +173,10 @@ def run_controlled_home(spec: HomeSpec, directive: HomeDirective,
     row["restarts"] = restarts
     row["migrated"] = directive.migrate_to if migrated else ""
     if durable:
-        row["hub_crashes"] = crashes_fired
-        row["hub_replayed_events"] = replayed_events
-        row["hub_recovery_aborted"] = recovery_aborted
+        row["hub_crashes"] = sum(op["op"] == "crash" for op in ops)
+        row["hub_replayed_events"] = sum(r.replayed_events
+                                         for r in home.recoveries)
+        row["hub_recovery_aborted"] = sum(len(r.aborted)
+                                          for r in home.recoveries)
     row["ops"] = ops
     return row

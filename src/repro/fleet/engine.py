@@ -91,6 +91,8 @@ class FleetConfig:
                 f"transport={self.transport!r} is not supported: the shm "
                 f"transport was removed, partials always travel pickled "
                 f"(drop the option)")
+        if self.crashes < 0:
+            raise ValueError(f"crashes must be >= 0, got {self.crashes}")
 
     def effective_workers(self) -> int:
         workers = self.workers or available_cpus()

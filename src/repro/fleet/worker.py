@@ -10,38 +10,24 @@ re-keying the RNG streams in place) instead of rebuilding the whole
 stack per home.  Reset-vs-fresh equivalence is property-tested over
 all five visibility models in ``tests/test_fleet.py``.
 
-When a spec carries a hub-crash schedule (``crashes > 0``) the worker
-builds a *durable* hub, crashes it at seed-derived virtual times,
-recovers it in the spec's mode and appends deterministic recovery
-counters to the row (see docs/durability.md).  With ``crashes == 0``
-the home is non-durable and the row is byte-identical to pre-durability
-fleets.
+With a hub-crash schedule (``crashes > 0``) the worker builds a
+*durable* hub, runs it through ``run_crashing`` over ``CrashPlan.seeded``
+times, recovering in the spec's mode, and adds recovery counters to the
+row (docs/durability.md).  With ``crashes == 0`` the home is non-durable
+and the row is byte-identical to pre-durability fleets.
 """
 
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, Optional
 
 from repro.fleet.sharding import HomeSpec
 from repro.fleet.spool import SpoolWriter, home_wal_record
+from repro.hub.durability.recovery import CrashPlan, run_crashing
 from repro.hub.safehome import SafeHome
-from repro.sim.random import RandomStreams
 from repro.workloads.fleet_mix import build_fleet_workload
 
 #: Fallback crash horizon when a scenario carries no hint (virtual s).
 _CRASH_HORIZON_S = 60.0
-
-
-def _crash_times(spec: HomeSpec, horizon: float) -> List[float]:
-    """Seed-derived, strictly increasing hub-crash times for one home."""
-    rng = RandomStreams(seed=spec.seed).stream("hub-crashes")
-    times = sorted(round(rng.uniform(0.0, horizon), 6)
-                   for _ in range(spec.crashes))
-    # Drop duplicates: a crash cannot be scheduled at or before the
-    # recovered hub's current time.
-    distinct: List[float] = []
-    for t in times:
-        if not distinct or t > distinct[-1]:
-            distinct.append(t)
-    return distinct
 
 
 class HomeFactory:
@@ -152,14 +138,9 @@ def run_home(spec: HomeSpec,
     recoveries = []
     if spec.crashes:
         horizon = workload.horizon_hint or _CRASH_HORIZON_S
-        for crash_time in _crash_times(spec, horizon):
-            home.crash(at=crash_time)
-            home.run(max_events=spec.max_events)
-            if not home.crashed:
-                # The home drained before this crash time; later (larger)
-                # times cannot fire either.
-                break
-            recoveries.append(home.recover(mode=spec.recovery))
+        recoveries = run_crashing(
+            home, CrashPlan.seeded(spec.seed, spec.crashes, horizon=horizon),
+            partial(home.recover, spec.recovery), spec.max_events)
     result = home.run(max_events=spec.max_events)
     report = home.report(check_final=spec.check_final,
                          exhaustive_limit=spec.exhaustive_limit)

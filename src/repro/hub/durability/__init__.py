@@ -10,7 +10,8 @@ from repro.hub.durability.faults import (FAULT_KINDS, inject_fault,
 from repro.hub.durability.fsck import FsckReport, fsck_path
 from repro.hub.durability.recovery import (RECOVERY_MODES, CrashPlan,
                                            DurabilityConfig,
-                                           DurabilityManager, RecoveryReport)
+                                           DurabilityManager, RecoveryReport,
+                                           run_crashing)
 from repro.hub.durability.storage import (SegmentedWalWriter, WalScan,
                                           scan_wal_dir)
 from repro.hub.durability.wal import (INPUT_TYPES, MARKER_TYPES,
@@ -29,6 +30,7 @@ __all__ = [
     "DurabilityConfig",
     "DurabilityManager",
     "CrashPlan",
+    "run_crashing",
     "RecoveryReport",
     "RECOVERY_MODES",
     "SegmentedWalWriter",

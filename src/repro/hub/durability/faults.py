@@ -249,28 +249,6 @@ def inject_fleet_fault(wal_dir: str, home_id: int, kind: str,
 # the corruption grid
 
 
-def build_durable_home(model: str, execution: str, wal_dir: Optional[str],
-                       seed: int = 0, checkpoint_every: int = 8):
-    """One finished durable chaos home (the grid's subject).
-
-    Loads the shared chaos workload, runs it to completion and — when
-    ``wal_dir`` is given — leaves a cleanly closed on-disk log behind.
-    """
-    from repro.hub.durability.recovery import DurabilityConfig
-    from repro.hub.safehome import SafeHome
-    from repro.workloads.chaos import chaos_workload
-
-    home = SafeHome(visibility=model, execution=execution, seed=seed,
-                    durability=DurabilityConfig(
-                        checkpoint_every=checkpoint_every),
-                    wal_dir=wal_dir)
-    home.load_workload(chaos_workload(seed=seed))
-    home.run()
-    if wal_dir is not None:
-        home.close_wal()
-    return home
-
-
 def baseline_state(home) -> str:
     """Canonical final-state string a replayed twin must reproduce."""
     from repro.hub.durability.wal import jsonify
@@ -305,10 +283,12 @@ def corruption_trial(model: str, execution: str, kind: str,
       this never happens.
     """
     from repro.hub.durability.fsck import fsck_path
+    from repro.workloads.chaos import chaos_home
 
-    baseline_home = build_durable_home(model, execution, wal_dir,
-                                       seed=seed,
-                                       checkpoint_every=checkpoint_every)
+    baseline_home = chaos_home(model, execution, seed, checkpoint_every,
+                               wal_dir=wal_dir)
+    baseline_home.run()
+    baseline_home.close_wal()
     baseline = baseline_state(baseline_home)
     pristine_records = len(baseline_home.wal.records)
     injection = inject_fault(wal_dir, kind, seed=seed)

@@ -1,4 +1,4 @@
-"""The durable hub's journal: config, crash plans, reports, manager.
+"""The durable hub's journal: config, crash plans + driver, reports, manager.
 
 How a crashed hub is rebuilt from what is journaled here — verified
 deterministic replay — lives in :mod:`repro.hub.durability.replay`.
@@ -17,10 +17,11 @@ the hub died (``DurabilityConfig.recovery``):
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.hub.durability.checkpoint import Checkpoint, state_digest
 from repro.hub.durability.wal import WriteAheadLog
+from repro.sim.random import RandomStreams
 
 #: Recovery modes (see module docstring).
 RECOVERY_MODES = ("replay", "policy")
@@ -69,6 +70,37 @@ class CrashPlan:
     def from_payload(cls, payload: Dict[str, Any]) -> "CrashPlan":
         return cls(at=payload.get("at"),
                    after_events=payload.get("after_events"))
+
+    @classmethod
+    def seeded(cls, seed: int, count: int, *, horizon: Optional[float] = None,
+               events: Optional[int] = None) -> List["CrashPlan"]:
+        """Up to ``count`` crash points from ``seed``'s ``hub-crashes``
+        stream, in firing order: distinct times uniform in [0, horizon]
+        rounded to 6 places, or distinct event indexes in [1, events)."""
+        if count < 0:
+            raise ValueError(f"crash count must be >= 0, got {count}")
+        rng = RandomStreams(seed=seed).stream("hub-crashes")
+        if events is None:
+            return [cls(at=t) for t in sorted(
+                {round(rng.uniform(0.0, horizon), 6) for _ in range(count)})]
+        count = min(count, events - 1)
+        indexes = rng.sample(range(1, events), count) if count > 0 else []
+        return [cls(after_events=k) for k in sorted(indexes)]
+
+
+def run_crashing(home, plans: Iterable[CrashPlan], recover: Callable,
+                 max_events: Optional[int] = None) -> List["RecoveryReport"]:
+    """The one crash driver: schedule each of ``plans`` in turn, run
+    ``home`` into it, hand each fired crash to ``recover``.  Stops at the
+    first crash that does not fire (queue drained); it stays scheduled."""
+    reports = []
+    for plan in plans:
+        home.crash(at=plan.at, after_events=plan.after_events)
+        home.run(max_events=max_events)
+        if not home.crashed:
+            break
+        reports.append(recover())
+    return reports
 
 
 @dataclass

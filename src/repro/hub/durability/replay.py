@@ -18,6 +18,7 @@ Every door — :meth:`SafeHome.recover`, :meth:`SafeHome.salvage_records`
 stack-building hooks and crash flags directly.
 """
 
+import dataclasses
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, NamedTuple, Optional
@@ -143,7 +144,9 @@ def apply_input(home, record) -> None:
                        max_events=payload["max_events"])
     elif record.type == "recovery":
         # An earlier recovery: re-apply its (deterministic) policy
-        # decisions and bring the hub back up, as it did then.
+        # decisions and bring the hub back up, as it did then.  The crash
+        # it answers is spent, even where another model never reached it.
+        home._pending_crash = None
         restart(home, payload["mode"], journal=False)
     else:
         raise RecoveryError(f"unexpected input record {record.type!r}")
@@ -395,11 +398,35 @@ def salvage(home, records, bounded: bool = True, end=None
     return _finish(home, "salvage", records, outcome, started)
 
 
+def _retimed_inputs(records, now: float) -> List:
+    """The log's inputs on the one clock every model shares: each fired
+    crash at its time (not its event index), each run stopped where the
+    next input (the last run: the migration, at ``now``) found the hub."""
+    inputs: List = []
+    plan = None             # inputs index of the last crash-scheduled
+    for record in records:
+        if record.type == "crash":      # fired by the last plan scheduled
+            inputs[plan] = dataclasses.replace(inputs[plan], payload=(
+                CrashPlan(at=record.payload["time"]).to_payload()))
+        elif record.is_input:
+            if record.type == "crash-scheduled":
+                plan = len(inputs)
+            inputs.append(record)
+    stops = [record.time for record in inputs[1:]] + [now]
+    for index, (record, stop) in enumerate(zip(inputs, stops)):
+        until = record.payload.get("until")
+        if record.type == "run" and (until is None or until > stop):
+            inputs[index] = dataclasses.replace(
+                record, payload={**record.payload, "until": stop})
+    return inputs
+
+
 def migrate(home, visibility) -> MigrationReport:
     """:meth:`SafeHome.migrate`: the live hub's inputs under another
     visibility model.  Seals made under the source model are no
-    evidence about the target's, so only the inputs are handed to
-    :func:`replay` and nothing is verified; the forced boundary
+    evidence about the target's, so only the inputs, re-timed
+    (:func:`_retimed_inputs`), are handed to :func:`replay` and nothing
+    is verified; the forced boundary
     checkpoint's digest goes into the report and ``migration`` marker."""
     if home.durability is None:
         raise SafeHomeError(
@@ -410,7 +437,7 @@ def migrate(home, visibility) -> MigrationReport:
     source = VisibilityModel.parse(home._ctor["visibility"])
     started = time.perf_counter()
     boundary = home.durability.take_checkpoint()
-    inputs = home.durability.wal.inputs()
+    inputs = _retimed_inputs(home.durability.wal.records, home.sim.now)
     try:
         with staged_rebuild(home, visibility=target.value):
             outcome = replay(home, inputs, heal_crashes=True)

@@ -31,16 +31,19 @@ class FailureDetector:
         # None keeps pinging while any routine is unfinished.
         self.horizon = horizon
         self.pings_sent = 0
+        self.ticking = False
         driver.on_timeout = self.report_timeout
 
     def start(self) -> None:
+        self.ticking = True
         self.sim.call_after(self.ping_period_s, self._tick,
                             label="detector-tick")
 
     def _tick(self) -> None:
         for device in self.registry:
             self._ping(device.device_id)
-        if self._should_continue():
+        self.ticking = self._should_continue()
+        if self.ticking:
             self.sim.call_after(self.ping_period_s, self._tick,
                                 label="detector-tick")
 

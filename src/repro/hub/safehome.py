@@ -501,7 +501,9 @@ class SafeHome:
         newly scripted failure plans."""
         start_detector = detector if detector is not None \
             else bool(self.injector.plans)
-        if start_detector and not self._detector_started:
+        # Work arriving after the idle hub stopped the detector resumes it.
+        if start_detector and not self.detector.ticking and (
+                not self._detector_started or not self.controller.all_done()):
             self.detector.start()
             self._detector_started = True
         # Implicit detection (command timeouts) is always wired: the
@@ -602,8 +604,9 @@ class SafeHome:
         inputs + seed are a complete recipe, the migrated hub's state
         and subsequent behavior are identical to a hub that ran under
         the target model from the start (pinned by the migration grid
-        test).  A crash plan that fires during replay where the source
-        model never hit it is transparently resumed and journaled.
+        test).  Replay keeps the source's clock (each run stops where the
+        next input found the hub, a fired crash fires at its time); a
+        crash the source never hit that fires in replay is resumed.
 
         On failure the hub is left *crashed* with the pre-migration WAL
         intact for post-mortem and :class:`~repro.errors.MigrationError`

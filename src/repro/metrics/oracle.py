@@ -33,7 +33,8 @@ from repro.core.controller import RoutineStatus, RunResult
 from repro.errors import SafeHomeError
 from repro.metrics.congruence import (_writer_id, effective_writes,
                                       serial_end_state_exists)
-from repro.metrics.serialization import (reconstruct_serial_order,
+from repro.metrics.serialization import (failed_at_end,
+                                         reconstruct_serial_order,
                                          validate_serial_order)
 
 #: Slack for execution-window overlap: windows are half-open, so
@@ -76,17 +77,6 @@ class OracleReport:
         }
 
 
-def _failed_now(result: RunResult) -> set:
-    """Devices believed failed at the end of the run."""
-    failed = set()
-    for kind, device_id, _t in result.detection_events:
-        if kind == "failure":
-            failed.add(device_id)
-        else:
-            failed.discard(device_id)
-    return failed
-
-
 # -- universal invariants ------------------------------------------------------
 
 def _check_terminal(result: RunResult, out: List[Violation]) -> None:
@@ -126,7 +116,7 @@ def _check_abort_erasure(result: RunResult, initial: Dict[int, Any],
     the rollback-faithful replay.  Devices failed at the end of the run
     are exempt: their rollback is deferred to restart reconciliation."""
     aborted_ids = {run.routine_id for run in result.aborted}
-    failed = _failed_now(result)
+    failed = failed_at_end(result)
     for device_id, log in result.device_write_logs.items():
         if not log or device_id in failed:
             continue
@@ -173,7 +163,9 @@ def _windows(result: RunResult) -> List[Tuple[float, float, Any]]:
 
 def _check_no_overlap(result: RunResult, out: List[Violation],
                       invariant: str, conflicting_only: bool) -> None:
-    windows = sorted(_windows(result), key=lambda w: (w[0], w[2].routine_id))
+    # Equal starts order by finish: a window closing as it opens leads.
+    windows = sorted(_windows(result),
+                     key=lambda w: (w[0], w[1], w[2].routine_id))
     for i, (start_a, finish_a, run_a) in enumerate(windows):
         for j in range(i + 1, len(windows)):
             start_b, finish_b, run_b = windows[j]

@@ -102,6 +102,18 @@ def place_detection_events(result: RunResult,
     return timeline
 
 
+def failed_at_end(result: RunResult) -> Set[int]:
+    """Devices believed failed at the end of the run (detections in
+    order: a device that failed, restarted and failed again is down)."""
+    failed: Set[int] = set()
+    for kind, device_id, _t in result.detection_events:
+        if kind == "failure":
+            failed.add(device_id)
+        else:
+            failed.discard(device_id)
+    return failed
+
+
 def validate_serial_order(result: RunResult,
                           initial: Dict[int, Any],
                           order: Optional[List[int]] = None) -> bool:
@@ -117,12 +129,7 @@ def validate_serial_order(result: RunResult,
     state = dict(initial)
     for rid in order:
         state.update(writes.get(rid, {}))
-    failed_now = {device_id
-                  for kind, device_id, _t in result.detection_events
-                  if kind == "failure"}
-    for kind, device_id, _t in result.detection_events:
-        if kind == "restart":
-            failed_now.discard(device_id)
+    failed_now = failed_at_end(result)
     for device_id, expected in state.items():
         if device_id in failed_now:
             continue  # frozen by failure; reconciliation applies later

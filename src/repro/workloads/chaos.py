@@ -16,6 +16,7 @@ much work each visibility model loses to a hub outage.
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.core.spec import parse_routine
@@ -110,40 +111,30 @@ class ChaosResult:
         return json.dumps(self.summary(), indent=indent, sort_keys=True)
 
 
-def _chaos_workload_for(scenario: Optional[str], seed: int) -> Workload:
-    """The workload one chaos run executes.
-
-    ``None`` (the default) is the hand-written evening scene; a
-    ``synth:...`` name — e.g. a worst-found entry from a ``repro hunt``
-    corpus — compiles its :class:`~repro.workloads.synth.SynthSpec` so
-    crash/recovery is exercised on adversarial inputs too.
+def chaos_home(model: str = "ev", execution: str = "serial", seed: int = 0,
+               checkpoint_every: int = 32, scenario: Optional[str] = None,
+               wal_dir: Optional[str] = None):
+    """The durable chaos home, loaded and not yet run: what ``repro
+    crash-recovery``, the fsck corruption grid and the recovery bench
+    crash, damage or time.  ``scenario`` swaps the evening scene for a
+    ``synth:...`` name, e.g. a worst-found ``repro hunt`` corpus entry.
     """
-    if scenario is None:
-        return chaos_workload(seed)
-    from repro.workloads.synth import (SynthSpec, compile_spec,
-                                       is_synth_scenario)
-
-    if not is_synth_scenario(scenario):
-        raise ValueError(
-            f"chaos scenario must be None or a 'synth:...' name, "
-            f"got {scenario!r}")
-    return compile_spec(SynthSpec.decode(scenario), seed=seed)
-
-
-def _build_home(model: str, execution: str, seed: int,
-                checkpoint_every: int,
-                scenario: Optional[str] = None,
-                wal_dir: Optional[str] = None):
     # Imported lazily: the hub package sits above workloads in the
     # dependency graph (SafeHome itself imports workloads.base).
     from repro.hub.durability import DurabilityConfig
     from repro.hub.safehome import SafeHome
 
+    if scenario is None:
+        workload = chaos_workload(seed)
+    else:
+        from repro.workloads.synth import SynthSpec, compile_spec
+
+        workload = compile_spec(SynthSpec.decode(scenario), seed=seed)
     home = SafeHome(
         visibility=model, execution=execution, seed=seed,
         durability=DurabilityConfig(checkpoint_every=checkpoint_every),
         wal_dir=wal_dir)
-    home.load_workload(_chaos_workload_for(scenario, seed))
+    home.load_workload(workload)
     return home
 
 
@@ -157,48 +148,35 @@ def _report_row(home, model: str) -> Dict[str, Any]:
     return row
 
 
-def run_chaos(model: str = "ev", execution: str = "serial",
-              seed: int = 0, crashes: int = 2,
-              recovery: str = "replay",
-              checkpoint_every: int = 32,
-              crash_at: Optional[float] = None,
+def run_chaos(model: str = "ev", execution: str = "serial", seed: int = 0,
+              crashes: int = 2, recovery: str = "replay",
+              checkpoint_every: int = 32, crash_at: Optional[float] = None,
               crash_event: Optional[int] = None,
               scenario: Optional[str] = None,
               wal_dir: Optional[str] = None) -> ChaosResult:
     """Crash the hub at seeded points, recover, compare to baseline.
 
     ``crash_at`` / ``crash_event`` pin a single explicit crash point;
-    otherwise ``crashes`` points are drawn (seeded) from the
-    uninterrupted run's event range.  ``scenario`` swaps the evening
-    scene for a generated ``synth:...`` workload (hunt-corpus
-    feedback); the default path is untouched.  ``wal_dir`` puts the
-    crashing home's WAL on disk (segmented CRC-framed log; sealed on
-    completion) so the run leaves an fsck-able artifact behind.
+    otherwise ``crashes`` points are drawn (``CrashPlan.seeded``) from
+    the uninterrupted run's event range.  ``scenario`` is
+    :func:`chaos_home`'s.  ``wal_dir`` puts the crashing home's WAL on
+    disk (sealed on completion), an fsck-able artifact.
     """
-    baseline = _build_home(model, execution, seed, checkpoint_every,
-                           scenario=scenario)
+    from repro.hub.durability import CrashPlan, run_crashing
+
+    # An explicit point is checked (by CrashPlan) before anything runs.
+    plans = None if crash_at is None and crash_event is None else \
+        [CrashPlan(at=crash_at, after_events=crash_event)]
+    baseline = chaos_home(model, execution, seed, checkpoint_every, scenario)
     baseline.run()
     baseline_row = _report_row(baseline, model)
     total_events = baseline.sim.events_processed
+    if plans is None:
+        plans = CrashPlan.seeded(seed, crashes, events=total_events)
 
-    home = _build_home(model, execution, seed, checkpoint_every,
-                       scenario=scenario, wal_dir=wal_dir)
-    if crash_at is not None or crash_event is not None:
-        points = [{"at": crash_at, "after_events": crash_event}]
-    else:
-        rng = RandomStreams(seed=seed).stream("hub-crashes")
-        count = max(0, min(crashes, max(total_events - 1, 0)))
-        indexes = sorted(rng.sample(range(1, total_events), count)) \
-            if count else []
-        points = [{"at": None, "after_events": k} for k in indexes]
-
-    reports = []
-    for point in points:
-        home.crash(at=point["at"], after_events=point["after_events"])
-        home.run()
-        if not home.crashed:
-            break  # crash point beyond the end of the simulation
-        reports.append(home.recover(mode=recovery))
+    home = chaos_home(model, execution, seed, checkpoint_every, scenario,
+                      wal_dir)
+    reports = run_crashing(home, plans, partial(home.recover, recovery))
     home.run()
     if wal_dir is not None:
         home.close_wal()
@@ -208,11 +186,8 @@ def run_chaos(model: str = "ev", execution: str = "serial",
         == json.dumps(baseline_row, sort_keys=True, default=repr)
     return ChaosResult(
         model=model, execution=execution, recovery_mode=recovery,
-        seed=seed,
-        crash_events=[r.crash_events for r in reports],
-        baseline_events=total_events,
-        baseline_row=baseline_row,
-        recovered_row=recovered_row,
-        congruent=congruent,
+        seed=seed, crash_events=[r.crash_events for r in reports],
+        baseline_events=total_events, baseline_row=baseline_row,
+        recovered_row=recovered_row, congruent=congruent,
         recoveries=[r.row() for r in reports],
         recovery_wall_s=[r.wall_s for r in reports])

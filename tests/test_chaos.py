@@ -116,8 +116,10 @@ class TestCrashRecoveryCli:
         assert "policy" in capsys.readouterr().out
 
     def test_cli_rejects_bad_crash_point_flags(self, capsys):
+        # CrashPlan is the one validator of a crash point.
         assert cli_main(["crash-recovery", "--crash-at", "2.0",
                          "--crash-event", "5"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert "exactly one of at= / after_events= must be given" in \
+            capsys.readouterr().err
         assert cli_main(["crash-recovery", "--crash-event", "0"]) == 2
-        assert ">= 1" in capsys.readouterr().err
+        assert "after_events must be >= 1" in capsys.readouterr().err

@@ -17,23 +17,32 @@ from repro.fleet.spool import (INDEX_NAME, MERGED_NAME, SpoolWriter,
                                home_wal_record, load_spooled_home,
                                merge_spool, replay_spooled_home)
 from repro.hub.durability.faults import (FAULT_KINDS, baseline_state,
-                                         build_durable_home, inject_fault,
-                                         inject_fleet_fault,
+                                         inject_fault, inject_fleet_fault,
                                          run_corruption_matrix)
 from repro.hub.durability.fsck import (REPORT_SCHEMA, fsck_home_dir,
                                        fsck_path)
 from repro.hub.durability.replay import build_home
 from repro.hub.durability.storage import scan_wal_dir
+from repro.workloads.chaos import chaos_home
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "fsck"
+
+
+def finished_home(seed, wal_dir=None, model="ev", execution="serial",
+                  checkpoint_every=8):
+    """A durable chaos home run to completion, its log closed."""
+    home = chaos_home(model, execution, seed, checkpoint_every,
+                      wal_dir=wal_dir)
+    home.run()
+    home.close_wal()
+    return home
 
 
 def build_wal(tmp_path, model="ev", execution="serial", seed=3,
               checkpoint_every=8):
     wal_dir = str(tmp_path / "wal")
     os.makedirs(wal_dir)
-    home = build_durable_home(model, execution, wal_dir, seed=seed,
-                              checkpoint_every=checkpoint_every)
+    home = finished_home(seed, wal_dir, model, execution, checkpoint_every)
     return home, wal_dir
 
 
@@ -211,8 +220,7 @@ class TestFleetSpool:
         writer = SpoolWriter(wal_dir)
         self.baselines = []
         for home_id in range(homes):
-            home = build_durable_home("ev", "serial", None, seed=home_id,
-                                      checkpoint_every=8)
+            home = finished_home(home_id)
             self.baselines.append(baseline_state(home))
             writer.write(home_wal_record(home_id, "chaos", home_id, home))
         writer.close()
@@ -227,7 +235,7 @@ class TestFleetSpool:
         """An undecodable worker file: a worker that died mid-write,
         or a foreign file."""
         wal_dir = str(tmp_path)
-        home = build_durable_home("ev", "serial", None, seed=0)
+        home = finished_home(0)
         block = home_wal_record(0, "chaos", 0, home)
         path = os.path.join(wal_dir, "spool-1-1.seg")
         Path(path).write_bytes(block + block[:-10])
@@ -331,7 +339,7 @@ class TestFleetSpool:
         # Exactly the home shape: what fsck says about a home WAL dir.
         clean_dir = tmp_path / "shape"
         clean_dir.mkdir()
-        build_durable_home("ev", "serial", str(clean_dir), seed=0)
+        finished_home(0, str(clean_dir))
         assert sorted(home) == \
             sorted(fsck_home_dir(str(clean_dir)).to_dict())
 
