@@ -160,6 +160,17 @@ echo "== perf ledger gate (its tests + all workloads traced/untraced) =="
 ./perf_ledger/check.sh
 
 echo
+echo "== one door: only the hub advances a simulator =="
+# SafeHome.pump is the one journaled way a hub advances (a served slice
+# included); a module calling sim.run( itself would be a second,
+# unjournaled path.  bench/suites/perf.py times a bare simulator.
+doors="$(grep -rl --include='*.py' 'sim\.run(' src/repro | grep -vx \
+    -e src/repro/sim/engine.py -e src/repro/hub/safehome.py \
+    -e src/repro/bench/suites/perf.py || true)"
+[ -z "$doors" ] || { echo "sim.run( outside the hub: $doors"; exit 1; }
+echo "one door OK"
+
+echo
 echo "== lint =="
 if "$PY" -m ruff --version >/dev/null 2>&1; then
     "$PY" -m ruff check src tests benchmarks examples scripts

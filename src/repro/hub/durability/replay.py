@@ -23,7 +23,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from repro.core.controller import RoutineStatus
+from repro.core.controller import RoutineStatus, RunResult
 from repro.core.spec import parse_routine
 from repro.core.visibility import VisibilityModel
 from repro.devices.failures import FailurePlan
@@ -139,9 +139,8 @@ def apply_input(home, record) -> None:
     elif record.type == "crash-cancelled":
         home._pending_crash = None
     elif record.type == "run":
-        home._run_core(until=payload["until"],
-                       detector=payload["detector"],
-                       max_events=payload["max_events"])
+        home._run_core(payload["until"], payload["detector"],
+                       payload["max_events"])
     elif record.type == "recovery":
         # An earlier recovery: re-apply its (deterministic) policy
         # decisions and bring the hub back up, as it did then.  The crash
@@ -221,9 +220,12 @@ def replay(home, records, *, floor=None, heal_crashes: bool = False,
             "healed_crashes": 0}
     # _run_core caps every run at this absolute event count.
     home._replay_stop_events = info["boundary_events"]
+    last_run = max([i for i, r in enumerate(kept) if r.type == "run"] or [-1])
     try:
         for index, record in enumerate(kept):
             apply_input(home, record)
+            if index == last_run:     # what the last run() returned
+                home._last_result = RunResult.from_controller(home.controller)
             if heal_crashes and home._crashed and (
                     index + 1 == len(kept)
                     or kept[index + 1].type != "recovery"):

@@ -406,15 +406,33 @@ class SafeHome:
                 runs only when failures are scripted.
             max_events: safety valve against runaway simulations.
         """
+        self.pump(until=until, max_events=max_events, detector=detector)
+        self._last_result = RunResult.from_controller(self.controller)
+        return self._last_result
+
+    def pump(self, until: Optional[float] = None,
+             max_events: Optional[int] = None,
+             detector: Optional[bool] = None) -> int:
+        """Advance the hub one journaled slice; returns the number of
+        events processed.
+
+        The one way a hub advances: :meth:`run` is a pump plus its
+        :class:`RunResult`, and the serve loop (docs/serving.md) pumps
+        in slices and builds the result once, at the end.  Every slice
+        is a ``run`` input, so scheduled crashes, salvage bounds and
+        replay treat a served hub exactly as a batch one.
+        """
         self._ensure_alive()
         self._record_input("run", {"until": until, "detector": detector,
                                    "max_events": max_events})
-        return self._run_core(until=until, detector=detector,
-                              max_events=max_events)
+        before = self.sim.events_processed
+        self._run_core(until=until, detector=detector,
+                       max_events=max_events)
+        return self.sim.events_processed - before
 
     def _run_core(self, until: Optional[float] = None,
                   detector: Optional[bool] = None,
-                  max_events: Optional[int] = None) -> RunResult:
+                  max_events: Optional[int] = None) -> None:
         """The run body, shared by live execution and recovery replay
         (replay records the input itself, so this never journals)."""
         self._prepare_run(detector)
@@ -458,42 +476,6 @@ class SafeHome:
             if self.durability is not None:
                 self.durability.mark_crash(crash.to_payload())
             self.feedback.hub_crashed(self.sim.now)
-        self._last_result = RunResult.from_controller(self.controller)
-        return self._last_result
-
-    # -- service mode (docs/serving.md) -------------------------------------------------
-
-    def pump(self, until: Optional[float] = None,
-             max_events: Optional[int] = None) -> int:
-        """Advance the simulation incrementally for service mode.
-
-        A lightweight slice of :meth:`run` for long-lived serving: it
-        arms scripted failures, starts the detector when needed and
-        takes the initial snapshot on first use, but builds no
-        :class:`RunResult` (that is deferred to
-        :meth:`finalize_service`, so a serve loop calling pump
-        thousands of times stays O(events)).  Returns the number of
-        events processed.  Durability journals whole ``run()`` calls,
-        not incremental slices, so pumping a durable hub is refused.
-        """
-        self.service_prepare()
-        before = self.sim.events_processed
-        self.sim.run(until=until, max_events=max_events)
-        return self.sim.events_processed - before
-
-    def service_prepare(self) -> None:
-        """The per-slice preamble of :meth:`pump`, callable on its own
-        (the serve loop runs it before handing the simulator to a
-        pacing driver): start the detector if failures are scripted,
-        take the initial snapshot once, arm any newly scripted plans.
-        Idempotent and cheap when nothing changed.
-        """
-        self._ensure_alive()
-        if self.durability is not None:
-            raise SafeHomeError(
-                "pump() does not journal; serve non-durable homes "
-                "(durability and service mode are mutually exclusive)")
-        self._prepare_run()
 
     def _prepare_run(self, detector: Optional[bool] = None) -> None:
         """Start the detector (forced on/off, by default only when
@@ -511,15 +493,6 @@ class SafeHome:
         if self._initial is None:
             self._initial = self.registry.snapshot()
         self.injector.arm()
-
-    def finalize_service(self) -> RunResult:
-        """Materialize the :class:`RunResult` of a pumped (served) run.
-
-        The service-mode counterpart of the tail of :meth:`run`; after
-        this, :meth:`report` works exactly as it does for batch runs.
-        """
-        self._last_result = RunResult.from_controller(self.controller)
-        return self._last_result
 
     # -- crash / recovery (docs/durability.md) ------------------------------------------
 

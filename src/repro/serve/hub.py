@@ -5,9 +5,10 @@ fielding routine submissions from many concurrent tenants.  Clients
 (threads, or the inline closed-loop generator) call :meth:`submit`,
 which resolves the routine against the tenant's home and touches only
 the tenant's bounded admission queue; a single
-serve loop — the only code that ever drives the simulators — admits
+serve loop — the only code that ever drives the homes — admits
 queued requests with weighted fair dequeue and paces each home's
-virtual clock through a :class:`~repro.serve.pacing.RealTimeDriver`.
+virtual clock through a :class:`~repro.serve.pacing.RealTimeDriver`,
+whose slices (:meth:`SafeHome.pump`) are ordinary journaled ``run`` inputs.
 
 Determinism: with ``speedup=inf`` and the loop run inline
 (:meth:`serve_until_idle`), submissions only ever happen between pump
@@ -36,8 +37,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.core.controller import RoutineStatus, RunResult
 from repro.core.routine import Routine
 from repro.core.spec import parse_routine
-from repro.errors import (AdmissionRejected, DeviceError, RoutineSpecError,
-                          ServeError)
+from repro.errors import (AdmissionRejected, DeviceError, HubCrashedError,
+                          RoutineSpecError, ServeError)
 from repro.hub.safehome import SafeHome
 from repro.metrics.collector import MetricsReport
 from repro.serve.admission import AdmissionControl
@@ -116,13 +117,8 @@ class ServeHub:
         self.config = config or ServeConfig()
         self.homes: Dict[str, SafeHome] = dict(homes)
         self._home_order = list(self.homes)
-        for name, home in self.homes.items():
-            if home.durability is not None:
-                raise ServeError(
-                    f"home {name!r} is durable; service-mode pumping "
-                    "does not journal (serve homes must be non-durable)")
         self.drivers: Dict[str, RealTimeDriver] = {
-            name: RealTimeDriver(home.sim, self.config.speedup,
+            name: RealTimeDriver(home, self.config.speedup,
                                  poll_s=self.config.poll_s)
             for name, home in self.homes.items()}
         self.admission = AdmissionControl(
@@ -142,6 +138,7 @@ class ServeHub:
         self._next_home = 0
         self._thread: Optional[threading.Thread] = None
         self._results: Optional[Dict[str, RunResult]] = None
+        self._error: Optional[HubCrashedError] = None  # the loop's, re-raised
         # Fired (inside the serve loop) whenever a ticket reaches a
         # terminal state — the closed-loop generator's resubmit hook.
         self.on_ticket_done: List[Callable[[Ticket], None]] = []
@@ -229,9 +226,10 @@ class ServeHub:
     def _pump_all(self) -> int:
         events = 0
         for name in self._home_order:
-            self.homes[name].service_prepare()
             events += self.drivers[name].pump(
                 max_events=self.config.max_total_events)
+            if self.homes[name].crashed:     # queued tickets stay queued
+                raise HubCrashedError(f"served home {name!r} crashed")
         return events
 
     def _idle(self) -> bool:
@@ -273,21 +271,24 @@ class ServeHub:
             self._state = "stopped"
 
     def _serve_loop(self) -> None:
-        while True:
-            with self._lock:
-                state = self._state
-            if state == "stopped":
-                break
-            admitted = self._admit_batch()
-            events = self._pump_all()
-            if state == "draining" and not admitted and not events \
-                    and self._idle():
-                break
-            if not admitted and not events \
-                    and self.drivers[self._home_order[0]].virtual_paced:
-                # Virtual-paced + threaded: nothing to do until a
-                # client enqueues; don't spin.
-                threading.Event().wait(self.config.poll_s)
+        try:
+            while True:
+                with self._lock:
+                    state = self._state
+                if state == "stopped":
+                    break
+                admitted = self._admit_batch()
+                events = self._pump_all()
+                if state == "draining" and not admitted and not events \
+                        and self._idle():
+                    break
+                if not admitted and not events \
+                        and self.drivers[self._home_order[0]].virtual_paced:
+                    # Virtual-paced + threaded: nothing to do until a
+                    # client enqueues; don't spin.
+                    threading.Event().wait(self.config.poll_s)
+        except HubCrashedError as error:
+            self._error = error          # shutdown() re-raises it
         with self._lock:
             self._state = "stopped"
 
@@ -319,10 +320,10 @@ class ServeHub:
         terminal state, then the loop exits.  ``drain=False`` (hard):
         the loop stops at the next iteration and queued tickets are
         marked ``dropped`` (their ``done`` events fire so no waiter
-        hangs).
+        hangs).  A home crash that stopped the loop is re-raised here.
         """
         with self._lock:
-            if self._state == "stopped":
+            if self._state == "stopped" and self._thread is None:
                 return
             self._state = "draining" if drain else "stopped"
         if self._thread is not None:
@@ -336,17 +337,19 @@ class ServeHub:
                 for ticket in self.admission.drop_all():
                     ticket.status = "dropped"
                     ticket.done.set()
+        if self._error is not None:
+            raise self._error
 
     # -- results / metrics -----------------------------------------------------
 
     def results(self) -> Dict[str, RunResult]:
-        """Finalize (once) and return each home's :class:`RunResult`."""
+        """Each drained home's ``run()`` to its virtual now, once."""
         with self._lock:
             if self._state != "stopped":
                 raise ServeError("shut the hub down before finalizing")
             if self._results is None:
-                self._results = {name: self.homes[name].finalize_service()
-                                 for name in self._home_order}
+                self._results = {name: home.run(until=home.sim.now)
+                                 for name, home in self.homes.items()}
             return self._results
 
     def reports(self, check_final: bool = False

@@ -90,7 +90,7 @@ MENU_NAMES: Tuple[str, ...] = tuple(
 def build_serve_home(model: str = "ev", scheduler: str = "timeline",
                      execution: Optional[str] = None,
                      seed: int = 0) -> SafeHome:
-    """A non-durable :class:`SafeHome` ready to be served.
+    """A :class:`SafeHome` ready to be served.
 
     Creates the :data:`SERVE_DEVICES` set and registers every
     :data:`SERVE_MENU` routine in the bank, so clients submit by name.

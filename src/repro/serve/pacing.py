@@ -4,9 +4,10 @@ Everything below the hub is a discrete-event simulation whose clock
 jumps from event to event.  A *served* home must instead advance in
 real time — a routine that takes 4 virtual seconds should take 4 wall
 seconds (or ``4 / speedup`` under test acceleration).  The driver sits
-*next to* the simulator without forking it: it owns no events, it only
-decides **when** the simulator is allowed to process the events that
-are already due.
+*next to* the home without forking it: it owns no events, it only
+decides **when** the home may process the events that are already due,
+and advances it only through :meth:`SafeHome.pump` — the journaled
+slice a batch ``run()`` is made of.
 
 Pacing contract
 ---------------
@@ -32,13 +33,15 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import ServeError
-from repro.sim.engine import Simulator
+from repro.hub.safehome import SafeHome
 
 
 class RealTimeDriver:
-    """Paces one :class:`~repro.sim.engine.Simulator` against wall time."""
+    """Paces one :class:`~repro.hub.safehome.SafeHome` against wall time
+    (its simulator is read on every call: recovery and migration rebuild
+    it, and pacing goes on on the live one)."""
 
-    def __init__(self, sim: Simulator, speedup: float = math.inf,
+    def __init__(self, home: SafeHome, speedup: float = math.inf,
                  poll_s: float = 0.002,
                  monotonic: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> None:
@@ -46,7 +49,7 @@ class RealTimeDriver:
             raise ServeError(f"speedup must be positive, got {speedup!r}")
         if poll_s <= 0:
             raise ServeError(f"poll_s must be positive, got {poll_s!r}")
-        self.sim = sim
+        self.home = home
         self.speedup = float(speedup)
         self.poll_s = poll_s
         self._monotonic = monotonic
@@ -56,7 +59,7 @@ class RealTimeDriver:
         # Monotonicity watermark: the virtual clock of a served home
         # must never run backwards (asserted on every pump; the soak
         # test reads `clock_regressions`).
-        self._last_virtual = sim.now
+        self._last_virtual = home.sim.now
         self.clock_regressions = 0
 
     @property
@@ -69,9 +72,9 @@ class RealTimeDriver:
         return self.virtual_paced or self._origin_wall is not None
 
     def start(self) -> None:
-        """Anchor virtual ``sim.now`` to the current wall instant."""
+        """Anchor the home's virtual now to the current wall instant."""
         self._origin_wall = self._monotonic()
-        self._origin_virtual = self.sim.now
+        self._origin_virtual = self.home.sim.now
 
     def target(self) -> float:
         """Virtual time the wall clock has earned since :meth:`start`."""
@@ -92,7 +95,7 @@ class RealTimeDriver:
         """
         if self.virtual_paced or self._origin_wall is None:
             return 0.0
-        return max(0.0, (self.target() - self.sim.now) / self.speedup)
+        return max(0.0, (self.target() - self.home.sim.now) / self.speedup)
 
     def wall_elapsed(self) -> float:
         if self._origin_wall is None:
@@ -108,29 +111,28 @@ class RealTimeDriver:
         at most ``poll_s``, and never past the next event's due time —
         when there is nothing to do yet.
         """
-        sim = self.sim
-        before = sim.events_processed
+        home = self.home
+        pumped = 0
         if self.virtual_paced:
-            sim.run(max_events=max_events)
+            pumped = home.pump(max_events=max_events)
         else:
             if self._origin_wall is None:
                 self.start()
             target = self.target()
-            if target > sim.now or sim.next_event_time() is not None:
-                sim.run(until=target, max_events=max_events)
-            pumped = sim.events_processed - before
+            if target > home.sim.now or home.sim.next_event_time() is not None:
+                pumped = home.pump(until=target, max_events=max_events)
             if pumped == 0:
-                next_due = sim.next_event_time()
+                next_due = home.sim.next_event_time()
                 if next_due is None:
                     self._sleep(self.poll_s)
                 else:
                     wait = (next_due - self.target()) / self.speedup
                     if wait > 0:
                         self._sleep(min(self.poll_s, wait))
-        if sim.now < self._last_virtual:
+        if home.sim.now < self._last_virtual:
             self.clock_regressions += 1
-        self._last_virtual = sim.now
-        return sim.events_processed - before
+        self._last_virtual = home.sim.now
+        return pumped
 
 
 def parse_speedup(text: str) -> float:

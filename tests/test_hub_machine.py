@@ -17,6 +17,11 @@ interleavings of the public calls:
 * ``migrate`` to a drawn visibility model (except across OCC once a
   cancel was journaled: an open finding, pinned below).
 
+``serve`` (bank names through a virtual-paced ``ServeHub``, whose
+slices are journaled ``run`` inputs) is a step of the named sequences
+below, not a rule: a rule re-draws the seeded examples, and the draw
+reaches the open OCC rollback finding pinned in ``TestCounterexamples``.
+
 After every step a fresh twin built from the log (``replay.build_home``
 plus ``replay.replay`` to the live hub's closing seal) must verify and
 reach the live hub's ``state_digest``, and every bank routine must
@@ -43,6 +48,7 @@ from repro.hub.durability import (CrashPlan, DurabilityConfig, replay,
                                   run_crashing, state_digest)
 from repro.hub.safehome import SafeHome
 from repro.metrics.oracle import check_run
+from repro.serve import ServeHub
 
 MODELS = ("wv", "gsv", "psv", "ev", "occ")
 EXECUTIONS = ("serial", "parallel")
@@ -173,6 +179,24 @@ class HubMachine(RuleBasedStateMachine):
             assert not table.closure.bit
 
 
+def serve(self, names, tenants):
+    """Submit ``names`` round-robin over ``tenants`` tenants to a served
+    hub over this home, serve until idle, read the results."""
+    hub = ServeHub(self.home)
+    for index in range(tenants):
+        hub.add_tenant(f"t{index}")
+    tickets = [hub.submit(f"t{index % tenants}", name)
+               for index, name in enumerate(names)]
+    hub.serve_until_idle()
+    hub.results()
+    assert all(t.status in ("committed", "aborted") for t in tickets)
+
+
+# A step of the named sequences, not a rule, and set outside the class
+# body: the derandomized draw hashes the machine's source, so any edit
+# inside it re-draws every example.
+HubMachine.serve = serve
+
 HubMachine.TestCase.settings = settings(
     stateful_step_count=25,
     suppress_health_check=[HealthCheck.too_slow,
@@ -237,6 +261,38 @@ def test_a_crash_and_recovery_after_a_migration():
     step(machine, "crash", k=3, mode="replay")
     home = machine.home
     assert len(home.migrations) == len(home.recoveries) == 1
+    machine.teardown()
+
+
+def test_serve_then_a_replay_recovery_then_serve():
+    machine = start("ev")
+    step(machine, "serve", names=["long", "flip", "pair"], tenants=2)
+    step(machine, "invoke", name="long", offset=None)
+    step(machine, "invoke", name="flip", offset=0.5)
+    step(machine, "crash", k=3, mode="replay")
+    step(machine, "serve", names=["sweep", "flip", "long"], tenants=3)
+    assert len(machine.home.recoveries) == 1
+    machine.teardown()
+
+
+def test_serve_then_a_policy_recovery_then_serve():
+    machine = start("gsv", "parallel")
+    step(machine, "serve", names=["long", "pair", "sweep"], tenants=2)
+    step(machine, "invoke", name="long", offset=None)
+    step(machine, "invoke", name="flip", offset=None)
+    step(machine, "crash", k=2, mode="policy")
+    step(machine, "serve", names=["pair", "flip"], tenants=2)
+    assert [r.mode for r in machine.home.recoveries] == ["policy"]
+    machine.teardown()
+
+
+def test_serve_then_a_migration_then_serve():
+    machine = start("psv")
+    step(machine, "serve", names=["long", "flip", "pair", "sweep"],
+         tenants=2)
+    step(machine, "migrate", to="ev")
+    step(machine, "serve", names=["long", "flip", "pair"], tenants=3)
+    assert [m.to_model for m in machine.home.migrations] == ["ev"]
     machine.teardown()
 
 
@@ -351,17 +407,25 @@ class TestCounterexamples:
 
     @pytest.mark.xfail(strict=True, reason="OCC rollback erases an "
                        "overwritten writer that later commits")
-    def test_occ_rollback_keeps_a_running_writers_value(self):
-        """Open: the smallest home of ``tests/test_regressions.py::
-        TestOccRollbackOverAnUncommittedWrite``.  ``flip`` writes plug-2
-        ``ON`` at t=1.08; ``pair`` overwrites it ``OFF`` and aborts at
-        2.61 (plug-3 is down); the rollback restores the last committed
-        ``OFF``; ``flip`` commits at 3.08 and its write is lost."""
-        home = plug_home("occ")
-        home.invoke("long")
-        home.invoke("flip")
-        home.invoke("pair", at=1.5)
-        home.plan_failure("plug-3", 0.0)
+    @pytest.mark.parametrize("execution, invocations, failure", [
+        ("serial", [("long", None), ("flip", None), ("pair", 1.5)],
+         ("plug-3", 0.0)),
+        ("parallel", [("long", None), ("long", None)], ("plug-0", 0.5)),
+    ], ids=["three-routines", "two-longs"])
+    def test_occ_rollback_keeps_a_running_writers_value(
+            self, execution, invocations, failure):
+        """Open.  ``three-routines`` is the smallest home of
+        ``tests/test_regressions.py::TestOccRollbackOverAnUncommittedWrite``:
+        ``flip`` writes plug-2 ``ON`` at t=1.08; ``pair`` overwrites it
+        ``OFF`` and aborts at 2.61 (plug-3 is down); the rollback restores
+        the last committed ``OFF``; ``flip`` commits at 3.08 and its write
+        is lost.  ``two-longs``: both ``long`` write plug-1 ``ON``; the one
+        that aborts (plug-0 is down) rolls plug-1 back to ``OFF`` under the
+        one that commits."""
+        home = plug_home("occ", execution)
+        for name, at in invocations:
+            home.invoke(name, at=at)
+        home.plan_failure(*failure)
         result = home.run()
         assert [v.invariant for v in
                 check_run(result, home.initial).violations] == []

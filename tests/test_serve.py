@@ -2,8 +2,10 @@
 
 The soak/load tier lives in tests/test_serve_soak.py; this file is
 the fast unit tier — fake-clock pacing, exact fairness ratios,
-backpressure semantics, drain behavior and the pump-vs-run report
-equivalence that anchors service mode to batch mode.
+backpressure semantics, drain behavior, the pump-vs-run report
+equivalence that anchors service mode to batch mode, and durable
+served homes: their slices are journaled ``run`` inputs, so they
+report, replay, fsck and crash exactly as batch homes do.
 """
 
 import json
@@ -12,15 +14,21 @@ import urllib.request
 
 import pytest
 
-from repro.errors import (AdmissionRejected, RoutineSpecError, SafeHomeError,
-                          ServeError)
+from repro.cli import main as cli_main
+from repro.errors import (AdmissionRejected, HubCrashedError,
+                          RoutineSpecError, ServeError)
+from repro.hub.durability import DurabilityConfig, replay, state_digest
 from repro.hub.safehome import SafeHome
+from repro.metrics.oracle import check_run
 from repro.serve import (AdmissionControl, RealTimeDriver, RollingWindow,
                          ServeConfig, ServeHub, StatusServer,
                          build_serve_home, parse_speedup, quantile_summary,
                          run_closed_loop)
-from repro.sim.engine import Simulator
+from repro.serve.loadgen import SERVE_DEVICES, SERVE_MENU
 from repro.workloads.fleet_mix import cooling_scenario
+
+MODELS = ("wv", "gsv", "psv", "ev", "occ")
+EXECUTIONS = ("serial", "parallel")
 
 
 class FakeClock:
@@ -37,17 +45,40 @@ class FakeClock:
         self.t += seconds
 
 
+def menu_home(model="ev", execution=None, **kwargs):
+    """A served home built like ``build_serve_home``, durable on request
+    (``durability=`` / ``wal_dir=`` go to :class:`SafeHome`)."""
+    home = SafeHome(visibility=model, execution=execution, seed=5,
+                    **kwargs)
+    for type_name, name in SERVE_DEVICES:
+        home.add_device(type_name, name)
+    for spec in SERVE_MENU:
+        home.register_routine_spec(spec)
+    return home
+
+
+def assert_twin_replays_equal(home):
+    """A fresh hub replaying ``home``'s log to its closing seal verifies
+    and reaches the same state digest."""
+    records = list(home.wal.records)
+    twin = replay.build_home(records)
+    replay.replay(twin, records, end=home.wal.observed())
+    assert state_digest(twin._capture_state()) == \
+        state_digest(home._capture_state())
+
+
 # -- pacing --------------------------------------------------------------------
 
 
 class TestRealTimeDriver:
     def test_virtual_paced_drains_without_sleeping(self):
-        sim = Simulator()
+        home = SafeHome()
+        sim = home.sim
         fired = []
         for at in (1.0, 2.0, 30.0):
             sim.call_at(at, fired.append, at)
         clock = FakeClock()
-        driver = RealTimeDriver(sim, speedup=math.inf,
+        driver = RealTimeDriver(home, speedup=math.inf,
                                 monotonic=clock.monotonic,
                                 sleep=clock.sleep)
         assert driver.pump() == 3
@@ -58,12 +89,13 @@ class TestRealTimeDriver:
             driver.target()
 
     def test_finite_speedup_paces_against_wall_clock(self):
-        sim = Simulator()
+        home = SafeHome()
+        sim = home.sim
         fired = []
         sim.call_at(1.0, fired.append, 1.0)
         sim.call_at(2.0, fired.append, 2.0)
         clock = FakeClock()
-        driver = RealTimeDriver(sim, speedup=2.0, poll_s=1.0,
+        driver = RealTimeDriver(home, speedup=2.0, poll_s=1.0,
                                 monotonic=clock.monotonic,
                                 sleep=clock.sleep)
         driver.start()
@@ -82,9 +114,10 @@ class TestRealTimeDriver:
         assert driver.clock_regressions == 0
 
     def test_idle_real_time_pump_advances_clock_and_sleeps_poll(self):
-        sim = Simulator()
+        home = SafeHome()
+        sim = home.sim
         clock = FakeClock()
-        driver = RealTimeDriver(sim, speedup=10.0, poll_s=0.25,
+        driver = RealTimeDriver(home, speedup=10.0, poll_s=0.25,
                                 monotonic=clock.monotonic,
                                 sleep=clock.sleep)
         driver.start()
@@ -94,11 +127,39 @@ class TestRealTimeDriver:
         assert clock.t == pytest.approx(1.25)  # then one poll sleep
         assert driver.behind_s() == pytest.approx(0.25)
 
+    def test_real_time_pumps_of_a_durable_home_replay_equal(self):
+        home = menu_home(durability=True)
+        home.invoke("cool-living")
+        home.invoke("night-setback", at=1.0)
+        clock = FakeClock()
+        driver = RealTimeDriver(home, speedup=4.0, poll_s=0.1,
+                                monotonic=clock.monotonic,
+                                sleep=clock.sleep)
+        driver.start()
+        for pumps in range(1, 200):
+            driver.pump()
+            if pumps == 3:             # a rebuilt simulator paces on
+                rebuilt = home.sim
+                home.migrate("wv")
+                assert home.sim is not rebuilt
+            if home.controller.all_done():
+                break
+        assert home.controller.all_done()
+        assert home.sim.now >= 2.5 and driver.clock_regressions == 0
+        assert home.migrations[0].at_time < home.sim.now
+        # One journaled ``run`` per pump, idle ones included.
+        runs = [r for r in home.wal.records if r.type == "run"]
+        assert len(runs) == pumps > 3
+        assert all(r.payload["until"] is not None for r in runs)
+        assert_twin_replays_equal(home)
+        assert check_run(home.run(), home.initial).ok
+        assert_twin_replays_equal(home)
+
     def test_speedup_must_be_positive(self):
         with pytest.raises(ServeError):
-            RealTimeDriver(Simulator(), speedup=0)
+            RealTimeDriver(SafeHome(), speedup=0)
         with pytest.raises(ServeError):
-            RealTimeDriver(Simulator(), speedup=-5)
+            RealTimeDriver(SafeHome(), speedup=-5)
 
     def test_parse_speedup(self):
         assert math.isinf(parse_speedup("inf"))
@@ -251,7 +312,7 @@ class TestServeHub:
         # Pump in arbitrary slices, the way a serve loop would.
         while served.sim.pending_events:
             served.pump(until=served.sim.now + 37.0)
-        served_result = served.finalize_service()
+        served_result = served.run()
 
         def rows(result):
             return [(run.routine.name, run.status.name,
@@ -261,12 +322,68 @@ class TestServeHub:
         assert served.report(check_final=True).row() == \
             batch.report(check_final=True).row()
 
-    def test_pump_refuses_durable_homes(self):
-        durable = SafeHome(visibility="ev", durability=True)
-        with pytest.raises(SafeHomeError, match="journal"):
-            durable.pump()
-        with pytest.raises(ServeError, match="durable"):
-            ServeHub(durable)
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_durable_served_home_reports_and_replays_like_a_plain_one(
+            self, model, execution):
+        def served(home):
+            hub = ServeHub(home, ServeConfig(admit_batch=3))
+            for index in range(4):
+                hub.add_tenant(f"t{index}", weight=1 + index % 2)
+            run_closed_loop(hub, per_tenant=6, seed=11)
+            return hub.final_report_json()
+
+        durable = menu_home(model, execution,
+                            durability=DurabilityConfig(checkpoint_every=8))
+        assert served(durable) == served(menu_home(model, execution))
+        assert sum(r.type == "run" for r in durable.wal.records) > 2
+        assert_twin_replays_equal(durable)
+
+    def test_a_served_on_disk_log_is_clean_to_fsck(self, tmp_path, capsys):
+        wal_dir = str(tmp_path / "wal")
+        home = menu_home("ev", "parallel", wal_dir=wal_dir)
+        hub = ServeHub(home)
+        hub.add_tenant("t0")
+        hub.add_tenant("t1")
+        run_closed_loop(hub, per_tenant=8, seed=2)
+        hub.final_report()
+        home.close_wal()
+        assert cli_main(["fsck", wal_dir]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "clean" and doc["clean_close"]
+        assert doc["verify"]["ok"] and doc["verify"]["oracle"]["ok"]
+
+    @pytest.mark.parametrize("threaded", [False, True],
+                             ids=["inline", "threaded"])
+    def test_a_crash_while_serving_strands_no_ticket(self, threaded):
+        home = menu_home("ev", durability=True)
+        hub = ServeHub(home, ServeConfig(admit_batch=2))
+        hub.add_tenant("t0")
+        hub.add_tenant("t1")
+        tickets = [hub.submit(f"t{i % 2}", name)
+                   for i, name in enumerate(["cool-living", "ventilate",
+                                             "night-setback", "morning-warm",
+                                             "cool-bedroom", "lights-evening"])]
+        home.crash(after_events=12)
+        if threaded:
+            hub.start()
+            thread = hub._thread
+            thread.join(30.0)
+            assert not thread.is_alive()     # the crash stopped the loop
+            with pytest.raises(HubCrashedError, match="home-0"):
+                hub.shutdown(drain=True, timeout=30.0)
+        else:
+            with pytest.raises(HubCrashedError, match="home-0"):
+                hub.serve_until_idle()
+        assert home.crashed
+        # Every ticket is still queued or was admitted before the crash.
+        queued = [t for t in tickets if t.status == "queued"]
+        assert queued and hub.admission.total_depth() == len(queued)
+        assert all(t.routine_id is not None for t in tickets
+                   if t not in queued)
+        assert home.recover().crash_events == 12
+        assert check_run(home.run(), home.initial).ok
+        assert_twin_replays_equal(home)
 
     def test_submit_requires_registered_tenant_and_known_home(self):
         hub = small_hub()
