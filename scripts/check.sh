@@ -60,10 +60,11 @@ echo "report-path passes equal their reference definitions"
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=17 tests/test_closure_equivalence.py
 echo "EV's maintained closure equals its from-scratch definition"
-# EV under leases is serializable: 200 seeded micro homes x timeline /
-# jit x both plans, every run judged by the oracle, and neither the
-# retained order nor the closure may outlive the run (~30 s).
-"$PY" scripts/check_ev_serializable.py
+# Every model that promises serializability keeps it: 200 seeded micro
+# homes x {gsv, psv, occ, ev/timeline, ev/jit} x both plans, every run
+# judged by the oracle; under EV neither the retained order nor the
+# closure may outlive the run (2000 cells, ~90 s).
+"$PY" scripts/check_serializable.py
 # Two `repro bench` runs agree on every non-timing field.
 for run in bench_a bench_b; do
     "$PY" -m repro bench --suite smoke --repeats 1 --warmup 0 \

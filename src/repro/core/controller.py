@@ -108,9 +108,6 @@ class RoutineRun:
     lock_wait_s: float = 0.0
     # Order of arrival at the controller (lock-table admission FIFO).
     arrival_seq: int = -1
-    # Devices → state observed just before this routine's first write
-    # (rollback target for the lineage-less models).
-    prior_states: Dict[int, Any] = field(default_factory=dict)
     # Devices on which the routine has completed its last command.
     devices_done: Set[int] = field(default_factory=set)
     # Devices whose failure was detected after our last touch (PSV's
@@ -155,13 +152,19 @@ class RoutineRun:
             return None
         return self.finish_time - self.submit_time
 
-    def effective_final_writes(self) -> Dict[int, Any]:
-        """Last *applied* write per device (skips excluded)."""
-        values: Dict[int, Any] = {}
+    def last_writes(self) -> Dict[int, Command]:
+        """Last *applied* write per device (skips excluded), devices in
+        the order of their first applied write."""
+        writes: Dict[int, Command] = {}
         for execution in self.executions:
             if execution.applied and execution.command.is_write:
-                values[execution.command.device_id] = execution.command.value
-        return values
+                writes[execution.command.device_id] = execution.command
+        return writes
+
+    def effective_final_writes(self) -> Dict[int, Any]:
+        """The value of each device's last applied write."""
+        return {device_id: command.value
+                for device_id, command in self.last_writes().items()}
 
     def touched_before(self, device_id: int) -> bool:
         """Has the routine applied/attempted any command on the device?"""
@@ -217,9 +220,11 @@ class Controller:
         # The durable hub's WAL (an object with .observe(type, payload,
         # time)); None keeps journaling at zero cost.
         self.journal: Optional[Any] = None
-        # User-specified undo handlers for irreversible commands (§2.2).
-        from repro.core.undo import UndoRegistry
+        # User-specified undo handlers for irreversible commands (§2.2),
+        # and the per-device write chains rollback targets come from.
+        from repro.core.undo import UndoRegistry, WriteChains
         self.undo_registry = UndoRegistry()
+        self.writes = WriteChains()
 
     def _journal(self, type_: str, **payload: Any) -> None:
         """Append one observation record to the hub's WAL, if any."""
@@ -302,12 +307,8 @@ class Controller:
         fleet runs)."""
         if outcome is CommandOutcome.APPLIED:
             command = execution.command
-            # Prior state is captured at land time (the write is
-            # ordered with every other write), making it the correct
-            # rollback target for the lineage-less models.
-            run.prior_states.setdefault(command.device_id, prior)
             execution.applied = True
-            self._on_write_applied(run, execution)
+            self._on_write_applied(run, execution, prior)
             self.sim.call_after(command.duration, self._command_elapsed,
                                 run, execution, on_done,
                                 label="cmd-done")
@@ -383,8 +384,12 @@ class Controller:
                           skipped=execution.skipped)
 
     def _on_write_applied(self, run: RoutineRun,
-                          execution: CommandExecution) -> None:
-        """Hook for subclasses (EV records applied values in the lineage)."""
+                          execution: CommandExecution, prior: Any) -> None:
+        """A write landed over ``prior``: it joins its device's write
+        chain (EV records it in the lineage instead)."""
+        command = execution.command
+        self.writes.land(run.routine_id, command.device_id, command.value,
+                         prior)
 
     # -- finish / abort -----------------------------------------------------------
 
@@ -422,7 +427,8 @@ class Controller:
         self._after_finish(run)
 
     def _on_commit(self, run: RoutineRun) -> None:
-        """Hook: EV updates committed states and compacts lineages."""
+        """The committer's writes become their chains' bases."""
+        self.writes.commit(run.routine_id)
 
     def _after_finish(self, run: RoutineRun) -> None:
         for callback in self.on_routine_finished:
@@ -435,38 +441,16 @@ class Controller:
     # -- rollback (§2.2, §4.3) -----------------------------------------------------
 
     def _rollback(self, run: RoutineRun) -> None:
-        """Undo the aborted routine's applied writes.
-
-        The default (lineage-less) policy restores each written device to
-        the state captured just before the routine's first write to it.
-        EV overrides targeting via the lineage table.
+        """Undo the aborted routine's applied writes: each device its
+        write still tops returns to the newest surviving write there
+        (:class:`~repro.core.undo.WriteChains`).  EV overrides this with
+        the same rule over its lineage table.
         """
-        targets = self._rollback_targets(run)
-        for device_id, target in targets.items():
-            self._restore_device(run, device_id, target)
-
-    def _rollback_targets(self, run: RoutineRun) -> Dict[int, Any]:
-        targets: Dict[int, Any] = {}
-        for execution in run.executions:
-            command = execution.command
-            if execution.applied and command.is_write:
-                prior = run.prior_states[command.device_id]
-                targets[command.device_id] = \
-                    self.undo_registry.resolve(command, prior)
-        return targets
-
-    def resolve_undo(self, run: RoutineRun, device_id: int,
-                     prior: Any) -> Any:
-        """Undo target for a device via the routine's last write on it."""
-        last_write: Optional[Command] = None
-        for execution in run.executions:
-            command = execution.command
-            if execution.applied and command.is_write and \
-                    command.device_id == device_id:
-                last_write = command
-        if last_write is None:
-            return prior
-        return self.undo_registry.resolve(last_write, prior)
+        targets = self.writes.abort(run.routine_id)
+        for device_id, command in run.last_writes().items():
+            if device_id in targets:
+                self._restore_device(run, device_id, self.undo_registry
+                                     .resolve(command, targets[device_id]))
 
     def _restore_device(self, run: RoutineRun, device_id: int,
                         target: Any) -> None:

@@ -312,7 +312,7 @@ class EventualVisibilityController(PlanExecutionMixin):
         return entry.status is LockStatus.ACQUIRED
 
     def _on_write_applied(self, run: RoutineRun,
-                          execution: CommandExecution) -> None:
+                          execution: CommandExecution, prior: Any) -> None:
         entry = self.table.lineage(
             execution.command.device_id).entry_for(run.routine_id)
         if entry is not None:
@@ -402,8 +402,8 @@ class EventualVisibilityController(PlanExecutionMixin):
             # is already the latest, restore what precedes our write.
             target = UNSET
             if lineage.is_last_writer(run.routine_id):
-                target = self.resolve_undo(
-                    run, device_id,
+                target = self.undo_registry.resolve(
+                    run.last_writes()[device_id],
                     lineage.rollback_target(run.routine_id))
             self.table.leave(run.routine_id, device_id)
             self._restore_device(run, device_id, target)

@@ -9,20 +9,21 @@ against the routines that committed during their lifetime
 rolled back and retried a bounded number of times.
 
 The guarantee matches EV's: committed routines are end-state
-serializable (in commit order).  The cost profile inverts EV's — zero
-lock latency when conflicts are rare, but aborts+undo (which §4.1 calls
-"disruptive to the human experience") when they are not.  The
-`bench_occ` benchmark quantifies that trade-off and confirms the
-paper's reasoning for preferring pessimistic locking.
+serializable (in commit order).  A write may land over another routine's
+uncommitted one, so an abort restores the newest surviving write (the
+write chains of ``core/undo.py``), never a before-image.  The cost
+profile inverts EV's — zero lock latency when conflicts are rare, but
+aborts+undo (which §4.1 calls "disruptive to the human experience")
+when they are not.  The `bench_occ` benchmark quantifies that trade-off
+and confirms the paper's reasoning for preferring pessimistic locking.
 """
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Dict, List, Set
+from typing import Dict, List, Set
 
-from repro.core.command import CommandExecution
-from repro.core.controller import (Canonical, RoutineRun, RoutineStatus,
-                                   canonical_object, encode_fragment)
+from repro.core.controller import (Canonical, RoutineRun, canonical_object,
+                                   encode_fragment)
 from repro.core.execution.engine import PlanExecutionMixin
 from repro.core.routine import Routine
 
@@ -50,7 +51,6 @@ class OptimisticController(PlanExecutionMixin):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.commit_log: List[CommitRecord] = []
-        self.committed_states: Dict[int, Any] = {}
         self.retries_used: Dict[int, int] = {}
         self.validation_aborts = 0
         # Encoded snapshot fragments of the two append-only structures
@@ -69,7 +69,7 @@ class OptimisticController(PlanExecutionMixin):
                 "write_set": sorted(record.write_set),
             }))
         state["commit_log"] = Canonical("[%s]" % ", ".join(commits))
-        state["committed_states"] = dict(self.committed_states)
+        state["write_bases"] = self.writes.bases()
         # Insert-only, and a routine's count is set once, when its retry
         # is submitted: the entries past the cache are the new ones.
         retries = self._retry_fragments
@@ -110,35 +110,11 @@ class OptimisticController(PlanExecutionMixin):
         return None
 
     def _commit_validated(self, run: RoutineRun) -> None:
-        writes = run.effective_final_writes()
         self.commit_log.append(CommitRecord(
             routine_id=run.routine_id,
             commit_time=self.sim.now,
-            write_set=frozenset(writes)))
-        self.committed_states.update(writes)
+            write_set=frozenset(run.effective_final_writes())))
         self.commit(run)
-
-    # -- rollback: restore last *committed* values ------------------------------------
-
-    def _rollback_targets(self, run: RoutineRun) -> Dict[int, Any]:
-        """Unlike the base (prior-state) policy, OCC restores the last
-        committed value — a concurrent routine's uncommitted write may
-        be physically newer than ours and must not be resurrected."""
-        targets: Dict[int, Any] = {}
-        for execution in run.executions:
-            command = execution.command
-            if not (execution.applied and command.is_write):
-                continue
-            device_id = command.device_id
-            device = self.registry.get(device_id)
-            if device.last_writer() != run.routine_id:
-                continue  # someone newer owns the state now
-            # Never committed: the initial state counts as committed.
-            committed = self.committed_states.get(device_id,
-                                                  device.initial_state)
-            targets[device_id] = self.undo_registry.resolve(
-                command, committed)
-        return targets
 
     # -- retry ---------------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ not on vendor-specific behaviour.
 """
 
 import enum
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.errors import DeviceError, DeviceUnavailableError
 
@@ -91,12 +91,6 @@ class Device:
     def watch(self, callback: Callable[["Device", Any], None]) -> None:
         """Register a callback fired on every successful state change."""
         self._watchers.append(callback)
-
-    def last_writer(self) -> Optional[Any]:
-        """Source tag of the most recent successful write, if any."""
-        if not self.write_log:
-            return None
-        return self.write_log[-1][2]
 
     def __repr__(self) -> str:
         status = "FAILED" if self.failed else "up"

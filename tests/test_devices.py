@@ -47,12 +47,6 @@ class TestDevice:
         device.apply("ON", now=0.0)
         assert seen == ["ON"]
 
-    def test_last_writer(self):
-        device = Device(0, "light")
-        assert device.last_writer() is None
-        device.apply("ON", now=0.0, source=3)
-        assert device.last_writer() == 3
-
     def test_group_kind_validation(self):
         lights = [Device(i, f"l{i}", DeviceKind.SWITCH) for i in range(3)]
         ensure_same_type(lights)

@@ -11,16 +11,13 @@ interleavings of the public calls:
 * ``cancel`` of a live run, arrived or not;
 * ``plan_failure`` of a device, with or without a restart;
 * ``run`` up to ``now + delta``;
+* ``serve`` of bank names through a virtual-paced ``ServeHub``, whose
+  slices are journaled ``run`` inputs;
 * a hub crash at ``events + k`` — always a ``CrashPlan`` and always
   through ``run_crashing``, the one crash driver — recovered in a drawn
   mode (``replay`` or ``policy``);
 * ``migrate`` to a drawn visibility model (except across OCC once a
   cancel was journaled: an open finding, pinned below).
-
-``serve`` (bank names through a virtual-paced ``ServeHub``, whose
-slices are journaled ``run`` inputs) is a step of the named sequences
-below, not a rule: a rule re-draws the seeded examples, and the draw
-reaches the open OCC rollback finding pinned in ``TestCounterexamples``.
 
 After every step a fresh twin built from the log (``replay.build_home``
 plus ``replay.replay`` to the live hub's closing seal) must verify and
@@ -131,6 +128,20 @@ class HubMachine(RuleBasedStateMachine):
     def run(self, delta):
         self.home.run(until=self.home.sim.now + delta)
 
+    @rule(names=st.lists(st.sampled_from(NAMES), min_size=1, max_size=4),
+          tenants=st.integers(1, 3))
+    def serve(self, names, tenants):
+        """Submit ``names`` round-robin over ``tenants`` tenants to a
+        served hub over this home, serve until idle, read the results."""
+        hub = ServeHub(self.home)
+        for index in range(tenants):
+            hub.add_tenant(f"t{index}")
+        tickets = [hub.submit(f"t{index % tenants}", name)
+                   for index, name in enumerate(names)]
+        hub.serve_until_idle()
+        hub.results()
+        assert all(t.status in ("committed", "aborted") for t in tickets)
+
     @rule(k=st.integers(1, 40), mode=st.sampled_from(RECOVERY))
     def crash(self, k, mode):
         plan = CrashPlan(after_events=self.home.sim.events_processed + k)
@@ -178,24 +189,6 @@ class HubMachine(RuleBasedStateMachine):
             assert not table.order.frontier
             assert not table.closure.bit
 
-
-def serve(self, names, tenants):
-    """Submit ``names`` round-robin over ``tenants`` tenants to a served
-    hub over this home, serve until idle, read the results."""
-    hub = ServeHub(self.home)
-    for index in range(tenants):
-        hub.add_tenant(f"t{index}")
-    tickets = [hub.submit(f"t{index % tenants}", name)
-               for index, name in enumerate(names)]
-    hub.serve_until_idle()
-    hub.results()
-    assert all(t.status in ("committed", "aborted") for t in tickets)
-
-
-# A step of the named sequences, not a rule, and set outside the class
-# body: the derandomized draw hashes the machine's source, so any edit
-# inside it re-draws every example.
-HubMachine.serve = serve
 
 HubMachine.TestCase.settings = settings(
     stateful_step_count=25,
@@ -405,8 +398,6 @@ class TestCounterexamples:
                 result.detection_events] == [("failure", 1), ("failure", 0)]
         assert check_run(result, home.initial).ok
 
-    @pytest.mark.xfail(strict=True, reason="OCC rollback erases an "
-                       "overwritten writer that later commits")
     @pytest.mark.parametrize("execution, invocations, failure", [
         ("serial", [("long", None), ("flip", None), ("pair", 1.5)],
          ("plug-3", 0.0)),
@@ -414,14 +405,15 @@ class TestCounterexamples:
     ], ids=["three-routines", "two-longs"])
     def test_occ_rollback_keeps_a_running_writers_value(
             self, execution, invocations, failure):
-        """Open.  ``three-routines`` is the smallest home of
+        """``three-routines`` is the smallest home of
         ``tests/test_regressions.py::TestOccRollbackOverAnUncommittedWrite``:
         ``flip`` writes plug-2 ``ON`` at t=1.08; ``pair`` overwrites it
-        ``OFF`` and aborts at 2.61 (plug-3 is down); the rollback restores
-        the last committed ``OFF``; ``flip`` commits at 3.08 and its write
-        is lost.  ``two-longs``: both ``long`` write plug-1 ``ON``; the one
-        that aborts (plug-0 is down) rolls plug-1 back to ``OFF`` under the
-        one that commits."""
+        ``OFF`` and aborts at 2.61 (plug-3 is down).  Restoring the last
+        committed ``OFF`` lost ``flip``'s write when it committed at 3.08;
+        plug-2's write chain restores ``flip``'s live ``ON`` instead.
+        ``two-longs``: both ``long`` write plug-1 ``ON``; the one that
+        aborts (plug-0 is down) used to roll plug-1 back to ``OFF`` under
+        the one that commits, and now restores that one's live ``ON``."""
         home = plug_home("occ", execution)
         for name, at in invocations:
             home.invoke(name, at=at)

@@ -106,8 +106,9 @@ class TestRollbackRace:
         result = home.run()
         assert bad.status is RoutineStatus.ABORTED
         assert follow.status is RoutineStatus.COMMITTED
-        # follow's captured prior is the rolled-back OFF, never DIRTY.
-        assert follow.prior_states[0] == "OFF"
+        # follow's write lands over the rolled-back OFF, never DIRTY.
+        assert [value for _t, value, _source in
+                result.device_write_logs[0]] == ["DIRTY", "OFF", "CLEAN"]
         assert result.end_state[0] == "CLEAN"
 
 
@@ -157,21 +158,17 @@ class TestEvLeaseCounterexamples:
 
 
 class TestOccRollbackOverAnUncommittedWrite:
-    """Open: OCC restores the last *committed* value when it rolls back,
-    which erases an overwritten writer that later commits.  On device 3,
-    R72 writes ``ON`` at t=114.37; R66 overwrites it with ``OFF`` at
-    115.55 and aborts at 120.77; ``_rollback_targets`` restores R60's
-    committed ``OFF``, a no-op; R72 commits at 125.94 and its write is
-    lost, so the oracle reports ``abort-erasure``.  Restoring R72's
-    ``ON`` instead is no local fix: the right target depends on whether
-    the overwritten writer later commits, and falling back to the
-    initial state (the fix for a never-committed device) shows the same
-    dependence.  Serial OCC fails 4 of 144 cells of Fig 16's micro grid
-    this way (C 1-8, workload seed 13*s+t, hub seed s+t, s 10-12,
-    t 0-3); parallel OCC fails none."""
+    """OCC used to restore the last *committed* value when it rolled
+    back, which erased an overwritten writer that later committed.  On
+    device 3, R72 writes ``ON`` at t=114.37; R66 overwrites it with
+    ``OFF`` at 115.55 and aborts at 120.77; restoring R60's committed
+    ``OFF`` lost R72's write when R72 committed at 125.94 (the oracle
+    reported ``abort-erasure``).  Serial OCC failed 4 of 144 cells of
+    Fig 16's micro grid this way (C 1-8, workload seed 13*s+t, hub seed
+    s+t, s 10-12, t 0-3).  Fixed by the per-device write chain: R66's
+    abort restores the newest write still live under it, R72's ``ON``,
+    whether or not R72 later commits."""
 
-    @pytest.mark.xfail(strict=True, reason="OCC rollback erases an "
-                       "overwritten writer that later commits")
     def test_rollback_keeps_the_overwritten_writers_value(self):
         params = MicroParams(routines=40, concurrency=4, devices=15,
                              commands_per_routine=2.0,
