@@ -9,41 +9,17 @@ serialization policy.
 """
 
 import enum
-import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.command import Command, CommandExecution
+from repro.core.digest import ChainDigest, MultisetDigest, part_digest
 from repro.core.routine import Routine
 from repro.devices.driver import CommandOutcome, Driver
 from repro.devices.registry import DeviceRegistry
 from repro.errors import SafeHomeError
 from repro.sim.engine import Simulator
-
-
-class Canonical(str):
-    """Canonical JSON text of one ``snapshot_state()`` subtree.
-
-    Exactly what ``json.dumps(jsonify(subtree), sort_keys=True)`` would
-    produce; the checkpoint digest splices it in verbatim instead of
-    encoding the subtree again (see :meth:`Controller.snapshot_state`).
-    """
-
-    __slots__ = ()
-
-
-#: ``json.dumps(value, sort_keys=True)`` without building an encoder per
-#: call.  The fragments controllers encode with it hold only ints,
-#: floats, strs, None and lists/str-keyed dicts of them, on which
-#: ``jsonify`` is the identity.
-encode_fragment = json.JSONEncoder(sort_keys=True).encode
-
-
-def canonical_object(members) -> Canonical:
-    """The JSON object of ``(key, encoded value)`` pairs, keys ordered
-    the way ``sort_keys`` orders them once ``jsonify`` made them strs."""
-    return Canonical("{%s}" % ", ".join(
-        f"{encode_fragment(key)}: {text}" for key, text in sorted(members)))
 
 
 class RoutineStatus(enum.Enum):
@@ -210,13 +186,7 @@ class Controller:
         # (feeds the serialization-order reconstruction).
         self.device_access_order: Dict[int, List[int]] = {}
         self.on_routine_finished: List[Callable[[RoutineRun], None]] = []
-        # Encoded snapshot fragments (built only by snapshot_state, so a
-        # non-durable hub never fills them): per run, in self.runs
-        # order, its text and the key it was encoded under; per device
-        # ``(list length, text of the ids without the brackets)``.
-        self._run_keys: List[tuple] = []
-        self._run_texts: List[str] = []
-        self._access_fragments: Dict[int, tuple] = {}
+        self._reset_digests()
         # The durable hub's WAL (an object with .observe(type, payload,
         # time)); None keeps journaling at zero cost.
         self.journal: Optional[Any] = None
@@ -227,10 +197,19 @@ class Controller:
         self.writes = WriteChains()
 
     def _journal(self, type_: str, **payload: Any) -> None:
-        """Append one observation record to the hub's WAL, if any."""
+        """Append one observation record to the hub's WAL, if any; the
+        run it names is re-hashed at the next checkpoint."""
         journal = self.journal
         if journal is not None:
             journal.observe(type_, payload, self.sim.now)
+            routine_id = payload.get("routine_id")
+            if routine_id is not None:
+                self._changed_runs.add(routine_id)
+
+    def _changed(self, run: RoutineRun) -> None:
+        """Mark a run mutation no observation names (see _journal)."""
+        if self.journal is not None:
+            self._changed_runs.add(run.routine_id)
 
     # -- submission ------------------------------------------------------------
 
@@ -252,6 +231,7 @@ class Controller:
 
     def _arrival(self, run: RoutineRun) -> None:
         if not run.done:    # cancelled before it arrived: stays aborted
+            self._changed(run)      # WAITING, unobserved under EV
             self._arrive(run)
 
     def _arrive(self, run: RoutineRun) -> None:
@@ -524,64 +504,60 @@ class Controller:
     # -- durability: state capture & hub-crash policy ---------------------------------
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Recoverable controller state for a hub checkpoint.
+        """Recoverable controller state for a hub checkpoint: part name
+        -> plain rows (see :mod:`repro.core.digest`).
 
-        Subclasses extend the dict with their model-specific structures
-        (EV lineage entries, OCC commit log, lock-table holdings);
-        values may be arbitrary objects — the checkpoint digests them
-        via ``jsonify``.  A value may instead be a :class:`Canonical`:
-        the already-encoded JSON text of that subtree, byte for byte
-        what ``jsonify`` + ``json.dumps(sort_keys=True)`` would emit.
-        The sections that grow with the home's history (``runs``,
-        ``device_access_order``, finished ``plans``, OCC's commit log)
-        are returned that way, joined from fragments that are encoded
-        again only when the thing they describe changed.
+        Subclasses add their model-specific parts (EV lineage, OCC
+        commit log, lock-table holdings).  The parts that grow with the
+        home's history (``runs``, ``device_access_order``, OCC's commit
+        log and retries) are returned as their 32-byte digest, kept up
+        to date by hashing only what changed since the last call.
         """
         return {
             "model": self.model_name,
-            "believed_failed": sorted(self.believed_failed),
-            "pending_reconcile": dict(self.pending_reconcile),
+            "believed_failed": tuple(sorted(self.believed_failed)),
+            "pending_reconcile": tuple(sorted(
+                self.pending_reconcile.items())),
             "device_access_order": self._snapshot_access_order(),
             "runs": self._snapshot_runs(),
         }
 
-    def _snapshot_runs(self) -> Canonical:
-        """One object per routine ever submitted; a run's fragment is
-        keyed by everything in it that can change."""
-        keys, texts = self._run_keys, self._run_texts
-        new = len(self.runs) - len(keys)
-        keys.extend([None] * new)
-        texts.extend([""] * new)
-        for index, (run, cached) in enumerate(zip(self.runs, keys)):
-            key = (run.status, run.next_index, len(run.executions),
-                   run.inflight_count, len(run.devices_done))
-            if key != cached:
-                keys[index] = key
-                texts[index] = encode_fragment({
-                    "routine_id": run.routine_id,
-                    "name": run.name,
-                    "status": run.status.value,
-                    "next_index": run.next_index,
-                    "executions": len(run.executions),
-                    "inflight": run.inflight_count,
-                    "devices_done": sorted(run.devices_done),
-                })
-        return Canonical("[%s]" % ", ".join(texts))
+    def _reset_digests(self) -> None:
+        """Empty history digests: the next snapshot hashes it all."""
+        self._run_digest = MultisetDigest()
+        self._changed_runs: Set[int] = set()
+        self._access_chains: Dict[int, ChainDigest] = defaultdict(
+            ChainDigest)
 
-    def _snapshot_access_order(self) -> Canonical:
-        """Per-device id lists; :meth:`record_last_access` only ever
-        appends, so a list that grew has its new tail encoded onto the
-        cached text."""
-        fragments = self._access_fragments
-        members = []
-        for device_id, order in self.device_access_order.items():
-            count, text = fragments.get(device_id, (0, ""))
-            if count != len(order):
-                tail = encode_fragment(order[count:])[1:-1]
-                text = f"{text}, {tail}" if text else tail
-                fragments[device_id] = (len(order), text)
-            members.append((str(device_id), f"[{text}]"))
-        return canonical_object(members)
+    def _snapshot_runs(self) -> bytes:
+        """Multiset digest of one leaf per run ever submitted, a run's
+        plan progress included; re-hashes the runs new or marked
+        changed since the last call (ids are ``self.runs`` indexes)."""
+        if self.journal is None:    # nothing marks changes: hash them all
+            self._reset_digests()
+        digest, changed = self._run_digest, self._changed_runs
+        changed.update(range(len(digest), len(self.runs)))
+        for routine_id in changed:
+            run = self.runs[routine_id]
+            digest.put(routine_id, (
+                routine_id, run.name, run.status.value, run.next_index,
+                len(run.executions), run.inflight_count,
+                tuple(sorted(run.devices_done)),
+                None if run.plan is None else run.plan.snapshot()))
+        changed.clear()
+        return digest.digest()
+
+    def _snapshot_access_order(self) -> bytes:
+        """Per device a chain over its append-only id list, chained
+        element by element; the part is the sorted chain heads."""
+        chains = self._access_chains
+        heads = []
+        for device_id, order in sorted(self.device_access_order.items()):
+            chain = chains[device_id]
+            if chain.count != len(order):
+                chain.extend(order[chain.count:])
+            heads.append((device_id, chain.head))
+        return part_digest(tuple(heads))
 
     def hub_recovery_action(self, run: RoutineRun) -> str:
         """Fate of a RUNNING routine under "policy"-mode hub recovery:

@@ -484,7 +484,7 @@ class EventualVisibilityController(PlanExecutionMixin):
     def snapshot_state(self):
         state = super().snapshot_state()
         state["lineage"] = self.table.snapshot()
-        state["compacted_before"] = self.table.order.snapshot()
-        state["scheduler_stats"] = dict(self.scheduler_stats)
-        state["armed_revocations"] = sorted(self._revocations)
+        state["retained_order"] = self.table.order.snapshot()
+        state["scheduler_stats"] = tuple(sorted(self.scheduler_stats.items()))
+        state["armed_revocations"] = tuple(sorted(self._revocations))
         return state

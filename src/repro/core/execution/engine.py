@@ -28,8 +28,7 @@ finish/failure-point hooks.
 from typing import List, Sequence
 
 from repro.core.command import CommandExecution
-from repro.core.controller import (Controller, RoutineRun,
-                                   canonical_object, encode_fragment)
+from repro.core.controller import Controller, RoutineRun
 from repro.core.execution.locks import LockMode, LockTable
 from repro.core.execution.plan import STRATEGIES, CommandPlan, NodeState
 from repro.core.execution.queues import DeviceQueues
@@ -61,9 +60,6 @@ class PlanExecutionMixin(Controller):
         # rebuilds the whole stack on recovery), so the per-pump flag is
         # computed once instead of a getattr + compare per command.
         self._parallel_flag = strategy == "parallel"
-        # routine id -> encoded snapshot of its all-done plan (see
-        # snapshot_state; filled only there).
-        self._plan_fragments = {}
 
     # -- strategy ----------------------------------------------------------------
 
@@ -75,6 +71,7 @@ class PlanExecutionMixin(Controller):
             run.plan = CommandPlan(run.commands,
                                    strategy=self.config.execution,
                                    now=self.sim.now)
+            self._changed(run)  # JiT compiles it before placing the run
         return run.plan
 
     # -- serial chain (bit-compatible with the seeded baseline reports) -------
@@ -175,29 +172,16 @@ class PlanExecutionMixin(Controller):
     # -- durability: state capture -------------------------------------------------
 
     def snapshot_state(self):
+        """Adds the lock table, the device FIFOs and admission state
+        (a run's plan progress is part of its ``runs`` leaf)."""
         state = super().snapshot_state()
         state["locks"] = self.locks.snapshot()
         state["device_queues"] = self.device_queues.snapshot()
-        state["admission_pending"] = {
-            owner: sorted(resources)
-            for owner, resources in sorted(self._admission_pending.items())}
+        state["admission_pending"] = tuple(
+            (owner, tuple(sorted(resources)))
+            for owner, resources in sorted(self._admission_pending.items()))
         state["arrival_counter"] = self._arrival_counter
-        # Only _dispatch compiles plans: a serial chain has none to find.
-        planned = self.runs if self._parallel_enabled() else ()
-        state["plans"] = canonical_object(
-            (str(run.routine_id), self._snapshot_plan(run))
-            for run in planned if run.plan is not None)
         return state
-
-    def _snapshot_plan(self, run: RoutineRun) -> str:
-        """Encoded ``run.plan.snapshot()``; kept once every node is
-        DONE, the one plan state with no transition out of it."""
-        text = self._plan_fragments.get(run.routine_id)
-        if text is None:
-            text = encode_fragment(run.plan.snapshot())
-            if run.plan.all_done():
-                self._plan_fragments[run.routine_id] = text
-        return text
 
     # -- lock-table admission (GSV/PSV policies) -----------------------------------
 

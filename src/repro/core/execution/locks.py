@@ -203,28 +203,21 @@ class LockTable:
 
     # -- snapshot (durability contract) ----------------------------------------
 
-    def snapshot(self) -> dict:
-        """JSON-serializable image of every grant and waiter.
-
-        Deterministic: resources sorted by id, grants and waiters in
-        their (semantically meaningful) list order.
-        """
-        return {
-            "resources": [{
-                "resource": res.resource,
-                "grants": [{"owner": g.owner, "mode": g.mode.value,
-                            "granted_at": g.granted_at,
-                            "deadline": g.deadline}
-                           for g in res.grants],
-                "waiters": [{"owner": w.owner, "mode": w.mode.value,
-                             "enqueued_at": w.enqueued_at,
-                             "deadline": w.deadline}
-                            for w in res.waiters],
-            } for res in sorted(self._resources.values(),
-                                key=lambda r: r.resource)],
-            "wait_seconds": dict(self.wait_seconds),
-            "stats": dict(self.stats),
-        }
+    def snapshot(self) -> tuple:
+        """Rows ``(resource, grants, waiters)`` sorted by resource,
+        grants and waiters in their (meaningful) list order, then the
+        wait and stats counters."""
+        return (
+            tuple((res.resource,
+                   tuple((g.owner, g.mode.value, g.granted_at, g.deadline)
+                         for g in res.grants),
+                   tuple((w.owner, w.mode.value, w.enqueued_at, w.deadline)
+                         for w in res.waiters))
+                  for res in sorted(self._resources.values(),
+                                    key=lambda r: r.resource)),
+            tuple(sorted(self.wait_seconds.items())),
+            tuple(sorted(self.stats.items())),
+        )
 
     # -- deadlock handling ----------------------------------------------------
 

@@ -144,16 +144,13 @@ class CommandPlan:
 
     # -- snapshot (durability contract) -----------------------------------------
 
-    def snapshot(self) -> dict:
-        """Per-node lifecycle image (edges are left out — they are a
-        pure function of the command list and strategy)."""
-        return {
-            "strategy": self.strategy,
-            "nodes": [{"index": node.index, "state": node.state.value,
-                       "ready_at": node.ready_at,
-                       "issued_at": node.issued_at}
-                      for node in self.nodes],
-        }
+    def snapshot(self) -> tuple:
+        """Per-node lifecycle rows ``(index, state, ready_at,
+        issued_at)`` after the strategy (edges are left out — they are
+        a pure function of the command list and strategy)."""
+        return (self.strategy, tuple(
+            (node.index, node.state.value, node.ready_at, node.issued_at)
+            for node in self.nodes))
 
     # -- lifecycle ------------------------------------------------------------
 

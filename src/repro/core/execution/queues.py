@@ -58,14 +58,14 @@ class DeviceQueues:
         """Queued (not yet fired) executions behind the device."""
         return len(self._waiting.get(device_id, ()))
 
-    def snapshot(self) -> dict:
-        """Structural image for hub checkpoints: which devices are busy
-        and how deep each backlog is.  Queued thunks are closures and
-        cannot be serialized — recovery reconstructs them by replay, so
-        this snapshot is evidence (digested, compared), not a restore
-        source."""
-        return {
-            "busy": sorted(d for d, flag in self._busy.items() if flag),
-            "depths": {d: len(q) for d, q in sorted(self._waiting.items())
-                       if q},
-        }
+    def snapshot(self) -> tuple:
+        """Structural rows for hub checkpoints: the busy devices, then
+        ``(device, backlog depth)`` per non-empty backlog.  Queued
+        thunks are closures and cannot be serialized — recovery
+        reconstructs them by replay, so this snapshot is evidence
+        (digested, compared), not a restore source."""
+        return (
+            tuple(sorted(d for d, flag in self._busy.items() if flag)),
+            tuple((d, len(q)) for d, q in sorted(self._waiting.items())
+                  if q),
+        )

@@ -247,29 +247,20 @@ class Lineage:
 
     # -- snapshot (durability contract) ------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """In-memory image of the lineage (entries in serialization
-        order plus the committed state).  Values are kept raw; the
-        checkpoint layer jsonifies them for digests.  ``UNSET`` is
-        encoded as absence."""
-        entries = []
-        for e in self.entries:
-            entry = {"routine_id": e.routine_id, "status": e.status.value,
-                     "planned_start": e.planned_start,
-                     "duration": e.duration, "writes": e.writes,
-                     "reads": e.reads, "acquired_at": e.acquired_at,
-                     "released_at": e.released_at,
-                     "pre_leased": e.pre_leased}
-            if e.final_value is not UNSET:
-                entry["final_value"] = e.final_value
-            if e.applied_value is not UNSET:
-                entry["applied_value"] = e.applied_value
-            entries.append(entry)
-        snap = {"device_id": self.device_id, "entries": entries,
-                "committed_source": self.committed_source}
-        if self.committed_state is not UNSET:
-            snap["committed_state"] = self.committed_state
-        return snap
+    def snapshot(self) -> tuple:
+        """Rows ``(device_id, committed_source, committed_state,
+        entries)``, entries in serialization order, each the fields of a
+        :class:`LockAccess`; a value is ``(value,)``, ``()`` if UNSET."""
+        return (self.device_id, self.committed_source,
+                () if self.committed_state is UNSET
+                else (self.committed_state,),
+                tuple([(e.routine_id, e.status.value, e.planned_start,
+                        e.duration, e.writes, e.reads, e.acquired_at,
+                        e.released_at, e.pre_leased,
+                        () if e.final_value is UNSET else (e.final_value,),
+                        () if e.applied_value is UNSET
+                        else (e.applied_value,))
+                       for e in self.entries]))
 
     # -- status inference (Fig 8) --------------------------------------------------
 
@@ -473,14 +464,16 @@ class RetainedOrder:
                 del self.frontier[device_id]
         return pruned
 
-    def snapshot(self) -> dict:
-        """Checkpoint image; ``{}`` when nothing is retained."""
+    def snapshot(self) -> tuple:
+        """Checkpoint rows ``(edges, frontier)``: per node ``(node,
+        sorted successors)``, per device ``(device, tail, index)``;
+        ``()`` when nothing is retained."""
         if not self.successors and not self.frontier:
-            return {}
-        return {"after": {node: sorted(after) for node, after
-                          in self.successors.items()},
-                "frontier": {device_id: list(tail) for device_id, tail
-                             in self.frontier.items()}}
+            return ()
+        return (tuple((node, tuple(sorted(after))) for node, after
+                      in sorted(self.successors.items())),
+                tuple((device_id, *tail) for device_id, tail
+                      in sorted(self.frontier.items())))
 
 
 class LineageTable:
@@ -605,10 +598,11 @@ class LineageTable:
 
     # -- snapshot ---------------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Every device lineage, keyed (sorted) by device id."""
-        return {"lineages": [self._lineages[device_id].snapshot()
-                             for device_id in sorted(self._lineages)]}
+    def snapshot(self) -> tuple:
+        """Every device lineage's rows, sorted by device id."""
+        lineages = self._lineages
+        return tuple([lineages[device_id].snapshot()
+                      for device_id in sorted(lineages)])
 
     # -- invariant 4 ------------------------------------------------------------
 

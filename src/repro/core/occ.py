@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Set
 
-from repro.core.controller import (Canonical, RoutineRun, canonical_object,
-                                   encode_fragment)
+from repro.core.controller import RoutineRun
+from repro.core.digest import ChainDigest
 from repro.core.execution.engine import PlanExecutionMixin
 from repro.core.routine import Routine
 
@@ -53,30 +53,25 @@ class OptimisticController(PlanExecutionMixin):
         self.commit_log: List[CommitRecord] = []
         self.retries_used: Dict[int, int] = {}
         self.validation_aborts = 0
-        # Encoded snapshot fragments of the two append-only structures
-        # above (filled only by snapshot_state): one text per commit
-        # record, one (key, text) member per retried routine.
-        self._commit_fragments: List[str] = []
-        self._retry_fragments: List[tuple] = []
+
+    def _reset_digests(self) -> None:
+        super()._reset_digests()
+        self._commit_chain = ChainDigest()
+        self._retry_chain = ChainDigest()
 
     def snapshot_state(self):
         state = super().snapshot_state()
-        commits = self._commit_fragments
-        for record in self.commit_log[len(commits):]:
-            commits.append(encode_fragment({
-                "routine_id": record.routine_id,
-                "commit_time": record.commit_time,
-                "write_set": sorted(record.write_set),
-            }))
-        state["commit_log"] = Canonical("[%s]" % ", ".join(commits))
-        state["write_bases"] = self.writes.bases()
-        # Insert-only, and a routine's count is set once, when its retry
-        # is submitted: the entries past the cache are the new ones.
-        retries = self._retry_fragments
-        for routine_id, used in islice(self.retries_used.items(),
-                                       len(retries), None):
-            retries.append((str(routine_id), encode_fragment(used)))
-        state["retries_used"] = canonical_object(retries)
+        # Both history parts are append-only (a routine's retry count is
+        # set once, when its retry is submitted): chain the new items.
+        chain = self._commit_chain
+        state["commit_log"] = chain.extend(
+            (record.routine_id, record.commit_time,
+             tuple(sorted(record.write_set)))
+            for record in islice(self.commit_log, chain.count, None))
+        chain = self._retry_chain
+        state["retries_used"] = chain.extend(
+            islice(self.retries_used.items(), chain.count, None))
+        state["write_bases"] = tuple(sorted(self.writes.bases().items()))
         state["validation_aborts"] = self.validation_aborts
         return state
 

@@ -39,10 +39,10 @@ class PartitionedStrictVisibilityController(PlanExecutionMixin):
 
     def snapshot_state(self):
         state = super().snapshot_state()
-        state["running"] = [run.routine_id for run in self._running]
-        state["failed_after_last_touch"] = {
-            run.routine_id: sorted(run.failed_after_last_touch)
-            for run in self._running if run.failed_after_last_touch}
+        state["running"] = tuple(run.routine_id for run in self._running)
+        state["failed_after_last_touch"] = tuple(
+            (run.routine_id, tuple(sorted(run.failed_after_last_touch)))
+            for run in self._running if run.failed_after_last_touch)
         return state
 
     def _arrive(self, run: RoutineRun) -> None:

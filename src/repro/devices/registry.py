@@ -76,17 +76,13 @@ class DeviceRegistry:
         """Current state of every device (for end-state checks)."""
         return {d.device_id: d.state for d in self}
 
-    def snapshot_full(self) -> Dict[int, Dict[str, object]]:
-        """Recoverable per-device image: state, liveness, initial state
-        and write-log length (durability contract; the write log itself
-        is replay-reconstructed, its length is digest evidence)."""
-        return {d.device_id: {
-            "name": d.name,
-            "state": d.state,
-            "failed": d.failed,
-            "initial_state": d.initial_state,
-            "writes": len(d.write_log),
-        } for d in self}
+    def snapshot_full(self) -> tuple:
+        """Recoverable per-device rows ``(device_id, name, state,
+        failed, initial_state, writes)`` (durability contract; the write
+        log itself is replay-reconstructed, its length is digest
+        evidence)."""
+        return tuple([(d.device_id, d.name, d.state, d.failed,
+                       d.initial_state, len(d.write_log)) for d in self])
 
     def failed_ids(self) -> List[int]:
         return [d.device_id for d in self if d.failed]

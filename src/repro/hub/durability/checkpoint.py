@@ -22,51 +22,27 @@ checkpoint.  Checkpoints serve three roles:
 * **measurement** — the `recovery_sweep` benchmark sweeps the
   checkpoint interval against recovery time and WAL length.
 
-The digest is defined over ``json.dumps(jsonify(state), sort_keys=True)``.
-Sections of the state that grow with the home's history arrive already
-encoded, as :class:`~repro.core.controller.Canonical` text, and are
-spliced into that string as they are — the bytes digested are the same,
-the cost of a checkpoint follows the live state and what changed.
+The digest is a two-level tree: SHA-256 over the ``marshal`` bytes of
+the ``(name, part digest)`` pairs in name order.  A live part is plain
+rows, digested whole (:func:`repro.core.digest.part_digest`); a part
+that grows with the home's history arrives as its 32-byte digest,
+kept incrementally by its layer (:mod:`repro.core.digest`), so a
+checkpoint costs the live state and what changed, not the history.
 """
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.core.controller import Canonical, encode_fragment
-from repro.hub.durability.wal import jsonify
-
-
-def _canonical_parts(value: Any, levels: int, parts: List[str]) -> None:
-    """Append to ``parts`` the pieces of ``json.dumps(jsonify(value),
-    sort_keys=True)``, taking a :class:`Canonical` found within
-    ``levels`` dict levels of ``value`` as that subtree's text.  A dict
-    is walked here only if it can lead to one; every other subtree goes
-    to the C encoder whole."""
-    if isinstance(value, Canonical):
-        parts.append(value)
-    elif levels and isinstance(value, dict) and (levels > 1 or any(
-            isinstance(item, Canonical) for item in value.values())):
-        members = {str(key): item for key, item in value.items()}
-        opener = "{"
-        for key in sorted(members):
-            parts.append(f"{opener}{encode_fragment(key)}: ")
-            _canonical_parts(members[key], levels - 1, parts)
-            opener = ", "
-        parts.append("}" if members else "{}")
-    else:
-        parts.append(encode_fragment(jsonify(value)))
+from repro.core.digest import encode, part_digest
 
 
 def state_digest(state: Dict[str, Any]) -> str:
-    """Deterministic digest of a captured state dict (``Canonical``
-    values may sit in the state dict and in its ``controller`` dict)."""
-    parts: List[str] = []
-    _canonical_parts(state, 2, parts)
-    digest = hashlib.sha256()
-    for part in parts:      # piecewise: the whole text is never built
-        digest.update(part.encode("utf-8"))
-    return digest.hexdigest()
+    """Deterministic digest of a captured state: part name -> rows, or
+    the part's digest (``bytes``)."""
+    return hashlib.sha256(encode(tuple(
+        (name, part_digest(part)) for name, part in sorted(state.items())
+    ))).hexdigest()
 
 
 @dataclass
@@ -76,5 +52,5 @@ class Checkpoint:
     seq: int                    # WAL sequence floor (first seq NOT covered)
     time: float                 # virtual time of capture
     events_processed: int       # simulator event count at capture
-    digest: str                 # sha256 over the jsonified state
+    digest: str                 # sha256 over the part digests
     observed: Dict[str, Any]    # WriteAheadLog.observed() at capture

@@ -215,11 +215,11 @@ class SafeHome:
         })
 
     def _capture_state(self) -> Dict[str, Any]:
-        """Checkpoint payload: every stateful layer's snapshot."""
+        """Checkpoint payload: every stateful layer's parts."""
         return {
             "time": self.sim.now,
             "devices": self.registry.snapshot_full(),
-            "controller": self.controller.snapshot_state(),
+            **self.controller.snapshot_state(),
         }
 
     def _record_input(self, type_: str, payload: Dict[str, Any]) -> None:

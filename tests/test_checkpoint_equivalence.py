@@ -1,23 +1,28 @@
 """Differential tests for the checkpoint digest and the record frame.
 
-A checkpoint digests the hub's state with the history-shaped sections
-spliced in from cached, already-encoded fragments, and a WAL record's
-frame is assembled around its memoized payload encoding.  The plain
-definitions they replaced live on here, and only here, as reference
-functions; the fast paths must agree with them *exactly*:
+A checkpoint digests the hub's state as a two-level tree whose history
+parts (runs, access orders, OCC's commit log and retries) are kept
+incrementally: a run is re-hashed only when it was marked changed, an
+append-only list has only its new elements chained on.  The definition
+they must agree with is the same tree computed from empty caches —
+every run hashed, every chain folded from its first element — and it
+lives here, and only here, as the reference.  The incremental digest
+must equal it *exactly*:
 
-* the digest, at every checkpoint any hub takes — seeded micro homes
-  under every visibility model and plan strategy, with failure plans
-  (detections, aborts, rollbacks), OCC retry storms, cancellations and
-  runs cut short, and then through ``recover("replay")``,
-  ``recover("policy")`` (aborting in-flight runs changes a cached
-  fragment's key), ``salvage`` and ``migrate`` (a rebuilt controller
-  must start from an empty cache);
+* at every checkpoint any hub takes — seeded micro homes under every
+  visibility model and plan strategy, with failure plans (detections,
+  aborts, rollbacks), OCC retry storms, cancellations and runs cut
+  short, and then through ``recover("replay")``, ``recover("policy")``
+  (aborting in-flight runs changes a run's leaf), ``salvage`` and
+  ``migrate`` (a rebuilt controller must start from empty caches);
+* whatever the checkpoint cadence: the same input checkpointed every
+  1, 7 or 64 observations ends on the same digest;
 * the frame, byte for byte, for generated payloads.
 """
 
 import hashlib
 import json
+import marshal
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,7 +31,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.controller import Canonical
+from repro.core.digest import ChainDigest, MultisetDigest
 from repro.hub.durability import DurabilityConfig
 from repro.hub.durability.checkpoint import Checkpoint, state_digest
 from repro.hub.durability.replay import build_home
@@ -42,7 +47,7 @@ EXECUTIONS = ("serial", "parallel")
 FSCK_FIXTURES = Path(__file__).parent / "fixtures" / "fsck"
 
 
-# -- the plain definitions (reference only) ------------------------------------
+# -- the from-scratch definitions (reference only) ------------------------------------
 
 def ref_jsonify(value):
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -61,59 +66,29 @@ def ref_canonical_json(payload):
                       separators=(",", ":")).encode("utf-8")
 
 
-def ref_history_sections(controller):
-    """The sections ``snapshot_state()`` returns pre-encoded, rebuilt
-    from the controller's live objects the way they used to be."""
-    sections = {
-        "device_access_order": {k: list(v) for k, v in
-                                controller.device_access_order.items()},
-        "runs": [{
-            "routine_id": run.routine_id,
-            "name": run.name,
-            "status": run.status.value,
-            "next_index": run.next_index,
-            "executions": len(run.executions),
-            "inflight": run.inflight_count,
-            "devices_done": sorted(run.devices_done),
-        } for run in controller.runs],
-        "plans": {run.routine_id: run.plan.snapshot()
-                  for run in controller.runs if run.plan is not None},
-    }
-    if controller.model_name == "occ":
-        sections["commit_log"] = [{
-            "routine_id": record.routine_id,
-            "commit_time": record.commit_time,
-            "write_set": sorted(record.write_set),
-        } for record in controller.commit_log]
-        sections["retries_used"] = dict(controller.retries_used)
-    return sections
-
-
-def ref_state_digest(home, state):
-    """sha256 over ``json.dumps(ref_jsonify(state), sort_keys=True)`` of
-    the fully plain state: no ``Canonical`` anywhere, nothing cached."""
-    controller = dict(state["controller"])
-    plain = ref_history_sections(home.controller)
-    encoded = {key for key, value in controller.items()
-               if isinstance(value, Canonical)}
-    assert encoded == set(plain), \
-        f"pre-encoded sections {sorted(encoded)} need a reference"
-    controller.update(plain)
-    full = dict(state, controller=controller)
-    canonical = json.dumps(ref_jsonify(full), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def scratch_digest(home, capture=SafeHome._capture_state):
+    """The tree digest of ``home``'s state from empty caches: every run
+    hashed, every chain folded from its first element.  The live
+    caches are put back untouched."""
+    controller = home.controller
+    kept = dict(vars(controller))
+    controller._reset_digests()
+    try:
+        return state_digest(capture(home))
+    finally:
+        vars(controller).update(kept)
 
 
 @contextmanager
 def audited():
     """Every state any :class:`SafeHome` captures inside the block is
-    digested both ways; yields the ``(fast, reference)`` pairs."""
+    digested both ways; yields the ``(incremental, reference)`` pairs."""
     pairs = []
     capture = SafeHome._capture_state
 
     def capture_both(home):
         state = capture(home)
-        pairs.append((state_digest(state), ref_state_digest(home, state)))
+        pairs.append((state_digest(state), scratch_digest(home, capture)))
         return state
 
     with mock.patch.object(SafeHome, "_capture_state", capture_both):
@@ -123,18 +98,19 @@ def audited():
 def assert_all_equal(pairs, at_least=1):
     assert len(pairs) >= at_least, \
         f"only {len(pairs)} checkpoints taken; the scenario is too small"
-    for index, (fast, reference) in enumerate(pairs):
-        assert fast == reference, f"checkpoint #{index} digest differs"
+    for index, (incremental, reference) in enumerate(pairs):
+        assert incremental == reference, \
+            f"checkpoint #{index} digest differs"
 
 
 # -- scenarios -------------------------------------------------------------------
 
 def micro_home(model, execution, seed, routines=24, devices=8,
-               concurrency=4, failed_device_pct=25.0):
+               concurrency=4, failed_device_pct=25.0, scheduler="timeline"):
     """A small durable home, checkpointing every 8 observations, whose
     failed devices put detections, aborts and rollbacks in the log."""
     home = SafeHome(visibility=model, execution=execution, seed=seed,
-                    detector_ping_period_s=5.0,
+                    scheduler=scheduler, detector_ping_period_s=5.0,
                     durability=DurabilityConfig(checkpoint_every=8))
     home.load_workload(generate_microbenchmark(
         MicroParams(routines=routines, concurrency=concurrency,
@@ -173,6 +149,8 @@ home_specs = st.fixed_dictionaries({
     "devices": st.sampled_from([2, 8]),       # 2: everything conflicts
     "concurrency": st.sampled_from([1, 4, 6]),
     "failed_device_pct": st.sampled_from([0.0, 25.0]),
+    # EV only: JiT and FCFS leave an arrived routine waiting unplaced.
+    "scheduler": st.sampled_from(["timeline", "jit", "fcfs"]),
 })
 
 
@@ -192,7 +170,7 @@ class TestAgainstThePlainDefinition:
             home.durability.take_checkpoint()   # all of history, at rest
         assert_all_equal(pairs, at_least=3)
         assert [c.digest for c in home.durability.checkpoints] == \
-            [fast for fast, _reference in pairs]
+            [digest for digest, _reference in pairs]
 
     @given(spec=home_specs, crash_at=cut_offs,
            mode=st.sampled_from(["replay", "policy", "salvage"]))
@@ -219,10 +197,12 @@ class TestAgainstThePlainDefinition:
 
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
-@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("model", MODELS + ("ev-jit", "ev-fcfs"))
 def test_every_door_under_every_model_and_strategy(model, execution):
     """The draws above sample the grid; this walks all of it once."""
-    spec = dict(model=model, execution=execution, seed=15)
+    model, _, scheduler = model.partition("-")
+    spec = dict(model=model, execution=execution, seed=15,
+                scheduler=scheduler or "timeline")
     with audited() as pairs:
         for mode in ("replay", "policy", "salvage"):
             home = crashed_home(19.0, **spec)
@@ -237,7 +217,7 @@ def test_every_door_under_every_model_and_strategy(model, execution):
 
 class TestInputsCoverTheHardCases:
     """The scenarios above are only worth their time if they reach the
-    states that move a cached fragment's key."""
+    states that change a run's leaf or grow a history part."""
 
     def test_failures_give_detections_aborts_and_rollbacks(self):
         home = micro_home("psv", "serial", seed=15)
@@ -274,17 +254,16 @@ class TestInputsCoverTheHardCases:
         assert_all_equal(pairs)
 
     def test_a_finished_plan_is_encoded_once(self):
+        """A plan is part of its run's leaf: once the run finished and
+        was hashed, no later checkpoint hashes it again."""
         home = micro_home("psv", "parallel", seed=15)
         home.run()
-        controller = home.controller
-        finished = [run for run in controller.runs
-                    if run.plan is not None and run.plan.all_done()]
-        assert finished
-        texts = {run.routine_id: controller._plan_fragments[run.routine_id]
-                 for run in finished}
+        assert any(run.plan is not None and run.plan.all_done()
+                   for run in home.controller.runs)
         home.durability.take_checkpoint()
-        assert all(controller._plan_fragments[rid] is text
-                   for rid, text in texts.items())
+        with mock.patch.object(MultisetDigest, "put") as put:
+            home.durability.take_checkpoint()
+        assert not put.called
 
 
 @pytest.mark.parametrize("name", ["torn-tail", "flipped-bit", "bad-seal"])
@@ -301,17 +280,66 @@ def test_fsck_goldens_salvage_to_reference_digests(name):
         report = twin.salvage_records(records)
     assert_all_equal(pairs, at_least=len(logged))
     assert report.checkpoints_verified == len(logged)
-    assert [fast for fast, _reference in pairs][:len(logged)] == logged
+    assert [digest for digest, _reference in pairs][:len(logged)] == logged
 
 
-def test_a_state_without_canonical_digests_as_before():
-    state = {"time": 1.5, "devices": {3: {"state": "ON", "up": True}},
-             "controller": {"runs": [{"routine_id": 0}], "plans": {},
-                            "pending_reconcile": {2: ("x", {1, 2})}}}
-    reference = hashlib.sha256(json.dumps(
-        ref_jsonify(state), sort_keys=True).encode("utf-8")).hexdigest()
-    assert state_digest(state) == reference
-    assert state_digest({}) == hashlib.sha256(b"{}").hexdigest()
+def test_the_tree_digest_definition():
+    """SHA-256 over the marshal v2 bytes of the ``(name, part digest)``
+    pairs in name order; a part is the SHA-256 of its rows' bytes, or
+    arrives as its digest; a value marshal rejects is its ``repr``."""
+    def sha(data):
+        return hashlib.sha256(data).digest()
+
+    rows = ((3, "ON", True, None), (4, 1.5, False, -2 ** 70))
+    history = sha(b"history")
+    expected = hashlib.sha256(marshal.dumps(
+        (("devices", sha(marshal.dumps(rows, 2))), ("runs", history),
+         ("time", sha(marshal.dumps(1.5, 2)))), 2)).hexdigest()
+    assert state_digest({"time": 1.5, "runs": history,
+                         "devices": rows}) == expected
+    assert state_digest({}) == hashlib.sha256(
+        marshal.dumps((), 2)).hexdigest()
+    assert state_digest({"devices": ((3, Opaque("x")),)}) == \
+        state_digest({"devices": ((3, "Opaque<x>"),)})
+
+
+def test_history_digests_do_not_depend_on_how_they_were_built():
+    """A multiset of leaves is order-free and a replaced leaf leaves no
+    trace; a chain's head depends on its elements, not on the folds."""
+    one, two = MultisetDigest(), MultisetDigest()
+    for key in (0, 1, 2):
+        one.put(key, (key, "old"))
+    one.put(1, (1, "new"))
+    for key, tag in ((2, "old"), (1, "new"), (0, "old")):
+        two.put(key, (key, tag))
+    assert one.digest() == two.digest() and len(one) == 3
+    whole, parts = ChainDigest(), ChainDigest()
+    whole.extend(range(7))
+    for chunk in (range(0, 3), range(3, 3), range(3, 7)):
+        parts.extend(chunk)
+    assert (whole.head, whole.count) == (parts.head, parts.count)
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize("model", MODELS)
+def test_the_digest_does_not_depend_on_the_cadence(model, execution):
+    """The same input checkpointed every 1, 7 or 64 observations ends
+    on one digest: a history part chains per element, not per
+    checkpoint's worth of elements."""
+    digests = set()
+    for every in (1, 7, 64):
+        home = SafeHome(visibility=model, execution=execution, seed=15,
+                        detector_ping_period_s=5.0,
+                        durability=DurabilityConfig(checkpoint_every=every))
+        home.load_workload(generate_microbenchmark(
+            MicroParams(routines=16, concurrency=4, devices=4,
+                        long_routine_pct=0.0, failed_device_pct=25.0,
+                        restart_after_s=40.0), seed=15))
+        home.run(until=12.0)
+        home.durability.take_checkpoint()
+        home.run()
+        digests.add(home.durability.take_checkpoint().digest)
+    assert len(digests) == 1
 
 
 def test_checkpoint_keeps_the_digest_not_the_state():
@@ -329,10 +357,13 @@ def test_a_non_durable_home_never_fills_the_caches():
         MicroParams(routines=12, concurrency=4, devices=3), seed=2))
     home.run()
     controller = home.controller
-    assert controller.runs and not controller._run_texts
-    assert not controller._access_fragments
-    assert not controller._plan_fragments
-    assert not controller._commit_fragments
+    assert controller.runs and controller.commit_log
+    assert not controller._changed_runs and not len(controller._run_digest)
+    assert not controller._access_chains
+    assert controller._commit_chain.count == 0
+    # Nothing marks a non-durable run's changes, so its snapshot hashes
+    # them all, every time.
+    assert state_digest(home._capture_state()) == scratch_digest(home)
 
 
 # -- the record frame --------------------------------------------------------------
@@ -396,8 +427,12 @@ class IntState(int):
     """A scalar subclass: passes through, like the ints it extends."""
 
 
+class StrState(str):
+    """Likewise for strs."""
+
+
 @given(value=st.one_of(_values, st.builds(IntState, st.integers(0, 9)),
-                       st.lists(st.builds(Canonical, st.text(max_size=4)))))
+                       st.lists(st.builds(StrState, st.text(max_size=4)))))
 def test_jsonify_equals_its_plain_definition(value):
     assert jsonify(value) == ref_jsonify(value)
     assert json.dumps(jsonify(value)) == json.dumps(ref_jsonify(value))

@@ -413,7 +413,7 @@ class TestTableWalks:
             assert not walk.table.closure.cyclic()
         closure = walk.table.closure
         assert not closure.bit and not closure.pre and not closure.post
-        assert walk.table.order.snapshot() == {}
+        assert walk.table.order.snapshot() == ()
 
 
 class TestParanoidInvariant4:
@@ -431,7 +431,7 @@ class TestParanoidInvariant4:
     def test_order_held_only_by_compacted_before(self):
         # Device 1 says R0 < R1; R1 left device 0 before R0 was placed
         # there: R1 < R0, which only the retained order (checkpointed
-        # as ``compacted_before``) still holds.
+        # as ``retained_order``) still holds.
         orders = [[0], [0, 1]]
         build_controller(orders).controller.table.verify_all()
         controller = build_controller(orders, [(1, 0)]).controller

@@ -1,6 +1,7 @@
 """Durable hub: WAL, checkpoints, snapshot contracts, crash/recovery."""
 
 import json
+import marshal
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.execution.locks import GLOBAL, LockMode, LockTable
 from repro.core.execution.plan import CommandPlan, NodeState
 from repro.core.execution.queues import DeviceQueues
-from repro.core.lineage import Lineage, LineageTable, LockAccess
+from repro.core.lineage import UNSET, Lineage, LineageTable, LockAccess
 from repro.errors import HubCrashedError, SafeHomeError
 from repro.hub.durability import (DurabilityConfig, WriteAheadLog,
                                   state_digest)
@@ -85,20 +86,24 @@ class TestWriteAheadLog:
 
 
 class TestSnapshotContracts:
+    """Every layer snapshots as plain rows: tuples of scalars, which
+    the checkpoint digest encodes with ``marshal`` version 2."""
+
     def test_lock_table_snapshot(self):
         table = LockTable()
         table.acquire(1, GLOBAL, now=0.5)
         table.acquire(2, GLOBAL, now=0.7)           # queued FIFO
         table.acquire(1, 7, mode=LockMode.SHARED, now=0.9, deadline=5.0)
-        snap = table.snapshot()
-        assert [res["resource"] for res in snap["resources"]] == \
-            sorted([GLOBAL, 7])
-        by_resource = {res["resource"]: res for res in snap["resources"]}
-        assert [g["owner"] for g in by_resource[GLOBAL]["grants"]] == [1]
-        assert [w["owner"] for w in by_resource[GLOBAL]["waiters"]] == [2]
-        assert by_resource[7]["grants"][0]["deadline"] == 5.0
-        # the snapshot is JSON-serializable as-is
-        json.dumps(snap)
+        resources, wait_seconds, stats = table.snapshot()
+        assert [row[0] for row in resources] == sorted([GLOBAL, 7])
+        by_resource = {row[0]: row for row in resources}
+        _, grants, waiters = by_resource[GLOBAL]
+        assert [grant[0] for grant in grants] == [1]
+        assert [waiter[0] for waiter in waiters] == [2]
+        assert by_resource[7][1] == ((1, LockMode.SHARED.value, 0.9, 5.0),)
+        assert dict(stats) == table.stats and wait_seconds == ()
+        # plain rows: marshal takes them without a fallback
+        marshal.dumps(table.snapshot(), 2)
 
     def test_command_plan_snapshot(self):
         commands = [Command(device_id=0, value="ON", duration=1.0),
@@ -107,17 +112,17 @@ class TestSnapshotContracts:
         plan = CommandPlan(commands, strategy="parallel")
         plan.mark_issued(plan.ready_indexes()[0], now=0.0)
         plan.mark_done(0, now=1.0)
-        snap = plan.snapshot()
-        assert snap["strategy"] == "parallel"
-        assert [node["state"] for node in snap["nodes"]] == \
+        strategy, nodes = plan.snapshot()
+        assert strategy == "parallel"
+        assert [node[1] for node in nodes] == \
             [node.state.value for node in plan.nodes]
-        assert snap["nodes"][0]["state"] == NodeState.DONE.value
+        assert nodes[0] == (0, NodeState.DONE.value, 0.0, 0.0)
 
     def test_device_queue_snapshot(self):
         queues = DeviceQueues()
         queues.submit(1, lambda: True)
         queues.submit(1, lambda: True)
-        assert queues.snapshot() == {"busy": [1], "depths": {1: 1}}
+        assert queues.snapshot() == ((1,), ((1, 1),))
 
     def test_lineage_snapshot(self):
         lineage = Lineage(4, committed_state="OFF")
@@ -128,29 +133,32 @@ class TestSnapshotContracts:
         lineage.release(1, 0.4)
         lineage.append(LockAccess(routine_id=2, device_id=4,
                                   planned_start=2.0, duration=1.0))
-        snap = lineage.snapshot()
-        assert [e["routine_id"] for e in snap["entries"]] == [1, 2]
-        assert snap["committed_state"] == "OFF"
-        assert snap["entries"][0]["applied_value"] == "ON"
-        assert "applied_value" not in snap["entries"][1]    # UNSET
-        assert "committed_state" not in Lineage(4).snapshot()
+        device_id, source, committed, entries = lineage.snapshot()
+        assert (device_id, source, committed) == (4, None, ("OFF",))
+        assert [entry[0] for entry in entries] == [1, 2]
+        assert entries[0][-2:] == ((), ("ON",))     # final UNSET, applied
+        assert entries[1][-1] == ()                 # UNSET
+        assert Lineage(4).snapshot()[2] == ()
+        # ``UNSET`` is a marker, never a repr: a state that reads like
+        # it digests differently
+        assert Lineage(4, committed_state=repr(UNSET)).snapshot() != \
+            Lineage(4).snapshot()
 
     def test_lineage_table_snapshot(self):
         table = LineageTable(committed_lookup=lambda d: "OFF")
         table.lineage(3).append(LockAccess(routine_id=9, device_id=3))
         table.lineage(0).append(LockAccess(routine_id=9, device_id=0))
-        assert [entry["device_id"] for entry
-                in table.snapshot()["lineages"]] == [0, 3]
-        assert table.order.snapshot() == {}
+        assert [rows[0] for rows in table.snapshot()] == [0, 3]
+        assert table.order.snapshot() == ()
 
     def test_registry_snapshot_full(self, home_factory):
         home = home_factory(n_devices=2)
         home.registry.get(0).apply("ON", 1.0, source=7)
         home.registry.get(1).fail()
-        snap = home.registry.snapshot_full()
-        assert snap[0]["state"] == "ON" and snap[0]["writes"] == 1
-        assert snap[1]["failed"] and not snap[0]["failed"]
-        assert snap[0]["initial_state"] == home.registry.get(0).initial_state
+        first, second = home.registry.snapshot_full()
+        initial = home.registry.get(0).initial_state
+        assert first == (0, first[1], "ON", False, initial, 1)
+        assert second[0] == 1 and second[3]
 
     def test_controller_snapshots_are_digestable(self):
         for model in ("wv", "gsv", "psv", "ev", "occ"):

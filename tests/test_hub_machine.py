@@ -17,14 +17,19 @@ interleavings of the public calls:
   through ``run_crashing``, the one crash driver — recovered in a drawn
   mode (``replay`` or ``policy``);
 * ``migrate`` to a drawn visibility model (except across OCC once a
-  cancel was journaled: an open finding, pinned below).
+  cancel was journaled: an open finding, pinned below);
+* ``close_and_fsck``: the hub's log lives in a temporary directory;
+  ``close_wal()`` it, and ``fsck_home_dir`` must find it clean, closed
+  cleanly and verified by replay.  The hub carries on as the twin fsck
+  verified (in memory: a closed log does not grow).
 
 After every step a fresh twin built from the log (``replay.build_home``
 plus ``replay.replay`` to the live hub's closing seal) must verify and
-reach the live hub's ``state_digest``, and every bank routine must
-still equal the deep copy taken at registration.  At the end the hub
-runs dry, the congruence oracle must pass, and under EV the retained
-order and the closure must be empty.
+reach the live hub's ``state_digest``, that digest must equal the one
+computed from empty caches, and every bank routine must still equal
+the deep copy taken at registration.  At the end the hub runs dry, the
+congruence oracle must pass, and under EV the retained order and the
+closure must be empty.
 
 ``REPRO_HYPOTHESIS_EXAMPLES=200 python -m pytest -q -p no:cacheprovider
 --hypothesis-seed=18 tests/test_hub_machine.py`` is the deep run
@@ -32,6 +37,8 @@ order and the closure must be empty.
 """
 
 import copy
+import shutil
+import tempfile
 from functools import partial
 
 import pytest
@@ -43,9 +50,11 @@ from repro.core.controller import RoutineStatus
 from repro.errors import MigrationError
 from repro.hub.durability import (CrashPlan, DurabilityConfig, replay,
                                   run_crashing, state_digest)
+from repro.hub.durability.fsck import fsck_home_dir
 from repro.hub.safehome import SafeHome
 from repro.metrics.oracle import check_run
 from repro.serve import ServeHub
+from tests.test_checkpoint_equivalence import scratch_digest
 
 MODELS = ("wv", "gsv", "psv", "ev", "occ")
 EXECUTIONS = ("serial", "parallel")
@@ -75,10 +84,11 @@ NAMES = [spec["routineName"] for spec in BANK]
 OFFSETS = st.integers(0, 40).map(lambda k: k / 2)
 
 
-def plug_home(model, execution="serial"):
+def plug_home(model, execution="serial", wal_dir=None):
     """A durable 4-plug hub with :data:`BANK` registered."""
     home = SafeHome(visibility=model, execution=execution, seed=5,
-                    durability=DurabilityConfig(checkpoint_every=8))
+                    durability=DurabilityConfig(checkpoint_every=8),
+                    wal_dir=wal_dir)
     for name in DEVICES:
         home.add_device("plug", name)
     for spec in BANK:
@@ -95,7 +105,8 @@ class HubMachine(RuleBasedStateMachine):
                 execution=st.sampled_from(EXECUTIONS))
     def setup(self, model, execution):
         self.model = model
-        self.home = plug_home(model, execution)
+        self.wal_dir = tempfile.mkdtemp(prefix="hub-machine-")
+        self.home = plug_home(model, execution, self.wal_dir)
         self.registered = [(routine, copy.deepcopy(routine))
                            for routine in self.home.bank]
         self.cancelled = False
@@ -160,6 +171,15 @@ class HubMachine(RuleBasedStateMachine):
         self.home.migrate(to)
         self.model = to
 
+    @precondition(lambda self: self.home.wal_dir is not None)
+    @rule()
+    def close_and_fsck(self):
+        self.home.close_wal()
+        report = fsck_home_dir(self.home.wal_dir)
+        assert (report.status, report.clean_close) == ("clean", True)
+        assert report.verify["ok"], report.verify["error"]
+        self.home = report.replayed_home
+
     # -- checked after every step -----------------------------------------------
 
     @invariant()
@@ -175,19 +195,30 @@ class HubMachine(RuleBasedStateMachine):
             assert routine == registered
             assert self.home.bank.get(routine.name) == registered
 
+    @invariant()
+    def digest_is_incremental(self):
+        if self.home is None:
+            return
+        assert state_digest(self.home._capture_state()) == \
+            scratch_digest(self.home)
+
     def teardown(self):
         if self.home is None:
             return
-        result = self.home.run()
-        self.check()
-        oracle = check_run(result, self.home.initial)
-        assert oracle.ok, [v.to_dict() for v in oracle.violations]
-        if self.model == "ev":
-            table = self.home.controller.table
-            assert not table.order.successors
-            assert not table.order.predecessors
-            assert not table.order.frontier
-            assert not table.closure.bit
+        try:
+            result = self.home.run()
+            self.check()
+            oracle = check_run(result, self.home.initial)
+            assert oracle.ok, [v.to_dict() for v in oracle.violations]
+            if self.model == "ev":
+                table = self.home.controller.table
+                assert not table.order.successors
+                assert not table.order.predecessors
+                assert not table.order.frontier
+                assert not table.closure.bit
+        finally:
+            self.home.close_wal()
+            shutil.rmtree(self.wal_dir, ignore_errors=True)
 
 
 HubMachine.TestCase.settings = settings(

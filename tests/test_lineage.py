@@ -369,7 +369,7 @@ class TestLineageTable:
         table.retire(1, finished.__contains__)      # cascades
         assert not table.order.successors and not table.order.predecessors
         assert table.order.frontier == {}
-        assert table.order.snapshot() == {}
+        assert table.order.snapshot() == ()
         assert not table.closure.bit
 
     def test_compaction_refuses_dropping_acquired(self):

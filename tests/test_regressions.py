@@ -66,8 +66,8 @@ class TestCompactionPrecedenceLeak:
 
     def test_constraints_cleared_when_routine_finishes(self):
         """The retained order must drain once its routines finish (it
-        would progressively forbid all pre-leases), and serialise as the
-        empty map it replaced."""
+        would progressively forbid all pre-leases), and snapshot as no
+        rows."""
         home = Home(model="ev", scheduler="jit", n_devices=2)
         home.submit(routine("a", [(0, "A", 0.5), (1, "B", 1.0)]),
                     when=0.0)
@@ -76,7 +76,7 @@ class TestCompactionPrecedenceLeak:
         order = home.controller.table.order
         assert not order.successors and not order.predecessors
         assert not order.frontier
-        assert home.controller.snapshot_state()["compacted_before"] == {}
+        assert home.controller.snapshot_state()["retained_order"] == ()
 
 
 class TestRollbackRace:
