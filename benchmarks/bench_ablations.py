@@ -6,7 +6,7 @@ figures; DESIGN.md motivates each sweep).
 * failure-detector ping period (paper fixes 1 s),
 * network jitter behind Fig 1's incongruence.
 
-Shape assertions over the registered ``ablations`` benchmark; each
+Shape assertions over the registered ``ablations`` sweep; each
 test requests exactly one of its sweeps.
 """
 

@@ -5,8 +5,8 @@ Paper: two routines (all-ON / all-OFF) over 2-15 TP-Link devices; the
 fraction of non-serialized end states grows with device count and
 shrinks as R2's start offset grows.
 
-Shape assertions over the registered ``weak_visibility`` benchmark
-(``repro bench --filter weak_visibility``).
+Shape assertions over the registered ``weak_visibility`` sweep
+(``repro figures fig01`` prints it at the ``--trials`` rule).
 """
 
 from benchmarks.conftest import run_once

@@ -3,7 +3,7 @@
 Paper: GSV finishes in 8 time units, PSV in 5, EV in 3; EV shows
 temporary incongruence but a serially equivalent end state.
 
-Shape assertions over the registered ``example_timeline`` smoke benchmark.
+Shape assertions over the registered ``example_timeline`` sweep.
 """
 
 import pytest

@@ -6,7 +6,7 @@ at the median with ~3x less parallelism; only EV (among the fast ones)
 plus PSV/GSV keep serial equivalence; the Party scenario's long routine
 hurts PSV (head-of-line blocking) but not EV.
 
-Shape assertions over the registered ``scenarios`` benchmark.
+Shape assertions over the registered ``scenarios`` sweep.
 """
 
 from benchmarks.conftest import run_once

@@ -4,7 +4,7 @@ the end state equivalent to one of the 9! serial orders?
 Paper: WV ends incongruent in a substantial fraction of runs; EV, PSV
 and GSV are always serially equivalent.
 
-Shape assertions over the registered ``final_incongruence`` benchmark.
+Shape assertions over the registered ``final_incongruence`` sweep.
 """
 
 from benchmarks.conftest import run_once

@@ -7,7 +7,7 @@ overhead (intrusion on the user) is the smallest of all models, with
 PSV higher (it aborts at the finish point) and GSV/S-GSV plateauing
 around 50%/40%.
 
-Shape assertions over the registered ``failures`` benchmark.
+Shape assertions over the registered ``failures`` sweep.
 """
 
 from benchmarks.conftest import run_once

@@ -4,7 +4,7 @@ Paper: at ρ=4 Timeline is 2.36x / 1.33x faster than FCFS / JiT and
 reaches 2.0-2.3x their parallelism; the ordering TL <= JiT <= FCFS in
 latency holds across concurrency levels.
 
-Shape assertions over the registered ``schedulers`` benchmark.
+Shape assertions over the registered ``schedulers`` sweep.
 """
 
 from benchmarks.conftest import run_once

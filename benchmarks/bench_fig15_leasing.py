@@ -6,7 +6,7 @@ post-leases hurts more (71-107%) than disabling pre-leases (29-50%);
 disabling leases reduces temporary incongruence; the stretch-factor
 distribution first widens then narrows as routines grow.
 
-Shape assertions over the registered ``leasing`` and ``stretch`` benchmarks.
+Shape assertions over the registered ``leasing`` and ``stretch`` sweeps.
 """
 
 from benchmarks.conftest import run_once

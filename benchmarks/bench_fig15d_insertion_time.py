@@ -5,9 +5,9 @@ a large 10-command routine takes ~1 ms; typical 5-command routines are
 far cheaper.  This is the one genuinely CPU-bound benchmark, so it also
 exercises pytest-benchmark's statistics on the placement path itself.
 
-Shape assertions over the registered ``scheduler_insertion`` smoke
-benchmark (per-insertion milliseconds live in its ``timing`` payload —
-they are wall-clock, not virtual time).
+Shape assertions over the registered ``scheduler_insertion`` sweep
+(per-insertion milliseconds live in its ``timing`` payload — they are
+wall-clock, not virtual time).
 """
 
 from benchmarks.conftest import run_once

@@ -6,7 +6,7 @@ fastest serializing model; rising α (popularity skew) slows PSV toward
 GSV while EV stays close to WV.
 
 Shape assertions over the registered ``routine_size`` and
-``device_popularity`` benchmarks.
+``device_popularity`` sweeps.
 """
 
 from benchmarks.conftest import run_once

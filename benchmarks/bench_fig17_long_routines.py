@@ -6,7 +6,7 @@ fraction of long routines (L%) raises conflict and temporary
 incongruence while order mismatch falls (post-leases dominate).  Order
 mismatch stays low overall (3-10%).
 
-Shape assertions over the registered ``long_routines`` benchmark.
+Shape assertions over the registered ``long_routines`` sweep.
 """
 
 from benchmarks.conftest import run_once

@@ -1,9 +1,8 @@
 """Fleet scale-out: the engine at N ∈ {1, 10, 100, 1000} homes.
 
 Shape assertions over the fleet engine and the registered
-``fleet_scale_sweep`` benchmark (``repro bench --suite full --filter
-fleet_scale_sweep`` prints its table; ``repro fleet --stats`` times one
-fleet).  Throughput is judged by the perf ledger's ``fleet_mix`` and
+``fleet_scale_sweep`` sweep (``repro figures fleet_scale_sweep`` prints
+its table; ``repro fleet --stats`` times one fleet).  Throughput is judged by the perf ledger's ``fleet_mix`` and
 ``fleet_process`` workloads, not here.
 """
 
@@ -41,7 +40,7 @@ def test_fleet_scale(benchmark, homes):
 
 
 def test_fleet_scale_sweep_matches_direct_run(benchmark):
-    """The harness entry reports the same aggregate as a direct run."""
+    """The registered sweep reports the same aggregate as a direct run."""
     rows = run_once(benchmark, call, "fleet_scale_sweep",
                     scales=(25,))["metrics"]["rows"]
     direct = run_fleet_scale(25)

@@ -10,7 +10,7 @@ physically-executed commands rolled back per run, which is exactly the
 "disruptive to the human experience" cost the paper cites — while EV
 commits everything with zero undo.  The design choice is validated.
 
-Shape assertions over the registered ``occ_extension`` benchmark.
+Shape assertions over the registered ``occ_extension`` sweep.
 """
 
 from benchmarks.conftest import run_once
@@ -19,7 +19,7 @@ from repro.experiments.report import print_table
 
 
 def test_occ_vs_ev_contention_sweep(benchmark):
-    # Three trials per cell (the ``repro bench`` size) leave OCC's undo
+    # Three trials per cell (the registered size) leave OCC's undo
     # trend inside the noise; six show it.
     rows = run_once(benchmark, call, "occ_extension",
                     trials=6)["metrics"]["rows"]

@@ -1,9 +1,9 @@
 """Serial vs parallel plan execution on the wide fan-out workload.
 
 Shape assertions over the comparison behind the registered
-``parallel_exec`` smoke benchmark (the logic lives in
-:mod:`repro.bench.suites.perf`; ``repro bench --filter parallel_exec
---json out.json`` writes the deterministic per-model table).
+``parallel_exec`` sweep (the logic lives in
+:mod:`repro.bench.suites.perf`; ``repro figures parallel_exec`` prints
+the per-model table).
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.bench.suites.perf import (PARALLEL_EXEC_MODELS,
 def test_parallel_speedup(benchmark, model):
     """The wide fan-out routine's makespan drops ≥1.5× under parallel
     plans for every model (disjoint footprints: pure planner win)."""
-    row = run_once(benchmark, parallel_exec_compare, model)
-    assert row["parallel"]["committed"] == row["serial"]["committed"]
-    assert row["speedup"] is not None and row["speedup"] >= 1.5, row
+    serial, parallel = run_once(benchmark, parallel_exec_compare, model)
+    assert parallel["committed"] == serial["committed"]
+    assert parallel["speedup"] is not None and parallel["speedup"] >= 1.5, \
+        parallel

@@ -12,9 +12,8 @@ cost scales with how much history must be re-executed and re-checked:
   compare record-by-record.
 
 Shape assertions over the crash-and-recover step behind the registered
-``recovery_sweep`` benchmark (:mod:`repro.bench.suites.recovery_util`);
-``repro bench --suite full --filter recovery_sweep --json out.json``
-writes the sweep's rows.
+``recovery_sweep`` sweep (:mod:`repro.bench.suites.recovery_util`);
+``repro figures recovery_sweep`` prints the sweep's rows.
 """
 
 import pytest

@@ -1,8 +1,8 @@
 """Shared helper for the paper-shape assertions.
 
 Each ``bench_*.py`` file fetches one registered entry's tables through
-:func:`repro.bench.call` — at the parameters ``repro bench`` runs it
-with, unless the assertion needs a wider axis — asserts the paper's
+:func:`repro.bench.call` — at its registered parameters, unless the
+assertion needs a wider axis — asserts the paper's
 figure shapes on them and prints the tables.  ``scripts/check.sh`` runs
 the directory (``python -m pytest benchmarks/bench_*.py``).
 """

@@ -65,22 +65,6 @@ echo "EV's maintained closure equals its from-scratch definition"
 # judged by the oracle; under EV neither the retained order nor the
 # closure may outlive the run (2000 cells, ~90 s).
 "$PY" scripts/check_serializable.py
-# Two `repro bench` runs agree on every non-timing field.
-for run in bench_a bench_b; do
-    "$PY" -m repro bench --suite smoke --repeats 1 --warmup 0 \
-        --filter example_timeline --json "$DET_DIR/$run.json" \
-        >/dev/null 2>&1
-done
-"$PY" - "$DET_DIR/bench_a.json" "$DET_DIR/bench_b.json" <<'PYEOF'
-import json, sys
-from repro.bench.result import BenchResult
-def strip(path):
-    return [BenchResult.from_dict(entry).deterministic_dict()
-            for entry in json.load(open(path))["results"]]
-assert strip(sys.argv[1]) == strip(sys.argv[2]), \
-    "bench metrics are not deterministic"
-PYEOF
-echo "bench summary deterministic (non-timing fields)"
 
 echo
 echo "== crash-recovery gate (durable hub, chaos workload) =="
@@ -110,8 +94,8 @@ REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=15 tests/test_checkpoint_equivalence.py
 "$PY" scripts/gen_wal_golden.py --check
 echo "checkpoint digests equal their reference definition"
-# Every figure, ablation and probe of `repro bench --suite full` still
-# reports the committed rows (tier-1 skips Fig 13; this runs all 19).
+# Every registered sweep (figures, ablations, the other sweeps) still
+# reports the committed rows (tier-1 skips Fig 13; this runs all 18).
 "$PY" scripts/gen_sweeps_golden.py --check
 # A served hub (shared bank routines, 2 homes x 8 tenants x 60 tickets
 # per model) still reports the committed digests and oracle verdicts.
@@ -150,8 +134,8 @@ echo "fleet log: backend-invariant bytes, fsck 0 clean / 2 after a flipped byte"
 echo
 echo "== paper figure shapes =="
 # The §7 shapes (EV rolls back the fewest commands, TL <= JiT <= FCFS,
-# ...) asserted on the rows `repro bench` reports; timings are not the
-# gate, so pytest-benchmark only runs each sweep once.
+# ...) asserted on the rows the registered sweeps report; timings are
+# not the gate, so pytest-benchmark only runs each sweep once.
 if "$PY" -c "import pytest_benchmark" >/dev/null 2>&1; then
     "$PY" -m pytest -q -p no:cacheprovider --benchmark-disable \
         benchmarks/bench_*.py
@@ -167,10 +151,9 @@ echo
 echo "== one door: only the hub advances a simulator =="
 # SafeHome.pump is the one journaled way a hub advances (a served slice
 # included); a module calling sim.run( itself would be a second,
-# unjournaled path.  bench/suites/perf.py times a bare simulator.
+# unjournaled path.
 doors="$(grep -rl --include='*.py' 'sim\.run(' src/repro | grep -vx \
-    -e src/repro/sim/engine.py -e src/repro/hub/safehome.py \
-    -e src/repro/bench/suites/perf.py || true)"
+    -e src/repro/sim/engine.py -e src/repro/hub/safehome.py || true)"
 [ -z "$doors" ] || { echo "sim.run( outside the hub: $doors"; exit 1; }
 echo "one door OK"
 

@@ -2,15 +2,16 @@
 """Regenerate tests/fixtures/sweeps-golden.json: what every sweep reports.
 
 The WAL golden pins the bytes a durable hub writes; this file pins the
-rows the paper's figures, the ablations and the probes report.  For
-every benchmark of ``repro bench --suite full`` it records
-``BenchResult.deterministic_dict()`` — parameters, event counts, virtual
-time and the ``metrics`` payload (the figure rows), no wall-clock field
-— from one unwarmed call.  Any change to how a home is assembled,
-seeded, loaded or analyzed under the experiment runner shows up as a
-fixture diff (``tests/test_one_hub.py`` checks every entry but
-``failures``, Fig 13, which is most of the suite's run time; ``--check``
-checks all of them).
+rows the paper's figures, the ablations and the other registered sweeps
+report.  For every sweep that runs on its own (``registry.sweeps()``)
+it records ``{params, events, metrics}`` from one ``registry.call()``:
+the registered parameters, the simulator events the call processed
+(``repro.sim.engine.total_events_processed``, diffed around it) and
+the deterministic ``metrics`` payload (the figure rows) — no
+wall-clock field.  Any change to how a home is assembled, seeded,
+loaded or analyzed under the experiment runner shows up as a fixture
+diff (``tests/test_one_hub.py`` checks every entry but ``failures``,
+Fig 13, which is most of the run time; ``--check`` checks all of them).
 
 Usage::
 
@@ -26,29 +27,32 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench import registry, timing  # noqa: E402
-from repro.bench.suites import load_builtin_suites  # noqa: E402
+from repro.bench import registry  # noqa: E402
+from repro.sim.engine import total_events_processed  # noqa: E402
 
 GOLDEN_PATH = REPO_ROOT / "tests" / "fixtures" / "sweeps-golden.json"
 
 
 def names() -> list:
-    """Every benchmark ``repro bench --suite full`` runs, in its order."""
-    load_builtin_suites()
-    return registry.names("full")
+    """Every sweep the golden pins, in name order."""
+    return list(registry.sweeps())
 
 
 def build_entry(name: str) -> dict:
-    """One benchmark's deterministic fields, as they read back from JSON."""
-    load_builtin_suites()
-    result = timing.run_benchmark(registry.get(name), warmup=0, repeats=1)
-    return json.loads(json.dumps(result.deterministic_dict()))
+    """One sweep's deterministic fields, as they read back from JSON."""
+    spec = registry.get(name)
+    before = total_events_processed()
+    metrics = spec.call()["metrics"]
+    entry = {"params": dict(spec.params),
+             "events": total_events_processed() - before,
+             "metrics": metrics}
+    return json.loads(json.dumps(entry))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
-                        help="rerun every benchmark and exit 1 if the "
+                        help="rerun every sweep and exit 1 if the "
                              "committed fixture drifts")
     args = parser.parse_args()
     fresh = {name: build_entry(name) for name in names()}

@@ -1,27 +1,16 @@
-"""The benchmark subsystem.
+"""The sweep registry.
 
-One registry, one result schema, one runner — every figure, sweep and
-hot-path probe is declared once in the registry, and ``repro figures``,
-``repro ablations``, ``repro bench`` and ``benchmarks/bench_*.py`` all
-read it.  ``repro bench`` prints a min-of-N timing table for a
-developer; the wall-clock gate is ``perf_ledger/``.  See
-docs/benchmarks.md for the design and workflow.
+Every paper figure, ablation and extension sweep is declared once, with
+``@sweep`` on its driver, and ``repro figures``, ``repro ablations``,
+``benchmarks/bench_*.py`` and ``tests/fixtures/sweeps-golden.json`` all
+read it.  Wall-clock numbers are the perf ledger's (``perf_ledger/``).
+See docs/benchmarks.md.
 
     >>> from repro.bench import registry
-    >>> from repro.bench.suites import load_builtin_suites
-    >>> load_builtin_suites()
-    >>> "sim_dispatch" in registry.names("smoke")
-    True
+    >>> registry.figures()["fig02"].name
+    'example_timeline'
 """
 
-from repro.bench.registry import (BenchError, BenchSpec, benchmark, call,
-                                  get, names, select, sweep)
-from repro.bench.result import BenchResult
-from repro.bench.runner import run_suite, write_summary
-from repro.bench.timing import run_benchmark
+from repro.bench.registry import BenchError, BenchSpec, call, get, sweep
 
-__all__ = [
-    "BenchError", "BenchResult", "BenchSpec", "benchmark", "call", "get",
-    "names", "run_benchmark", "run_suite", "select", "sweep",
-    "write_summary",
-]
+__all__ = ["BenchError", "BenchSpec", "call", "get", "sweep"]

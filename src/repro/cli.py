@@ -3,7 +3,8 @@
 Commands:
 
 * ``figures [NAME ...]`` — regenerate one or all paper figures and
-  print their data tables (``repro figures --help`` lists the ids).
+  print their data tables; a NAME that is no figure id runs the
+  registered sweep of that name (``repro figures --help`` lists the ids).
 * ``scenario NAME --model M`` — run one registered or ``synth:...`` scenario.
 * ``export-trace NAME PATH`` — write a scenario to a trace JSON file.
 * ``run-trace PATH --model M`` — run a trace file under a model.
@@ -29,10 +30,6 @@ Commands:
   / corrupt, replay-verify the survivors, and with ``--salvage`` cut a
   corrupt log at its last good checkpoint and rebuild an oracle-clean
   home.  Exit 0 healthy, 1 damage corrected, 2 damage uncorrected.
-* ``bench`` — run registered benchmark suites through the unified
-  harness: deterministic sweep metrics plus a min-of-N timing table,
-  merged into ``BENCH_summary.json`` (see docs/benchmarks.md; the
-  wall-clock gate is ``perf_ledger/compare.py``).
 * ``hunt`` — adversarial search over generated scenarios
   (:mod:`repro.workloads.synth`): seeded random + hill-climbing
   mutation maximizing incongruence/abort/lock-wait pressure per
@@ -43,14 +40,16 @@ Commands:
   (``--speedup``), bounded fair admission queues and streaming SLO
   metrics (``--json-status``, ``GET /status``); ``--speedup inf``
   runs virtual-paced and byte-deterministic (see docs/serving.md).
+
+A refusal — a typed ``SafeHomeError``, a missing file, a bad value —
+leaves every command as one ``repro: <message>`` line on stderr, exit 2.
 """
 
 import argparse
 import sys
 from typing import Dict, List
 
-from repro.bench import registry, runner
-from repro.bench.suites import load_builtin_suites
+from repro.bench import registry
 from repro.errors import SafeHomeError
 from repro.experiments.report import print_table
 from repro.experiments.runner import ExperimentSetup, run_workload
@@ -66,16 +65,17 @@ def _print_sweep(spec: registry.BenchSpec, trials: int) -> None:
                     else f"{spec.title} ({key})", rows)
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def cmd_figures(args: argparse.Namespace) -> int:
     figures = registry.figures()
-    names = args.names or sorted(figures)
-    unknown = [name for name in names if name not in figures]
-    if unknown:
-        print(f"unknown figures: {unknown}; "
-              f"available: {sorted(figures)}", file=sys.stderr)
-        return 2
-    for name in names:
-        _print_sweep(figures[name], args.trials)
+    specs = [figures.get(name) or registry.get(name)
+             for name in args.names or sorted(figures)]
+    for spec in specs:
+        _print_sweep(spec, args.trials)
     return 0
 
 
@@ -95,21 +95,15 @@ def _report_json(report) -> str:
 def _run_and_print(args: argparse.Namespace, load, name: str = "") -> int:
     """The body of ``scenario`` and ``run-trace``: load the workload,
     run it on one hub under the command's flags, print its report row."""
-    try:
-        workload = load()
-        setup = ExperimentSetup(model=args.model, scheduler=args.scheduler,
-                                execution=args.execution,
-                                seed=args.seed, check_final=False)
-        _result, report, _controller = run_workload(workload, setup)
-    except (OSError, ValueError) as error:
-        # A typo (unknown scenario, model or scheduler; a missing or
-        # device-less trace) is an answer: main() prints it, exits 2.
-        raise SafeHomeError(str(error)) from error
+    workload = load()
+    setup = ExperimentSetup(model=args.model, scheduler=args.scheduler,
+                            execution=args.execution,
+                            seed=args.seed, check_final=False)
+    _result, report, _controller = run_workload(workload, setup)
     print_table(f"{name or workload.name} under {args.model}",
                 [report.row()])
     if getattr(args, "json", ""):
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(_report_json(report))
+        _write(args.json, _report_json(report))
     return 0
 
 
@@ -121,11 +115,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_export_trace(args: argparse.Namespace) -> int:
     from repro.workloads.traces import save_workload
 
-    try:
-        workload = build_fleet_workload(args.name, args.seed)
-    except ValueError as error:
-        raise SafeHomeError(str(error)) from error
-    save_workload(workload, args.path)
+    save_workload(build_fleet_workload(args.name, args.seed), args.path)
     print(f"wrote {args.name} trace to {args.path}")
     return 0
 
@@ -194,30 +184,20 @@ def _fleet_overrides(args: argparse.Namespace) -> Dict[str, object]:
 def cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import PlanError
     from repro.fleet import FleetConfig, FleetEngine
 
-    try:
-        fleet = _fleet_plan_section(args.plan) if args.plan else {}
-        config = FleetConfig.from_plan(fleet, **_fleet_overrides(args))
-    except (PlanError, OSError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    fleet = _fleet_plan_section(args.plan) if args.plan else {}
+    config = FleetConfig.from_plan(fleet, **_fleet_overrides(args))
     if args.dump_plan:
         sys.stdout.write(json.dumps(config.to_plan(), sort_keys=True,
                                     indent=2) + "\n")
         return 0
-    try:
-        engine = FleetEngine(config)
-        result = engine.run()
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    engine = FleetEngine(config)
+    result = engine.run()
     text = result.to_json(per_home=args.per_home) + "\n"
     sys.stdout.write(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.json, text)
     if args.stats:
         print(f"simulated {len(result.rows)} homes in "
               f"{result.elapsed_s:.2f}s wall "
@@ -228,22 +208,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_ops_apply(args: argparse.Namespace) -> int:
-    from repro.errors import PlanError
     from repro.fleet.control import ControlLoop, load_plan
 
-    try:
-        plan = load_plan(args.plan)
-        result = ControlLoop(plan).run()
-    except (PlanError, OSError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    result = ControlLoop(load_plan(args.plan)).run()
     if args.ops_log:
         result.ops.save(args.ops_log)
     text = result.to_json(per_home=args.per_home) + "\n"
     sys.stdout.write(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.json, text)
     restarts = sum(row.get("restarts", 0) for row in result.rows)
     print(f"applied {args.plan}: {len(result.rows)} homes, "
           f"{len(result.migrated_homes)} migrated, "
@@ -260,11 +233,7 @@ def cmd_fleet_ops_apply(args: argparse.Namespace) -> int:
 def cmd_fleet_ops_status(args: argparse.Namespace) -> int:
     from repro.fleet.control import OpsLog
 
-    try:
-        log = OpsLog.load(args.ops_log)
-    except (OSError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    log = OpsLog.load(args.ops_log)
     counts = log.counts()
     print_table(f"ops log: {args.ops_log} ({len(log)} entries)",
                 [{"op": op, "count": counts[op]} for op in sorted(counts)])
@@ -284,17 +253,13 @@ def cmd_crash_recovery(args: argparse.Namespace) -> int:
     from repro.metrics.recovery import recovery_wall_summary
     from repro.workloads.chaos import run_chaos
 
-    try:
-        result = run_chaos(
-            model=args.model, execution=args.execution or "serial",
-            seed=args.seed, crashes=args.crashes, recovery=args.recovery,
-            checkpoint_every=args.checkpoint_every,
-            crash_at=args.crash_at, crash_event=args.crash_event,
-            scenario=args.scenario or None,
-            wal_dir=args.wal_dir or None)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    result = run_chaos(
+        model=args.model, execution=args.execution or "serial",
+        seed=args.seed, crashes=args.crashes, recovery=args.recovery,
+        checkpoint_every=args.checkpoint_every,
+        crash_at=args.crash_at, crash_event=args.crash_event,
+        scenario=args.scenario or None,
+        wal_dir=args.wal_dir or None)
     rows = [dict(recovery, congruent=result.congruent)
             for recovery in result.recoveries] or \
         [{"congruent": result.congruent, "mode": result.recovery_mode}]
@@ -310,8 +275,7 @@ def cmd_crash_recovery(args: argparse.Namespace) -> int:
           f"max {walls['max'] * 1e3:.2f} ms over {walls['n']} recoveries",
           file=sys.stderr)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json() + "\n")
+        _write(args.json, result.to_json() + "\n")
     if args.recovery == "replay" and not result.congruent:
         print("FAIL: replay recovery diverged from the uninterrupted run",
               file=sys.stderr)
@@ -322,17 +286,12 @@ def cmd_crash_recovery(args: argparse.Namespace) -> int:
 def cmd_fsck(args: argparse.Namespace) -> int:
     from repro.hub.durability.fsck import fsck_path
 
-    try:
-        report = fsck_path(args.path, salvage=args.salvage)
-    except (OSError, ValueError) as error:
-        # Unreadable before a report could be built (a foreign or
-        # missing fleet index): uncorrected, refused like "not a WAL
-        # directory" is — main() prints it and exits 2.
-        raise SafeHomeError(str(error)) from error
+    # Unreadable before a report could be built (a foreign or missing
+    # fleet index) is refused like "not a WAL directory": exit 2.
+    report = fsck_path(args.path, salvage=args.salvage)
     text = report.to_json() + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.report, text)
     if args.json or not args.report:
         sys.stdout.write(text)
     code = report.exit_code()
@@ -343,45 +302,16 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.list:
-        for spec in registry.select(suite=args.suite,
-                                    pattern=args.filter or None):
-            print(f"{spec.name:24s} [{spec.suite}] {spec.description}")
-        return 0
-    try:
-        summary = runner.run_suite(
-            suite=args.suite, pattern=args.filter or None,
-            warmup=args.warmup, repeats=args.repeats,
-            progress=lambda line: print(line, file=sys.stderr))
-    except registry.BenchError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    results = runner.summary_results(summary)
-    print_table(f"bench suite={args.suite}"
-                + (f" filter={args.filter}" if args.filter else ""),
-                [result.row() for result in results])
-    if args.json:
-        runner.write_summary(summary, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
-
-
 def cmd_hunt(args: argparse.Namespace) -> int:
-    from repro.workloads.synth import (HUNT_MODELS, OBJECTIVES,
-                                       corpus_to_json, hunt_corpus)
+    from repro.workloads.synth import (HUNT_MODELS, corpus_to_json,
+                                       hunt_corpus)
 
     models = tuple(args.model.split(",")) if args.model != "all" \
         else HUNT_MODELS
     unknown = [m for m in models if m not in HUNT_MODELS]
     if unknown:
-        print(f"unknown models {unknown}; pick from {list(HUNT_MODELS)} "
-              "or 'all'", file=sys.stderr)
-        return 2
-    if args.objective not in OBJECTIVES:
-        print(f"unknown objective {args.objective!r}; "
-              f"pick from {sorted(OBJECTIVES)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown models {unknown}; pick from "
+                         f"{list(HUNT_MODELS)} or 'all'")
     corpus = hunt_corpus(models, objective=args.objective,
                          seed=args.seed, budget=args.budget,
                          execution=args.execution or "serial")
@@ -398,8 +328,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     for model, entry in corpus["models"].items():
         print(f"{model}: {entry['best']['scenario']}", file=sys.stderr)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(corpus_to_json(corpus) + "\n")
+        _write(args.json, corpus_to_json(corpus) + "\n")
     if corpus["oracle_violations"]:
         print(f"FAIL: {corpus['oracle_violations']} congruence-oracle "
               "violations — a visibility model broke an invariant",
@@ -411,31 +340,26 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import math
 
-    from repro.errors import ServeError
     from repro.serve import (ServeConfig, ServeHub, StatusServer,
                              ThreadedClient, build_serve_home,
                              parse_speedup, run_closed_loop)
     from repro.sim.random import derive_seed
 
-    try:
-        speedup = parse_speedup(args.speedup)
-        config = ServeConfig(speedup=speedup,
-                             queue_capacity=args.queue_capacity,
-                             window_s=args.window)
-        homes = {
-            f"home-{i}": build_serve_home(
-                model=args.model, scheduler=args.scheduler,
-                execution=args.execution,
-                seed=derive_seed(args.seed, f"home-{i}"))
-            for i in range(args.homes)}
-        hub = ServeHub(homes, config)
-        weights = [int(w) for w in args.weights.split(",")] \
-            if args.weights else [1]
-        for i in range(args.tenants):
-            hub.add_tenant(f"t{i}", weight=weights[i % len(weights)])
-    except (ServeError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    speedup = parse_speedup(args.speedup)
+    config = ServeConfig(speedup=speedup,
+                         queue_capacity=args.queue_capacity,
+                         window_s=args.window)
+    homes = {
+        f"home-{i}": build_serve_home(
+            model=args.model, scheduler=args.scheduler,
+            execution=args.execution,
+            seed=derive_seed(args.seed, f"home-{i}"))
+        for i in range(args.homes)}
+    hub = ServeHub(homes, config)
+    weights = [int(w) for w in args.weights.split(",")] \
+        if args.weights else [1]
+    for i in range(args.tenants):
+        hub.add_tenant(f"t{i}", weight=weights[i % len(weights)])
 
     status_server = None
     if args.port >= 0:
@@ -485,11 +409,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"{status['wall']['clock_regressions']} clock regressions",
               file=sys.stderr)
     if args.json_status:
-        with open(args.json_status, "w", encoding="utf-8") as handle:
-            handle.write(hub.status_json() + "\n")
+        _write(args.json_status, hub.status_json() + "\n")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(hub.final_report_json())
+        _write(args.json, hub.final_report_json())
     if args.check_oracle:
         violations = sum(len(report.violations)
                          for report in hub.oracle_reports().values())
@@ -507,18 +429,18 @@ def cmd_ablations(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The figures help text below and the figures / ablations / bench
-    # handlers all read the benchmark registry.
-    load_builtin_suites()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SafeHome reproduction (EuroSys 2021) experiment CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
     figures = sub.add_parser("figures", help="regenerate paper figures")
-    figures.add_argument("names", nargs="*",
-                         help="figure ids (default: all): "
-                              + ", ".join(sorted(registry.figures())))
+    figures.add_argument(
+        "names", nargs="*",
+        help="figure ids (default: all): "
+             + ", ".join(sorted(registry.figures())) + "; or sweeps: "
+             + ", ".join(name for name, spec in registry.sweeps().items()
+                         if not spec.figure))
     figures.add_argument("--trials", type=int, default=20)
     figures.set_defaults(func=cmd_figures)
 
@@ -632,24 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the worst-found corpus JSON to this "
                            "path")
     hunt.set_defaults(func=cmd_hunt)
-
-    bench = sub.add_parser(
-        "bench", help="run benchmark suites through the unified harness")
-    bench.add_argument("--suite", default="smoke",
-                       choices=registry.SUITES,
-                       help="benchmark suite (default: smoke)")
-    bench.add_argument("--filter", default="",
-                       help="glob/substring filter on benchmark names")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="untimed warmup iterations (default: 1)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed iterations; wall time is their "
-                            "minimum (default: 3)")
-    bench.add_argument("--json", default="",
-                       help="write the merged summary JSON to this path")
-    bench.add_argument("--list", action="store_true",
-                       help="list the selected benchmarks and exit")
-    bench.set_defaults(func=cmd_bench)
 
     fleet = sub.add_parser(
         "fleet", help="simulate N independent homes concurrently")
@@ -801,9 +705,10 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SafeHomeError as error:
-        # A typed refusal (existing WAL segments, a leftover spool
-        # worker file, not a WAL directory) is an answer, not a crash.
+    except (SafeHomeError, OSError, ValueError) as error:
+        # A refusal (existing WAL segments, an unknown model or
+        # scenario, a missing plan file, a bad flag value) is an
+        # answer, not a crash.
         print(f"repro: {error}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ sweeps characterize each one:
 * **network jitter** — how link quality moves WV's incongruence and
   EV's latency overhead.
 
-The four register as tables of the one ``ablations`` benchmark entry
+The four register as tables of the one ``ablations`` sweep
 (``repro ablations`` prints them); ``occ_vs_ev`` is the extension sweep
 behind the paper's choice of pessimistic locking.
 """
@@ -20,7 +20,7 @@ behind the paper's choice of pessimistic locking.
 from dataclasses import replace
 from typing import Any, Dict, List
 
-from repro.bench.registry import benchmark, parts, scaled_trials, sweep
+from repro.bench.registry import parts, scaled_trials, sweep
 from repro.core.controller import ControllerConfig
 from repro.devices.network import LatencyModel
 from repro.experiments.runner import (ExperimentSetup, run_trials,
@@ -154,17 +154,18 @@ def ablate_network_jitter(trials: int = 20, seed: int = 24,
     return rows
 
 
-@benchmark("ablations", trials=3, jitter_trials=None,
-           sweeps=tuple(spec.name for spec in parts("ablations")))
-def ablations(trials: int, sweeps, jitter_trials) -> Dict[str, Any]:
+@sweep("ablations", "Ablations", trials=3, jitter_trials=None,
+       sweeps=tuple(spec.name for spec in parts("ablations")))
+def ablations(trials: int = 3, sweeps=(), jitter_trials=None
+              ) -> Dict[str, List[Dict[str, Any]]]:
     """Design-choice sweeps: leniency, estimate error, detector, jitter."""
     drivers = {spec.name: spec.fn for spec in parts("ablations")}
-    counts = dict.fromkeys(sweeps, trials)
+    counts = dict.fromkeys(sweeps or drivers, trials)
     if "network_jitter" in counts:
         # A fraction of coin-flip outcomes, not a mean of latencies.
         counts["network_jitter"] = jitter_trials or max(10, trials)
-    return {"metrics": {name: drivers[name](trials=count)
-                        for name, count in counts.items()}}
+    return {name: drivers[name](trials=count)
+            for name, count in counts.items()}
 
 
 @sweep("occ_extension", "Extension: OCC vs EV", trials=3, seed=31,

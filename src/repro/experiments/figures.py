@@ -5,9 +5,10 @@ up to 1M trials per datapoint; defaults here keep the full suite fast
 while preserving the shapes (see EXPERIMENTS.md).
 
 Each driver's ``@sweep`` line is its one registration (see
-:mod:`repro.bench.registry`): benchmark name, table title, ``repro
-figures`` id and ``--trials`` rule, and the reduced parameters ``repro
-bench`` runs it with — the shapes are stable at those sizes.
+:mod:`repro.bench.registry`): sweep name, table title, ``repro
+figures`` id and ``--trials`` rule, and the reduced parameters the
+golden and the shape assertions run it with — the shapes are stable at
+those sizes.
 """
 
 from dataclasses import replace
@@ -73,7 +74,7 @@ def fig01_weak_visibility(device_counts=(2, 4, 6, 8, 10, 12, 15),
 # -- Fig 2: the 5-routine example under GSV / PSV / EV ----------------------------
 
 
-@sweep("example_timeline", "Fig 2", figure="fig02", suite="smoke", seed=1)
+@sweep("example_timeline", "Fig 2", figure="fig02", seed=1)
 def fig02_example(seed: int = 1) -> List[Dict[str, Any]]:
     """Execution times of the paper's 5 concurrent example routines.
 
@@ -340,7 +341,7 @@ def _insertion_outcome(rows, params):
             "timing": {"rows": rows}}
 
 
-@sweep("scheduler_insertion", "Fig 15d", figure="fig15d", suite="smoke",
+@sweep("scheduler_insertion", "Fig 15d", figure="fig15d",
        outcome=_insertion_outcome, routine_sizes=(1, 4, 10))
 def fig15d_insertion_time(routine_sizes=(1, 2, 4, 6, 8, 10),
                           n_devices: int = 15, n_routines: int = 30,

@@ -293,6 +293,12 @@ class ServeHub:
             self._state = "stopped"
 
     def _enter_serving(self) -> None:
+        # A crashed home cannot admit: serving on would drain tickets
+        # that its invoke() then refuses, stranding them outside every
+        # queue.  Refuse before anything is drained.
+        for name in self._home_order:
+            if self.homes[name].crashed:
+                raise HubCrashedError(f"served home {name!r} crashed")
         with self._lock:
             if self._state == "stopped":
                 raise ServeError("hub already stopped")

@@ -8,14 +8,14 @@ from repro.sim.events import Event, EventQueue
 
 # Cumulative events fired by every Simulator in this process, batched in
 # once per run()/step() call so the hot loop never touches a global.
-# The benchmark harness diffs this around a timed call to get events/sec
-# (process-pool children keep their own counters — fleet benchmarks
-# measure events/sec on the serial backend).
+# The perf ledger and the sweeps golden diff this around a call to count
+# its events (process-pool children keep their own counters — count on
+# the serial backend).
 _TOTAL_EVENTS = 0
 
 
 def total_events_processed() -> int:
-    """Process-wide cumulative event count (bench instrumentation)."""
+    """Process-wide cumulative event count (see the note above)."""
     return _TOTAL_EVENTS
 
 

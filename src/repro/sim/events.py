@@ -1,8 +1,9 @@
 """Event objects and the cancellable priority queue behind the simulator.
 
-Hot-path notes (measured by the ``sim_dispatch`` benchmark): ``Event``
-is a ``__slots__`` class — the simulator allocates one per scheduled
-callback, so a dict-less layout and a plain ``__init__`` matter.  The
+Hot-path notes (measured by the perf ledger's ``sim.self_us_per_event``):
+``Event`` is a ``__slots__`` class — the simulator allocates one per
+scheduled callback, so a dict-less layout and a plain ``__init__``
+matter.  The
 heap stores ``(time, seq, event)`` triples so ordering is decided by
 C-level tuple comparison instead of a Python ``__lt__`` per sift, and
 the queue keeps a pending-cancellation count so the common case (no

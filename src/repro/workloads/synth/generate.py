@@ -5,7 +5,7 @@ routine set from the spec's distributions, using the repo's named
 random streams so every draw is deterministic in (spec, seed).  The
 result is an ordinary :class:`~repro.workloads.base.Workload` — it runs
 through :class:`~repro.hub.safehome.SafeHome`, the experiment runner,
-the fleet engine and ``repro bench`` with no special casing.
+the fleet engine and the sweep registry with no special casing.
 
 Determinism contract: ``compile_spec(spec, seed=s)`` is a pure
 function.  ``seed=None`` uses ``spec.seed`` (the replay path); the

@@ -1,7 +1,7 @@
 """One hub under every run.
 
 The figures, the ablations, ``repro scenario`` / ``run-trace``, the
-``repro bench`` sweeps and the hunter all reach a home through
+other registered sweeps and the hunter all reach a home through
 ``experiments.runner.run_workload``, and that is a trial loop over
 :class:`SafeHome` — the stack the fleet, the serve hub and the durable
 hub run.  These tests pin the rows every sweep reports, hold the two
@@ -32,10 +32,10 @@ MODELS = ("wv", "gsv", "psv", "ev", "occ")
 
 
 class TestGoldenSweepRows:
-    """What ``repro bench --suite full`` reports is pinned field by
-    field (regenerate with scripts/gen_sweeps_golden.py — a diff there
+    """What every registered sweep reports is pinned field by field
+    (regenerate with scripts/gen_sweeps_golden.py — a diff there
     changes a figure and needs a reason).  ``failures`` (Fig 13) is
-    most of the suite's run time: ``--check`` in scripts/check.sh
+    most of the sweeps' run time: ``--check`` in scripts/check.sh
     covers it."""
 
     @pytest.mark.parametrize(
@@ -124,8 +124,7 @@ def _calls(path: Path, name: str) -> int:
 
 @pytest.mark.parametrize("name,allowed", [
     ("make_controller", {"hub/safehome.py"}),
-    # The raw sim_dispatch rung times the simulator alone.
-    ("Simulator", {"hub/safehome.py", "bench/suites/perf.py"}),
+    ("Simulator", {"hub/safehome.py"}),
 ])
 def test_only_the_hub_assembles_a_home(name, allowed):
     package = REPO_ROOT / "src" / "repro"

@@ -232,6 +232,22 @@ class TestTypedRefusalsReachTheUserAsOneLine:
         assert capsys.readouterr().err == \
             "repro: workload 'empty' has no devices\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--workers", "x"],
+        ["hunt", "--model", "foo"],
+        ["serve", "--speedup", "abc"],
+        ["fleet-ops", "apply", "--plan", "/missing"],
+        ["figures", "fig99"],
+    ], ids=["fleet-workers", "hunt-model", "serve-speedup",
+            "fleet-ops-plan", "figures-name"])
+    def test_each_command_refuses_through_main(self, argv, capsys):
+        """These printed their own bare message (no ``repro:``), each
+        handler in its own way."""
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
 
 class TestHomesBuiltFromOneConfigDoNotAlias:
     """``SafeHome`` wrote its scheduler and execution into the caller's

@@ -353,9 +353,10 @@ class TestServeHub:
         assert doc["status"] == "clean" and doc["clean_close"]
         assert doc["verify"]["ok"] and doc["verify"]["oracle"]["ok"]
 
-    @pytest.mark.parametrize("threaded", [False, True],
-                             ids=["inline", "threaded"])
-    def test_a_crash_while_serving_strands_no_ticket(self, threaded):
+    @staticmethod
+    def crashing_hub():
+        """Six tickets queued on a durable home armed to crash after 12
+        events; the hub admits two at a time."""
         home = menu_home("ev", durability=True)
         hub = ServeHub(home, ServeConfig(admit_batch=2))
         hub.add_tenant("t0")
@@ -365,6 +366,12 @@ class TestServeHub:
                                              "night-setback", "morning-warm",
                                              "cool-bedroom", "lights-evening"])]
         home.crash(after_events=12)
+        return home, hub, tickets
+
+    @pytest.mark.parametrize("threaded", [False, True],
+                             ids=["inline", "threaded"])
+    def test_a_crash_while_serving_strands_no_ticket(self, threaded):
+        home, hub, tickets = self.crashing_hub()
         if threaded:
             hub.start()
             thread = hub._thread
@@ -384,6 +391,28 @@ class TestServeHub:
         assert home.recover().crash_events == 12
         assert check_run(home.run(), home.initial).ok
         assert_twin_replays_equal(home)
+
+    @pytest.mark.parametrize("threaded", [False, True],
+                             ids=["inline", "threaded"])
+    def test_serving_a_crashed_home_again_is_refused_before_admitting(
+            self, threaded):
+        """A second serve call after the crash used to drain a batch that
+        the crashed home's invoke() then refused: two tickets read
+        ``queued`` but sat in no queue."""
+        home, hub, tickets = self.crashing_hub()
+        with pytest.raises(HubCrashedError, match="home-0"):
+            hub.serve_until_idle()
+        queued = [t for t in tickets if t.status == "queued"]
+        depth = hub.admission.total_depth()
+        assert depth == len(queued) == 4
+        with pytest.raises(HubCrashedError, match="home-0"):
+            hub.start() if threaded else hub.serve_until_idle()
+        assert hub._thread is None
+        assert hub.admission.total_depth() == depth
+        assert all(t.status == "queued"
+                   and any(t is waiting for waiting
+                           in hub.admission.tenant(t.tenant).queue)
+                   for t in queued)
 
     def test_submit_requires_registered_tenant_and_known_home(self):
         hub = small_hub()

@@ -178,3 +178,36 @@ class TestSimulator:
             return seen
 
         assert trace() == trace()
+
+
+class TestDispatchUnification:
+    """run() and step() share _dispatch, so their traces cannot drift."""
+
+    def build(self, n=20):
+        sim = Simulator()
+        trace = []
+        for i in range(n):
+            sim.call_after(i * 0.5, trace.append, (i, "t"))
+        # One cancelled event exercises the lazy-cancellation path.
+        doomed = sim.call_after(2.25, trace.append, ("doomed",))
+        sim.cancel(doomed)
+        return sim, trace
+
+    def test_step_equals_run_trace(self):
+        sim_run, trace_run = self.build()
+        hooks_run = []
+        sim_run.add_post_event_hook(lambda: hooks_run.append(
+            sim_run.events_processed))
+        sim_run.run()
+
+        sim_step, trace_step = self.build()
+        hooks_step = []
+        sim_step.add_post_event_hook(lambda: hooks_step.append(
+            sim_step.events_processed))
+        while sim_step.step():
+            pass
+
+        assert trace_step == trace_run
+        assert hooks_step == hooks_run
+        assert sim_step.events_processed == sim_run.events_processed
+        assert sim_step.now == sim_run.now
