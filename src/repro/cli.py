@@ -174,8 +174,6 @@ def _fleet_overrides(args: argparse.Namespace) -> Dict[str, object]:
             except ValueError:
                 raise PlanError(f"--workers must be an integer or "
                                 f"'auto', got {args.workers!r}")
-    if args.exact:
-        overrides["aggregate"] = "exact"
     if args.no_check_final:
         overrides["check_final"] = False
     return overrides
@@ -584,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-home command-plan strategy "
                             "(default: serial)")
     fleet.add_argument("--backend", default=None,
-                       choices=("serial", "thread", "process"),
+                       choices=("serial", "process"),
                        help="worker pool type (default: serial)")
     fleet.add_argument("--workers", default=None,
                        help="pool size; 0 or 'auto' = one per CPU "
@@ -599,9 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "parent (byte-stable default); 'stream' "
                             "merges per-chunk histogram accumulators "
                             "(percentiles within 1 ms)")
-    fleet.add_argument("--exact", action="store_true",
-                       help="force exact pooled-percentile aggregation "
-                            "(the default; overrides --aggregate)")
     fleet.add_argument("--wal-dir", default=None,
                        help="spool per-home WALs to worker-local files "
                             "in this directory and merge them into an "

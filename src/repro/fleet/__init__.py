@@ -4,7 +4,7 @@ The paper evaluates one SafeHome hub at a time; a production deployment
 runs millions of independent hubs.  This package is the architectural
 seam for that scale-out: it streams N
 :class:`~repro.hub.safehome.SafeHome` simulations through a persistent
-worker pool (serial / thread / process — :mod:`repro.fleet.pool`),
+worker pool (serial / process — :mod:`repro.fleet.pool`),
 reuses one hub per worker via :class:`~repro.fleet.worker.HomeFactory`
 resets, splits one master seed into per-home seeds deterministically
 (:mod:`repro.fleet.seeding`), and aggregates cross-home metrics either

@@ -17,17 +17,15 @@ idle workers for chunks that do not exist.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import PlanError
 from repro.fleet.control.opslog import OpsLog
-from repro.fleet.control.plan import (STABLE_COHORT, FleetPlan,
-                                      assign_cohorts, load_plan)
-from repro.fleet.control.program import (ControlProgram, HomeDirective,
-                                         SupervisionPolicy)
+from repro.fleet.control.plan import FleetPlan, assign_cohorts, load_plan
+from repro.fleet.control.program import ControlProgram, HomeDirective
 from repro.fleet.engine import FleetConfig, FleetEngine
-from repro.fleet.pool import POOLS, plan_chunks
+from repro.fleet.pool import POOLS, WorkerContext, plan_chunks
 from repro.metrics.cohort import cohort_aggregates, compare_cohorts
 
 
@@ -108,50 +106,29 @@ class ControlLoop:
 
     # -- compilation ---------------------------------------------------------
 
-    def _cohort_settings(self, cohort: str) -> Dict[str, Any]:
-        """The resolved per-home settings of one cohort."""
-        config = self.config
-        settings = {"model": config.model,
-                    "scheduler": config.scheduler,
-                    "execution": config.execution,
-                    "crashes": config.crashes,
-                    "recovery": config.recovery}
-        for named in self.plan.cohorts:
-            if named.name == cohort:
-                settings.update(named.override_map())
-        return settings
-
     def _compile(self, assignment: Dict[int, str],
                  home_ids: Optional[List[int]] = None,
-                 stable_override: bool = False) -> ControlProgram:
+                 rollback: bool = False) -> ControlProgram:
         """Directives for ``home_ids`` (default: the whole fleet).
 
-        With ``stable_override`` (the rollback path) every directive
-        gets the stable cohort's settings and no migration step,
-        whatever cohort the home belongs to.
+        On ``rollback`` every directive carries no overrides and no
+        migration step — the stable cohort's settings, which are the
+        fleet's — whatever cohort the home belongs to.
         """
-        migrate_by_cohort = {step.cohort: step
-                             for step in self.plan.migrations}
-        directives: List[HomeDirective] = []
-        wanted = None if home_ids is None else set(home_ids)
-        for home_id, _scenario, _seed in self.engine.tasks():
-            if wanted is not None and home_id not in wanted:
-                continue
+        overrides = {cohort.name: cohort.overrides
+                     for cohort in self.plan.cohorts}
+        steps = {step.cohort: step for step in self.plan.migrations}
+        directives: Dict[int, HomeDirective] = {}
+        for home_id in (range(self.config.homes) if home_ids is None
+                        else home_ids):
             cohort = assignment[home_id]
-            source = STABLE_COHORT if stable_override else cohort
-            settings = self._cohort_settings(source)
-            step = None if stable_override \
-                else migrate_by_cohort.get(cohort)
-            directives.append(HomeDirective(
-                home_id=home_id, cohort=cohort,
-                model=settings["model"],
-                scheduler=settings["scheduler"],
-                execution=settings["execution"],
-                crashes=settings["crashes"],
-                recovery=settings["recovery"],
+            step = None if rollback else steps.get(cohort)
+            directives[home_id] = HomeDirective(
+                cohort=cohort,
+                overrides=() if rollback else overrides.get(cohort, ()),
                 migrate_to=step.to_model if step else "",
-                migrate_at=step.at_s if step else 0.0))
-        return ControlProgram(directives=tuple(directives),
+                migrate_at=step.at_s if step else 0.0)
+        return ControlProgram(directives=directives,
                               supervision=self.plan.supervision)
 
     # -- execution -----------------------------------------------------------
@@ -171,9 +148,8 @@ class ControlLoop:
         self.log.record("pool-spawned", phase=phase,
                         backend=config.backend, workers=workers,
                         chunks=len(chunks), homes=len(tasks))
-        context = replace(self.engine.context(), control=program)
         pool = POOLS[config.backend](workers)
-        results = pool.run(context, chunks)
+        results = pool.run(WorkerContext(config, program), chunks)
         rows = sorted((row for result in results for row in result.rows),
                       key=lambda row: row["home_id"])
         for row in rows:
@@ -210,7 +186,7 @@ class ControlLoop:
                    canary=plan.canary.to_dict() if plan.canary else None,
                    supervision={
                        "max_restarts": plan.supervision.max_restarts,
-                       "recovery": plan.supervision.recovery})
+                       "recovery": config.recovery})
         assignment = assign_cohorts(plan, config.homes, config.seed)
         members: Dict[str, List[int]] = {}
         for home_id, cohort in sorted(assignment.items()):
@@ -248,8 +224,7 @@ class ControlLoop:
                 rollback_tasks = [task for task in self.engine.tasks()
                                   if task[0] in set(canary_ids)]
                 rollback_program = self._compile(
-                    assignment, home_ids=canary_ids,
-                    stable_override=True)
+                    assignment, home_ids=canary_ids, rollback=True)
                 rollback_rows = self._spawn(rollback_tasks,
                                             rollback_program,
                                             phase="rollback")

@@ -39,7 +39,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.core.visibility import VisibilityModel
 from repro.errors import PlanError
 from repro.fleet.control.program import SupervisionPolicy
-from repro.hub.durability.recovery import RECOVERY_MODES
+from repro.fleet.sharding import check_settings
 from repro.sim.random import derive_seed
 
 #: The schema version this module reads and writes.
@@ -170,36 +170,27 @@ class CanarySpec:
 
 
 def _supervision_from_dict(data: Mapping[str, Any]) -> SupervisionPolicy:
-    defaults = SupervisionPolicy()
     kwargs: Dict[str, Any] = {}
     fields = {"max_restarts": int, "backoff_base_s": float,
-              "backoff_factor": float, "backoff_cap_s": float,
-              "recovery": str}
+              "backoff_factor": float, "backoff_cap_s": float}
+    _require("recovery" not in data,
+             "supervision: 'recovery' is a per-home setting now; set "
+             "fleet.recovery, or 'recovery' in a cohort's overrides")
     unknown = set(data) - set(fields)
     _require(not unknown, f"supervision: unknown keys {sorted(unknown)}")
     for key, cast in fields.items():
-        if key not in data:
-            continue
-        value = data[key]
-        if cast is str:
-            _require(isinstance(value, str),
-                     f"supervision: {key!r} must be a string")
-        else:
-            _require(isinstance(value, (int, float))
-                     and not isinstance(value, bool),
+        if key in data:
+            _require(isinstance(data[key], (int, float))
+                     and not isinstance(data[key], bool),
                      f"supervision: {key!r} must be a number")
-            value = cast(value)
-        kwargs[key] = value
-    policy = SupervisionPolicy(**{**asdict(defaults), **kwargs})
+            kwargs[key] = cast(data[key])
+    policy = SupervisionPolicy(**kwargs)
     _require(policy.max_restarts >= 1,
              "supervision: 'max_restarts' must be >= 1")
     _require(policy.backoff_base_s >= 0.0 and policy.backoff_cap_s >= 0.0
              and policy.backoff_factor >= 1.0,
              "supervision: backoff parameters must be non-negative "
              "(factor >= 1)")
-    _require(policy.recovery in RECOVERY_MODES,
-             f"supervision: unknown recovery mode {policy.recovery!r}; "
-             f"pick from {RECOVERY_MODES}")
     return policy
 
 
@@ -239,20 +230,10 @@ class FleetPlan:
         _require(total <= 1.0 + 1e-9,
                  f"cohort fractions sum to {total:.3f} > 1")
         for cohort in self.cohorts:
-            overrides = cohort.override_map()
-            if "model" in overrides:
-                VisibilityModel.parse(overrides["model"])
-            if "recovery" in overrides:
-                _require(overrides["recovery"] in RECOVERY_MODES,
-                         f"cohort {cohort.name!r}: unknown recovery "
-                         f"mode {overrides['recovery']!r}")
-            if "crashes" in overrides:
-                crashes = overrides["crashes"]
-                _require(isinstance(crashes, int)
-                         and not isinstance(crashes, bool)
-                         and crashes >= 0,
-                         f"cohort {cohort.name!r}: 'crashes' must be a "
-                         f"non-negative integer")
+            try:
+                check_settings(cohort.override_map())
+            except ValueError as exc:
+                raise PlanError(f"cohort {cohort.name!r}: {exc}") from None
         known = set(names) | {STABLE_COHORT}
         migrated = set()
         for step in self.migrations:

@@ -2,20 +2,21 @@
 
 A :class:`ControlProgram` is what the :class:`~repro.fleet.control.
 loop.ControlLoop` broadcasts to the worker pool (inside the
-:class:`~repro.fleet.pool.WorkerContext`): a flat tuple of
-:class:`HomeDirective` records — one per home that needs controlled
-execution — plus the fleet-wide :class:`SupervisionPolicy`.  Everything
-here is a small frozen dataclass so the program pickles cheaply into
-process workers and is hash-stable for the ops journal.
+:class:`~repro.fleet.pool.WorkerContext`): one :class:`HomeDirective`
+per home that needs controlled execution, keyed by home id, plus the
+fleet-wide :class:`SupervisionPolicy`.  A directive carries its
+cohort's overrides, not a copy of the settings: the worker builds the
+home's recipe with ``FleetConfig.spec(..., **overrides)``.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """How the supervisor restarts crashed homes.
+    """How the supervisor restarts crashed homes (in the home's own
+    ``recovery`` mode, from the fleet section or its cohort).
 
     Backoff is *virtual*: the supervisor journals the delay it would
     apply (``min(cap, base * factor**(attempt-1))``) instead of
@@ -29,9 +30,6 @@ class SupervisionPolicy:
     backoff_base_s: float = 0.5
     backoff_factor: float = 2.0
     backoff_cap_s: float = 8.0
-    #: Recovery mode handed to ``SafeHome.recover`` ("replay" resumes
-    #: everything; "policy" lets each visibility model decide).
-    recovery: str = "replay"
 
     def backoff_s(self, attempt: int) -> float:
         """The journaled delay before restart ``attempt`` (1-based)."""
@@ -42,16 +40,12 @@ class SupervisionPolicy:
 
 @dataclass(frozen=True)
 class HomeDirective:
-    """One home's resolved orders: cohort settings plus its migration
-    step (``migrate_to == ""`` means no migration)."""
+    """One home's orders: its cohort, that cohort's setting overrides
+    (none on rollback) and its migration step (``migrate_to == ""``
+    means no migration)."""
 
-    home_id: int
     cohort: str
-    model: str
-    scheduler: str
-    execution: str
-    crashes: int
-    recovery: str
+    overrides: Tuple[Tuple[str, Any], ...] = ()
     migrate_to: str = ""
     migrate_at: float = 0.0
 
@@ -60,22 +54,5 @@ class HomeDirective:
 class ControlProgram:
     """Every directive of one control-loop spawn, keyed by home id."""
 
-    directives: Tuple[HomeDirective, ...]
+    directives: Dict[int, HomeDirective]
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
-
-    def directive_for(self, home_id: int) -> Optional[HomeDirective]:
-        index = self.__dict__.get("_by_home")
-        if index is None:
-            index = {d.home_id: d for d in self.directives}
-            # Frozen dataclasses still carry __dict__; memoize the
-            # lookup table there (rebuilt lazily after unpickling).
-            object.__setattr__(self, "_by_home", index)
-        return index.get(home_id)
-
-    def __getstate__(self) -> Dict:
-        return {"directives": self.directives,
-                "supervision": self.supervision}
-
-    def __setstate__(self, state: Dict) -> None:
-        object.__setattr__(self, "directives", state["directives"])
-        object.__setattr__(self, "supervision", state["supervision"])

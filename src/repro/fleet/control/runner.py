@@ -11,7 +11,6 @@ parent :class:`~repro.fleet.control.loop.ControlLoop` folds into the
 deterministic ops journal.
 """
 
-import dataclasses
 from typing import Any, Dict, List
 
 from repro.errors import MigrationError, RecoveryError
@@ -36,10 +35,10 @@ def _heal(home: SafeHome, policy: SupervisionPolicy, spec: HomeSpec,
           ops: List[Dict[str, Any]], restarts: int) -> int:
     """Restart a crashed home until healthy or out of budget.
 
-    Each attempt journals the virtual backoff the supervisor applies
-    (storm damping) and the post-restart health probe.  Returns the
-    updated total restart count; raises :class:`_Abandoned` when the
-    budget is exhausted.
+    Each attempt recovers in ``spec.recovery``, journaling the virtual
+    backoff the supervisor applies (storm damping) and the post-restart
+    health probe.  Returns the updated total restart count; raises
+    :class:`_Abandoned` when the budget is exhausted.
     """
     while home.crashed:
         restarts += 1
@@ -51,9 +50,9 @@ def _heal(home: SafeHome, policy: SupervisionPolicy, spec: HomeSpec,
         ops.append({"op": "restart", "home": spec.home_id,
                     "t": _now(home), "attempt": restarts,
                     "backoff_s": policy.backoff_s(restarts),
-                    "mode": policy.recovery})
+                    "mode": spec.recovery})
         try:
-            report = home.recover(mode=policy.recovery)
+            report = home.recover(mode=spec.recovery)
         except RecoveryError as exc:
             # recover() left the hub crashed with its WAL intact, so
             # the next attempt retries deterministically (and, being
@@ -95,20 +94,15 @@ def run_controlled_home(spec: HomeSpec, directive: HomeDirective,
                         policy: SupervisionPolicy) -> Dict[str, Any]:
     """Run one home under the control plane; return its metrics row.
 
-    The crash driver runs the spec's seeded crash schedule around the
-    directive's migration step, in virtual-time order.  Crashes are
-    healed by :func:`_heal`; an unfired crash (the queue drained
-    first) is cancelled before migrating so the replayed history stays
+    ``spec`` already carries the directive's cohort overrides.  The
+    crash driver runs its seeded crash schedule around the directive's
+    migration step, in virtual-time order.  Crashes are healed by
+    :func:`_heal`; an unfired crash (the queue drained first) is
+    cancelled before migrating so the replayed history stays
     crash-free past that point.  The row carries ``cohort``,
     ``restarts``, ``migrated``, the oracle verdict and the ``ops``
     journal on top of the standard fleet columns.
     """
-    # The directive carries the home's *resolved* cohort settings;
-    # they override whatever fleet-wide values the spec arrived with.
-    spec = dataclasses.replace(
-        spec, model=directive.model, scheduler=directive.scheduler,
-        execution=directive.execution, crashes=directive.crashes,
-        recovery=directive.recovery)
     workload = build_fleet_workload(spec.scenario, seed=spec.seed)
     durable = bool(spec.crashes) or bool(directive.migrate_to)
     home = SafeHome(visibility=spec.model, scheduler=spec.scheduler,

@@ -1,11 +1,10 @@
 """The fleet engine: N independent homes across a persistent worker pool.
 
-A fleet runs on one of the three pools in :data:`repro.fleet.pool.POOLS`:
+A fleet runs on one of the two pools in :data:`repro.fleet.pool.POOLS`:
 
 * ``serial``  — run every chunk inline (the reference backend);
-* ``thread``  — persistent thread workers (GIL-bound; correctness);
 * ``process`` — persistent process workers for multi-core throughput,
-  with the shared config broadcast once per worker and homes shipped as
+  with the config broadcast once per worker and homes shipped as
   compact ``(home_id, scenario, seed)`` tuples.
 
 All pools receive the same chunk plan and return per-home rows that are
@@ -27,12 +26,7 @@ from repro.fleet.pool import (AGGREGATE_MODES, POOLS, WorkerContext,
                               default_chunk_size, plan_chunks)
 from repro.fleet.spool import merge_spool, refuse_leftover_workers
 from repro.fleet.seeding import SeedSplitter
-from repro.fleet.sharding import (DEFAULT_CHECK_FINAL, DEFAULT_CRASHES,
-                                  DEFAULT_EXECUTION,
-                                  DEFAULT_EXHAUSTIVE_LIMIT,
-                                  DEFAULT_MAX_EVENTS, DEFAULT_MODEL,
-                                  DEFAULT_RECOVERY, DEFAULT_SCHEDULER,
-                                  HomeSpec)
+from repro.fleet.sharding import SETTINGS, HomeSpec, check_settings
 from repro.metrics.fleet import aggregate_homes, merge_accumulators
 from repro.workloads.fleet_mix import DEFAULT_MIX, scenario_for_home
 
@@ -51,15 +45,20 @@ def available_cpus() -> int:
 
 @dataclass
 class FleetConfig:
-    """Everything that defines a fleet run (and nothing else does)."""
+    """Everything that defines a fleet run (and nothing else does).
+
+    The per-home settings (:data:`~repro.fleet.sharding.SETTINGS`)
+    default to :class:`HomeSpec`'s own defaults and reach each home
+    only through :meth:`spec`.
+    """
 
     homes: int
     seed: int = 0
     scenario: str = "mix"           # "mix" cycles `mix`; else one name
     mix: Tuple[str, ...] = DEFAULT_MIX
-    model: str = DEFAULT_MODEL
-    scheduler: str = DEFAULT_SCHEDULER
-    execution: str = DEFAULT_EXECUTION
+    model: str = HomeSpec.model
+    scheduler: str = HomeSpec.scheduler
+    execution: str = HomeSpec.execution
     backend: str = "serial"
     workers: int = 0                # 0 = one per CPU (capped at homes)
     # Homes per dispatch chunk; 0 = ceil(homes / workers), the
@@ -68,12 +67,12 @@ class FleetConfig:
     # "exact" pools raw latency samples in the parent (byte-identical
     # default); "stream" merges per-chunk FleetAccumulator partials.
     aggregate: str = "exact"
-    check_final: bool = DEFAULT_CHECK_FINAL
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-    max_events: int = DEFAULT_MAX_EVENTS
+    check_final: bool = HomeSpec.check_final
+    exhaustive_limit: int = HomeSpec.exhaustive_limit
+    max_events: int = HomeSpec.max_events
     # Hub-crash chaos schedule, applied per home (see HomeSpec).
-    crashes: int = DEFAULT_CRASHES
-    recovery: str = DEFAULT_RECOVERY
+    crashes: int = HomeSpec.crashes
+    recovery: str = HomeSpec.recovery
     # Constant: partials travel pickled through the pool's result
     # channel.  Kept as a field only because the frozen perf ledger
     # passes it; validated in __post_init__ and read by nothing else.
@@ -91,8 +90,21 @@ class FleetConfig:
                 f"transport={self.transport!r} is not supported: the shm "
                 f"transport was removed, partials always travel pickled "
                 f"(drop the option)")
-        if self.crashes < 0:
-            raise ValueError(f"crashes must be >= 0, got {self.crashes}")
+        for key, allowed in (("backend", sorted(POOLS)),
+                             ("aggregate", AGGREGATE_MODES)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"{key}={getattr(self, key)!r} "
+                                 f"(pick from {list(allowed)})")
+        check_settings({name: getattr(self, name) for name in SETTINGS})
+
+    def spec(self, home_id: int, scenario: str, seed: int,
+             **overrides: Any) -> HomeSpec:
+        """The one builder of a home's recipe: this fleet's per-home
+        settings, with a cohort's (load-validated) ``overrides`` on
+        top."""
+        settings = {name: getattr(self, name) for name in SETTINGS}
+        settings.update(overrides)
+        return HomeSpec(home_id, scenario, seed, **settings)
 
     def effective_workers(self) -> int:
         workers = self.workers or available_cpus()
@@ -135,22 +147,6 @@ class FleetConfig:
         try:
             config = cls(**merged)
         except (TypeError, ValueError) as exc:
-            raise PlanError(f"bad fleet config: {exc}") from None
-        # Schema validation: every enumerable field must hold a known
-        # value *now*, not fail deep inside a worker pool later.
-        from repro.core.visibility import VisibilityModel
-        from repro.hub.durability.recovery import RECOVERY_MODES
-
-        for key, value, allowed in (
-                ("backend", config.backend, sorted(POOLS)),
-                ("aggregate", config.aggregate, sorted(AGGREGATE_MODES)),
-                ("recovery", config.recovery, sorted(RECOVERY_MODES))):
-            if value not in allowed:
-                raise PlanError(f"bad fleet config: {key}={value!r} "
-                                f"(pick from {allowed})")
-        try:
-            VisibilityModel.parse(config.model)
-        except ValueError as exc:
             raise PlanError(f"bad fleet config: {exc}") from None
         return config
 
@@ -198,11 +194,11 @@ class FleetResult:
             },
             "aggregate": self.aggregate,
         }
-        if self.config.execution != DEFAULT_EXECUTION:
+        if self.config.execution != HomeSpec.execution:
             # Included only when non-default so default fleet reports
             # stay byte-identical to pre-execution-core output.
             payload["fleet"]["execution"] = self.config.execution
-        if self.config.crashes != DEFAULT_CRASHES:
+        if self.config.crashes != HomeSpec.crashes:
             # Same rule for the hub-crash chaos schedule.
             payload["fleet"]["crashes"] = self.config.crashes
             payload["fleet"]["recovery"] = self.config.recovery
@@ -226,29 +222,10 @@ class FleetEngine:
     def __init__(self, config: FleetConfig) -> None:
         if config.homes <= 0:
             raise ValueError(f"fleet needs >= 1 home, got {config.homes}")
-        if config.backend not in POOLS:
-            raise ValueError(
-                f"unknown backend {config.backend!r}; pick from "
-                f"{sorted(POOLS)}")
-        if config.aggregate not in AGGREGATE_MODES:
-            raise ValueError(
-                f"unknown aggregate mode {config.aggregate!r}; "
-                f"pick from {AGGREGATE_MODES}")
         # Fail fast on bad scenario/mix names before spinning up a pool.
         scenario_for_home(0, config.scenario, config.mix)
         self.config = config
         self.splitter = SeedSplitter(master_seed=config.seed)
-
-    def context(self) -> WorkerContext:
-        """The per-run shared config broadcast once to every worker."""
-        config = self.config
-        return WorkerContext(
-            model=config.model, scheduler=config.scheduler,
-            execution=config.execution, check_final=config.check_final,
-            exhaustive_limit=config.exhaustive_limit,
-            max_events=config.max_events, crashes=config.crashes,
-            recovery=config.recovery, aggregate=config.aggregate,
-            wal_dir=config.wal_dir, profile_dir=config.profile_dir)
 
     def pool_workers(self, chunk_count: Optional[int] = None) -> int:
         """The worker count an actual pool spawn uses *right now*.
@@ -276,23 +253,7 @@ class FleetEngine:
 
     def specs(self) -> List[HomeSpec]:
         """The per-home specs: pure function of the config."""
-        config = self.config
-        return [
-            HomeSpec(
-                home_id=home_id,
-                scenario=scenario,
-                seed=seed,
-                model=config.model,
-                scheduler=config.scheduler,
-                execution=config.execution,
-                check_final=config.check_final,
-                exhaustive_limit=config.exhaustive_limit,
-                max_events=config.max_events,
-                crashes=config.crashes,
-                recovery=config.recovery,
-            )
-            for home_id, scenario, seed in self.tasks()
-        ]
+        return [self.config.spec(*task) for task in self.tasks()]
 
     def run(self) -> FleetResult:
         """Simulate the whole fleet and return rows + aggregate."""
@@ -308,7 +269,7 @@ class FleetEngine:
         # them (e.g. --workers 8 over 3 homes): idle workers only cost
         # startup.
         pool = POOLS[config.backend](self.pool_workers(len(chunks)))
-        results = pool.run(self.context(), chunks)
+        results = pool.run(WorkerContext(config), chunks)
         rows = sorted((row for result in results for row in result.rows),
                       key=lambda row: row["home_id"])
         if len(rows) != config.homes:

@@ -5,11 +5,10 @@ This module is the only way a fleet executes:
 * a :class:`WorkerPool` keeps its workers alive across *chunks* — the
   unit of dispatch is a tuple of compact :data:`HomeTask` triples
   ``(home_id, scenario, seed)``, not a pickled dataclass graph;
-* everything shared by every home (model, scheduler, execution
-  strategy, crash schedule, aggregation mode) is broadcast **once** per
-  worker as a :class:`WorkerContext` — for process pools via the
-  executor initializer, so per-chunk IPC stays a few dozen bytes per
-  home;
+* the fleet's config (and, under the control plane, its program) is
+  broadcast **once** per worker as a :class:`WorkerContext` — for
+  process pools via the executor initializer, so per-chunk IPC stays a
+  few dozen bytes per home;
 * each worker owns a :class:`~repro.fleet.worker.HomeFactory` that
   resets and re-seeds one ``SafeHome`` between homes instead of
   rebuilding the stack per home;
@@ -28,19 +27,15 @@ of a few homes or more.
 """
 
 import atexit
-import threading
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.fleet.sharding import (DEFAULT_CHECK_FINAL, DEFAULT_CRASHES,
-                                  DEFAULT_EXECUTION,
-                                  DEFAULT_EXHAUSTIVE_LIMIT,
-                                  DEFAULT_MAX_EVENTS, DEFAULT_MODEL,
-                                  DEFAULT_RECOVERY, DEFAULT_SCHEDULER)
-from repro.metrics.fleet import (DEFAULT_LATENCY_RESOLUTION,
-                                 FleetAccumulator, accumulate_rows,
+from repro.metrics.fleet import (FleetAccumulator, accumulate_rows,
                                  strip_latencies)
+
+if TYPE_CHECKING:  # the engine imports this module
+    from repro.fleet.engine import FleetConfig
 
 #: One home's worth of dispatch payload: ``(home_id, scenario, seed)``.
 HomeTask = Tuple[int, str, int]
@@ -55,23 +50,11 @@ class WorkerContext:
 
     Broadcast once per worker (process pools ship it through the
     executor initializer); together with a :data:`HomeTask` it fully
-    determines one home's simulation.
+    determines one home's simulation (``config.spec`` builds the
+    recipe).
     """
 
-    model: str = DEFAULT_MODEL
-    scheduler: str = DEFAULT_SCHEDULER
-    execution: str = DEFAULT_EXECUTION
-    check_final: bool = DEFAULT_CHECK_FINAL
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-    max_events: int = DEFAULT_MAX_EVENTS
-    crashes: int = DEFAULT_CRASHES
-    recovery: str = DEFAULT_RECOVERY
-    aggregate: str = "exact"
-    resolution: float = DEFAULT_LATENCY_RESOLUTION
-    #: Durable-fleet WAL spool directory ("" disables spooling).
-    wal_dir: str = ""
-    #: Per-worker cProfile dump directory ("" disables profiling).
-    profile_dir: str = ""
+    config: "FleetConfig"
     #: Control-plane program (a :class:`repro.fleet.control.program.
     #: ControlProgram`) routing directive-carrying homes through the
     #: supervised runner; ``None`` for plain fleet runs.  Typed loosely
@@ -112,8 +95,8 @@ def process_chunk(context: WorkerContext, chunk_id: int,
                   chunk: Tuple[HomeTask, ...], factory) -> ChunkResult:
     """Simulate one chunk on one worker (shared by every pool kind)."""
     rows = [factory.run_task(task) for task in chunk]
-    if context.aggregate == "stream":
-        partial = accumulate_rows(rows, context.resolution)
+    if context.config.aggregate == "stream":
+        partial = accumulate_rows(rows)
         return ChunkResult(chunk_id, strip_latencies(rows), partial)
     return ChunkResult(chunk_id, rows, None)
 
@@ -148,33 +131,6 @@ class SerialPool(WorkerPool):
                 for chunk_id, chunk in enumerate(chunks)]
 
 
-class ThreadPool(WorkerPool):
-    """Thread workers with one :class:`HomeFactory` per thread.
-
-    Simulations are pure Python, so the GIL serializes compute — this
-    is primarily a correctness backend that shakes out shared-state
-    bugs; homes never share a factory across threads.
-    """
-
-    name = "thread"
-
-    def run(self, context: WorkerContext,
-            chunks: List[Tuple[HomeTask, ...]]) -> List[ChunkResult]:
-        from repro.fleet.worker import HomeFactory
-
-        local = threading.local()
-
-        def work(item: Tuple[int, Tuple[HomeTask, ...]]) -> ChunkResult:
-            factory = getattr(local, "factory", None)
-            if factory is None:
-                factory = local.factory = HomeFactory(context)
-            return process_chunk(context, item[0], item[1], factory)
-
-        with futures.ThreadPoolExecutor(
-                max_workers=self.workers) as pool:
-            return list(pool.map(work, enumerate(chunks)))
-
-
 class ProcessPool(WorkerPool):
     """Process workers for real multi-core throughput.
 
@@ -205,8 +161,8 @@ def _process_worker_init(context: WorkerContext) -> None:
 
     _PROCESS_STATE["context"] = context
     _PROCESS_STATE["factory"] = HomeFactory(context)
-    if context.profile_dir:
-        _start_worker_profile(context.profile_dir)
+    if context.config.profile_dir:
+        _start_worker_profile(context.config.profile_dir)
 
 
 def _at_worker_exit(callback) -> None:
@@ -249,10 +205,9 @@ def _process_worker_chunk(
                          _PROCESS_STATE["factory"])
 
 
-#: The three pools a fleet can run on: name → WorkerPool subclass.
+#: The two pools a fleet can run on: name → WorkerPool subclass.
 POOLS: Dict[str, type] = {
     SerialPool.name: SerialPool,
-    ThreadPool.name: ThreadPool,
     ProcessPool.name: ProcessPool,
 }
 

@@ -1,25 +1,19 @@
-"""The per-home recipe and the simulation defaults it shares.
+"""The per-home recipe: one declaration, one validator.
 
 A :class:`HomeSpec` is the complete, picklable recipe for one home —
-scenario name, derived seed, visibility model, scheduler — so workers
-rebuild the workload locally instead of shipping simulator objects
-across the pool.  Which worker simulates which homes is decided by the
-chunk plan in :mod:`repro.fleet.pool`.
+scenario, derived seed and the per-home :data:`SETTINGS` — so workers
+rebuild the workload locally instead of shipping simulator objects.
+Its field defaults are the fleet's defaults, and ``FleetConfig.spec``
+is the one builder of specs.
 """
 
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Mapping
 
-# Per-home simulation defaults, shared verbatim by FleetConfig so a
-# bare HomeSpec and a fleet-derived one can never drift apart.
-DEFAULT_MODEL = "ev"
-DEFAULT_SCHEDULER = "timeline"
-DEFAULT_EXECUTION = "serial"
-DEFAULT_CHECK_FINAL = True
-DEFAULT_EXHAUSTIVE_LIMIT = 7
-DEFAULT_MAX_EVENTS = 5_000_000
-DEFAULT_CRASHES = 0             # hub crashes per home (0 = no chaos)
-DEFAULT_RECOVERY = "replay"     # hub recovery mode when crashes > 0
+#: The per-home settings: set fleet-wide on FleetConfig, overridden
+#: per cohort by a plan, and carried to the worker only by HomeSpec.
+SETTINGS = ("model", "scheduler", "execution", "check_final",
+            "exhaustive_limit", "max_events", "crashes", "recovery")
 
 
 @dataclass(frozen=True)
@@ -29,18 +23,18 @@ class HomeSpec:
     home_id: int
     scenario: str
     seed: int
-    model: str = DEFAULT_MODEL
-    scheduler: str = DEFAULT_SCHEDULER
-    execution: str = DEFAULT_EXECUTION
-    check_final: bool = DEFAULT_CHECK_FINAL
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-    max_events: int = DEFAULT_MAX_EVENTS
+    model: str = "ev"
+    scheduler: str = "timeline"
+    execution: str = "serial"
+    check_final: bool = True
+    exhaustive_limit: int = 7
+    max_events: int = 5_000_000
     # Hub-crash chaos: crash the home's hub this many times at
     # seed-derived virtual times and recover in `recovery` mode (see
     # docs/durability.md).  0 keeps the home non-durable and the row
     # byte-identical to pre-durability fleets.
-    crashes: int = DEFAULT_CRASHES
-    recovery: str = DEFAULT_RECOVERY
+    crashes: int = 0
+    recovery: str = "replay"
 
     @classmethod
     def from_plan(cls, data: Mapping[str, Any]) -> "HomeSpec":
@@ -67,3 +61,29 @@ class HomeSpec:
         :meth:`from_plan`)."""
         return asdict(self)
 
+
+def check_settings(settings: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` unless every per-home setting present in
+    ``settings`` holds a value the hub accepts.
+
+    Runs once per ``FleetConfig`` and once per cohort's overrides —
+    never per home — so a bad plan fails at load, not inside a pool.
+    """
+    from repro.core.execution.plan import STRATEGIES
+    from repro.core.schedulers import _SCHEDULERS
+    from repro.core.visibility import VisibilityModel
+    from repro.hub.durability.recovery import RECOVERY_MODES
+
+    if "model" in settings:
+        VisibilityModel.parse(str(settings["model"]))
+    for key, allowed, value in (
+            ("scheduler", sorted(_SCHEDULERS),
+             str(settings.get("scheduler", "")).lower()),
+            ("execution", STRATEGIES, settings.get("execution")),
+            ("recovery", RECOVERY_MODES, settings.get("recovery"))):
+        if key in settings and value not in allowed:
+            raise ValueError(f"{key}={settings[key]!r} "
+                             f"(pick from {list(allowed)})")
+    crashes = settings.get("crashes", 0)
+    if type(crashes) is not int or crashes < 0:
+        raise ValueError(f"crashes must be >= 0, got {crashes!r}")

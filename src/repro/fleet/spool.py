@@ -73,9 +73,9 @@ def refuse_leftover_workers(wal_dir: str) -> None:
 class SpoolWriter:
     """One worker's append-only file of home log images.
 
-    The file name is unique per (process, thread) so serial, thread and
-    process pools all spool without coordination; the handle stays open
-    across homes and is flushed per home.
+    The file name is unique per (process, thread) so every pool's
+    workers spool without coordination; the handle stays open across
+    homes and is flushed per home.
     """
 
     def __init__(self, wal_dir: str) -> None:

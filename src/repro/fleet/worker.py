@@ -34,8 +34,8 @@ class HomeFactory:
     """Build-or-reuse one ``SafeHome`` per worker.
 
     The first task constructs the hub; every later task ``reset()``s
-    it with the next home's seed.  The context fixes everything else
-    (model, scheduler, execution, durability), so a reset hub is
+    it with the next home's seed.  The fleet config fixes everything
+    else (model, scheduler, execution, durability), so a reset hub is
     byte-equivalent to a fresh one — the equivalence property test in
     ``tests/test_fleet.py`` pins that across all visibility models.
     """
@@ -45,49 +45,39 @@ class HomeFactory:
         self._home: Optional[SafeHome] = None
         self._spool: Optional[SpoolWriter] = None
 
-    def acquire(self, seed: int) -> SafeHome:
-        """A hub seeded for the next home (fresh once, then reused)."""
-        context = self.context
+    def acquire(self, spec: HomeSpec) -> SafeHome:
+        """A hub seeded for ``spec`` (fresh once, then reused)."""
         # A WAL spool directory forces durability even without a crash
         # schedule: the spooled WAL is the durable artifact itself.
-        durability = bool(context.crashes) or bool(context.wal_dir)
+        durability = bool(spec.crashes) or bool(self.context.config.wal_dir)
         home = self._home
         if home is None:
             home = self._home = SafeHome(
-                visibility=context.model, scheduler=context.scheduler,
-                execution=context.execution, seed=seed,
+                visibility=spec.model, scheduler=spec.scheduler,
+                execution=spec.execution, seed=spec.seed,
                 durability=durability)
             return home
-        return home.reset(seed=seed, durability=durability)
+        return home.reset(seed=spec.seed, durability=durability)
 
     def run_task(self, task) -> Dict[str, Any]:
         """Simulate one compact ``(home_id, scenario, seed)`` task."""
         home_id, scenario, seed = task
-        context = self.context
-        spec = HomeSpec(
-            home_id=home_id, scenario=scenario, seed=seed,
-            model=context.model, scheduler=context.scheduler,
-            execution=context.execution,
-            check_final=context.check_final,
-            exhaustive_limit=context.exhaustive_limit,
-            max_events=context.max_events,
-            crashes=context.crashes, recovery=context.recovery)
-        control = context.control
-        if control is not None:
-            directive = control.directive_for(home_id)
-            if directive is not None:
-                # Controlled homes (supervision / live migration /
-                # cohort overrides) run outside the reuse path: the
-                # runner owns the whole hub lifecycle.
-                from repro.fleet.control.runner import run_controlled_home
+        config, control = self.context.config, self.context.control
+        directive = control.directives.get(home_id) if control else None
+        if directive is not None:
+            # Controlled homes (supervision / live migration / cohort
+            # overrides) run outside the reuse path: the runner owns
+            # the whole hub lifecycle.
+            from repro.fleet.control.runner import run_controlled_home
 
-                return run_controlled_home(spec, directive,
-                                           control.supervision)
-        home = self.acquire(seed)
+            spec = config.spec(*task, **dict(directive.overrides))
+            return run_controlled_home(spec, directive, control.supervision)
+        spec = config.spec(*task)
+        home = self.acquire(spec)
         row = run_home(spec, home=home)
-        if context.wal_dir:
+        if config.wal_dir:
             if self._spool is None:
-                self._spool = SpoolWriter(context.wal_dir)
+                self._spool = SpoolWriter(config.wal_dir)
             self._spool.write(home_wal_record(home_id, scenario, seed,
                                               home))
         return row

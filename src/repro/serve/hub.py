@@ -52,13 +52,8 @@ class ServeConfig:
 
     speedup: float = math.inf       # virtual s per wall s; inf = virtual-paced
     queue_capacity: int = 64        # per-tenant admission queue bound
-    retry_after_s: float = 0.05     # base backoff hint per queued request
     admit_batch: int = 16           # admissions per loop iteration
     window_s: float = 60.0          # rolling SLO window (virtual seconds)
-    window_buckets: int = 6
-    resolution: float = 1e-3        # latency histogram bin width (s)
-    poll_s: float = 0.002           # idle sleep bound (real-time mode)
-    max_total_events: Optional[int] = None   # per-home livelock valve
 
 
 def _resolve(home: SafeHome,
@@ -118,16 +113,11 @@ class ServeHub:
         self.homes: Dict[str, SafeHome] = dict(homes)
         self._home_order = list(self.homes)
         self.drivers: Dict[str, RealTimeDriver] = {
-            name: RealTimeDriver(home, self.config.speedup,
-                                 poll_s=self.config.poll_s)
+            name: RealTimeDriver(home, self.config.speedup)
             for name, home in self.homes.items()}
         self.admission = AdmissionControl(
-            capacity=self.config.queue_capacity,
-            retry_after_s=self.config.retry_after_s)
-        self.latency = LatencyTracker(
-            window_s=self.config.window_s,
-            buckets=self.config.window_buckets,
-            resolution=self.config.resolution)
+            capacity=self.config.queue_capacity)
+        self.latency = LatencyTracker(window_s=self.config.window_s)
         # One lock guards queues, tickets, counters and state; the
         # serve loop holds it only for short bookkeeping sections, so
         # submit() from client threads never blocks on a sim pump.
@@ -226,8 +216,7 @@ class ServeHub:
     def _pump_all(self) -> int:
         events = 0
         for name in self._home_order:
-            events += self.drivers[name].pump(
-                max_events=self.config.max_total_events)
+            events += self.drivers[name].pump()
             if self.homes[name].crashed:     # queued tickets stay queued
                 raise HubCrashedError(f"served home {name!r} crashed")
         return events
@@ -282,11 +271,11 @@ class ServeHub:
                 if state == "draining" and not admitted and not events \
                         and self._idle():
                     break
-                if not admitted and not events \
-                        and self.drivers[self._home_order[0]].virtual_paced:
+                lead = self.drivers[self._home_order[0]]
+                if not admitted and not events and lead.virtual_paced:
                     # Virtual-paced + threaded: nothing to do until a
                     # client enqueues; don't spin.
-                    threading.Event().wait(self.config.poll_s)
+                    threading.Event().wait(lead.poll_s)
         except HubCrashedError as error:
             self._error = error          # shutdown() re-raises it
         with self._lock:

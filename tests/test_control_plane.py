@@ -6,8 +6,10 @@ The design contract under test: a ``repro-fleet-plan/1`` file is the
 restarts, migrations, rollbacks).
 """
 
+import hashlib
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.fleet.control import (CanarySpec, Cohort, ControlLoop,
                                  apply_plan, assign_cohorts, load_plan)
 
 BASE_FLEET = {"homes": 8, "seed": 42, "model": "wv", "scenario": "mix"}
+EXAMPLE_PLAN = (Path(__file__).resolve().parent.parent / "examples"
+                / "plans" / "canary-migration.json")
 
 
 def _plan(**kwargs):
@@ -60,6 +64,15 @@ def test_plan_round_trips_through_json():
     (lambda d: d.update(canary={"cohort": "ghosts"}), "ghosts"),
     (lambda d: d.update(supervision={"max_restarts": 0}), "max_restarts"),
     (lambda d: d.update(supervision={"restartz": 1}), "unknown"),
+    (lambda d: d["supervision"].update(recovery="policy"),
+     "fleet.recovery"),
+    # Per-home settings a worker would only trip over mid-run.
+    (lambda d: d["fleet"].update(scheduler="bogus"), "scheduler='bogus'"),
+    (lambda d: d["fleet"].update(execution="zzz"), "execution='zzz'"),
+    (lambda d: d["cohorts"][0]["overrides"].update(scheduler="bogus"),
+     "cohort 'migrators': scheduler='bogus'"),
+    (lambda d: d["cohorts"][0]["overrides"].update(execution="zzz"),
+     "cohort 'migrators': execution='zzz'"),
 ])
 def test_invalid_plans_are_rejected(mutate, match):
     data = _plan().to_dict()
@@ -149,13 +162,14 @@ def test_backoff_grows_geometrically_and_caps():
 
 def test_control_program_pickles_for_process_workers():
     program = ControlProgram(
-        directives=(HomeDirective(home_id=0, cohort="stable", model="ev",
-                                  scheduler="timeline", execution="serial",
-                                  crashes=0, recovery="replay"),),
-        supervision=SupervisionPolicy())
+        directives={0: HomeDirective(cohort="canary",
+                                     overrides=(("model", "ev"),),
+                                     migrate_to="gsv", migrate_at=5.0)},
+        supervision=SupervisionPolicy(max_restarts=2))
     clone = pickle.loads(pickle.dumps(program))
-    assert clone.directive_for(0).model == "ev"
-    assert clone.directive_for(99) is None
+    assert clone == program
+    assert dict(clone.directives[0].overrides) == {"model": "ev"}
+    assert 99 not in clone.directives
 
 
 # -- ops log -------------------------------------------------------------------
@@ -371,16 +385,44 @@ def test_cli_fleet_ops_apply_rejects_invalid_plan(tmp_path, capsys):
     assert "reserved" in capsys.readouterr().err
 
 
-def test_serial_and_thread_backends_agree():
+def test_serial_and_process_backends_agree():
     serial = ControlLoop(_plan()).run()
-    threaded = ControlLoop(_plan(
-        fleet=dict(BASE_FLEET, backend="thread", workers=3))).run()
-    strip = ("backend", "workers")
-    serial_fleet = dict(serial.plan.fleet)
-    threaded_fleet = dict(threaded.plan.fleet)
-    for key in strip:
-        serial_fleet.pop(key, None)
-        threaded_fleet.pop(key, None)
-    assert [{k: v for k, v in row.items()} for row in serial.rows] == \
-        [{k: v for k, v in row.items()} for row in threaded.rows]
-    assert serial.cohorts == threaded.cohorts
+    pooled = ControlLoop(_plan(
+        fleet=dict(BASE_FLEET, backend="process", workers=2))).run()
+    assert serial.rows == pooled.rows
+    assert serial.cohorts == pooled.cohorts
+
+
+# -- one recipe: cohort overrides reach the worker -----------------------------
+
+
+def _recovery_plan(mode):
+    return FleetPlan.from_dict({
+        "version": "repro-fleet-plan/1",
+        "fleet": {"homes": 12, "seed": 5, "model": "gsv", "crashes": 2,
+                  "check_final": False},
+        "cohorts": [{"name": "all", "fraction": 1.0,
+                     "overrides": {"recovery": mode}}]})
+
+
+def test_a_cohort_recovery_override_reaches_the_supervisor():
+    """Regression: the supervisor recovered in its own policy's mode,
+    so a cohort's ``recovery`` override was silently ignored."""
+    replay = ControlLoop(_recovery_plan("replay")).run()
+    policy = ControlLoop(_recovery_plan("policy")).run()
+    modes = {e["mode"] for e in policy.ops if e["op"] == "restart"}
+    assert modes == {"policy"}
+    assert {e["mode"] for e in replay.ops if e["op"] == "restart"} == \
+        {"replay"}
+    assert policy.rows != replay.rows
+
+
+def test_example_plan_ops_journal_is_pinned(tmp_path):
+    """The example plan's journal, byte for byte: CI compares two runs
+    of one commit, this compares every commit with the same bytes."""
+    ops_path = tmp_path / "ops.jsonl"
+    apply_plan(str(EXAMPLE_PLAN), ops_path=str(ops_path))
+    journal = ops_path.read_bytes()
+    assert journal.count(b"\n") == 70
+    assert hashlib.sha256(journal).hexdigest() == (
+        "fdf0c1a14c86546f9cafa05cbb8f3a3d0d61095fb543813a13b678053a5bda8f")

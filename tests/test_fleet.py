@@ -96,7 +96,7 @@ def test_different_seeds_differ():
     assert one.to_json() != two.to_json()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backends_match_serial_bytes(backend):
     serial = run_fleet(6, seed=11)
     pooled = run_fleet(6, seed=11, backend=backend, workers=3)
@@ -106,7 +106,7 @@ def test_backends_match_serial_bytes(backend):
 def test_worker_count_does_not_change_output():
     one = run_fleet(5, seed=3, scenario="cooling", workers=1)
     five = run_fleet(5, seed=3, scenario="cooling", workers=5,
-                     backend="thread")
+                     backend="process")
     assert one.to_json(per_home=True) == five.to_json(per_home=True)
 
 
@@ -236,7 +236,7 @@ class TestChunkedShardingDeterminism:
         return run_fleet(self.HOMES, seed=13,
                          scenario="cooling").to_json(per_home=True)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("chunk", [1, 7, HOMES])
     def test_grid_matches_reference_bytes(self, backend, workers, chunk):
@@ -305,9 +305,8 @@ class TestStreamingAggregation:
     def test_stream_json_deterministic_across_backends_at_fixed_chunk(self):
         kwargs = dict(seed=4, aggregate="stream", chunk=2)
         one = run_fleet(6, **kwargs)
-        two = run_fleet(6, backend="thread", workers=3, **kwargs)
-        three = run_fleet(6, backend="process", workers=2, **kwargs)
-        assert one.to_json() == two.to_json() == three.to_json()
+        two = run_fleet(6, backend="process", workers=2, **kwargs)
+        assert one.to_json() == two.to_json()
         # The layout knobs are stamped into the payload.
         payload = json.loads(one.to_json())
         assert payload["fleet"]["aggregate"] == "stream"
@@ -343,10 +342,11 @@ class TestHomeFactoryResetEquivalence:
 
     @pytest.mark.parametrize("model", ["wv", "gsv", "psv", "ev", "occ"])
     def test_reset_vs_fresh_rows_identical_per_model(self, model):
-        from repro.fleet import HomeFactory, HomeSpec, WorkerContext
+        from repro.fleet import (FleetConfig, HomeFactory, HomeSpec,
+                                 WorkerContext)
 
-        context = WorkerContext(model=model)
-        factory = HomeFactory(context)
+        factory = HomeFactory(WorkerContext(FleetConfig(homes=3,
+                                                        model=model)))
         # Warm the factory on two different homes first so the third
         # row comes from a twice-reset, reused stack.
         for home_id in (0, 1):
@@ -359,10 +359,11 @@ class TestHomeFactoryResetEquivalence:
         assert reused_row == fresh_row
 
     def test_reset_vs_fresh_with_durability_and_crashes(self):
-        from repro.fleet import HomeFactory, HomeSpec, WorkerContext
+        from repro.fleet import (FleetConfig, HomeFactory, HomeSpec,
+                                 WorkerContext)
 
-        context = WorkerContext(model="ev", crashes=2)
-        factory = HomeFactory(context)
+        factory = HomeFactory(WorkerContext(FleetConfig(
+            homes=2, model="ev", crashes=2)))
         factory.run_task((0, "cooling", home_seed(2, 0)))
         reused_row = factory.run_task((1, "morning", home_seed(2, 1)))
         fresh_row = run_home(HomeSpec(

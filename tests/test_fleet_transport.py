@@ -74,9 +74,9 @@ class TestWalSpooling:
         reference = ((tmp_path / "serial" / MERGED_NAME).read_bytes(),
                      (tmp_path / "serial" / INDEX_NAME).read_bytes())
         for name, overrides in (
-                ("thread", dict(backend="thread", workers=4, chunk=1)),
                 ("process", dict(backend="process", workers=2, chunk=2)),
-                ("wide", dict(backend="process", workers=3, chunk=1))):
+                ("wide", dict(backend="process", workers=3, chunk=1)),
+                ("wider", dict(backend="process", workers=4, chunk=1))):
             self.run_spooled(tmp_path, name, **overrides)
             assert (tmp_path / name / MERGED_NAME).read_bytes() \
                 == reference[0]
@@ -243,7 +243,7 @@ class TestWorkerClamp:
 
     def test_more_workers_than_homes_still_correct(self):
         reference = run_fleet(3, seed=2).to_json(per_home=True)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             wide = run_fleet(3, seed=2, backend=backend,
                              workers=8).to_json(per_home=True)
             assert wide == reference, backend

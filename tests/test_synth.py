@@ -108,14 +108,14 @@ class TestReplayDeterminism:
     @settings(max_examples=3)
     def test_fleet_backend_grid_byte_identical(self, spec):
         """A synthesized fleet is a pure function of its config: the
-        serial, thread and process backends — across chunk sizes —
+        serial and process backends — across chunk sizes —
         produce byte-identical JSON."""
         name = spec.encode()
         base = FleetConfig(homes=4, seed=17, scenario=name,
                            check_final=False)
         reference = FleetEngine(base).run().to_json(per_home=True)
-        for backend, chunk in (("thread", 1), ("thread", 0),
-                               ("process", 2), ("process", 0)):
+        for backend, chunk in (("process", 1), ("process", 2),
+                               ("process", 0)):
             config = dataclasses.replace(base, backend=backend,
                                          workers=2, chunk=chunk)
             assert FleetEngine(config).run().to_json(per_home=True) \
