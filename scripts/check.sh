@@ -60,6 +60,13 @@ echo "report-path passes equal their reference definitions"
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=17 tests/test_closure_equivalence.py
 echo "EV's maintained closure equals its from-scratch definition"
+# A run walks its routine's compiled command DAG on counters, and EV's
+# parallel pump wakes only the runs blocked on a released device: both
+# equal the per-run edge-set DAG and the full-scan pump they replaced
+# (drawn command lists and walks; EV-parallel micro homes).
+REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=36 tests/test_plan_equivalence.py
+echo "counter plans and the indexed pump equal their reference definitions"
 # Every model that promises serializability keeps it: 200 seeded micro
 # homes x {gsv, psv, occ, ev/timeline, ev/jit} x both plans, every run
 # judged by the oracle; under EV neither the retained order nor the

@@ -60,10 +60,10 @@ class EventualVisibilityController(PlanExecutionMixin):
         self.table = LineageTable(
             committed_lookup=lambda d: self.registry.get(d).state)
         self._revocations: Dict[Tuple[int, int], Event] = {}
-        # Serial-pump waiting index: device id -> {routine_id: run} of
-        # runs whose next command is lock-blocked on that device.  A
-        # release pumps exactly these candidates (in submission order)
-        # instead of scanning every run in the home; see _pump_released.
+        # Waiting index: device id -> {routine_id: run} of runs with a
+        # command lock-blocked on that device.  A release pumps exactly
+        # these candidates (in submission order) instead of scanning
+        # every run in the home; see _pump_released.
         self._waiters: Dict[int, Dict[int, RoutineRun]] = {}
         self.scheduler = self._make_scheduler()
         self.scheduler_stats: Dict[str, float] = {
@@ -196,9 +196,9 @@ class EventualVisibilityController(PlanExecutionMixin):
     def _pump(self, run: RoutineRun) -> None:
         """Advance a routine if its next command's lock is available.
 
-        Called for every active routine on every lock release, so the
-        guards use direct attribute loads (status/inflight_count)
-        rather than the equivalent convenience properties.
+        Called for every waiter of a released device, so the guards
+        use direct attribute loads (status/inflight_count) rather than
+        the equivalent convenience properties.
         """
         if self._parallel_flag:
             # The plan dispatcher issues every ready command whose
@@ -220,12 +220,7 @@ class EventualVisibilityController(PlanExecutionMixin):
             if not lineage.try_acquire(entry, self.sim.now,
                                        finished=self.is_finished,
                                        wants_read=entry.reads):
-                # Blocked: register so the next release on this device
-                # pumps us again (stale entries are filtered on pump).
-                waiting = self._waiters.get(command.device_id)
-                if waiting is None:
-                    waiting = self._waiters[command.device_id] = {}
-                waiting[run.routine_id] = run
+                self._wait_for(run, command.device_id)
                 return
             if self.journal is not None:
                 self._journal("lineage-acquired",
@@ -237,32 +232,30 @@ class EventualVisibilityController(PlanExecutionMixin):
         run.next_index += 1
         self._issue_command(run, command, self._after_command)
 
-    def _pump_all(self) -> None:
-        # Snapshot of the full run list, filtered inline: _pump's first
-        # guard skips finished runs, so this is trace-equivalent to
-        # iterating active_runs() without building the filtered list.
-        for run in list(self.runs):
-            if not run.status.finished:
-                self._pump(run)
+    def _wait_for(self, run: RoutineRun, device_id: int) -> None:
+        """A command of ``run`` is lock-blocked on ``device_id``: the
+        next release of the device pumps it again (stale entries are
+        filtered on pump)."""
+        waiting = self._waiters.get(device_id)
+        if waiting is None:
+            waiting = self._waiters[device_id] = {}
+        waiting[run.routine_id] = run
 
     def _pump_released(self, device_ids,
                        also: Optional[RoutineRun] = None) -> None:
         """Pump the runs lock-blocked on the just-released devices.
 
-        Trace-equivalent to the old full `_pump_all` scan: a serial-mode
-        pump is a no-op unless the run's next command can acquire its
-        lineage entry, and the only runs a release can newly enable are
-        the registered waiters of the released devices — plus, on a
-        post-lease mid-routine release, the releasing run itself
-        (``also``), whose next command the full scan used to issue from
-        its slot in the run list.  Candidates are pumped in submission
-        order (ascending routine id), exactly the order the full scan
-        visited them.  Parallel mode keeps the full scan — plan-DAG
-        readiness is not indexed by device.
+        Trace-equivalent to pumping every unfinished run: a pump issues
+        nothing unless one of the run's ready commands (the next one of
+        a serial chain, any ready plan node of a parallel plan) can
+        acquire its lineage entry, and the only runs a release can newly
+        enable are the registered waiters of the released devices —
+        plus, on a post-lease mid-routine release, the releasing run
+        itself (``also``), which a full scan would pump from its slot in
+        the run list.  Candidates are pumped in submission order
+        (ascending routine id), exactly the order a full scan visits
+        them.
         """
-        if self._parallel_flag:
-            self._pump_all()
-            return
         waiters = self._waiters
         candidates: Optional[Dict[int, RoutineRun]] = None
         for device_id in device_ids:
@@ -302,6 +295,7 @@ class EventualVisibilityController(PlanExecutionMixin):
             if not lineage.try_acquire(entry, self.sim.now,
                                        finished=self.is_finished,
                                        wants_read=entry.reads):
+                self._wait_for(run, command.device_id)
                 return False
             if self.journal is not None:
                 self._journal("lineage-acquired",

@@ -10,10 +10,11 @@ routine's commands lives here:
   detection with deterministic victim selection, leniency-scaled lease
   expiry), extracted from the lock/lease bookkeeping the GSV/PSV/EV
   controllers used to re-implement individually;
-* :mod:`~repro.core.execution.plan` — :class:`CommandPlan`, the
-  compiler from a routine's command list to a dependency DAG (the
-  ``serial`` strategy is a chain; ``parallel`` keeps program order per
-  device and lets disjoint devices proceed concurrently);
+* :mod:`~repro.core.execution.plan` — the compiler from a routine's
+  command list to a dependency DAG (the ``serial`` strategy is a chain;
+  ``parallel`` keeps program order per device and lets disjoint devices
+  proceed concurrently), and :class:`CommandPlan`, one run's progress
+  through it;
 * :mod:`~repro.core.execution.queues` — :class:`DeviceQueues`, a
   per-device FIFO of in-flight executions so the driver and failure
   detector always observe one writer at a time per device;
@@ -24,12 +25,10 @@ routine's commands lives here:
 from repro.core.execution.engine import PlanExecutionMixin
 from repro.core.execution.locks import (LockGrant, LockMode, LockTable,
                                         lease_deadline)
-from repro.core.execution.plan import (CommandPlan, NodeState, PlanNode,
-                                       compile_plan)
+from repro.core.execution.plan import CommandPlan, NodeState
 from repro.core.execution.queues import DeviceQueues
 
 __all__ = [
     "CommandPlan", "DeviceQueues", "LockGrant", "LockMode", "LockTable",
-    "NodeState", "PlanExecutionMixin", "PlanNode", "compile_plan",
-    "lease_deadline",
+    "NodeState", "PlanExecutionMixin", "lease_deadline",
 ]

@@ -7,10 +7,11 @@ mechanisms:
 * the **serial chain** — the command-after-command driver, kept
   bit-compatible because the paper's experiments (and every seeded
   baseline report) execute routines strictly in order;
-* the **parallel dispatcher** — compiles the routine into a
-  :class:`~repro.core.execution.plan.CommandPlan` DAG and issues every
-  ready command whose device the policy lets it claim, through the
-  per-device :class:`~repro.core.execution.queues.DeviceQueues` FIFO;
+* the **parallel dispatcher** — runs the routine's compiled command
+  DAG on a per-run :class:`~repro.core.execution.plan.CommandPlan` and
+  issues every ready command whose device the policy lets it claim,
+  through the per-device
+  :class:`~repro.core.execution.queues.DeviceQueues` FIFO;
 * **lock-table admission** — the helper GSV and PSV use to express
   their admission rules as acquisitions against the shared
   :class:`~repro.core.execution.locks.LockTable` (with the wait-for
@@ -30,7 +31,7 @@ from typing import List, Sequence
 from repro.core.command import CommandExecution
 from repro.core.controller import Controller, RoutineRun
 from repro.core.execution.locks import LockMode, LockTable
-from repro.core.execution.plan import STRATEGIES, CommandPlan, NodeState
+from repro.core.execution.plan import READY, STRATEGIES, CommandPlan
 from repro.core.execution.queues import DeviceQueues
 
 
@@ -65,14 +66,6 @@ class PlanExecutionMixin(Controller):
 
     def _parallel_enabled(self) -> bool:
         return self._parallel_flag
-
-    def _plan_for(self, run: RoutineRun) -> CommandPlan:
-        if run.plan is None:
-            run.plan = CommandPlan(run.commands,
-                                   strategy=self.config.execution,
-                                   now=self.sim.now)
-            self._changed(run)  # JiT compiles it before placing the run
-        return run.plan
 
     # -- serial chain (bit-compatible with the seeded baseline reports) -------
 
@@ -113,24 +106,30 @@ class PlanExecutionMixin(Controller):
 
     def _dispatch(self, run: RoutineRun) -> None:
         """Issue every ready plan node whose device the policy grants."""
-        if run.done or run.abort_pending:
+        if run.status.finished or run.abort_pending:
             return
-        plan = self._plan_for(run)
-        for index in plan.ready_indexes():
-            if plan.nodes[index].state is not NodeState.READY:
+        plan = run.plan
+        if plan is None:    # the run's first dispatch: it has arrived
+            plan = run.plan = CommandPlan(run.routine, self.config.execution,
+                                          self.sim.now)
+            self._changed(run)  # no observation need name it
+        state, commands = plan.state, run.routine.commands
+        for index in plan.ready[:]:
+            if state[index] is not READY:
                 # A believed-failed device resolves its command
                 # synchronously, so issuing one node can re-enter
                 # _dispatch and issue later ready nodes before this
                 # loop reaches them; don't issue them twice.
                 continue
-            command = run.commands[index]
+            command = commands[index]
             if not self._claim_device(run, command):
                 continue
             run.lock_wait_s += plan.mark_issued(index, self.sim.now)
             self._begin(run)
             self.device_queues.submit(command.device_id,
                                       self._node_thunk(run, index))
-        if plan.all_done() and not run.inflight and not run.done:
+        if not plan.remaining and not run.inflight_count and \
+                not run.status.finished:
             self._finish_point(run)
 
     def _claim_device(self, run: RoutineRun, command) -> bool:
@@ -153,10 +152,9 @@ class PlanExecutionMixin(Controller):
     def _after_parallel_command(self, run: RoutineRun,
                                 execution: CommandExecution,
                                 index: int) -> None:
-        plan = self._plan_for(run)
-        plan.mark_done(index, self.sim.now)
+        run.plan.mark_done(index, self.sim.now)
         device_id = execution.command.device_id
-        if index == self._last_index_on_device(run, device_id):
+        if index == run.routine.last_index_by_device[device_id]:
             self.record_last_access(run, device_id)
             self._on_device_access_done(run, device_id)
         self._dispatch(run)

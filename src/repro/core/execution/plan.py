@@ -14,17 +14,27 @@ concurrently is a *strategy*:
   command waits for the read — reordering around a condition would
   change what the condition observes and gates.
 
-The plan tracks per-node lifecycle (PENDING → READY → ISSUED → DONE)
-and the virtual time at which each node became ready, which gives the
-metrics layer its lock-wait breakdown (ready-but-blocked time).
+The DAG is a pure function of the command list and the strategy, so
+:func:`compile_shape` builds it once per routine and strategy
+(``Routine.plan_shape`` caches it) as ``(dep_counts, dependents)``.  A
+:class:`CommandPlan` is one run's progress through that shape: a
+remaining-dependency counter per node, a program-ordered ready list,
+and per node its lifecycle (PENDING → READY → ISSUED → DONE) and the
+virtual time at which it became ready, which gives the metrics layer
+its lock-wait breakdown (ready-but-blocked time).
 """
 
 import enum
-from typing import Dict, List, Optional, Sequence, Set
+from bisect import insort
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.command import Command
 
 STRATEGIES = ("serial", "parallel")
+
+#: ``(dep_counts, dependents)``: per node the number of distinct
+#: dependencies, and the nodes that depend on it.
+PlanShape = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
 
 class NodeState(enum.Enum):
@@ -34,113 +44,63 @@ class NodeState(enum.Enum):
     DONE = "done"           # resolved (applied, skipped or timed out)
 
 
-class PlanNode:
-    """One command plus its dependency edges.
-
-    ``__slots__``: plans allocate one node per command per routine run,
-    a measured per-command hot-path allocation.
-    """
-
-    __slots__ = ("index", "command", "deps", "dependents", "state",
-                 "ready_at", "issued_at")
-
-    def __init__(self, index: int, command: Command) -> None:
-        self.index = index
-        self.command = command
-        self.deps: Set[int] = set()
-        self.dependents: List[int] = []
-        self.state = NodeState.PENDING
-        self.ready_at = 0.0
-        self.issued_at: Optional[float] = None
-
-    def __repr__(self) -> str:
-        return (f"PlanNode({self.index}, dev={self.command.device_id}, "
-                f"{self.state.value}, deps={sorted(self.deps)})")
+PENDING, READY, ISSUED, DONE = NodeState
 
 
-class CommandPlan:
-    """The compiled DAG for one routine run."""
-
-    def __init__(self, commands: Sequence[Command],
-                 strategy: str = "serial", now: float = 0.0) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown execution strategy {strategy!r}; "
-                             f"pick from {STRATEGIES}")
-        self.strategy = strategy
-        self.nodes: List[PlanNode] = [
-            PlanNode(index=i, command=c) for i, c in enumerate(commands)]
-        self._open: Set[int] = set(range(len(self.nodes)))
-        self._build_edges()
-        for node in self.nodes:
-            if not node.deps:
-                node.state = NodeState.READY
-                node.ready_at = now
-
-    def _build_edges(self) -> None:
-        if self.strategy == "serial":
-            for node in self.nodes[1:]:
-                self._edge(node.index - 1, node.index)
-            return
+def compile_shape(commands: Sequence[Command], strategy: str) -> PlanShape:
+    """The dependency DAG of ``commands`` under ``strategy``."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown execution strategy {strategy!r}; "
+                         f"pick from {STRATEGIES}")
+    deps: List[Set[int]] = [set() for _ in commands]
+    if strategy == "serial":
+        for index in range(1, len(commands)):
+            deps[index].add(index - 1)
+    else:
         last_on_device: Dict[int, int] = {}
         last_barrier: Optional[int] = None
-        for node in self.nodes:
-            command = node.command
+        for index, command in enumerate(commands):
             prev = last_on_device.get(command.device_id)
             if prev is not None:
-                self._edge(prev, node.index)
+                deps[index].add(prev)
             if command.is_read:
                 # Barrier in: a condition observes the home *after*
                 # everything already requested.
-                for earlier in self.nodes[:node.index]:
-                    self._edge(earlier.index, node.index)
-                last_barrier = node.index
+                deps[index].update(range(index))
+                last_barrier = index
             elif last_barrier is not None:
                 # Barrier out: commands after a condition are gated on it.
-                self._edge(last_barrier, node.index)
-            last_on_device[command.device_id] = node.index
+                deps[index].add(last_barrier)
+            last_on_device[command.device_id] = index
+    dependents: List[List[int]] = [[] for _ in commands]
+    for index, before in enumerate(deps):
+        for earlier in before:
+            dependents[earlier].append(index)
+    return (tuple(len(before) for before in deps),
+            tuple(tuple(later) for later in dependents))
 
-    def _edge(self, before: int, after: int) -> None:
-        if before != after and before not in self.nodes[after].deps:
-            self.nodes[after].deps.add(before)
-            self.nodes[before].dependents.append(after)
 
-    # -- introspection --------------------------------------------------------
+class CommandPlan:
+    """One run's progress through its routine's compiled DAG."""
 
-    def __len__(self) -> int:
-        return len(self.nodes)
+    __slots__ = ("strategy", "_dependents", "_waiting", "ready", "state",
+                 "ready_at", "issued_at", "remaining")
 
-    def ready_indexes(self) -> List[int]:
-        """READY nodes in deterministic (program) order."""
-        return [node.index for node in self.nodes
-                if node.state is NodeState.READY]
-
-    def all_done(self) -> bool:
-        return not self._open
-
-    def remaining(self) -> int:
-        return len(self._open)
-
-    def width(self) -> int:
-        """Maximum theoretical concurrency: the largest level of the
-        DAG under longest-path leveling."""
-        level: Dict[int, int] = {}
-        for node in self.nodes:     # indexes are topologically sorted
-            level[node.index] = 1 + max(
-                (level[d] for d in node.deps), default=-1)
-        if not level:
-            return 0
-        counts: Dict[int, int] = {}
-        for depth in level.values():
-            counts[depth] = counts.get(depth, 0) + 1
-        return max(counts.values())
-
-    def critical_path_s(self) -> float:
-        """Ideal makespan: the longest dependency chain by duration."""
-        finish: Dict[int, float] = {}
-        for node in self.nodes:
-            start = max((finish[d] for d in node.deps), default=0.0)
-            finish[node.index] = start + node.command.duration
-        return max(finish.values(), default=0.0)
+    def __init__(self, routine, strategy: str = "serial",
+                 now: float = 0.0) -> None:
+        dep_counts, self._dependents = routine.plan_shape(strategy)
+        self.strategy = strategy
+        self._waiting = list(dep_counts)
+        #: READY node indexes in program order.
+        self.ready = [i for i, count in enumerate(dep_counts) if not count]
+        self.state = [PENDING] * len(dep_counts)
+        self.ready_at = [0.0] * len(dep_counts)
+        self.issued_at: List[Optional[float]] = [None] * len(dep_counts)
+        for index in self.ready:
+            self.state[index] = READY
+            self.ready_at[index] = now
+        #: Nodes not yet DONE.
+        self.remaining = len(dep_counts)
 
     # -- snapshot (durability contract) -----------------------------------------
 
@@ -149,40 +109,31 @@ class CommandPlan:
         issued_at)`` after the strategy (edges are left out — they are
         a pure function of the command list and strategy)."""
         return (self.strategy, tuple(
-            (node.index, node.state.value, node.ready_at, node.issued_at)
-            for node in self.nodes))
+            (index, state.value, ready_at, issued_at)
+            for index, (state, ready_at, issued_at) in enumerate(zip(
+                self.state, self.ready_at, self.issued_at))))
 
     # -- lifecycle ------------------------------------------------------------
 
     def mark_issued(self, index: int, now: float = 0.0) -> float:
         """READY → ISSUED; returns seconds spent ready-but-blocked."""
-        node = self.nodes[index]
-        if node.state is not NodeState.READY:
-            raise ValueError(f"node {index} is {node.state.value}, "
+        if self.state[index] is not READY:
+            raise ValueError(f"node {index} is {self.state[index].value}, "
                              "not ready")
-        node.state = NodeState.ISSUED
-        node.issued_at = now
-        return max(0.0, now - node.ready_at)
+        self.state[index] = ISSUED
+        self.issued_at[index] = now
+        self.ready.remove(index)
+        return max(0.0, now - self.ready_at[index])
 
-    def mark_done(self, index: int, now: float = 0.0) -> List[int]:
-        """ISSUED → DONE; promotes dependents, returns the newly READY."""
-        node = self.nodes[index]
-        node.state = NodeState.DONE
-        self._open.discard(index)
-        newly_ready: List[int] = []
-        for dep_index in node.dependents:
-            dependent = self.nodes[dep_index]
-            if dependent.state is not NodeState.PENDING:
-                continue
-            if all(self.nodes[d].state is NodeState.DONE
-                   for d in dependent.deps):
-                dependent.state = NodeState.READY
-                dependent.ready_at = now
-                newly_ready.append(dep_index)
-        return sorted(newly_ready)
-
-
-def compile_plan(commands: Sequence[Command],
-                 strategy: str = "serial") -> CommandPlan:
-    """Convenience constructor (mirrors ``CommandPlan(...)``)."""
-    return CommandPlan(commands, strategy=strategy)
+    def mark_done(self, index: int, now: float = 0.0) -> None:
+        """ISSUED → DONE; a dependent whose last dependency this was
+        becomes READY at ``now``."""
+        self.state[index] = DONE
+        self.remaining -= 1
+        waiting = self._waiting
+        for later in self._dependents[index]:
+            waiting[later] -= 1
+            if not waiting[later]:
+                self.state[later] = READY
+                self.ready_at[later] = now
+                insort(self.ready, later)

@@ -25,7 +25,6 @@ from typing import Dict, List, Set
 from repro.core.controller import RoutineRun
 from repro.core.digest import ChainDigest
 from repro.core.execution.engine import PlanExecutionMixin
-from repro.core.routine import Routine
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,7 @@ class OptimisticController(PlanExecutionMixin):
         used = self.retries_used.get(run.routine_id, 0)
         if used >= self.max_retries:
             return
-        retry = Routine(name=run.routine.name,
-                        commands=list(run.routine.commands),
-                        user=run.routine.user,
-                        trigger="occ-retry")
-        new_run = self.submit(retry, when=self.sim.now)
+        # The retry shares the original's commands and compiled plan.
+        new_run = self.submit(run.routine.rerun("occ-retry"),
+                              when=self.sim.now)
         self.retries_used[new_run.routine_id] = used + 1

@@ -6,6 +6,7 @@ its first to its last command on that device (§4.3's lock-accessD(Ri)).
 relative time offsets the Timeline scheduler needs.
 """
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -98,6 +99,24 @@ class Routine:
                 command.device_id: index
                 for index, command in enumerate(self.commands)}
         return cached
+
+    def plan_shape(self, strategy: str) -> tuple:
+        """The command DAG under ``strategy`` as ``(dep_counts,
+        dependents)`` (:func:`repro.core.execution.plan.compile_shape`)."""
+        shapes = self.__dict__.setdefault("_plan_shapes", {})
+        shape = shapes.get(strategy)
+        if shape is None:
+            # Imported here: the execution package imports this module.
+            from repro.core.execution.plan import compile_shape
+            shape = shapes[strategy] = compile_shape(self.commands, strategy)
+        return shape
+
+    def rerun(self, trigger: str) -> "Routine":
+        """The same routine under another trigger, sharing the command
+        list and every derived view computed so far."""
+        twin = copy.copy(self)
+        twin.trigger = trigger
+        return twin
 
     @property
     def device_ids(self) -> List[int]:

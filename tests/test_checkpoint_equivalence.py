@@ -241,7 +241,7 @@ class TestInputsCoverTheHardCases:
         home = micro_home("ev", "parallel", seed=15)
         home.run(until=12.0)
         assert any(run.inflight_count for run in home.controller.runs)
-        assert any(run.plan is not None and not run.plan.all_done()
+        assert any(run.plan is not None and run.plan.remaining
                    for run in home.controller.runs)
 
     def test_policy_recovery_aborts_a_run_replay_had_cached_running(self):
@@ -258,7 +258,7 @@ class TestInputsCoverTheHardCases:
         was hashed, no later checkpoint hashes it again."""
         home = micro_home("psv", "parallel", seed=15)
         home.run()
-        assert any(run.plan is not None and run.plan.all_done()
+        assert any(run.plan is not None and not run.plan.remaining
                    for run in home.controller.runs)
         home.durability.take_checkpoint()
         with mock.patch.object(MultisetDigest, "put") as put:

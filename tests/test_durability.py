@@ -11,6 +11,7 @@ from repro.core.execution.locks import GLOBAL, LockMode, LockTable
 from repro.core.execution.plan import CommandPlan, NodeState
 from repro.core.execution.queues import DeviceQueues
 from repro.core.lineage import UNSET, Lineage, LineageTable, LockAccess
+from repro.core.routine import Routine
 from repro.errors import HubCrashedError, SafeHomeError
 from repro.hub.durability import (DurabilityConfig, WriteAheadLog,
                                   state_digest)
@@ -107,16 +108,18 @@ class TestSnapshotContracts:
 
     def test_command_plan_snapshot(self):
         commands = [Command(device_id=0, value="ON", duration=1.0),
-                    Command(device_id=1, value="ON", duration=1.0),
-                    Command(device_id=0, value="OFF", duration=1.0)]
-        plan = CommandPlan(commands, strategy="parallel")
-        plan.mark_issued(plan.ready_indexes()[0], now=0.0)
+                    Command(device_id=0, value="OFF", duration=1.0),
+                    Command(device_id=1, value="ON", duration=1.0)]
+        plan = CommandPlan(Routine("r", commands), "parallel")
+        plan.mark_issued(plan.ready[0], now=0.0)
         plan.mark_done(0, now=1.0)
         strategy, nodes = plan.snapshot()
         assert strategy == "parallel"
-        assert [node[1] for node in nodes] == \
-            [node.state.value for node in plan.nodes]
-        assert nodes[0] == (0, NodeState.DONE.value, 0.0, 0.0)
+        assert nodes == ((0, NodeState.DONE.value, 0.0, 0.0),
+                         (1, NodeState.READY.value, 1.0, None),
+                         (2, NodeState.READY.value, 0.0, None))
+        # plain rows: marshal takes them without a fallback
+        marshal.dumps(plan.snapshot(), 2)
 
     def test_device_queue_snapshot(self):
         queues = DeviceQueues()

@@ -9,6 +9,7 @@ from repro.core.execution.locks import (GLOBAL, LockMode, LockTable,
                                         lease_deadline)
 from repro.core.execution.plan import CommandPlan, NodeState
 from repro.core.execution.queues import DeviceQueues
+from repro.core.routine import Routine
 
 
 def cmd(device, duration=1.0, read=False, must=True):
@@ -103,60 +104,67 @@ class TestLockTable:
         assert table.overdue(now=11.0) == []     # not yet expired
 
 
+def plan(commands, strategy, now=0.0):
+    return CommandPlan(Routine("r", commands), strategy, now)
+
+
 class TestCommandPlan:
     def test_serial_strategy_is_a_chain(self):
-        plan = CommandPlan([cmd(1), cmd(2), cmd(3)], strategy="serial")
-        assert plan.ready_indexes() == [0]
-        assert plan.width() == 1
-        assert plan.mark_issued(0) == 0.0
-        assert plan.mark_done(0) == [1]
+        chain = plan([cmd(1), cmd(2), cmd(3)], "serial")
+        assert chain.ready == [0]
+        assert chain.mark_issued(0) == 0.0
+        chain.mark_done(0)
+        assert chain.ready == [1]
 
     def test_parallel_disjoint_devices_all_ready(self):
-        plan = CommandPlan([cmd(1), cmd(2), cmd(3)], strategy="parallel")
-        assert plan.ready_indexes() == [0, 1, 2]
-        assert plan.width() == 3
+        disjoint = plan([cmd(1), cmd(2), cmd(3)], "parallel")
+        assert disjoint.ready == [0, 1, 2]
+        assert disjoint.state == [NodeState.READY] * 3
 
     def test_parallel_same_device_keeps_program_order(self):
-        plan = CommandPlan([cmd(1), cmd(1), cmd(2)], strategy="parallel")
-        assert plan.ready_indexes() == [0, 2]
-        plan.mark_issued(0)
-        assert plan.mark_done(0) == [1]
+        ordered = plan([cmd(1), cmd(1), cmd(2)], "parallel")
+        assert ordered.ready == [0, 2]
+        ordered.mark_issued(0)
+        ordered.mark_done(0)
+        assert ordered.ready == [1, 2]
 
     def test_parallel_read_is_a_barrier(self):
-        plan = CommandPlan([cmd(1), cmd(2, read=True), cmd(3)],
-                           strategy="parallel")
+        barrier = plan([cmd(1), cmd(2, read=True), cmd(3)], "parallel")
         # The read waits for everything before it; device 3 waits for
         # the read (a condition gates what follows).
-        assert plan.ready_indexes() == [0]
-        plan.mark_issued(0)
-        assert plan.mark_done(0) == [1]
-        plan.mark_issued(1)
-        assert plan.mark_done(1) == [2]
+        assert barrier.ready == [0]
+        barrier.mark_issued(0)
+        barrier.mark_done(0)
+        assert barrier.ready == [1]
+        barrier.mark_issued(1)
+        barrier.mark_done(1)
+        assert barrier.ready == [2]
 
     def test_lifecycle_and_lock_wait(self):
-        plan = CommandPlan([cmd(1), cmd(1)], strategy="parallel", now=2.0)
-        assert plan.nodes[0].ready_at == 2.0
-        assert plan.mark_issued(0, now=5.0) == pytest.approx(3.0)
+        pair = plan([cmd(1), cmd(1)], "parallel", now=2.0)
+        assert pair.ready_at[0] == 2.0
+        assert pair.mark_issued(0, now=5.0) == pytest.approx(3.0)
         with pytest.raises(ValueError):
-            plan.mark_issued(1)              # still pending
-        plan.mark_done(0, now=6.0)
-        assert plan.nodes[1].state is NodeState.READY
-        assert not plan.all_done()
-        plan.mark_issued(1, now=6.0)
-        plan.mark_done(1, now=7.0)
-        assert plan.all_done()
+            pair.mark_issued(1)              # still pending
+        pair.mark_done(0, now=6.0)
+        assert pair.state[1] is NodeState.READY and pair.ready_at[1] == 6.0
+        assert pair.remaining == 1
+        pair.mark_issued(1, now=6.0)
+        pair.mark_done(1, now=7.0)
+        assert pair.remaining == 0 and pair.ready == []
 
-    def test_critical_path(self):
-        plan = CommandPlan([cmd(1, 5.0), cmd(2, 2.0), cmd(2, 2.0)],
-                           strategy="parallel")
-        assert plan.critical_path_s() == pytest.approx(5.0)
-        serial = CommandPlan([cmd(1, 5.0), cmd(2, 2.0), cmd(2, 2.0)],
-                             strategy="serial")
-        assert serial.critical_path_s() == pytest.approx(9.0)
+    def test_shape_is_compiled_once_per_routine_and_strategy(self):
+        routine = Routine("r", [cmd(1), cmd(1), cmd(2, read=True), cmd(3)])
+        shape = routine.plan_shape("parallel")
+        assert shape == ((0, 1, 2, 1), ((1, 2), (2,), (3,), ()))
+        assert routine.plan_shape("parallel") is shape
+        assert CommandPlan(routine, "parallel")._dependents is shape[1]
+        assert routine.plan_shape("serial") == \
+            ((0, 1, 1, 1), ((1,), (2,), (3,), ()))
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            CommandPlan([cmd(1)], strategy="speculative")
+            plan([cmd(1)], "speculative")
 
 
 class TestDeviceQueues:

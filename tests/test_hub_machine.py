@@ -27,9 +27,12 @@ After every step a fresh twin built from the log (``replay.build_home``
 plus ``replay.replay`` to the live hub's closing seal) must verify and
 reach the live hub's ``state_digest``, that digest must equal the one
 computed from empty caches, and every bank routine must still equal
-the deep copy taken at registration.  At the end the hub runs dry, the
-congruence oracle must pass, and under EV the retained order and the
-closure must be empty.
+the deep copy taken at registration, and under EV no live run may hold
+a ready command whose lineage entry it could take (a lost waiter).
+Every unbounded slice is capped at ``SLICE_EVENTS``, so a run that
+never finishes fails as a livelock instead of hanging a drain.  At the
+end the hub runs dry, the congruence oracle must pass, and under EV the
+retained order and the closure must be empty.
 
 ``REPRO_HYPOTHESIS_EXAMPLES=200 python -m pytest -q -p no:cacheprovider
 --hypothesis-seed=18 tests/test_hub_machine.py`` is the deep run
@@ -96,6 +99,27 @@ def plug_home(model, execution="serial", wal_dir=None):
     return home
 
 
+#: Events one slice of a machine hub may process.  A run that never
+#: finishes keeps the failure detector ticking forever, so a lost
+#: wake-up would hang a drain (``serve``, ``crash``, the teardown run);
+#: with the bound it fails as a ``SimulationError`` ("likely a
+#: livelock").  Bounded and unbounded runs are trace-equivalent.
+SLICE_EVENTS = 20_000
+
+
+def bounded(home):
+    """``home`` with every unbounded slice capped at SLICE_EVENTS."""
+    pump = home.pump
+
+    def bounded_pump(until=None, max_events=None, detector=None):
+        if max_events is None:
+            max_events = home.sim.events_processed + SLICE_EVENTS
+        return pump(until=until, max_events=max_events, detector=detector)
+
+    home.pump = bounded_pump
+    return home
+
+
 class HubMachine(RuleBasedStateMachine):
     """One durable hub; every rule is a public ``SafeHome`` call."""
 
@@ -106,7 +130,7 @@ class HubMachine(RuleBasedStateMachine):
     def setup(self, model, execution):
         self.model = model
         self.wal_dir = tempfile.mkdtemp(prefix="hub-machine-")
-        self.home = plug_home(model, execution, self.wal_dir)
+        self.home = bounded(plug_home(model, execution, self.wal_dir))
         self.registered = [(routine, copy.deepcopy(routine))
                            for routine in self.home.bank]
         self.cancelled = False
@@ -178,7 +202,7 @@ class HubMachine(RuleBasedStateMachine):
         report = fsck_home_dir(self.home.wal_dir)
         assert (report.status, report.clean_close) == ("clean", True)
         assert report.verify["ok"], report.verify["error"]
-        self.home = report.replayed_home
+        self.home = bounded(report.replayed_home)
 
     # -- checked after every step -----------------------------------------------
 
@@ -201,6 +225,37 @@ class HubMachine(RuleBasedStateMachine):
             return
         assert state_digest(self.home._capture_state()) == \
             scratch_digest(self.home)
+
+    @invariant()
+    def no_run_misses_a_free_lineage(self):
+        """Under EV, no live run holds a ready command whose lineage
+        entry it could take now: a release wakes every run blocked on
+        the device, so a run left behind is a lost waiter (and would
+        hold its routine open while the failure detector ticks on)."""
+        if self.home is None or self.model != "ev":
+            return
+        controller = self.home.controller
+        # (looked up, not through table.lineage(), which creates one)
+        lineages = {lineage.device_id: lineage
+                    for lineage in controller.table.lineages()}
+        for run in self.live_runs():
+            if run.abort_pending:
+                continue
+            if run.plan is not None:
+                ready = run.plan.ready
+            elif run.inflight_count or \
+                    run.next_index >= len(run.commands):
+                continue
+            else:
+                ready = [run.next_index]
+            for index in ready:
+                lineage = lineages.get(run.commands[index].device_id)
+                entry = lineage and lineage.entry_for(run.routine_id)
+                if entry is None:
+                    continue        # not placed yet
+                assert not lineage.can_acquire(
+                    run.routine_id, finished=controller.is_finished,
+                    wants_read=entry.reads), (run.routine_id, index)
 
     def teardown(self):
         if self.home is None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.controller import RoutineStatus
+from repro.core.controller import ControllerConfig, RoutineStatus
 from repro.metrics.congruence import final_state_serializable
 from tests.conftest import Home, routine
 
@@ -66,6 +66,22 @@ class TestOCCValidation:
         assert retried and retried[0].status is RoutineStatus.COMMITTED
         assert result.end_state[0] == "S"
         assert final_state_serializable(result, home.initial)
+
+    def test_a_retry_shares_the_original_compiled_plan(self):
+        home = Home(model="occ", n_devices=2,
+                    config=ControllerConfig(execution="parallel"))
+        slow = home.submit(routine("slow", [(0, "S", 1.0),
+                                            (1, "S", 8.0)]), when=0.0)
+        home.submit(routine("fast", [(0, "F", 1.0)]), when=0.2)
+        result = home.run()
+        [retry] = [r for r in result.runs
+                   if r.name == "slow" and r is not slow]
+        assert retry.routine.trigger == "occ-retry"
+        assert retry.routine is not slow.routine
+        assert retry.routine.commands is slow.routine.commands
+        assert retry.routine.plan_shape("parallel") is \
+            slow.routine.plan_shape("parallel")
+        assert retry.status is RoutineStatus.COMMITTED
 
     def test_retry_budget_bounded(self):
         home = Home(model="occ", n_devices=1)
