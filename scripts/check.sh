@@ -101,6 +101,13 @@ REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=15 tests/test_checkpoint_equivalence.py
 "$PY" scripts/gen_wal_golden.py --check
 echo "checkpoint digests equal their reference definition"
+# The observation fold (marshal rows, one call per batch, per-entry
+# repr fallback) equals the one-entry-at-a-time reference whatever the
+# flush points, and seeded homes seal what the record-per-observation
+# log would have (deeper example budget than tier-1, seed pinned).
+REPRO_HYPOTHESIS_EXAMPLES=200 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=37 tests/test_observation_digest.py
+echo "the observation fold equals its reference definition"
 # Every registered sweep (figures, ablations, the other sweeps) still
 # reports the committed rows (tier-1 skips Fig 13; this runs all 18).
 "$PY" scripts/gen_sweeps_golden.py --check

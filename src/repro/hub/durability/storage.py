@@ -69,8 +69,8 @@ from repro.hub.durability.wal import WalRecord, encode_compact
 #: File-format constants.  The magic rejects foreign files before any
 #: frame parsing; the version lives in every segment header.
 MAGIC = b"REPROWAL"
-SEGMENT_SCHEMA = "repro-wal-seg/3"
-SEGMENT_VERSION = 3
+SEGMENT_SCHEMA = "repro-wal-seg/4"
+SEGMENT_VERSION = 4
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".seg"
 STAGING_DIR = ".staging-wal"

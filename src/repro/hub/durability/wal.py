@@ -15,22 +15,27 @@ ordered, JSON-serializable journal of
   lineage mutations, detections, commits/aborts).  Observations are
   *redo evidence*: replay re-derives every one of them from the inputs,
   so the log keeps none.  They are folded, in order, into a rolling
-  SHA-256 beside a count (:meth:`WriteAheadLog.observed`), and that
-  pair is sealed wherever evidence is written — every checkpoint, every
-  ``crash`` marker, the final seal — for replay to regenerate and
-  compare.  Only ``checkpoint`` observations also become records.
+  SHA-256 beside a count (:meth:`WriteAheadLog.observed`), each as its
+  row bytes from :func:`repro.core.digest.encode`, the checkpoint
+  digest's leaf encoder.  That pair is sealed wherever evidence is
+  written — every checkpoint, every ``crash`` marker, the final seal —
+  for replay to regenerate and compare.  Only ``checkpoint``
+  observations also become records.
 
 Records are plain dataclasses held in memory; their one serialized
 form is the CRC-framed log image of
-:mod:`repro.hub.durability.storage`.  Payload values pass through
-:func:`jsonify` so arbitrary device states never make the log
+:mod:`repro.hub.durability.storage`.  Record payload values pass
+through :func:`jsonify` so arbitrary device states never make the log
 unserializable.
 """
 
 import hashlib
 import json
+import marshal
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.core.digest import encode
 
 #: Record types that recovery re-applies (the durable inputs).
 INPUT_TYPES = frozenset({
@@ -76,14 +81,6 @@ MARKER_TYPES = frozenset({"crash", "migration"})
 _PLAIN_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
-def _jsonify_leaf(value: Any) -> Any:
-    """What :func:`jsonify` makes of a value the JSON encoder cannot
-    walk itself (sets sort, everything else is its ``repr``)."""
-    if isinstance(value, (set, frozenset)):
-        return sorted(jsonify(item) for item in value)
-    return repr(value)
-
-
 def jsonify(value: Any) -> Any:
     """Make ``value`` JSON-serializable, deterministically.
 
@@ -103,20 +100,15 @@ def jsonify(value: Any) -> Any:
                 for item in value]
     if isinstance(value, (bool, int, float, str)):      # scalar subclasses
         return value
-    return _jsonify_leaf(value)
+    if isinstance(value, (set, frozenset)):
+        return sorted(jsonify(item) for item in value)
+    return repr(value)
 
 
 #: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` — the
 #: text form of every frame payload — without an encoder per call.
 encode_compact = json.JSONEncoder(sort_keys=True,
                                   separators=(",", ":")).encode
-
-
-#: The observation fold's encoder: compact canonical text, the C
-#: encoder walking the plain containers and calling back only for a
-#: non-JSON leaf — no Python-level pass over every payload.
-_encode_observations = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=_jsonify_leaf).encode
 
 
 @dataclass
@@ -168,14 +160,14 @@ class WriteAheadLog:
     the ``checkpoint`` records.  Every other observation is *folded*:
     the hub's hot path hands ``(type, payload, time)`` triples to
     :meth:`buffer_observation`, and :meth:`flush` (once per simulator
-    event boundary, and before any read or append) feeds the batch to a
-    rolling SHA-256 as the canonical text of each ``[type, time,
-    payload]`` followed by a comma.  The text of a batch is the
-    concatenation of its entries' texts, so the digest depends on the
-    observations and their order only, never on where the flush
-    boundaries fell.  Sequence numbers count records; any input/marker
-    append flushes first, so a ``checkpoint`` record sits exactly where
-    its observation was emitted.
+    event boundary, and before any read or append) feeds a rolling
+    SHA-256 the bytes ``encode((type, time, payload))`` of each entry
+    of the batch, in order.  Those bytes are a function of the entry
+    alone, so the digest depends on the observations and their order
+    only, never on where the flush boundaries fell.  Sequence numbers
+    count records; any input/marker append flushes first, so a
+    ``checkpoint`` record sits exactly where its observation was
+    emitted.
     """
 
     def __init__(self) -> None:
@@ -215,7 +207,14 @@ class WriteAheadLog:
 
     def buffer_observation(self, type_: str, payload: Dict[str, Any],
                            time: float) -> None:
-        """Queue one observation for the next :meth:`flush`."""
+        """Queue one observation for the next :meth:`flush`.
+
+        Payload values are rows: exact ints, floats, bools and strs, and
+        lists of ints, in an order the hub chose — no sets, whose order
+        is the hash table's, and one container type, because the fold
+        encodes a tuple and a list apart.  A leaf ``marshal`` rejects
+        is folded as its ``repr``.
+        """
         if type_ not in OBSERVATION_TYPES:
             raise ValueError(f"not an observation type: {type_!r}")
         self._pending.append((type_, time, payload))
@@ -232,9 +231,16 @@ class WriteAheadLog:
         if not pending:
             return 0
         self._pending = []
-        # "[a,b]" -> "a,b,": each entry's text, comma-terminated.
-        text = _encode_observations(pending)
-        self._observations.update(f"{text[1:-1]},".encode("utf-8"))
+        try:
+            # Version 2 writes no back-references, so past the list's
+            # 5-byte header ("[" + u32 length) the bytes are each
+            # entry's own encode(), back to back.
+            rows = memoryview(marshal.dumps(pending, 2))[5:]
+        except ValueError:
+            # A leaf marshal rejects: fall back entry by entry, so only
+            # the entry holding it is encoded with repr leaves.
+            rows = b"".join(map(encode, pending))
+        self._observations.update(rows)
         self.observation_count += len(pending)
         for type_, time, payload in pending:
             if type_ == "checkpoint":

@@ -476,18 +476,31 @@ class TestObservationBuffering:
         assert wal.flush() == 1 and wal.flush() == 0
         assert wal.observation_count == 2
 
-    def test_digest_is_the_comma_terminated_canonical_texts(self):
+    def test_digest_is_the_marshal_rows_of_the_entries(self):
         import hashlib
+        import struct
 
         from repro.hub.durability.wal import WriteAheadLog
 
         wal = WriteAheadLog()
-        wal.buffer_observation("admission", {"b": {3, 1}, "a": (1, 2)}, 0.5)
+        wal.buffer_observation("admission", {"a": [1, 2], "granted": True},
+                               0.5)
         wal.buffer_observation("detection", {"state": object}, 0.75)
-        text = ('["admission",0.5,{"a":[1,2],"b":[1,3]}],'
-                '["detection",0.75,{"state":"<class \'object\'>"}],')
+        rows = (
+            b"(\x03\x00\x00\x00"                # a 3-tuple: "(" + u32
+            b"u\t\x00\x00\x00admission"          # str: "u" + u32 + UTF-8
+            b"g" + struct.pack("<d", 0.5) +         # float: binary double
+            b"{u\x01\x00\x00\x00a"                # dict, in insertion order
+            b"[\x02\x00\x00\x00i\x01\x00\x00\x00i\x02\x00\x00\x00"
+            b"u\x07\x00\x00\x00grantedT"          # True
+            b"0"                                    # end of dict
+            # marshal rejects the class: this entry alone is folded
+            # with its repr, its neighbour keeps its own bytes.
+            b"(\x03\x00\x00\x00u\t\x00\x00\x00detection"
+            b"g" + struct.pack("<d", 0.75) +
+            b"{u\x05\x00\x00\x00stateu\x10\x00\x00\x00<class 'object'>0")
         assert wal.observed() == {
-            "obs_digest": hashlib.sha256(text.encode()).hexdigest(),
+            "obs_digest": hashlib.sha256(rows).hexdigest(),
             "observations": 2}
 
     def test_buffer_rejects_non_observation_types(self):

@@ -10,16 +10,19 @@ reference: a WAL that materializes every observation as a record
 
 * (a) the digest and count depend on the observations and their order
   only, never on where ``flush()``, a ``records`` read or an input
-  append fell among them;
+  append fell among them — an entry holding a leaf ``marshal`` rejects
+  included, which may change how that entry is encoded but never its
+  neighbours;
 * (b) seeded homes under every model and plan strategy checkpoint on
   the same events, at the same times, to the same state digests as the
   reference run; count what it counted; and a crashed-and-recovered
   home ends on the digest of its uninterrupted twin — exactly where the
-  reference finds the two record streams equal;
+  reference finds the two record streams equal; and every payload
+  value such a home folds is a row value (no sets, one container type);
 * (c) tampering that re-makes every CRC — an input payload, a
   checkpoint's seal, a ``crash`` marker's seal, the final seal's count
   — is a :class:`RecoveryError` naming the interval, at every door;
-* (d) a segment of the old schema is refused with the typed error;
+* (d) a segment of an old schema is refused with the typed error;
 * (e) the in-memory log stays a few per cent of the journal.
 """
 
@@ -30,6 +33,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.digest import encode
 from repro.core.visibility import VisibilityModel
 from repro.errors import CorruptionError, RecoveryError
 from repro.fleet.spool import home_wal_record, replay_spooled_home
@@ -39,8 +43,7 @@ from repro.hub.durability.storage import (KIND_HEADER, KIND_RECORD,
                                           KIND_SEAL, scan_wal_dir,
                                           segment_name)
 from repro.hub.durability.wal import (OBSERVATION_TYPES, WalRecord,
-                                      WriteAheadLog, encode_compact,
-                                      jsonify)
+                                      WriteAheadLog)
 from repro.hub.safehome import SafeHome
 from repro.workloads.micro import MicroParams, generate_microbenchmark
 from tests.test_fleet_transport import reframe
@@ -101,12 +104,10 @@ def ref_verify(old_stream, new_stream):
 
 
 def ref_digest(entries):
-    """The fold, one entry at a time through the plain encoder."""
-    digest = hashlib.sha256()
-    for type_, payload, time in entries:
-        digest.update((encode_compact(jsonify([type_, time, payload]))
-                       + ",").encode("utf-8"))
-    return digest.hexdigest()
+    """The fold, one entry at a time through the leaf encoder."""
+    return hashlib.sha256(b"".join(
+        encode((type_, time, payload))
+        for type_, payload, time in entries)).hexdigest()
 
 
 def recording():
@@ -169,6 +170,26 @@ def test_digest_and_count_ignore_where_the_flushes_fall(ops):
     assert [r.type for r in wal.records if r.type != "cancelled"] == \
         ["checkpoint"] * sum(e[0] == "checkpoint" for e in entries)
     assert [r.seq for r in wal.records] == list(range(len(wal.records)))
+
+
+def test_an_opaque_entry_leaves_its_neighbours_encoded_alone():
+    """marshal rejects the batch; only the entry holding the opaque leaf
+    takes the ``repr`` fallback, the others keep their own bytes (a set
+    stays a marshal set instead of becoming its ``repr``)."""
+    entries = [("admission", {"a": frozenset({3, 1})}, 0.5),
+               ("detection", {"state": Opaque()}, 0.75),
+               ("lineage-placed", {"b": (1, [2.0])}, 1.0)]
+    wal = WriteAheadLog()
+    for entry in entries:
+        wal.buffer_observation(*entry)
+    alone = WriteAheadLog()
+    for entry in entries:
+        alone.buffer_observation(*entry)
+        alone.flush()
+    assert wal.observed() == alone.observed() == {
+        "obs_digest": ref_digest(entries), "observations": 3}
+    assert encode(("admission", 0.5, {"a": frozenset({3, 1})})) != \
+        encode(("admission", 0.5, {"a": repr(frozenset({3, 1}))}))
 
 
 # -- (b) seeded homes against the reference run ------------------------------------
@@ -242,6 +263,36 @@ def test_homes_match_the_reference_run(model, execution):
             assert ref_verify(reference.wal.stream,
                               recovered.wal.stream) == len(logged)
             assert checkpoint_rows(recovered) == checkpoint_rows(shipped)
+
+
+def is_row_value(value):
+    kind = type(value)
+    if kind is list:
+        return all(type(item) is int for item in value)
+    return kind in (int, float, bool, str)
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize("model", MODELS)
+def test_every_folded_payload_value_is_a_row_value(model, execution):
+    """The fold encodes a tuple and a list apart and a set in hash
+    order, where the JSON text it replaced did neither: pin that what
+    the shipped producers journal — live, recovered and run on — is
+    exact scalars and lists of exact ints."""
+    with recording():
+        home = micro_home(model, execution)
+        home.crash(after_events=120)
+        home.run()
+        assert home.crashed
+        home.recover()
+        home.run()
+    folded = observation_records(home.wal.stream)
+    assert {r.type for r in folded} >= {
+        "routine-submitted", "command-dispatched", "command-acked",
+        "routine-committed", "checkpoint"}
+    odd = [(r.type, key, value) for r in folded
+           for key, value in r.payload.items() if not is_row_value(value)]
+    assert odd == []
 
 
 def test_a_diverging_replay_is_located_where_the_reference_finds_it():
@@ -399,22 +450,26 @@ def test_an_untampered_log_passes_every_door(tmp_path):
 # -- (d) the schema break ---------------------------------------------------------------
 
 def test_an_old_schema_segment_is_refused_with_the_typed_error(tmp_path):
+    """``/1`` framed every observation, ``/3`` folded them as JSON text:
+    neither log's seals can be regenerated, so neither is read."""
     _home, wal_dir = closed_crashed_home(tmp_path)
     path = os.path.join(wal_dir, segment_name(0))
-
-    def old_header(kind, doc):
-        if kind == KIND_HEADER:
-            doc.update(schema="repro-wal-seg/1", version=1)
-
     with open(path, "rb") as handle:
         pristine = handle.read()
-    with open(path, "wb") as handle:
-        handle.write(reframe(pristine, old_header))
-    with pytest.raises(CorruptionError,
-                       match="unsupported segment schema 'repro-wal-seg/1'"):
-        scan_wal_dir(wal_dir)
-    report = fsck_home_dir(wal_dir, salvage=True)
-    assert report.status == "corrupt" and report.exit_code() == 2
+    for version in (1, 3):
+        schema = f"repro-wal-seg/{version}"
+
+        def old_header(kind, doc):
+            if kind == KIND_HEADER:
+                doc.update(schema=schema, version=version)
+
+        with open(path, "wb") as handle:
+            handle.write(reframe(pristine, old_header))
+        with pytest.raises(CorruptionError,
+                           match=f"unsupported segment schema '{schema}'"):
+            scan_wal_dir(wal_dir)
+        report = fsck_home_dir(wal_dir, salvage=True)
+        assert report.status == "corrupt" and report.exit_code() == 2
 
 
 # -- (e) what stays in memory --------------------------------------------------------------
