@@ -10,7 +10,6 @@ Shape assertions over the registered ``ablations`` sweep; each
 test requests exactly one of its sweeps.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
@@ -19,8 +18,8 @@ def _sweep(name, **params):
     return call("ablations", sweeps=(name,), **params)["metrics"][name]
 
 
-def test_ablation_leniency(benchmark):
-    rows = run_once(benchmark, _sweep, "leniency")
+def test_ablation_leniency():
+    rows = _sweep("leniency")
     print_table("Ablation: lease-revocation leniency factor "
                 "(estimate error 50%)", rows)
     # Tighter leniency under noisy estimates -> no fewer aborts than
@@ -28,8 +27,8 @@ def test_ablation_leniency(benchmark):
     assert rows[0]["abort_rate"] >= rows[-1]["abort_rate"]
 
 
-def test_ablation_estimate_error(benchmark):
-    rows = run_once(benchmark, _sweep, "estimate_error")
+def test_ablation_estimate_error():
+    rows = _sweep("estimate_error")
     print_table("Ablation: Timeline duration-estimate error", rows)
     # Even 100% estimate error must not break execution (placements
     # degrade gracefully; work-conserving execution absorbs it).
@@ -39,8 +38,8 @@ def test_ablation_estimate_error(benchmark):
     assert rows[0]["lat_p50"] <= rows[-1]["lat_p50"] * 1.5
 
 
-def test_ablation_detector_period(benchmark):
-    rows = run_once(benchmark, _sweep, "detector_period")
+def test_ablation_detector_period():
+    rows = _sweep("detector_period")
     print_table("Ablation: failure-detector ping period", rows)
     # Detection lag grows with the ping period and is bounded by it
     # (plus latency/timeout), except when implicit detection fires first.
@@ -50,9 +49,8 @@ def test_ablation_detector_period(benchmark):
         assert row["detection_lag_mean_s"] <= row["ping_period_s"] + 1.0
 
 
-def test_ablation_network_jitter(benchmark):
-    rows = run_once(benchmark, _sweep, "network_jitter",
-                    jitter_trials=30)
+def test_ablation_network_jitter():
+    rows = _sweep("network_jitter", jitter_trials=30)
     print_table("Ablation: network jitter vs WV incongruence (Fig 1's "
                 "mechanism)", rows)
     # Zero jitter -> deterministic ordering -> no incongruence; jitter

@@ -9,14 +9,12 @@ Shape assertions over the registered ``weak_visibility`` sweep
 (``repro figures fig01`` prints it at the ``--trials`` rule).
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
 
-def test_fig01_incongruence_vs_devices(benchmark):
-    rows = run_once(benchmark, call,
-                    "weak_visibility")["metrics"]["rows"]
+def test_fig01_incongruence_vs_devices():
+    rows = call("weak_visibility")["metrics"]["rows"]
     print_table("Fig 1: fraction of incongruent end states (WV)", rows)
 
     by_offset = {}

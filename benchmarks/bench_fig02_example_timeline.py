@@ -8,14 +8,12 @@ Shape assertions over the registered ``example_timeline`` sweep.
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
 
-def test_fig02_example_timeline(benchmark):
-    rows = run_once(benchmark, call,
-                    "example_timeline")["metrics"]["rows"]
+def test_fig02_example_timeline():
+    rows = call("example_timeline")["metrics"]["rows"]
     print_table("Fig 2: five concurrent routines (time units of 60s)",
                 rows)
     by_model = {row["model"]: row for row in rows}

@@ -9,7 +9,6 @@ hurts PSV (head-of-line blocking) but not EV.
 Shape assertions over the registered ``scenarios`` sweep.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
@@ -19,8 +18,8 @@ def _by(rows, scenario):
             if row["scenario"] == scenario}
 
 
-def test_fig12a_scenarios(benchmark):
-    rows = run_once(benchmark, call, "scenarios")["metrics"]["rows"]
+def test_fig12a_scenarios():
+    rows = call("scenarios")["metrics"]["rows"]
     print_table("Fig 12a: scenario sweeps", rows)
 
     for scenario in ("morning", "party"):

@@ -7,14 +7,12 @@ and GSV are always serially equivalent.
 Shape assertions over the registered ``final_incongruence`` sweep.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
 
-def test_fig12b_final_incongruence(benchmark):
-    rows = run_once(benchmark, call,
-                    "final_incongruence")["metrics"]["rows"]
+def test_fig12b_final_incongruence():
+    rows = call("final_incongruence")["metrics"]["rows"]
     print_table("Fig 12b: final incongruence "
                 "(9 routines, 9! serial orders checked)", rows)
     by_model = {row["model"]: row for row in rows}

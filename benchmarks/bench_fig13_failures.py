@@ -10,14 +10,13 @@ around 50%/40%.
 Shape assertions over the registered ``failures`` sweep.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 from repro.metrics.stats import mean
 
 
-def test_fig13_failures(benchmark):
-    data = run_once(benchmark, call, "failures")["metrics"]
+def test_fig13_failures():
+    data = call("failures")["metrics"]
     print_table("Fig 13a/13c: Must%% sweep (F=25%)", data["must_sweep"])
     print_table("Fig 13b/13d: failed-device%% sweep (M=100%)",
                 data["failure_sweep"])
@@ -48,7 +47,7 @@ def test_fig13_failures(benchmark):
     assert overall_rollback("ev") <= overall_rollback("sgsv")
 
 
-def test_fig13_ev_abort_exposure_with_recovering_failures(benchmark):
+def test_fig13_ev_abort_exposure_with_recovering_failures():
     """§7.4's headline: "Failures abort more routines in EV because it
     allows high concurrency."  The effect appears when failures recover
     and concurrency is high: EV packs every in-flight routine into the
@@ -60,25 +59,20 @@ def test_fig13_ev_abort_exposure_with_recovering_failures(benchmark):
     from repro.experiments.runner import ExperimentSetup, run_workload
     from repro.workloads.micro import MicroParams, generate_microbenchmark
 
-    def sweep():
-        params = MicroParams(routines=60, concurrency=20, devices=20,
-                             failed_device_pct=25.0, restart_after_s=60.0,
-                             long_duration_s=120.0, short_duration_s=5.0)
-        out = {}
-        for model in ("ev", "gsv"):
-            rates = []
-            for trial in range(8):
-                workload = generate_microbenchmark(params,
-                                                   seed=400 + trial)
-                setup = ExperimentSetup(model=model, seed=trial,
-                                        check_final=False)
-                _result, report, _c = run_workload(workload, setup,
-                                                   trial=trial)
-                rates.append(report.abort_rate)
-            out[model] = mean(rates)
-        return out
-
-    rates = run_once(benchmark, sweep)
+    params = MicroParams(routines=60, concurrency=20, devices=20,
+                         failed_device_pct=25.0, restart_after_s=60.0,
+                         long_duration_s=120.0, short_duration_s=5.0)
+    rates = {}
+    for model in ("ev", "gsv"):
+        trials = []
+        for trial in range(8):
+            workload = generate_microbenchmark(params, seed=400 + trial)
+            setup = ExperimentSetup(model=model, seed=trial,
+                                    check_final=False)
+            _result, report, _c = run_workload(workload, setup,
+                                               trial=trial)
+            trials.append(report.abort_rate)
+        rates[model] = mean(trials)
     print_table("Fig 13 (recovering failures, rho=20)",
                 [{"model": m, "abort_rate": r} for m, r in rates.items()])
     # EV's exposure matches or exceeds GSV's in this regime.

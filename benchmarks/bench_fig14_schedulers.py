@@ -7,13 +7,12 @@ latency holds across concurrency levels.
 Shape assertions over the registered ``schedulers`` sweep.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
 
-def test_fig14_schedulers(benchmark):
-    rows = run_once(benchmark, call, "schedulers")["metrics"]["rows"]
+def test_fig14_schedulers():
+    rows = call("schedulers")["metrics"]["rows"]
     print_table("Fig 14: FCFS vs JiT vs Timeline (EV)", rows)
 
     def metric(scheduler, rho, key):

@@ -9,13 +9,12 @@ distribution first widens then narrows as routines grow.
 Shape assertions over the registered ``leasing`` and ``stretch`` sweeps.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
 
-def test_fig15ab_leasing_ablation(benchmark):
-    rows = run_once(benchmark, call, "leasing")["metrics"]["rows"]
+def test_fig15ab_leasing_ablation():
+    rows = call("leasing")["metrics"]["rows"]
     print_table("Fig 15a/15b: leasing ablation (EV/TL)", rows)
 
     def lat(variant, rho):
@@ -35,8 +34,8 @@ def test_fig15ab_leasing_ablation(benchmark):
         assert incong("both-off", rho) <= incong("both-on", rho)
 
 
-def test_fig15c_stretch_factor(benchmark):
-    rows = run_once(benchmark, call, "stretch")["metrics"]["rows"]
+def test_fig15c_stretch_factor():
+    rows = call("stretch")["metrics"]["rows"]
     print_table("Fig 15c: stretch factor vs routine size", rows)
     # Stretch exists under contention but stays bounded.
     for row in rows:

@@ -9,7 +9,6 @@ Shape assertions over the registered ``routine_size`` and
 ``device_popularity`` sweeps.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
@@ -19,8 +18,8 @@ def _lat(rows, model, key, value):
                 if row["model"] == model and row[key] == value)
 
 
-def test_fig16abc_routine_size(benchmark):
-    rows = run_once(benchmark, call, "routine_size")["metrics"]["rows"]
+def test_fig16abc_routine_size():
+    rows = call("routine_size")["metrics"]["rows"]
     print_table("Fig 16a-c: impact of commands per routine", rows)
 
     # GSV latency rises with C.
@@ -45,9 +44,8 @@ def test_fig16abc_routine_size(benchmark):
             assert row["order_mismatch"] < 0.2
 
 
-def test_fig16d_device_popularity(benchmark):
-    rows = run_once(benchmark, call,
-                    "device_popularity")["metrics"]["rows"]
+def test_fig16d_device_popularity():
+    rows = call("device_popularity")["metrics"]["rows"]
     print_table("Fig 16d: device popularity (Zipf alpha) vs latency",
                 rows)
     # EV stays close to WV even under skew (within 2x here).

@@ -9,13 +9,12 @@ mismatch stays low overall (3-10%).
 Shape assertions over the registered ``long_routines`` sweep.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
 
-def test_fig17_long_routines(benchmark):
-    data = run_once(benchmark, call, "long_routines")["metrics"]
+def test_fig17_long_routines():
+    data = call("long_routines")["metrics"]
     print_table("Fig 17a: long-command duration sweep (EV/TL)",
                 data["duration_sweep"])
     print_table("Fig 17b: long-routine percentage sweep (EV/TL)",

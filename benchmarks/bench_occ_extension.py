@@ -13,16 +13,14 @@ commits everything with zero undo.  The design choice is validated.
 Shape assertions over the registered ``occ_extension`` sweep.
 """
 
-from benchmarks.conftest import run_once
 from repro.bench import call
 from repro.experiments.report import print_table
 
 
-def test_occ_vs_ev_contention_sweep(benchmark):
+def test_occ_vs_ev_contention_sweep():
     # Three trials per cell (the registered size) leave OCC's undo
     # trend inside the noise; six show it.
-    rows = run_once(benchmark, call, "occ_extension",
-                    trials=6)["metrics"]["rows"]
+    rows = call("occ_extension", trials=6)["metrics"]["rows"]
     print_table("Extension: OCC vs EV across contention (Zipf alpha)",
                 rows)
 

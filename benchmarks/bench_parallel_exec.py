@@ -8,16 +8,15 @@ the per-model table).
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.bench.suites.perf import (PARALLEL_EXEC_MODELS,
                                      parallel_exec_compare)
 
 
 @pytest.mark.parametrize("model", PARALLEL_EXEC_MODELS)
-def test_parallel_speedup(benchmark, model):
+def test_parallel_speedup(model):
     """The wide fan-out routine's makespan drops ≥1.5× under parallel
     plans for every model (disjoint footprints: pure planner win)."""
-    serial, parallel = run_once(benchmark, parallel_exec_compare, model)
+    serial, parallel = parallel_exec_compare(model)
     assert parallel["committed"] == serial["committed"]
     assert parallel["speedup"] is not None and parallel["speedup"] >= 1.5, \
         parallel

@@ -18,15 +18,14 @@ Shape assertions over the crash-and-recover step behind the registered
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.bench.suites.recovery_util import crash_and_recover
 
 REPEATS = (1, 2, 4, 8)
 
 
 @pytest.mark.parametrize("repeats", REPEATS)
-def test_recovery_scales_with_wal(benchmark, repeats):
-    _home, report = run_once(benchmark, crash_and_recover, repeats)
+def test_recovery_scales_with_wal(repeats):
+    _home, report = crash_and_recover(repeats)
     assert report.replayed_events > 0
     assert report.wal_records > 0
 

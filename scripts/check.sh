@@ -149,13 +149,8 @@ echo
 echo "== paper figure shapes =="
 # The §7 shapes (EV rolls back the fewest commands, TL <= JiT <= FCFS,
 # ...) asserted on the rows the registered sweeps report; timings are
-# not the gate, so pytest-benchmark only runs each sweep once.
-if "$PY" -c "import pytest_benchmark" >/dev/null 2>&1; then
-    "$PY" -m pytest -q -p no:cacheprovider --benchmark-disable \
-        benchmarks/bench_*.py
-else
-    echo "(pytest-benchmark not installed; figure shapes NOT checked)"
-fi
+# not the gate (the perf ledger below is).
+"$PY" -m pytest -q -p no:cacheprovider benchmarks/bench_*.py
 
 echo
 echo "== perf ledger gate (its tests + all workloads traced/untraced) =="
@@ -170,6 +165,19 @@ doors="$(grep -rl --include='*.py' 'sim\.run(' src/repro | grep -vx \
     -e src/repro/sim/engine.py -e src/repro/hub/safehome.py || true)"
 [ -z "$doors" ] || { echo "sim.run( outside the hub: $doors"; exit 1; }
 echo "one door OK"
+
+echo
+echo "== one clock: only the real-time pacer and Fig 15d read a clock =="
+# The hub is deterministic in virtual time; wall-clock measurement is
+# the perf ledger's.  The serve pacer (and its load generator) runs in
+# real time and Fig 15d is a CPU-time figure; nothing else may time.
+clocks="$(grep -rlE --include='*.py' \
+    'perf_counter|monotonic|time\.time\(|process_time' src/repro | grep -vx \
+    -e src/repro/serve/pacing.py \
+    -e src/repro/serve/loadgen.py -e src/repro/experiments/figures.py \
+    || true)"
+[ -z "$clocks" ] || { echo "clock read outside the pacer: $clocks"; exit 1; }
+echo "one clock OK"
 
 echo
 echo "== lint =="

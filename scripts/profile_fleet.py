@@ -11,14 +11,11 @@ and prints the top functions by cumulative and internal time::
         --scenario morning --sort tottime --limit 40
     PYTHONPATH=src python scripts/profile_fleet.py --out fleet.pstats
 
-Two backends are profileable:
-
-* ``--backend serial`` (default) — the parent's profiler wraps the
-  whole run; this is the per-home cost every backend pays.
-* ``--backend process`` — each worker profiles its own life and dumps
-  a per-pid pstats file at exit; the parent merges them into one view,
-  which is where pool-only costs (chunk pickling, partial transport,
-  factory resets across workers) become visible.
+The fleet runs on the serial backend, in this process, so the profiler
+wraps the whole run: this is the per-home cost every backend pays.
+Pool-only costs (spin-up, chunking, partial transport) are the perf
+ledger's ``fleet_process`` workload to measure
+(``python3 perf_ledger/run.py --workload fleet_process --trace``).
 
 ``--json`` writes the top-N functions by cumulative time as JSON —
 machine-readable output for tracking bottleneck drift across PRs.
@@ -27,12 +24,10 @@ Open a ``--out`` dump with ``snakeviz``/``pstats`` interactively.
 
 import argparse
 import cProfile
-import glob
 import json
 import os
 import pstats
 import sys
-import tempfile
 import time
 
 from repro.fleet import FleetConfig, FleetEngine
@@ -61,7 +56,7 @@ def top_functions(stats: pstats.Stats, limit: int) -> list:
 
 
 def profile_serial(engine: FleetEngine):
-    """Profile the whole run in-process (serial backend)."""
+    """Profile the whole run in-process."""
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
@@ -69,33 +64,6 @@ def profile_serial(engine: FleetEngine):
     profiler.disable()
     elapsed = time.perf_counter() - started
     return pstats.Stats(profiler), result, elapsed
-
-
-def profile_process(config: FleetConfig):
-    """Profile a process-pool run: per-worker dumps, merged here.
-
-    The profile directory rides to the workers through the one-time
-    ``WorkerContext`` broadcast (``FleetConfig.profile_dir``); each
-    worker dumps ``worker-<pid>.pstats`` at interpreter exit, after the
-    pool has shut down — so the merge happens strictly after
-    ``engine.run()`` returns.
-    """
-    with tempfile.TemporaryDirectory(prefix="repro-fleet-prof-") as tmp:
-        engine = FleetEngine(
-            FleetConfig(**{**config.__dict__, "profile_dir": tmp}))
-        started = time.perf_counter()
-        result = engine.run()
-        elapsed = time.perf_counter() - started
-        dumps = sorted(glob.glob(os.path.join(tmp, "worker-*.pstats")))
-        if not dumps:
-            raise SystemExit(
-                "no worker profiles were dumped — did the pool spawn "
-                "workers? (1-home fleets collapse to a single chunk)")
-        stats = pstats.Stats(dumps[0])
-        for dump in dumps[1:]:
-            stats.add(dump)
-        print(f"merged {len(dumps)} worker profile(s)", file=sys.stderr)
-    return stats, result, elapsed
 
 
 def main(argv=None) -> int:
@@ -106,13 +74,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", default="mix",
                         help="'mix' or one fleet scenario name")
     parser.add_argument("--model", default="ev")
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "process"),
-                        help="serial profiles in-process; process "
-                             "merges per-worker profiles (default: "
-                             "serial)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool size; 0 = one per CPU")
     parser.add_argument("--crashes", type=int, default=0,
                         help="profile the durable path (hub crashes "
                              "per home)")
@@ -126,7 +87,7 @@ def main(argv=None) -> int:
     parser.add_argument("--limit", type=int, default=30,
                         help="rows to print (default: 30)")
     parser.add_argument("--out", default="",
-                        help="also dump raw (merged) pstats to this path")
+                        help="also dump raw pstats to this path")
     parser.add_argument("--json", default="",
                         help="write the top functions by cumulative "
                              "time as JSON to this path")
@@ -134,12 +95,9 @@ def main(argv=None) -> int:
 
     config = FleetConfig(
         homes=args.homes, seed=args.seed, scenario=args.scenario,
-        model=args.model, backend=args.backend, workers=args.workers,
-        crashes=args.crashes, check_final=args.check_final)
-    if args.backend == "process":
-        stats, result, elapsed = profile_process(config)
-    else:
-        stats, result, elapsed = profile_serial(FleetEngine(config))
+        model=args.model, crashes=args.crashes,
+        check_final=args.check_final)
+    stats, result, elapsed = profile_serial(FleetEngine(config))
 
     print(f"{args.homes} homes in {elapsed:.2f}s under the profiler "
           f"({args.homes / elapsed:.1f} homes/s; profiling overhead "
@@ -154,7 +112,6 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}", file=sys.stderr)
     if args.json:
         payload = {
-            "backend": args.backend,
             "homes": args.homes,
             "seed": args.seed,
             "scenario": args.scenario,

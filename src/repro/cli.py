@@ -190,18 +190,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(config.to_plan(), sort_keys=True,
                                     indent=2) + "\n")
         return 0
-    engine = FleetEngine(config)
-    result = engine.run()
+    result = FleetEngine(config).run()
     text = result.to_json(per_home=args.per_home) + "\n"
     sys.stdout.write(text)
     if args.json:
         _write(args.json, text)
-    if args.stats:
-        print(f"simulated {len(result.rows)} homes in "
-              f"{result.elapsed_s:.2f}s wall "
-              f"({result.homes_per_second:.1f} homes/sec, "
-              f"backend={config.backend}, "
-              f"workers={engine.pool_workers()})", file=sys.stderr)
     return 0
 
 
@@ -248,7 +241,6 @@ def cmd_fleet_ops_status(args: argparse.Namespace) -> int:
 
 
 def cmd_crash_recovery(args: argparse.Namespace) -> int:
-    from repro.metrics.recovery import recovery_wall_summary
     from repro.workloads.chaos import run_chaos
 
     result = run_chaos(
@@ -268,10 +260,6 @@ def cmd_crash_recovery(args: argparse.Namespace) -> int:
           ("mode", "crash_events", "replayed_events", "replayed_records",
            "checkpoints_verified", "resumed", "aborted", "congruent")}
          for row in rows])
-    walls = recovery_wall_summary(result.recovery_wall_s)
-    print(f"recovery wall-clock: mean {walls['mean'] * 1e3:.2f} ms, "
-          f"max {walls['max'] * 1e3:.2f} ms over {walls['n']} recoveries",
-          file=sys.stderr)
     if args.json:
         _write(args.json, result.to_json() + "\n")
     if args.recovery == "replay" and not result.congruent:
@@ -614,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the final-incongruence check (faster)")
     fleet.add_argument("--json", default="",
                        help="also write the JSON to this path")
-    fleet.add_argument("--stats", action="store_true",
-                       help="print wall-clock homes/sec to stderr")
     fleet.set_defaults(func=cmd_fleet)
 
     fleet_ops = sub.add_parser(

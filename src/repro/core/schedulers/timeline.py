@@ -13,7 +13,6 @@ stretch the new routine beyond ``config.stretch_threshold`` × its ideal
 runtime when the plain tail placement would stretch it less.
 """
 
-import time as _time
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
@@ -32,18 +31,8 @@ class TimelineScheduler(Scheduler):
 
     name = "timeline"
 
-    def __init__(self, controller) -> None:
-        super().__init__(controller)
-        # Wall-clock seconds spent inside the placement search, per
-        # routine size — reproduces Fig 15d.
-        self.insertion_times: List[Tuple[int, float]] = []
-
     def on_arrive(self, run: RoutineRun) -> None:
-        started = _time.perf_counter()
-        placements = self._place(run)
-        self.insertion_times.append(
-            (len(run.commands), _time.perf_counter() - started))
-        self.controller.place_run(run, placements)
+        self.controller.place_run(run, self._place(run))
 
     # -- Algorithm 1 -----------------------------------------------------------------
 

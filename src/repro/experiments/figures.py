@@ -11,6 +11,7 @@ golden and the shape assertions run it with — the shapes are stable at
 those sizes.
 """
 
+import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
@@ -18,7 +19,7 @@ from repro.bench.registry import scaled_trials, sweep
 from repro.core.controller import ControllerConfig
 from repro.devices.network import LatencyModel
 from repro.experiments.runner import (ExperimentSetup, run_trials,
-                                      run_workload)
+                                      run_workload, trial_home)
 from repro.metrics.stats import cdf_points, mean, percentile
 from repro.workloads.fleet_mix import build_fleet_workload
 from repro.workloads.lights import lights_workload
@@ -334,8 +335,8 @@ def fig15c_stretch(trials: int = 10, seed: int = 8,
 
 
 def _insertion_outcome(rows, params):
-    # Per-insertion milliseconds are wall-clock, so they live under
-    # ``timing``; the deterministic part is the sweep shape itself.
+    # Per-insertion milliseconds are this sweep's own stopwatch, so they
+    # live under ``timing``; the deterministic part is the sweep shape.
     return {"metrics": {"routine_sizes": list(params["routine_sizes"]),
                         "insertions": len(rows)},
             "timing": {"rows": rows}}
@@ -353,12 +354,19 @@ def fig15d_insertion_time(routine_sizes=(1, 2, 4, 6, 8, 10),
                              devices=n_devices,
                              commands_per_routine=float(size),
                              long_routine_pct=0.0, short_duration_s=5.0)
-        workload = generate_microbenchmark(params, seed=seed)
-        setup = ExperimentSetup(model="ev", scheduler="timeline",
-                                seed=seed, check_final=False)
-        _result, _report, controller = run_workload(workload, setup)
-        samples = [elapsed for (n, elapsed)
-                   in controller.scheduler.insertion_times if n >= size]
+        home = trial_home(generate_microbenchmark(params, seed=seed),
+                          ExperimentSetup(model="ev", seed=seed))
+        place, samples = home.controller.scheduler._place, []
+
+        def timed_place(run):
+            started = time.perf_counter()
+            placements = place(run)
+            if len(run.commands) >= size:
+                samples.append(time.perf_counter() - started)
+            return placements
+
+        home.controller.scheduler._place = timed_place
+        home.run()
         rows.append({
             "commands": size,
             "mean_insert_ms": mean(samples) * 1000 if samples else 0.0,

@@ -70,15 +70,22 @@ def _scale_failure_plans(workload: Workload, setup: ExperimentSetup,
                    meta={**workload.meta, "scale_failures": False})
 
 
-def _run_once(workload: Workload, setup: ExperimentSetup,
-              trial: int = 0
-              ) -> Tuple[RunResult, MetricsReport, Controller]:
+def trial_home(workload: Workload, setup: ExperimentSetup,
+               trial: int = 0) -> SafeHome:
+    """The hub one trial of ``workload`` runs on: loaded, not yet run."""
     home = SafeHome(
         visibility=setup.model, scheduler=setup.scheduler,
         execution=setup.execution, config=setup.config,
         latency=setup.latency,
         seed=RandomStreams(seed=setup.seed).spawn(trial).seed)
     home.load_workload(workload)
+    return home
+
+
+def _run_once(workload: Workload, setup: ExperimentSetup,
+              trial: int = 0
+              ) -> Tuple[RunResult, MetricsReport, Controller]:
+    home = trial_home(workload, setup, trial)
     result = home.run(max_events=setup.max_events)
     report = home.report(check_final=setup.check_final,
                          exhaustive_limit=setup.exhaustive_limit)

@@ -91,12 +91,11 @@ class ControlLoop:
         plan.validate()
         self.plan = plan
         self.config = FleetConfig.from_plan(plan.fleet)
-        # The control plane owns its spawns: streaming partials, WAL
-        # spooling and profiling belong to plain `repro fleet` runs.
+        # The control plane owns its spawns: streaming partials and WAL
+        # spooling belong to plain `repro fleet` runs.
         for key, value, allowed in (
                 ("aggregate", self.config.aggregate, "exact"),
-                ("wal_dir", self.config.wal_dir, ""),
-                ("profile_dir", self.config.profile_dir, "")):
+                ("wal_dir", self.config.wal_dir, "")):
             if value != allowed:
                 raise PlanError(
                     f"control plans do not support fleet.{key}="

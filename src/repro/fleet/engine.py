@@ -80,9 +80,6 @@ class FleetConfig:
     # Directory for worker-spooled WALs ("" disables; forces durable
     # homes and produces fleet-wal.segs + index after the run).
     wal_dir: str = ""
-    # Directory for per-worker cProfile dumps ("" disables; used by
-    # scripts/profile_fleet.py for the process backend).
-    profile_dir: str = ""
 
     def __post_init__(self) -> None:
         if self.transport != "pickle":
@@ -168,19 +165,12 @@ class FleetResult:
     config: FleetConfig
     rows: Rows                      # sorted by home_id
     aggregate: Dict[str, Any]
-    elapsed_s: float = 0.0          # wall-clock; excluded from to_json
-
-    @property
-    def homes_per_second(self) -> float:
-        if self.elapsed_s <= 0:
-            return 0.0
-        return len(self.rows) / self.elapsed_s
 
     def to_json(self, per_home: bool = False, indent: int = 2) -> str:
         """Deterministic JSON: same config ⇒ byte-identical output.
 
-        Wall-clock timing and raw latency samples are deliberately
-        excluded; ``per_home`` adds the per-home summary rows.
+        Raw latency samples are deliberately excluded; ``per_home``
+        adds the per-home summary rows.
         """
         payload: Dict[str, Any] = {
             "fleet": {
@@ -257,10 +247,7 @@ class FleetEngine:
 
     def run(self) -> FleetResult:
         """Simulate the whole fleet and return rows + aggregate."""
-        import time
-
         config = self.config
-        started = time.perf_counter()
         if config.wal_dir:
             os.makedirs(config.wal_dir, exist_ok=True)
             refuse_leftover_workers(config.wal_dir)
@@ -278,7 +265,6 @@ class FleetEngine:
                 f"for {config.homes} homes")
         if config.wal_dir:
             merge_spool(config.wal_dir, expected_homes=config.homes)
-        elapsed = time.perf_counter() - started
         if config.aggregate == "stream":
             # Partials merge in chunk order — deterministic for a fixed
             # chunk layout regardless of completion order.
@@ -286,8 +272,7 @@ class FleetEngine:
                 [result.partial for result in results]).aggregate()
         else:
             aggregate = aggregate_homes(rows)
-        return FleetResult(config=config, rows=rows,
-                           aggregate=aggregate, elapsed_s=elapsed)
+        return FleetResult(config=config, rows=rows, aggregate=aggregate)
 
 
 def run_fleet(homes: int, seed: int = 0, **kwargs: Any) -> FleetResult:

@@ -26,7 +26,6 @@ cycles scenario profiles by home id) stays balanced at any chunk size
 of a few homes or more.
 """
 
-import atexit
 from concurrent import futures
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -161,42 +160,6 @@ def _process_worker_init(context: WorkerContext) -> None:
 
     _PROCESS_STATE["context"] = context
     _PROCESS_STATE["factory"] = HomeFactory(context)
-    if context.config.profile_dir:
-        _start_worker_profile(context.config.profile_dir)
-
-
-def _at_worker_exit(callback) -> None:
-    """Run ``callback`` when this worker process exits.
-
-    Forked multiprocessing children leave via ``os._exit``, which skips
-    the regular ``atexit`` machinery — ``multiprocessing.util``'s
-    finalizer registry is the hook that actually fires there.  Plain
-    ``atexit`` is the fallback for exotic pools that reuse this
-    initializer in-process.
-    """
-    try:
-        from multiprocessing.util import Finalize
-
-        Finalize(None, callback, exitpriority=10)
-    except Exception:  # pragma: no cover - stdlib-internal API moved
-        atexit.register(callback)
-
-
-def _start_worker_profile(profile_dir: str) -> None:
-    """Profile this worker's whole life; dump pstats at worker exit so
-    the parent can merge the per-worker files into one view."""
-    import cProfile
-    import os
-
-    profile = cProfile.Profile()
-    profile.enable()
-
-    def _dump() -> None:
-        profile.disable()
-        profile.dump_stats(os.path.join(profile_dir,
-                                        f"worker-{os.getpid()}.pstats"))
-
-    _at_worker_exit(_dump)
 
 
 def _process_worker_chunk(

@@ -145,15 +145,19 @@ def merge_spool(wal_dir: str,
 
 
 def read_index(wal_dir: str) -> Dict[str, Any]:
-    """The merged log's index document.  The schema is checked, so a
-    directory from before the one-format break fails here instead of
-    being misread."""
-    with open(os.path.join(wal_dir, INDEX_NAME), "r",
-              encoding="utf-8") as handle:
+    """The merged log's index document, checked before it is trusted: a
+    foreign schema (a directory from before the one-format break) or a
+    key that is no home id is refused here instead of being misread.
+    :func:`read_block` checks the one entry it reads, so loading every
+    home stays O(homes) index checks, not O(homes²)."""
+    with open(os.path.join(wal_dir, INDEX_NAME), encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("schema") != INDEX_SCHEMA:
-        raise ValueError(f"unexpected index schema "
-                         f"{payload.get('schema')!r}")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != INDEX_SCHEMA:
+        raise ValueError(f"unexpected index schema {schema!r}")
+    index = payload.get("index")
+    if not isinstance(index, dict) or not all(map(str.isdecimal, index)):
+        raise ValueError("malformed fleet index: no map from home ids")
     return payload
 
 
@@ -165,17 +169,22 @@ def read_block(wal_dir: str, home_id: int,
     entry = index["index"].get(str(home_id))
     if entry is None:
         raise KeyError(f"home {home_id} is not in the spooled index")
+    if not (isinstance(entry, dict) and sorted(entry) == ["length", "offset"]
+            and all(type(n) is int and n >= 0 for n in entry.values())):
+        raise ValueError(f"malformed fleet index: home {home_id} needs a "
+                         f"non-negative integer offset and length")
+    offset, length = entry["offset"], entry["length"]
     merged_path = os.path.join(wal_dir, MERGED_NAME)
     size = os.path.getsize(merged_path)
-    if entry["offset"] + entry["length"] > size:
+    if offset + length > size:
         raise CorruptionError(
             f"stale index: home {home_id} slice "
-            f"[{entry['offset']}, {entry['offset'] + entry['length']}) "
+            f"[{offset}, {offset + length}) "
             f"overruns the {size}-byte merged log",
-            path=merged_path, offset=entry["offset"])
+            path=merged_path, offset=offset)
     with open(merged_path, "rb") as handle:
-        handle.seek(entry["offset"])
-        return entry["offset"], handle.read(entry["length"])
+        handle.seek(offset)
+        return offset, handle.read(length)
 
 
 def load_spooled_home(wal_dir: str, home_id: int) -> Dict[str, Any]:

@@ -105,7 +105,7 @@ def run_crashing(home, plans: Iterable[CrashPlan], recover: Callable,
 
 @dataclass
 class RecoveryReport:
-    """What one recovery did, and what it cost."""
+    """What one recovery did."""
 
     mode: str
     crash_time: float
@@ -116,14 +116,13 @@ class RecoveryReport:
     checkpoints_verified: int
     resumed: List[int] = field(default_factory=list)    # routine ids
     aborted: List[int] = field(default_factory=list)    # routine ids
-    wall_s: float = 0.0         # wall-clock recovery time (measurement)
     #: Present only after ``recover(mode="salvage")``: what the salvage
     #: cut (floor seq / events, dropped record counts, oracle verdict).
     #: ``None`` keeps :meth:`row` byte-identical for replay/policy.
     salvage: Optional[Dict[str, Any]] = None
 
     def row(self) -> Dict[str, Any]:
-        """Deterministic summary (wall time excluded — see to_row_timed)."""
+        """Deterministic summary; ``salvage`` only after a salvage."""
         row = {
             "mode": self.mode,
             "crash_time": round(self.crash_time, 6),

@@ -19,7 +19,6 @@ stack-building hooks and crash flags directly.
 """
 
 import dataclasses
-import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, NamedTuple, Optional
 
@@ -322,8 +321,7 @@ def _salvage(home, records, bounded: bool, end=None) -> ReplayOutcome:
     return outcome
 
 
-def _finish(home, mode: str, records, outcome: ReplayOutcome,
-            started: float) -> RecoveryReport:
+def _finish(home, mode, records, outcome: ReplayOutcome) -> RecoveryReport:
     """Restart the replayed hub under ``mode`` and file the report."""
     resumed, aborted = restart(home, mode)
     observed = outcome.observations_verified
@@ -350,7 +348,6 @@ def _finish(home, mode: str, records, outcome: ReplayOutcome,
         checkpoints_verified=outcome.checkpoints_verified,
         resumed=resumed,
         aborted=aborted,
-        wall_s=time.perf_counter() - started,
         salvage=outcome.info if mode == "salvage" else None)
     home.recoveries.append(report)
     return report
@@ -366,7 +363,6 @@ def recover(home, mode: Optional[str] = None) -> RecoveryReport:
     if mode not in RECOVERY_MODES and mode != "salvage":
         raise ValueError(f"unknown recovery mode {mode!r}; "
                          f"pick from {RECOVERY_MODES + ('salvage',)}")
-    started = time.perf_counter()
     records = list(home.durability.wal.records)
     if mode != "salvage" and _last(records, "crash") is None:
         # A failed migration marks the hub crashed without a crash
@@ -385,7 +381,7 @@ def recover(home, mode: Optional[str] = None) -> RecoveryReport:
                 raise RecoveryError(
                     "replay finished without reaching the crash "
                     "point (corrupt or truncated WAL)")
-    return _finish(home, mode, records, outcome, started)
+    return _finish(home, mode, records, outcome)
 
 
 def salvage(home, records, bounded: bool = True, end=None
@@ -394,10 +390,9 @@ def salvage(home, records, bounded: bool = True, end=None
     into a :func:`build_home` twin."""
     if home.durability is None:
         raise SafeHomeError("durability is not enabled")
-    started = time.perf_counter()
     records = list(records)
     outcome = _salvage(home, records, bounded, end)
-    return _finish(home, "salvage", records, outcome, started)
+    return _finish(home, "salvage", records, outcome)
 
 
 def _retimed_inputs(records, now: float) -> List:
@@ -437,7 +432,6 @@ def migrate(home, visibility) -> MigrationReport:
     home._ensure_alive()
     target = VisibilityModel.parse(visibility)
     source = VisibilityModel.parse(home._ctor["visibility"])
-    started = time.perf_counter()
     boundary = home.durability.take_checkpoint()
     inputs = _retimed_inputs(home.durability.wal.records, home.sim.now)
     try:
@@ -461,7 +455,6 @@ def migrate(home, visibility) -> MigrationReport:
         checkpoint_digest=boundary.digest,
         replayed_records=outcome.info["replayed_inputs"],
         replayed_events=home.sim.events_processed,
-        resumed_crashes=outcome.info["healed_crashes"],
-        wall_s=time.perf_counter() - started)
+        resumed_crashes=outcome.info["healed_crashes"])
     home.migrations.append(report)
     return report

@@ -22,7 +22,7 @@ from typing import Any, Dict
 
 @dataclass
 class MigrationReport:
-    """What one live model migration did, and what it cost."""
+    """What one live model migration did."""
 
     from_model: str
     to_model: str
@@ -32,10 +32,9 @@ class MigrationReport:
     replayed_records: int       # input records re-applied
     replayed_events: int        # simulator events re-executed
     resumed_crashes: int        # crashes that (re)fired during replay
-    wall_s: float = 0.0         # wall-clock migration time (measurement)
 
     def row(self) -> Dict[str, Any]:
-        """Deterministic summary (wall time excluded)."""
+        """Deterministic summary."""
         return {
             "from_model": self.from_model,
             "to_model": self.to_model,

@@ -18,7 +18,7 @@ from repro.metrics.congruence import (end_state_of_order,
 from repro.metrics.cohort import (cohort_aggregates, cohort_rows,
                                   compare_cohorts)
 from repro.metrics.fleet import aggregate_homes
-from repro.metrics.recovery import recovery_summary, recovery_wall_summary
+from repro.metrics.recovery import recovery_summary
 from repro.metrics.serialization import (reconstruct_serial_order,
                                          validate_serial_order)
 from repro.metrics.stats import (cdf_points, mean, normalized_swap_distance,
@@ -44,5 +44,4 @@ __all__ = [
     "cohort_aggregates",
     "compare_cohorts",
     "recovery_summary",
-    "recovery_wall_summary",
 ]

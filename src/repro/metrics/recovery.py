@@ -3,9 +3,8 @@
 Summaries over :class:`~repro.hub.durability.RecoveryReport` rows —
 replay length (events re-executed, observations the verified seals cover),
 WAL length at crash, checkpoints verified, and the per-model policy
-outcome (routines resumed vs aborted).  Wall-clock recovery time is
-summarized separately (:func:`recovery_wall_summary`) so deterministic
-reports never mix in nondeterministic timings.
+outcome (routines resumed vs aborted).  Recovery wall time is not a
+report field: the perf ledger measures it (``durability.recover_ms_*``).
 """
 
 from typing import Any, Dict, Iterable, List, Union
@@ -36,9 +35,3 @@ def recovery_summary(reports: Iterable[Union[Row, Any]]) -> Dict[str, Any]:
         "aborted_in_flight": sum(len(r["aborted"]) for r in rows),
     }
 
-
-def recovery_wall_summary(wall_seconds: Iterable[float]) -> Dict[str, float]:
-    """Wall-clock recovery-time summary (benchmarks only — this is the
-    one nondeterministic recovery metric, so it never joins report
-    JSON that CI compares byte-for-byte)."""
-    return summarize(list(wall_seconds))

@@ -13,7 +13,7 @@ class VirtualClock:
     """Monotonically advancing simulated time, in seconds.
 
     ``now`` is a plain attribute (read on every scheduling decision);
-    advance through :meth:`advance_to` so monotonicity stays enforced.
+    advance through :meth:`advance_to` so time never runs backwards.
     """
 
     __slots__ = ("now",)

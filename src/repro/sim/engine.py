@@ -152,7 +152,7 @@ class Simulator:
                 # as the livelock valve).  The per-event sequence is
                 # _dispatch minus the hook check, with the queue pop,
                 # clock advance and event fire inlined (heap order
-                # guarantees the monotonicity advance_to() re-checks).
+                # guarantees the forward-only time advance_to() checks).
                 clock = self.clock
                 pop = queue.pop
                 while queue._live:

@@ -91,10 +91,9 @@ class ChaosResult:
     recovered_row: Dict[str, Any]
     congruent: bool
     recoveries: List[Dict[str, Any]] = field(default_factory=list)
-    recovery_wall_s: List[float] = field(default_factory=list)
 
     def summary(self) -> Dict[str, Any]:
-        """Deterministic summary (wall-clock excluded)."""
+        """Deterministic summary."""
         return {
             "model": self.model,
             "execution": self.execution,
@@ -189,5 +188,4 @@ def run_chaos(model: str = "ev", execution: str = "serial", seed: int = 0,
         seed=seed, crash_events=[r.crash_events for r in reports],
         baseline_events=total_events, baseline_row=baseline_row,
         recovered_row=recovered_row, congruent=congruent,
-        recoveries=[r.row() for r in reports],
-        recovery_wall_s=[r.wall_s for r in reports])
+        recoveries=[r.row() for r in reports])

@@ -120,6 +120,16 @@ class TestOneTable:
                 ("Fig 14", figures.fig14_schedulers(trials=2))))
         assert capsys.readouterr().out == expected
 
+    def test_insertion_sweep_owns_its_stopwatch(self):
+        """Fig 15d times the scheduler's placement search itself: the
+        milliseconds are ``timing``, the shape is ``metrics``."""
+        outcome = registry.call("scheduler_insertion", routine_sizes=(1, 4))
+        rows = outcome["timing"]["rows"]
+        assert [row["commands"] for row in rows] == [1, 4]
+        assert all(row["mean_insert_ms"] > 0 for row in rows)
+        assert outcome["metrics"] == {"routine_sizes": [1, 4],
+                                      "insertions": 2}
+
     def test_docs_table_lists_exactly_the_registered_names(self):
         registry.figures()                       # loads the registry
         text = (REPO_ROOT / "docs" / "benchmarks.md").read_text()

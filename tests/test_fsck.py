@@ -302,6 +302,24 @@ class TestFleetSpool:
             load_spooled_home(wal_dir, 0)
         assert cli_main(["fsck", wal_dir]) == 2
 
+    @pytest.mark.parametrize("tamper", [
+        lambda doc: doc["index"]["0"].update(offset="0"),
+        lambda doc: doc.pop("index"),
+        lambda doc: doc["index"]["1"].update(offset=-1),
+    ], ids=["string-offset", "no-index", "negative-offset"])
+    def test_malformed_index_is_refused(self, tmp_path, capsys, tamper):
+        """A hand-edited index is the typed refusal a foreign schema
+        is: exit 2 with one ``repro:`` line, not a traceback."""
+        wal_dir = self.spool(tmp_path)
+        index_path, doc = self.index(wal_dir)
+        tamper(doc)
+        index_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["fsck", wal_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: malformed fleet index")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_fleet_fsck_clean_and_corrupt(self, tmp_path, capsys):
         wal_dir = self.spool(tmp_path)
         assert cli_main(["fsck", wal_dir]) == 0

@@ -104,14 +104,6 @@ class TestTimeline:
         home.run()
         assert r2.finish_time < 10.0  # ran in the gap, not after r1
 
-    def test_insertion_times_recorded(self):
-        home = Home(model="ev", scheduler="timeline", n_devices=2)
-        home.submit(routine("r", [(0, "A", 1.0), (1, "B", 1.0)]))
-        home.run()
-        times = home.controller.scheduler.insertion_times
-        assert len(times) == 1
-        assert times[0][0] == 2  # command count
-
     def test_backtracking_respects_serialization(self):
         """The Fig 9b situation: the first gap for R3's second access
         would contradict the order chosen for its first access."""
