@@ -180,6 +180,10 @@ clocks="$(grep -rlE --include='*.py' \
 echo "one clock OK"
 
 echo
+echo "== source size: lines of src/repro/**/*.py (reported, not gated) =="
+find src/repro -name '*.py' -print0 | xargs -0 cat | wc -l
+
+echo
 echo "== lint =="
 if "$PY" -m ruff --version >/dev/null 2>&1; then
     "$PY" -m ruff check src tests benchmarks examples scripts

@@ -10,7 +10,7 @@ serialization policy.
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.command import Command, CommandExecution
@@ -62,34 +62,65 @@ class ControllerConfig:
     paranoid: bool = False          # verify lineage invariants continuously
 
 
-@dataclass
 class RoutineRun:
-    """Runtime record of one routine instance."""
+    """Runtime record of one routine instance.
 
-    routine: Routine
-    routine_id: int
-    submit_time: float
-    status: RoutineStatus = RoutineStatus.PENDING
-    start_time: Optional[float] = None
-    finish_time: Optional[float] = None
-    next_index: int = 0
-    executions: List[CommandExecution] = field(default_factory=list)
-    abort_reason: str = ""
-    abort_pending: str = ""
-    inflight_count: int = 0
-    # Compiled CommandPlan (execution core); None until first dispatch.
-    plan: Optional[Any] = None
-    # Seconds commands spent ready-but-blocked on locks (parallel plans)
-    # plus lock-table admission waits.
-    lock_wait_s: float = 0.0
-    # Order of arrival at the controller (lock-table admission FIFO).
-    arrival_seq: int = -1
-    # Devices on which the routine has completed its last command.
-    devices_done: Set[int] = field(default_factory=set)
-    # Devices whose failure was detected after our last touch (PSV's
-    # finish-point check).
-    failed_after_last_touch: Set[int] = field(default_factory=set)
-    rolled_back_commands: int = 0
+    A ``__slots__`` class, not a dataclass: one is retained per routine
+    the hub ever ran (the report and the oracle read them after the
+    run), so a finished run keeps no ``__dict__`` and no container it
+    no longer needs.  Equality is identity (routine ids are unique).
+    """
+
+    __slots__ = ("routine", "routine_id", "submit_time", "status",
+                 "start_time", "finish_time", "next_index", "executions",
+                 "abort_reason", "abort_pending", "inflight_count", "plan",
+                 "lock_wait_s", "arrival_seq", "done_mask",
+                 "rolled_back_commands")
+
+    def __init__(self, routine: Routine, routine_id: int, submit_time: float,
+                 status: RoutineStatus = RoutineStatus.PENDING,
+                 start_time: Optional[float] = None,
+                 finish_time: Optional[float] = None,
+                 executions: Optional[List[CommandExecution]] = None) -> None:
+        self.routine = routine
+        self.routine_id = routine_id
+        self.submit_time = submit_time
+        self.status = status
+        self.start_time = start_time
+        self.finish_time = finish_time
+        self.next_index = 0
+        self.executions = [] if executions is None else executions
+        self.abort_reason = ""
+        self.abort_pending = ""
+        self.inflight_count = 0
+        # Compiled CommandPlan (execution core); None until first dispatch.
+        self.plan: Optional[Any] = None
+        # Seconds commands spent ready-but-blocked on locks (parallel
+        # plans) plus lock-table admission waits.
+        self.lock_wait_s = 0.0
+        # Order of arrival at the controller (lock-table admission FIFO).
+        self.arrival_seq = -1
+        # Bit ``1 << device_id`` set once the routine has completed its
+        # last command on that device (an int allocates no set per run).
+        self.done_mask = 0
+        self.rolled_back_commands = 0
+
+    def __repr__(self) -> str:
+        return (f"RoutineRun({self.routine_id}, {self.name!r}, "
+                f"{self.status.value})")
+
+    def done_on(self, device_id: int) -> bool:
+        """Has the routine completed its last command on the device?"""
+        return self.done_mask >> device_id & 1 == 1
+
+    def done_devices(self) -> tuple:
+        """Ascending ids of the devices :meth:`done_on` holds for."""
+        mask, ids = self.done_mask, []
+        while mask:
+            low = mask & -mask
+            ids.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(ids)
 
     @property
     def last_index_by_device(self) -> Dict[int, int]:
@@ -142,16 +173,10 @@ class RoutineRun:
         return {device_id: command.value
                 for device_id, command in self.last_writes().items()}
 
-    def touched_before(self, device_id: int) -> bool:
-        """Has the routine applied/attempted any command on the device?"""
-        return any(e.command.device_id == device_id
-                   for e in self.executions)
-
     def in_touch_phase(self, device_id: int) -> bool:
         """True between the first and last command on ``device_id``."""
-        if device_id in self.devices_done:
-            return False
-        return self.touched_before(device_id)
+        return not self.done_on(device_id) and any(
+            e.command.device_id == device_id for e in self.executions)
 
 
 class Controller:
@@ -542,7 +567,7 @@ class Controller:
             digest.put(routine_id, (
                 routine_id, run.name, run.status.value, run.next_index,
                 len(run.executions), run.inflight_count,
-                tuple(sorted(run.devices_done)),
+                run.done_devices(),
                 None if run.plan is None else run.plan.snapshot()))
         changed.clear()
         return digest.digest()
@@ -568,7 +593,7 @@ class Controller:
 
     def record_last_access(self, run: RoutineRun, device_id: int) -> None:
         """Called when a routine completes its last command on a device."""
-        run.devices_done.add(device_id)
+        run.done_mask |= 1 << device_id
         order = self.device_access_order.get(device_id)
         if order is None:
             order = self.device_access_order[device_id] = []

@@ -456,7 +456,7 @@ class EventualVisibilityController(PlanExecutionMixin):
         for run in self.active_runs():
             if device_id not in run.routine.device_set:
                 continue  # case 1: arbitrary order
-            if device_id in run.devices_done:
+            if run.done_on(device_id):
                 continue  # case 3: serialize failure after R
             if run.in_touch_phase(device_id):
                 # Case 4: the failure splits R's touches — unless every

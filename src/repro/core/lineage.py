@@ -32,8 +32,11 @@ class LockStatus(enum.Enum):
     RELEASED = "R"
 
 
-_STATUS_RANK = {LockStatus.RELEASED: 0, LockStatus.ACQUIRED: 1,
-                LockStatus.SCHEDULED: 2}
+# Invariant 3's order R < A < S, a plain per-member attribute: a dict
+# keyed by the member pays a Python-level ``Enum.__hash__`` per lookup.
+LockStatus.RELEASED.rank = 0
+LockStatus.ACQUIRED.rank = 1
+LockStatus.SCHEDULED.rank = 2
 
 
 @dataclass
@@ -126,7 +129,7 @@ class Lineage:
         # Invariant 3: never insert a SCHEDULED entry to the left of a
         # RELEASED or ACQUIRED one.
         for earlier in self.entries[index:]:
-            if _STATUS_RANK[earlier.status] < _STATUS_RANK[access.status]:
+            if earlier.status.rank < access.status.rank:
                 raise LineageInvariantError(
                     "insert would put a newer-status entry before an "
                     f"older one on device {self.device_id}")
@@ -223,7 +226,7 @@ class Lineage:
         acquired = 0
         last_rank = 0
         for e in self.entries:      # single pass, no list builds
-            rank = _STATUS_RANK[e.status]
+            rank = e.status.rank
             if rank == 1:
                 acquired += 1
                 if acquired > 1:

@@ -17,7 +17,7 @@ finish point* — otherwise the routine aborts at its finish point (which
 is why PSV's rollback overhead is high, §7.4).
 """
 
-from typing import List
+from typing import Dict, List, Set
 
 from repro.core.controller import RoutineRun, RoutineStatus
 from repro.core.execution.engine import PlanExecutionMixin
@@ -36,13 +36,16 @@ class PartitionedStrictVisibilityController(PlanExecutionMixin):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._running: List[RoutineRun] = []
+        # Condition 3*: running routine id -> devices failed after touch.
+        self._failed_after_touch: Dict[int, Set[int]] = {}
 
     def snapshot_state(self):
         state = super().snapshot_state()
         state["running"] = tuple(run.routine_id for run in self._running)
+        failed = self._failed_after_touch
         state["failed_after_last_touch"] = tuple(
-            (run.routine_id, tuple(sorted(run.failed_after_last_touch)))
-            for run in self._running if run.failed_after_last_touch)
+            (run.routine_id, tuple(sorted(failed[run.routine_id])))
+            for run in self._running if run.routine_id in failed)
         return state
 
     def _arrive(self, run: RoutineRun) -> None:
@@ -58,6 +61,7 @@ class PartitionedStrictVisibilityController(PlanExecutionMixin):
     def _policy_after_finish(self, run: RoutineRun) -> None:
         if run in self._running:
             self._running.remove(run)
+            self._failed_after_touch.pop(run.routine_id, None)
         self._release_admission_locks(run)
 
     # -- failure serialization (EV rules with condition 3*) ------------------
@@ -69,16 +73,17 @@ class PartitionedStrictVisibilityController(PlanExecutionMixin):
             if run.in_touch_phase(device_id):
                 self.request_abort(
                     run, f"failure of device {device_id} mid-touch")
-            elif device_id in run.devices_done:
-                run.failed_after_last_touch.add(device_id)
+            elif run.done_on(device_id):
+                self._failed_after_touch.setdefault(
+                    run.routine_id, set()).add(device_id)
             # Not yet touched: the believed-failed check at touch time
             # aborts (must) or skips (best-effort) if it has not
             # recovered — condition 2 allows fail+restart before first
             # touch.
 
     def _finish_point(self, run: RoutineRun) -> None:
-        still_down = {d for d in run.failed_after_last_touch
-                      if d in self.believed_failed}
+        failed = self._failed_after_touch.get(run.routine_id, ())
+        still_down = {d for d in failed if d in self.believed_failed}
         if still_down:
             self.abort(run, f"devices {sorted(still_down)} failed after "
                             "last touch and not recovered at finish point")

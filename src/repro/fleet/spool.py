@@ -147,7 +147,7 @@ def merge_spool(wal_dir: str,
 def read_index(wal_dir: str) -> Dict[str, Any]:
     """The merged log's index document, checked before it is trusted: a
     foreign schema (a directory from before the one-format break) or a
-    key that is no home id is refused here instead of being misread.
+    key that is no home id as written (``"01"``) is refused, not misread.
     :func:`read_block` checks the one entry it reads, so loading every
     home stays O(homes) index checks, not O(homes²)."""
     with open(os.path.join(wal_dir, INDEX_NAME), encoding="utf-8") as handle:
@@ -156,7 +156,9 @@ def read_index(wal_dir: str) -> Dict[str, Any]:
     if schema != INDEX_SCHEMA:
         raise ValueError(f"unexpected index schema {schema!r}")
     index = payload.get("index")
-    if not isinstance(index, dict) or not all(map(str.isdecimal, index)):
+    if not isinstance(index, dict) or not all(
+            k.isascii() and k.isdecimal() and (k[0] != "0" or k == "0")
+            for k in index):
         raise ValueError("malformed fleet index: no map from home ids")
     return payload
 

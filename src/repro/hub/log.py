@@ -3,7 +3,8 @@
 When a routine aborts or a best-effort command is skipped, "the user
 receives feedback ... and she is free to either ignore or re-execute"
 — this module materializes that feedback as structured, renderable
-entries, fed from controller run records.
+entries.  It keeps each finished run record (the hub retains them
+anyway) and renders that run's entries when they are read.
 
 Device failure/restart detections stream in live: the log subscribes to
 the controller's ``on_detection`` callbacks, so ``DEVICE_FAILED`` and
@@ -16,7 +17,7 @@ recoveries (see :mod:`repro.hub.durability`) are reported the same way.
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Union
 
 from repro.core.controller import Controller, RoutineRun, RoutineStatus
 
@@ -49,38 +50,47 @@ class FeedbackLog:
 
     def __init__(self, controller: Controller) -> None:
         self.controller = controller
-        controller.on_routine_finished.append(self._on_finished)
+        # Finished runs and detection / hub entries, in event order.
+        self._items: List[Union[RoutineRun, FeedbackEntry]] = []
+        controller.on_routine_finished.append(self._items.append)
         controller.on_detection.append(self._on_detection)
-        self.entries: List[FeedbackEntry] = []
         # Indexes into controller.detection_events already emitted —
         # live entries occupy the *tail* of that list when the log is
         # attached to an already-running controller, so a plain count
         # would refold them and skip the pre-attach head.
         self._emitted_detections = set()
 
-    def _on_finished(self, run: RoutineRun) -> None:
-        now = self.controller.sim.now
-        if run.status is RoutineStatus.COMMITTED:
-            skipped = [e for e in run.executions if e.skipped]
-            self.entries.append(FeedbackEntry(
-                now, FeedbackKind.ROUTINE_COMMITTED, run.name,
-                f"{len(run.executions)} commands"
-                + (f", {len(skipped)} best-effort skipped" if skipped
-                   else "")))
-            for execution in skipped:
-                self.entries.append(FeedbackEntry(
-                    now, FeedbackKind.COMMAND_SKIPPED, run.name,
-                    f"device {execution.command.device_id} unreachable "
-                    "(best-effort); you may re-execute it"))
-        else:
-            self.entries.append(FeedbackEntry(
-                now, FeedbackKind.ROUTINE_ABORTED, run.name,
-                run.abort_reason or "aborted"))
-            if run.rolled_back_commands:
-                self.entries.append(FeedbackEntry(
-                    now, FeedbackKind.COMMANDS_ROLLED_BACK, run.name,
-                    f"{run.rolled_back_commands} commands undone; "
-                    "you may re-initiate the routine"))
+    @property
+    def entries(self) -> List[FeedbackEntry]:
+        """Every entry so far, in event order; a run's are built here."""
+        entries: List[FeedbackEntry] = []
+        for item in self._items:
+            if isinstance(item, FeedbackEntry):
+                entries.append(item)
+                continue
+            run, now = item, item.finish_time   # unchanged since it finished
+            if run.status is RoutineStatus.COMMITTED:
+                skipped = [e for e in run.executions if e.skipped]
+                entries.append(FeedbackEntry(
+                    now, FeedbackKind.ROUTINE_COMMITTED, run.name,
+                    f"{len(run.executions)} commands"
+                    + (f", {len(skipped)} best-effort skipped" if skipped
+                       else "")))
+                for execution in skipped:
+                    entries.append(FeedbackEntry(
+                        now, FeedbackKind.COMMAND_SKIPPED, run.name,
+                        f"device {execution.command.device_id} unreachable "
+                        "(best-effort); you may re-execute it"))
+            else:
+                entries.append(FeedbackEntry(
+                    now, FeedbackKind.ROUTINE_ABORTED, run.name,
+                    run.abort_reason or "aborted"))
+                if run.rolled_back_commands:
+                    entries.append(FeedbackEntry(
+                        now, FeedbackKind.COMMANDS_ROLLED_BACK, run.name,
+                        f"{run.rolled_back_commands} commands undone; "
+                        "you may re-initiate the routine"))
+        return entries
 
     def _on_detection(self, kind: str, device_id: int,
                       when: float) -> None:
@@ -95,7 +105,7 @@ class FeedbackLog:
                           when: float) -> None:
         feedback_kind = (FeedbackKind.DEVICE_FAILED if kind == "failure"
                          else FeedbackKind.DEVICE_RESTARTED)
-        self.entries.append(FeedbackEntry(
+        self._items.append(FeedbackEntry(
             when, feedback_kind, "-", f"device {device_id}"))
 
     def record_detections(self) -> None:
@@ -110,12 +120,12 @@ class FeedbackLog:
     # -- hub lifecycle (durability layer) -----------------------------------
 
     def hub_crashed(self, when: float) -> None:
-        self.entries.append(FeedbackEntry(
+        self._items.append(FeedbackEntry(
             when, FeedbackKind.HUB_CRASHED, "-",
             "hub lost power; in-memory state gone, WAL survives"))
 
     def hub_restarted(self, when: float, mode: str) -> None:
-        self.entries.append(FeedbackEntry(
+        self._items.append(FeedbackEntry(
             when, FeedbackKind.HUB_RESTARTED, "-",
             f"hub recovered from checkpoint + WAL replay ({mode} mode)"))
 

@@ -135,6 +135,38 @@ class TestBookkeeping:
         assert aborted.latency is None
 
 
+class TestRunRecordShape:
+    """One run record is retained per routine ever run, so a finished
+    run keeps no ``__dict__`` and no per-run set."""
+
+    @pytest.mark.parametrize("model", ["ev", "psv"])
+    def test_finished_runs_hold_no_dict_and_no_set(self, model):
+        home = Home(model=model, n_devices=3)
+        home.submit(routine("a", [(0, "ON", 1.0), (1, "ON", 10.0)]),
+                    when=0.0)
+        home.submit(routine("b", [(2, "ON", 1.0), (0, "OFF", 1.0)]),
+                    when=0.5)
+        home.detect_failure(0, at=5.0)   # after a's last touch of 0
+        home.detect_restart(0, at=20.0)
+        result = home.run()
+        assert result.runs and all(run.done for run in result.runs)
+        for run in result.runs:
+            assert not hasattr(run, "__dict__")
+            assert not any(isinstance(getattr(run, name), (set, dict))
+                           for name in type(run).__slots__)
+
+    def test_done_on_marks_the_last_touch_per_device(self):
+        home = Home(model="ev", n_devices=3)
+        run = home.submit(routine("r", [(2, "ON", 1.0), (2, "OFF", 1.0),
+                                        (0, "ON", 5.0)]))
+        home.run(until=0.5)
+        assert [run.done_on(d) for d in range(3)] == [False] * 3
+        home.run(until=3.0)
+        assert [run.done_on(d) for d in range(3)] == [False, False, True]
+        home.run()
+        assert [run.done_on(d) for d in range(3)] == [True, False, True]
+
+
 class TestVisibilityParsing:
     def test_parse_aliases(self):
         assert VisibilityModel.parse("EV") is VisibilityModel.EV

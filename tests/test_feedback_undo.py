@@ -6,6 +6,7 @@ from repro.core.command import Command
 from repro.core.routine import Routine
 from repro.core.undo import UndoRegistry, quiesce_handler
 from repro.hub.log import FeedbackKind, FeedbackLog
+from repro.hub.safehome import SafeHome
 from tests.conftest import Home, routine
 
 
@@ -56,6 +57,59 @@ class TestFeedbackLog:
         times = [float(line.split("s]")[0].strip("[ "))
                  for line in text.splitlines()]
         assert times == sorted(times)
+
+
+class TestFeedbackRenderedOnRead:
+    def test_entries_are_pinned(self):
+        """A commit, a best-effort skip, an abort with rollback, device
+        failure and restart detections and a hub crash + recovery: the
+        entries rendered on read equal the eagerly built ones."""
+        home = SafeHome(visibility="ev", seed=5, durability=True)
+        for type_name, name in (("window", "w"), ("ac", "a"),
+                                ("light", "l"), ("plug", "p")):
+            home.add_device(type_name, name)
+        home.register_routine_spec({"routineName": "cool", "commands": [
+            {"device": "w", "action": "CLOSED", "durationSec": 2},
+            {"device": "a", "action": "ON", "durationSec": 3}]})
+        home.register_routine_spec({"routineName": "scene", "commands": [
+            {"device": "a", "action": "OFF", "durationSec": 1},
+            {"device": "l", "action": "ON", "durationSec": 4}]})
+        home.register_routine_spec({"routineName": "lamp", "commands": [
+            {"device": "p", "action": "ON", "durationSec": 1,
+             "priority": "BEST_EFFORT"},
+            {"device": "w", "action": "OPEN", "durationSec": 1}]})
+        home.plan_failure("l", fail_at=4.0, restart_at=8.0)
+        home.plan_failure("p", fail_at=0.2, restart_at=30.0)
+        home.invoke("cool")
+        home.invoke("scene", at=0.5)
+        home.invoke("lamp", at=3.0)
+        home.invoke("cool", at=12.0)
+        home.crash(at=6.0)
+        home.run()
+        home.recover()
+        home.run()
+        assert [e.render() for e in home.feedback.entries] == PINNED
+
+
+PINNED = [
+    "[     1.15s] device-failed    -                    device 3",
+    "[     4.06s] committed        lamp                 2 commands, "
+    "1 best-effort skipped",
+    "[     4.06s] command-skipped  lamp                 device 3 "
+    "unreachable (best-effort); you may re-execute it",
+    "[     4.15s] device-failed    -                    device 2",
+    "[     5.16s] committed        cool                 2 commands",
+    "[     5.58s] aborted          scene                failure of "
+    "device 2 mid-touch",
+    "[     5.58s] rolled-back      scene                1 commands "
+    "undone; you may re-initiate the routine",
+    "[     6.00s] hub-crashed      -                    hub lost power; "
+    "in-memory state gone, WAL survives",
+    "[     6.00s] hub-restarted    -                    hub recovered "
+    "from checkpoint + WAL replay (replay mode)",
+    "[     8.05s] device-restarted -                    device 2",
+    "[    17.14s] committed        cool                 2 commands",
+]
 
 
 class TestUndoRegistry:

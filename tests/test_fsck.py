@@ -306,7 +306,9 @@ class TestFleetSpool:
         lambda doc: doc["index"]["0"].update(offset="0"),
         lambda doc: doc.pop("index"),
         lambda doc: doc["index"]["1"].update(offset=-1),
-    ], ids=["string-offset", "no-index", "negative-offset"])
+        lambda doc: doc["index"].update({"01": doc["index"].pop("1")}),
+    ], ids=["string-offset", "no-index", "negative-offset",
+            "non-canonical-key"])
     def test_malformed_index_is_refused(self, tmp_path, capsys, tamper):
         """A hand-edited index is the typed refusal a foreign schema
         is: exit 2 with one ``repro:`` line, not a traceback."""

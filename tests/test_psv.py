@@ -86,3 +86,24 @@ class TestPSVFailures:
         home.detect_failure(1, at=2.0)  # never restarts
         home.run()
         assert r.status is RoutineStatus.ABORTED
+
+    def test_two_running_routines_each_hold_a_failed_device(self):
+        """Condition 3*'s per-run failures are PSV state: one snapshot
+        row per running routine that holds one, in admission order,
+        gone once the routine leaves the running set."""
+        home = Home(model="psv", n_devices=4)
+        a = home.submit(routine("a", [(0, "ON", 1.0), (1, "ON", 10.0)]),
+                        when=0.0)
+        b = home.submit(routine("b", [(2, "ON", 1.0), (3, "ON", 10.0)]),
+                        when=0.0)
+        home.detect_failure(2, at=4.0)
+        home.detect_failure(0, at=5.0)
+        home.run(until=6.0)
+        state = home.controller.snapshot_state()
+        assert state["running"] == (a.routine_id, b.routine_id)
+        assert state["failed_after_last_touch"] == (
+            (a.routine_id, (0,)), (b.routine_id, (2,)))
+        home.run()
+        assert a.status is b.status is RoutineStatus.ABORTED
+        assert home.controller.snapshot_state()[
+            "failed_after_last_touch"] == ()
