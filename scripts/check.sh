@@ -67,6 +67,12 @@ echo "EV's maintained closure equals its from-scratch definition"
 REPRO_HYPOTHESIS_EXAMPLES=100 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=36 tests/test_plan_equivalence.py
 echo "counter plans and the indexed pump equal their reference definitions"
+# A routine's compiled footprint equals the per-view derivations it
+# replaced, over drawn contiguous command lists; reading every view
+# writes nothing but the declared fields.
+REPRO_HYPOTHESIS_EXAMPLES=200 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=42 tests/test_routine_footprint.py
+echo "the compiled routine footprint equals its reference derivations"
 # Every model that promises serializability keeps it: 200 seeded micro
 # homes x {gsv, psv, occ, ev/timeline, ev/jit} x both plans, every run
 # judged by the oracle; under EV neither the retained order nor the

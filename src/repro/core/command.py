@@ -12,7 +12,6 @@ paper distinguishes:
   post-leasing (§4.1).
 """
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -21,9 +20,32 @@ from typing import Any, Optional
 LONG_COMMAND_THRESHOLD_S = 60.0
 
 
-@dataclass
-class Command:
+class SlotRecord:
+    """Field-wise equality and ``repr``, as a dataclass has, for a
+    hand-written ``__slots__`` class (``dataclass(slots=True)`` needs
+    Python 3.10).  Defining ``__eq__`` leaves it unhashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")"
+
+
+class Command(SlotRecord):
     """One device actuation within a routine.
+
+    A :class:`SlotRecord`: every routine holds its commands for as long
+    as the routine lives, so a command keeps no ``__dict__``.
 
     Attributes:
         device_id: target device.
@@ -39,19 +61,24 @@ class Command:
             undo-handler.
     """
 
-    device_id: int
-    value: Any = None
-    duration: float = 0.0
-    must: bool = True
-    is_read: bool = False
-    undoable: bool = True
-    undo_value: Optional[Any] = None
-    name: str = ""
+    __slots__ = ("device_id", "value", "duration", "must", "is_read",
+                 "undoable", "undo_value", "name")
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
+    def __init__(self, device_id: int, value: Any = None,
+                 duration: float = 0.0, must: bool = True,
+                 is_read: bool = False, undoable: bool = True,
+                 undo_value: Optional[Any] = None, name: str = "") -> None:
+        self.device_id = device_id
+        self.value = value
+        self.duration = duration
+        self.must = must
+        self.is_read = is_read
+        self.undoable = undoable
+        self.undo_value = undo_value
+        self.name = name
+        if duration < 0:
             raise ValueError("command duration cannot be negative")
-        if self.is_read and self.value is not None:
+        if is_read and value is not None:
             raise ValueError("read commands take no value")
 
     @property

@@ -123,12 +123,6 @@ class RoutineRun:
         return tuple(ids)
 
     @property
-    def last_index_by_device(self) -> Dict[int, int]:
-        """Device id -> index of the last command on it; derived once
-        per routine and shared by every run of that routine."""
-        return self.routine.last_index_by_device
-
-    @property
     def inflight(self) -> bool:
         """At least one command is currently executing (parallel plans
         may have several in flight at once)."""
@@ -198,6 +192,9 @@ class Controller:
         self.config = config or ControllerConfig()
         self.runs: List[RoutineRun] = []
         self._runs_by_id: Dict[int, RoutineRun] = {}
+        # The runs not yet finished, in submission order: the failure
+        # detector asks "all done?" on every tick.
+        self._unfinished: Dict[int, RoutineRun] = {}
         self._next_routine_id = 0
         # The hub's *belief* about device liveness (detection, not truth).
         self.believed_failed: Set[int] = set()
@@ -248,6 +245,7 @@ class Controller:
         self._next_routine_id += 1
         self.runs.append(run)
         self._runs_by_id[run.routine_id] = run
+        self._unfinished[run.routine_id] = run
         if self.journal is not None:
             self._journal("routine-submitted", routine_id=run.routine_id,
                           name=routine.name, when=when)
@@ -411,9 +409,8 @@ class Controller:
     def abort(self, run: RoutineRun, reason: str) -> None:
         if run.done:
             return
-        run.status = RoutineStatus.ABORTED
+        self._settle(run, RoutineStatus.ABORTED)
         run.abort_reason = reason
-        run.finish_time = self.sim.now
         if self.journal is not None:
             self._journal("routine-aborted", routine_id=run.routine_id,
                           reason=reason)
@@ -423,13 +420,18 @@ class Controller:
     def commit(self, run: RoutineRun) -> None:
         if run.done:
             return
-        run.status = RoutineStatus.COMMITTED
-        run.finish_time = self.sim.now
+        self._settle(run, RoutineStatus.COMMITTED)
         if self.journal is not None:
             self._journal("routine-committed",
                           routine_id=run.routine_id)
         self._on_commit(run)
         self._after_finish(run)
+
+    def _settle(self, run: RoutineRun, status: RoutineStatus) -> None:
+        """The one place a run becomes finished."""
+        run.status = status
+        run.finish_time = self.sim.now
+        del self._unfinished[run.routine_id]
 
     def _on_commit(self, run: RoutineRun) -> None:
         """The committer's writes become their chains' bases."""
@@ -600,10 +602,11 @@ class Controller:
         order.append(run.routine_id)
 
     def active_runs(self) -> List[RoutineRun]:
-        return [run for run in self.runs if not run.done]
+        """The unfinished runs, in submission order."""
+        return list(self._unfinished.values())
 
     def all_done(self) -> bool:
-        return all(run.done for run in self.runs)
+        return not self._unfinished
 
     def run_by_id(self, routine_id: int) -> RoutineRun:
         run = self._runs_by_id.get(routine_id)

@@ -84,7 +84,8 @@ class EventualVisibilityController(PlanExecutionMixin):
         revocation experiments.
         """
         tau = self.config.tau_timeout_s
-        base = request.duration + tau * len(request.command_indexes)
+        commands = request.last_index - request.first_index + 1
+        base = request.duration + tau * commands
         estimate = max(base, tau)
         error = self.config.estimate_error
         if error:
@@ -139,7 +140,6 @@ class EventualVisibilityController(PlanExecutionMixin):
                   placements: List[Placement]) -> None:
         """Atomically install a routine's lock-accesses (early lock
         acquisition: all or nothing, §4.1)."""
-        final_values = run.routine.final_write_values()
         for placement in placements:
             request = placement.request
             lineage = self.table.lineage(request.device_id)
@@ -150,7 +150,7 @@ class EventualVisibilityController(PlanExecutionMixin):
                 duration=placement.duration,
                 writes=request.writes,
                 reads=request.reads,
-                final_value=final_values.get(request.device_id, UNSET),
+                final_value=request.final_value,
                 pre_leased=placement.index < len(lineage.entries),
             )
             if access.pre_leased:
@@ -454,7 +454,7 @@ class EventualVisibilityController(PlanExecutionMixin):
 
     def _policy_on_failure(self, device_id: int) -> None:
         for run in self.active_runs():
-            if device_id not in run.routine.device_set:
+            if device_id not in run.routine.device_ids:
                 continue  # case 1: arbitrary order
             if run.done_on(device_id):
                 continue  # case 3: serialize failure after R

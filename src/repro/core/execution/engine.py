@@ -85,14 +85,10 @@ class PlanExecutionMixin(Controller):
     def _after_command(self, run: RoutineRun,
                        execution: CommandExecution) -> None:
         device_id = execution.command.device_id
-        if self._last_index_on_device(run, device_id) < run.next_index:
+        if run.routine.footprint.last_index(device_id) < run.next_index:
             self.record_last_access(run, device_id)
             self._on_device_access_done(run, device_id)
         self._run_next(run)
-
-    @staticmethod
-    def _last_index_on_device(run: RoutineRun, device_id: int) -> int:
-        return run.routine.last_index_by_device.get(device_id, -1)
 
     def _finish_point(self, run: RoutineRun) -> None:
         """All commands processed; default is to commit immediately."""
@@ -154,7 +150,7 @@ class PlanExecutionMixin(Controller):
                                 index: int) -> None:
         run.plan.mark_done(index, self.sim.now)
         device_id = execution.command.device_id
-        if index == run.routine.last_index_by_device[device_id]:
+        if index == run.routine.footprint.last_index(device_id):
             self.record_last_access(run, device_id)
             self._on_device_access_done(run, device_id)
         self._dispatch(run)

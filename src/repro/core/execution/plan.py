@@ -16,12 +16,13 @@ concurrently is a *strategy*:
 
 The DAG is a pure function of the command list and the strategy, so
 :func:`compile_shape` builds it once per routine and strategy
-(``Routine.plan_shape`` caches it) as ``(dep_counts, dependents)``.  A
-:class:`CommandPlan` is one run's progress through that shape: a
-remaining-dependency counter per node, a program-ordered ready list,
-and per node its lifecycle (PENDING → READY → ISSUED → DONE) and the
-virtual time at which it became ready, which gives the metrics layer
-its lock-wait breakdown (ready-but-blocked time).
+(``Routine.plan_shape`` keeps it in the routine's compiled footprint)
+as ``(dep_counts, dependents)``.  A :class:`CommandPlan` is one run's
+progress through that shape: a remaining-dependency counter per node,
+a program-ordered ready list, and per node its lifecycle (PENDING →
+READY → ISSUED → DONE) and the virtual time at which it became ready,
+which gives the metrics layer its lock-wait breakdown (ready-but-blocked
+time).
 """
 
 import enum

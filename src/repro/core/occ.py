@@ -20,7 +20,7 @@ and confirms the paper's reasoning for preferring pessimistic locking.
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from repro.core.controller import RoutineRun
 from repro.core.digest import ChainDigest
@@ -94,12 +94,12 @@ class OptimisticController(PlanExecutionMixin):
 
     def _conflicting_commit(self, run: RoutineRun):
         """A commit that overlapped this run's lifetime and footprint."""
-        footprint: Set[int] = set(run.routine.device_set)
+        devices = run.routine.device_ids
         start = run.start_time if run.start_time is not None else 0.0
         for record in reversed(self.commit_log):
             if record.commit_time <= start:
                 break
-            if record.write_set & footprint:
+            if not record.write_set.isdisjoint(devices):
                 return record
         return None
 

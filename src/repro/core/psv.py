@@ -68,7 +68,7 @@ class PartitionedStrictVisibilityController(PlanExecutionMixin):
 
     def _policy_on_failure(self, device_id: int) -> None:
         for run in list(self._running):
-            if run.done or device_id not in run.routine.device_set:
+            if run.done or device_id not in run.routine.device_ids:
                 continue
             if run.in_touch_phase(device_id):
                 self.request_abort(

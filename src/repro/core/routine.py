@@ -2,21 +2,28 @@
 
 A routine touches each of its devices through one *lock-access* spanning
 its first to its last command on that device (§4.3's lock-accessD(Ri)).
-:func:`Routine.lock_requests` derives that footprint together with the
-relative time offsets the Timeline scheduler needs.
+A routine is compiled once, on first use, into a :class:`Footprint`:
+those lock-accesses with the relative time offsets the Timeline
+scheduler needs, and every other view the controllers derive from the
+command list.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.command import Command
+from repro.core.command import Command, SlotRecord
+from repro.core.lineage import UNSET
 from repro.errors import RoutineSpecError
 
 
-@dataclass(frozen=True)
-class LockRequest:
+class LockRequest(SlotRecord):
     """A routine's aggregate footprint on one device.
+
+    A :class:`~repro.core.command.SlotRecord`, read-only by convention:
+    one per device of every compiled routine, shared by all its runs.
 
     Attributes:
         device_id: the device.
@@ -24,17 +31,87 @@ class LockRequest:
             this device begins (assuming no lock waits).
         duration: seconds from that first command's start to the last
             command's end on this device.
-        command_indexes: indexes into ``routine.commands``.
+        first_index, last_index: the span's first and last indexes
+            into ``routine.commands`` (per-device groups are contiguous).
         writes: True if any command in the span writes the device.
         reads: True if any command in the span reads the device.
+        final_value: the span's last written value (``UNSET`` when it
+            only reads) — the routine's end-state effect on the device.
     """
 
-    device_id: int
-    offset: float
-    duration: float
-    command_indexes: tuple
-    writes: bool
-    reads: bool
+    __slots__ = ("device_id", "offset", "duration", "first_index",
+                 "last_index", "writes", "reads", "final_value")
+
+    def __init__(self, device_id: int, offset: float, duration: float,
+                 first_index: int, last_index: int, writes: bool,
+                 reads: bool, final_value: Any) -> None:
+        self.device_id = device_id
+        self.offset = offset
+        self.duration = duration
+        self.first_index = first_index
+        self.last_index = last_index
+        self.writes = writes
+        self.reads = reads
+        self.final_value = final_value
+
+    @property
+    def command_indexes(self) -> tuple:
+        """Indexes into ``routine.commands`` of the span's commands."""
+        return tuple(range(self.first_index, self.last_index + 1))
+
+
+class Footprint:
+    """Everything derived from a routine's command list, compiled once.
+
+    Attributes:
+        requests: one :class:`LockRequest` per device, in first-touch
+            order.
+        device_ids: the devices touched, in first-touch order.
+        total_duration: ideal (lock-wait-free) execution time.
+        plan_shapes: strategy -> compiled command DAG, filled on first
+            use by :meth:`Routine.plan_shape` (None until then).
+
+    Commands are fixed after construction and a bank routine is shared
+    by every run that invokes it, so nothing may mutate a footprint or
+    the containers it holds.
+    """
+
+    __slots__ = ("requests", "device_ids", "total_duration", "plan_shapes")
+
+    def __init__(self, commands: Sequence[Command]) -> None:
+        # One span per run of equal device ids: per-device groups are
+        # contiguous (enforced at construction).  Offsets accumulate the
+        # same left-to-right float additions
+        # :meth:`Routine.command_offsets` performs.
+        requests: List[LockRequest] = []
+        elapsed = 0.0
+        index = 0
+        for device_id, group in groupby(commands, attrgetter("device_id")):
+            start, first = elapsed, index
+            writes = reads = False
+            final: Any = UNSET
+            for command in group:
+                if command.is_read:
+                    reads = True
+                else:
+                    writes, final = True, command.value
+                elapsed += command.duration
+                index += 1
+            requests.append(LockRequest(device_id, start, elapsed - start,
+                                        first, index - 1, writes, reads,
+                                        final))
+        self.requests = tuple(requests)
+        self.device_ids = [request.device_id for request in requests]
+        self.total_duration = sum(c.duration for c in commands)
+        self.plan_shapes: Optional[Dict[str, tuple]] = None
+
+    def last_index(self, device_id: int) -> int:
+        """Index of the routine's last command on the device (-1 if it
+        never touches it)."""
+        for request in self.requests:
+            if request.device_id == device_id:
+                return request.last_index
+        return -1
 
 
 @dataclass
@@ -52,6 +129,9 @@ class Routine:
     commands: List[Command]
     user: str = ""
     trigger: str = ""
+    # The compiled footprint (see :attr:`footprint`); shared by reruns.
+    _footprint: Optional[Footprint] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.commands:
@@ -82,28 +162,27 @@ class Routine:
 
     # -- derived footprint ---------------------------------------------------
     #
-    # The footprint views below are cached on first use: commands are
-    # fixed after construction (the contiguity check would be meaningless
-    # otherwise) and the controllers re-derive these on every placement,
-    # finish and rollback.  A bank routine is shared by every run that
-    # invokes it, so nothing may mutate a routine, its commands or these
-    # views after construction.  Callers must treat the returned lists
-    # and dicts as read-only.
+    # Every view below reads the footprint compiled on first use:
+    # commands are fixed after construction (the contiguity check would
+    # be meaningless otherwise) and the controllers read these on every
+    # placement, finish and rollback.  Callers must treat the returned
+    # lists as read-only.
 
     @property
-    def last_index_by_device(self) -> Dict[int, int]:
-        """Device id -> index of the routine's last command on it."""
-        cached = self.__dict__.get("_last_index")
-        if cached is None:
-            cached = self.__dict__["_last_index"] = {
-                command.device_id: index
-                for index, command in enumerate(self.commands)}
-        return cached
+    def footprint(self) -> Footprint:
+        """The routine's compiled :class:`Footprint`."""
+        compiled = self._footprint
+        if compiled is None:
+            compiled = self._footprint = Footprint(self.commands)
+        return compiled
 
     def plan_shape(self, strategy: str) -> tuple:
         """The command DAG under ``strategy`` as ``(dep_counts,
         dependents)`` (:func:`repro.core.execution.plan.compile_shape`)."""
-        shapes = self.__dict__.setdefault("_plan_shapes", {})
+        footprint = self.footprint
+        shapes = footprint.plan_shapes
+        if shapes is None:
+            shapes = footprint.plan_shapes = {}
         shape = shapes.get(strategy)
         if shape is None:
             # Imported here: the execution package imports this module.
@@ -113,39 +192,30 @@ class Routine:
 
     def rerun(self, trigger: str) -> "Routine":
         """The same routine under another trigger, sharing the command
-        list and every derived view computed so far."""
+        list and the compiled footprint."""
         twin = copy.copy(self)
         twin.trigger = trigger
+        twin._footprint = self.footprint
         return twin
 
     @property
     def device_ids(self) -> List[int]:
         """Devices touched, in first-touch order (no duplicates)."""
-        cached = self.__dict__.get("_device_ids")
-        if cached is None:
-            ordered: List[int] = []
-            for command in self.commands:
-                if command.device_id not in ordered:
-                    ordered.append(command.device_id)
-            cached = self.__dict__["_device_ids"] = ordered
-        return cached
+        return self.footprint.device_ids
 
     @property
     def device_set(self) -> frozenset:
-        return frozenset(c.device_id for c in self.commands)
+        return frozenset(self.footprint.device_ids)
 
     def conflicts_with(self, other: "Routine") -> bool:
         """True when the two routines touch at least one common device."""
-        return bool(self.device_set & other.device_set)
+        theirs = other.device_ids
+        return any(device_id in theirs for device_id in self.device_ids)
 
     @property
     def total_duration(self) -> float:
         """Ideal (lock-wait-free) execution time of the routine."""
-        cached = self.__dict__.get("_total_duration")
-        if cached is None:
-            cached = self.__dict__["_total_duration"] = \
-                sum(c.duration for c in self.commands)
-        return cached
+        return self.footprint.total_duration
 
     @property
     def is_long(self) -> bool:
@@ -161,60 +231,17 @@ class Routine:
         return offsets
 
     def lock_requests(self) -> List[LockRequest]:
-        """Per-device lock-accesses in first-touch order.
-
-        Single pass over the commands: per-device groups are contiguous
-        (enforced at construction), so a device's span closes when the
-        next device begins.  Offsets accumulate the same left-to-right
-        float additions :meth:`command_offsets` performs.
-        """
-        cached = self.__dict__.get("_lock_requests")
-        if cached is not None:
-            return cached
-        requests: List[LockRequest] = []
-        elapsed = 0.0
-        device_id: Optional[int] = None
-        start = 0.0
-        indexes: List[int] = []
-        writes = reads = False
-        for index, command in enumerate(self.commands):
-            if command.device_id != device_id:
-                if device_id is not None:
-                    requests.append(LockRequest(
-                        device_id=device_id, offset=start,
-                        duration=elapsed - start,
-                        command_indexes=tuple(indexes),
-                        writes=writes, reads=reads))
-                device_id = command.device_id
-                start = elapsed
-                indexes = []
-                writes = reads = False
-            indexes.append(index)
-            writes = writes or command.is_write
-            reads = reads or command.is_read
-            elapsed += command.duration
-        if device_id is not None:
-            requests.append(LockRequest(
-                device_id=device_id, offset=start,
-                duration=elapsed - start, command_indexes=tuple(indexes),
-                writes=writes, reads=reads))
-        self.__dict__["_lock_requests"] = requests
-        return requests
+        """Per-device lock-accesses in first-touch order."""
+        return list(self.footprint.requests)
 
     def final_write_values(self) -> Dict[int, Any]:
         """Last written value per device — the routine's end-state effect.
 
-        Used by the serial-equivalence checkers: in a serial world, a
-        routine's effect on each device is its last write.
+        In a serial world, a routine's effect on each device is its
+        last write.
         """
-        cached = self.__dict__.get("_final_writes")
-        if cached is None:
-            values: Dict[int, Any] = {}
-            for command in self.commands:
-                if command.is_write:
-                    values[command.device_id] = command.value
-            cached = self.__dict__["_final_writes"] = values
-        return cached
+        return {request.device_id: request.final_value
+                for request in self.footprint.requests if request.writes}
 
     def describe(self) -> str:
         steps = "; ".join(c.describe() for c in self.commands)

@@ -14,7 +14,7 @@ Trigger-initiated routines flow through the same concurrency controller
 as user-initiated ones, so every visibility/atomicity guarantee applies.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.core.controller import Controller, RoutineRun
@@ -52,8 +52,8 @@ class Dispatcher:
                trigger_name: str = "user",
                kind: str = "user") -> RoutineRun:
         # A relabelled shallow copy: the bank entry stays untouched and
-        # the command list is shared, as for any invocation.
-        routine = replace(self.bank.get(routine_name), trigger=trigger_name)
+        # the command list and compiled footprint are shared.
+        routine = self.bank.get(routine_name).rerun(trigger_name)
         run = self.controller.submit(routine)
         self.firings.append(TriggerFiring(trigger_name, self.sim.now,
                                           routine_name, run, kind=kind))

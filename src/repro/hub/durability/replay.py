@@ -160,8 +160,8 @@ def restart(home, mode: str, journal: bool = True) -> tuple:
     """
     resumed: List[int] = []
     aborted: List[int] = []
-    for run in home.controller.runs:
-        if run.done or run.status is not RoutineStatus.RUNNING:
+    for run in home.controller.active_runs():
+        if run.status is not RoutineStatus.RUNNING:
             continue
         action = "resume" if mode == "replay" \
             else home.controller.hub_recovery_action(run)

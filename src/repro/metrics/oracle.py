@@ -171,8 +171,8 @@ def _check_no_overlap(result: RunResult, out: List[Violation],
             start_b, finish_b, run_b = windows[j]
             if start_b >= finish_a - _OVERLAP_EPS:
                 break       # sorted by start: no later window overlaps
-            if conflicting_only and not (
-                    run_a.routine.device_set & run_b.routine.device_set):
+            if conflicting_only and \
+                    not run_a.routine.conflicts_with(run_b.routine):
                 continue
             out.append(Violation(
                 invariant, routine_id=run_b.routine_id,

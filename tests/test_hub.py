@@ -45,8 +45,9 @@ class TestRoutineBank:
         run_b = home.invoke("scene")
         assert run_a is not run_b
         assert run_a.routine is run_b.routine is home.bank.get("scene")
-        assert run_a.last_index_by_device is run_b.last_index_by_device
-        assert run_a.last_index_by_device == {0: 0, 1: 1}
+        footprint = run_a.routine.footprint
+        assert run_b.routine.footprint is footprint
+        assert (footprint.last_index(0), footprint.last_index(1)) == (0, 1)
 
 
 class TestSafeHomeFacade:

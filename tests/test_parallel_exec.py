@@ -181,4 +181,5 @@ class TestConfigValidation:
         ])
         home = Home(model="wv", n_devices=6)
         run = home.submit(run_routine)
-        assert run.last_index_by_device == {3: 1, 5: 2}
+        footprint = run.routine.footprint
+        assert (footprint.last_index(3), footprint.last_index(5)) == (1, 2)
