@@ -73,6 +73,14 @@ echo "counter plans and the indexed pump equal their reference definitions"
 REPRO_HYPOTHESIS_EXAMPLES=200 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=42 tests/test_routine_footprint.py
 echo "the compiled routine footprint equals its reference derivations"
+# A settled run's packed history equals the live records it held, and
+# a device's columnar write log the tuple list it replaced: seeded micro
+# homes x five models x both plans, with failures, OCC retries, reads
+# and a hub crash + recover(); nothing a finished run reaches is a plan,
+# a live execution record or a per-write tuple.
+REPRO_HYPOTHESIS_EXAMPLES=200 "$PY" -m pytest -q -p no:cacheprovider \
+    --hypothesis-seed=43 tests/test_packed_history.py
+echo "packed run histories and columnar write logs equal the live records"
 # Every model that promises serializability keeps it: 200 seeded micro
 # homes x {gsv, psv, occ, ev/timeline, ev/jit} x both plans, every run
 # judged by the oracle; under EV neither the retained order nor the

@@ -12,7 +12,9 @@ paper distinguishes:
   post-leasing (§4.1).
 """
 
-from typing import Any, Optional
+import math
+import struct
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 
 # Commands at or above this duration are "long" (the paper's |L| averages
@@ -126,3 +128,104 @@ class CommandExecution:
         return (f"CommandExecution({self.command.describe()}, "
                 f"applied={self.applied}, skipped={self.skipped}, "
                 f"rolled_back={self.rolled_back})")
+
+
+#: A settled execution's row is 20 bytes: two doubles and a code.
+_ROW_BYTES = 20
+_APPLIED, _SKIPPED, _ROLLED_BACK = 1, 2, 4
+
+
+def _unpack_time(value: float) -> Optional[float]:
+    return None if value != value else value    # NaN packs None
+
+
+class ExecutionHistory:
+    """A settled run's executions, packed into three columns.
+
+    A finished run is retained for as long as the report may read it,
+    but nothing changes its executions any more, so at settle the
+    controller swaps the run's list of :class:`CommandExecution` for
+    this record.  :attr:`columns` is one ``bytes``: every
+    ``started_at``, then every ``finished_at`` (raw doubles, NaN for
+    None), then one unsigned code each: the command's index into
+    :attr:`commands` (the routine's own list, or the executions'
+    commands when one is foreign to it) shifted past the applied,
+    skipped and rolled-back flag bits.  A read's observed value is kept
+    by position in :attr:`observed`, only where there is one.
+
+    ``len()``, indexing and iteration yield fresh
+    :class:`CommandExecution` views; the record is read-only, and
+    writing to a view changes nothing.  :meth:`applied_writes` reads the
+    columns without building views.
+    """
+
+    __slots__ = ("commands", "columns", "observed")
+
+    def __init__(self, commands: Sequence[Command],
+                 executions: Sequence[CommandExecution]) -> None:
+        count, nan = len(executions), math.nan
+        in_order = count <= len(commands)
+        starts, finishes, codes = [], [], []
+        observed = None
+        for position, execution in enumerate(executions):
+            if in_order and execution.command is not commands[position]:
+                in_order = False
+            started, finished = execution.started_at, execution.finished_at
+            starts.append(nan if started is None else started)
+            finishes.append(nan if finished is None else finished)
+            codes.append(position << 3 | execution.applied
+                         | execution.skipped << 1
+                         | execution.rolled_back << 2)
+            if execution.observed is not None:
+                if observed is None:
+                    observed = {}
+                observed[position] = execution.observed
+        if not in_order:    # issued out of program order (parallel plans)
+            where = {id(command): index
+                     for index, command in enumerate(commands)}
+            indexes = [where.get(id(e.command)) for e in executions]
+            if None in indexes:     # a command from outside the routine
+                commands = tuple(e.command for e in executions)
+            else:
+                codes = [index << 3 | code & 7
+                         for index, code in zip(indexes, codes)]
+        self.commands = commands
+        self.columns = struct.pack(f"{2 * count}d{count}I",
+                                   *starts, *finishes, *codes)
+        self.observed = observed
+
+    def __len__(self) -> int:
+        return len(self.columns) // _ROW_BYTES
+
+    def _unpack(self) -> tuple:
+        """``(starts, finishes, codes)``."""
+        count = len(self)
+        values = struct.unpack(f"{2 * count}d{count}I", self.columns)
+        return (values[:count], values[count:2 * count],
+                values[2 * count:])
+
+    def __iter__(self) -> Iterator[CommandExecution]:
+        commands, observed = self.commands, self.observed
+        starts, finishes, codes = self._unpack()
+        for position, code in enumerate(codes):
+            yield CommandExecution(
+                commands[code >> 3], _unpack_time(starts[position]),
+                _unpack_time(finishes[position]), bool(code & _APPLIED),
+                bool(code & _SKIPPED), bool(code & _ROLLED_BACK),
+                observed.get(position) if observed else None)
+
+    def __getitem__(self, position: int) -> CommandExecution:
+        return list(self)[position]
+
+    def applied_writes(self) -> Iterator[Tuple[Command, Optional[float]]]:
+        """``(command, started_at)`` per applied write, in issue order."""
+        commands = self.commands
+        starts, _finishes, codes = self._unpack()
+        for start, code in zip(starts, codes):
+            if code & _APPLIED:
+                command = commands[code >> 3]
+                if not command.is_read:
+                    yield command, _unpack_time(start)
+
+    def __repr__(self) -> str:
+        return f"ExecutionHistory({len(self)} executions)"

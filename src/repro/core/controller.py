@@ -11,11 +11,13 @@ serialization policy.
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Set,
+                    Tuple)
 
-from repro.core.command import Command, CommandExecution
+from repro.core.command import Command, CommandExecution, ExecutionHistory
 from repro.core.digest import ChainDigest, MultisetDigest, part_digest
 from repro.core.routine import Routine
+from repro.devices.device import WriteLog
 from repro.devices.driver import CommandOutcome, Driver
 from repro.devices.registry import DeviceRegistry
 from repro.errors import SafeHomeError
@@ -68,7 +70,9 @@ class RoutineRun:
     A ``__slots__`` class, not a dataclass: one is retained per routine
     the hub ever ran (the report and the oracle read them after the
     run), so a finished run keeps no ``__dict__`` and no container it
-    no longer needs.  Equality is identity (routine ids are unique).
+    no longer needs: at settle its plan goes and its executions are
+    packed into an :class:`~repro.core.command.ExecutionHistory`.
+    Equality is identity (routine ids are unique).
     """
 
     __slots__ = ("routine", "routine_id", "submit_time", "status",
@@ -93,7 +97,8 @@ class RoutineRun:
         self.abort_reason = ""
         self.abort_pending = ""
         self.inflight_count = 0
-        # Compiled CommandPlan (execution core); None until first dispatch.
+        # CommandPlan (execution core): None until the first parallel
+        # dispatch and again once the run settles.
         self.plan: Optional[Any] = None
         # Seconds commands spent ready-but-blocked on locks (parallel
         # plans) plus lock-table admission waits.
@@ -153,13 +158,21 @@ class RoutineRun:
             return None
         return self.finish_time - self.submit_time
 
+    def applied_writes(self) -> Iterator[Tuple[Command, Optional[float]]]:
+        """``(command, started_at)`` per applied write, in issue order
+        (read from a settled run's packed columns, no views built)."""
+        executions = self.executions
+        if isinstance(executions, ExecutionHistory):
+            return executions.applied_writes()
+        return ((e.command, e.started_at) for e in executions
+                if e.applied and e.command.is_write)
+
     def last_writes(self) -> Dict[int, Command]:
         """Last *applied* write per device (skips excluded), devices in
         the order of their first applied write."""
         writes: Dict[int, Command] = {}
-        for execution in self.executions:
-            if execution.applied and execution.command.is_write:
-                writes[execution.command.device_id] = execution.command
+        for command, _started_at in self.applied_writes():
+            writes[command.device_id] = command
         return writes
 
     def effective_final_writes(self) -> Dict[int, Any]:
@@ -340,19 +353,8 @@ class Controller:
     def _command_elapsed(self, run: RoutineRun, execution: CommandExecution,
                          on_done: Callable) -> None:
         execution.finished_at = self.sim.now
-        run.inflight_count -= 1
-        self._on_execution_resolved(run, execution)
-        if run.abort_pending and not run.done:
-            # A parallel plan may still have sibling commands in flight;
-            # the abort fires when the last one resolves (serial plans
-            # are always at zero here, preserving the old behavior).
-            if run.inflight_count == 0:
-                reason, run.abort_pending = run.abort_pending, ""
-                self.abort(run, reason)
-            return
-        if run.done:
-            return
-        on_done(run, execution)
+        if self._resolved(run, execution):
+            on_done(run, execution)
 
     def _command_unreachable(self, run: RoutineRun,
                              execution: CommandExecution,
@@ -360,20 +362,33 @@ class Controller:
         """Command could not reach its device: skip or abort (§2.2)."""
         execution.finished_at = self.sim.now
         execution.skipped = True
-        run.inflight_count -= 1
-        self._on_execution_resolved(run, execution)
-        if run.abort_pending and not run.done:
-            if run.inflight_count == 0:
-                reason, run.abort_pending = run.abort_pending, ""
-                self.abort(run, reason)
-            return
-        if run.done:
+        if not self._resolved(run, execution):
             return
         if execution.command.must:
             self.request_abort(run, f"must-command unreachable "
                                     f"(device {execution.command.device_id})")
         else:
             on_done(run, execution)
+
+    def _resolved(self, run: RoutineRun,
+                  execution: CommandExecution) -> bool:
+        """One in-flight execution resolved; True when the run goes on
+        from it (it is unfinished and no abort is pending)."""
+        run.inflight_count -= 1
+        self._on_execution_resolved(run, execution)
+        if run.done:
+            if not run.inflight_count:  # finished while this was in flight
+                self._pack_history(run)
+            return False
+        if run.abort_pending:
+            # A parallel plan may still have sibling commands in flight;
+            # the abort fires when the last one resolves (serial plans
+            # are always at zero here).
+            if not run.inflight_count:
+                reason, run.abort_pending = run.abort_pending, ""
+                self.abort(run, reason)
+            return False
+        return True
 
     def _on_execution_resolved(self, run: RoutineRun,
                                execution: CommandExecution) -> None:
@@ -437,7 +452,16 @@ class Controller:
         """The committer's writes become their chains' bases."""
         self.writes.commit(run.routine_id)
 
+    def _pack_history(self, run: RoutineRun) -> None:
+        """A settled run with nothing in flight keeps only what the
+        report reads: no plan, its executions packed."""
+        run.plan = None
+        run.executions = ExecutionHistory(run.routine.commands,
+                                          run.executions)
+
     def _after_finish(self, run: RoutineRun) -> None:
+        if not run.inflight_count:
+            self._pack_history(run)
         for callback in self.on_routine_finished:
             callback(run)
         self._policy_after_finish(run)
@@ -557,8 +581,8 @@ class Controller:
             ChainDigest)
 
     def _snapshot_runs(self) -> bytes:
-        """Multiset digest of one leaf per run ever submitted, a run's
-        plan progress included; re-hashes the runs new or marked
+        """Multiset digest of one leaf per run ever submitted, a live
+        run's plan progress included; re-hashes the runs new or marked
         changed since the last call (ids are ``self.runs`` indexes)."""
         if self.journal is None:    # nothing marks changes: hash them all
             self._reset_digests()
@@ -629,7 +653,7 @@ class RunResult:
     runs: List[RoutineRun]
     end_state: Dict[int, Any]
     makespan: float
-    device_write_logs: Dict[int, list]
+    device_write_logs: Dict[int, WriteLog]
     detection_events: List[tuple]
     device_access_order: Dict[int, List[int]]
 
@@ -668,7 +692,7 @@ class RunResult:
             runs=list(controller.runs),
             end_state=registry.snapshot(),
             makespan=controller.sim.now,
-            device_write_logs={d.device_id: list(d.write_log)
+            device_write_logs={d.device_id: d.write_log.copy()
                                for d in registry},
             detection_events=list(controller.detection_events),
             device_access_order={k: list(v) for k, v in

@@ -167,7 +167,7 @@ class PlanExecutionMixin(Controller):
 
     def snapshot_state(self):
         """Adds the lock table, the device FIFOs and admission state
-        (a run's plan progress is part of its ``runs`` leaf)."""
+        (a live run's plan progress is part of its ``runs`` leaf)."""
         state = super().snapshot_state()
         state["locks"] = self.locks.snapshot()
         state["device_queues"] = self.device_queues.snapshot()

@@ -20,8 +20,22 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import LineageInvariantError
 
+
+class _Unset:
+    """The type of :data:`UNSET`: one instance, printed as ``UNSET``,
+    that pickles (and copies) back to that instance."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "UNSET"
+
+    def __reduce__(self) -> str:
+        return "UNSET"      # by reference to this module's global
+
+
 # Sentinel distinguishing "no write applied yet" from "wrote None".
-UNSET = object()
+UNSET = _Unset()
 
 
 class LockStatus(enum.Enum):

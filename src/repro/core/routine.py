@@ -203,10 +203,6 @@ class Routine:
         """Devices touched, in first-touch order (no duplicates)."""
         return self.footprint.device_ids
 
-    @property
-    def device_set(self) -> frozenset:
-        return frozenset(self.footprint.device_ids)
-
     def conflicts_with(self, other: "Routine") -> bool:
         """True when the two routines touch at least one common device."""
         theirs = other.device_ids
@@ -233,15 +229,6 @@ class Routine:
     def lock_requests(self) -> List[LockRequest]:
         """Per-device lock-accesses in first-touch order."""
         return list(self.footprint.requests)
-
-    def final_write_values(self) -> Dict[int, Any]:
-        """Last written value per device — the routine's end-state effect.
-
-        In a serial world, a routine's effect on each device is its
-        last write.
-        """
-        return {request.device_id: request.final_value
-                for request in self.footprint.requests if request.writes}
 
     def describe(self) -> str:
         steps = "; ".join(c.describe() for c in self.commands)

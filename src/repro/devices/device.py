@@ -8,7 +8,8 @@ not on vendor-specific behaviour.
 """
 
 import enum
-from typing import Any, Callable, List, Tuple
+from array import array
+from typing import Any, Callable, Iterator, List, Tuple
 
 from repro.errors import DeviceError, DeviceUnavailableError
 
@@ -22,6 +23,59 @@ class DeviceKind(enum.Enum):
     APPLIANCE = "appliance"    # coffee maker, dishwasher, oven...
     SENSOR = "sensor"          # read-mostly
     ACTUATOR = "actuator"      # robots: vacuum, mop, trash can
+
+
+class WriteLog:
+    """A device's write history as three columns: times (an
+    ``array('d')``), values and sources.
+
+    It reads as the list of ``(time, value, source)`` tuples it
+    replaces: iteration, ``len()``, integer indexing and equality (with
+    another log or a list) speak those tuples, but a write keeps one
+    double and two references, not a tuple and a float object.
+    """
+
+    __slots__ = ("times", "values", "sources")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.values: List[Any] = []
+        self.sources: List[Any] = []
+
+    def append(self, time: float, value: Any, source: Any) -> None:
+        self.times.append(time)
+        self.values.append(value)
+        self.sources.append(source)
+
+    def copy(self) -> "WriteLog":
+        """A log with copies of the three columns."""
+        twin = WriteLog()
+        twin.times.extend(self.times)
+        twin.values.extend(self.values)
+        twin.sources.extend(self.sources)
+        return twin
+
+    def clear(self) -> None:
+        del self.times[:]
+        self.values.clear()
+        self.sources.clear()
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[Tuple[float, Any, Any]]:
+        return zip(self.times, self.values, self.sources)
+
+    def __getitem__(self, index: int) -> Tuple[float, Any, Any]:
+        return self.times[index], self.values[index], self.sources[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (WriteLog, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"WriteLog({list(self)!r})"
 
 
 class Device:
@@ -44,9 +98,9 @@ class Device:
         self.state = initial_state
         self.initial_state = initial_state
         self.failed = False
-        # (time, value, source) tuples; source is a routine id or a tag
+        # (time, value, source) rows; source is a routine id or a tag
         # like "rollback"/"reconcile".  The congruence checkers replay it.
-        self.write_log: List[Tuple[float, Any, Any]] = []
+        self.write_log = WriteLog()
         self._watchers: List[Callable[["Device", Any], None]] = []
 
     # -- physical actions -------------------------------------------------
@@ -62,7 +116,7 @@ class Device:
                 f"device {self.name} is failed; cannot apply {value!r}"
             )
         self.state = value
-        self.write_log.append((now, value, source))
+        self.write_log.append(now, value, source)
         for watcher in self._watchers:
             watcher(self, value)
 

@@ -57,14 +57,13 @@ def _foreign_writes(result: RunResult) -> Iterator[Tuple[int, int]]:
             continue
         finish = run.finish_time if run.finish_time is not None \
             else float("inf")
-        for execution in run.executions:
-            if execution.applied and execution.command.is_write \
-                    and execution.command.device_id in writes:
-                times, own_times = writes[execution.command.device_id]
-                n = inside(times, execution.started_at, finish)
+        for command, started_at in run.applied_writes():
+            if command.device_id in writes:
+                times, own_times = writes[command.device_id]
+                n = inside(times, started_at, finish)
                 if n:
                     n -= inside(own_times.get(run.routine_id, ()),
-                                execution.started_at, finish)
+                                started_at, finish)
                 yield index, n
 
 

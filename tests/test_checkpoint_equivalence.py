@@ -254,11 +254,11 @@ class TestInputsCoverTheHardCases:
         assert_all_equal(pairs)
 
     def test_a_finished_plan_is_encoded_once(self):
-        """A plan is part of its run's leaf: once the run finished and
-        was hashed, no later checkpoint hashes it again."""
+        """A live run's plan is part of its leaf; a settled run drops
+        it, and once hashed no later checkpoint hashes the run again."""
         home = micro_home("psv", "parallel", seed=15)
         home.run()
-        assert any(run.plan is not None and not run.plan.remaining
+        assert all(run.done and run.plan is None
                    for run in home.controller.runs)
         home.durability.take_checkpoint()
         with mock.patch.object(MultisetDigest, "put") as put:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.command import Command, LONG_COMMAND_THRESHOLD_S
+from repro.core.lineage import UNSET
 from repro.core.routine import Routine, sequential
 from repro.errors import RoutineSpecError
 
@@ -87,16 +88,18 @@ class TestRoutine:
 
     def test_final_write_values(self):
         r = sequential("r", [(0, "ON", 4), (0, "OFF", 1), (1, "ON", 1)])
-        assert r.final_write_values() == {0: "OFF", 1: "ON"}
+        assert [(q.device_id, q.final_value) for q in r.lock_requests()] \
+            == [(0, "OFF"), (1, "ON")]
 
     def test_read_commands_not_in_final_writes(self):
         r = Routine(name="r", commands=[
             Command(device_id=0, is_read=True),
             Command(device_id=1, value="ON"),
         ])
-        assert r.final_write_values() == {1: "ON"}
-        request = r.lock_requests()[0]
+        request, write = r.lock_requests()
         assert request.reads and not request.writes
+        assert request.final_value is UNSET
+        assert (write.device_id, write.final_value) == (1, "ON")
 
     def test_sequential_with_must_flag(self):
         r = sequential("r", [(0, "ON", 1, False), (1, "ON", 1)])

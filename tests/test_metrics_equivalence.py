@@ -248,6 +248,9 @@ def coarsen(result: RunResult, step: float) -> None:
         run.submit_time = snap(run.submit_time)
         run.start_time = snap(run.start_time)
         run.finish_time = snap(run.finish_time)
+        # A settled run's history is packed and read-only: snap its
+        # views and hand the run those instead.
+        run.executions = list(run.executions)
         for execution in run.executions:
             execution.started_at = snap(execution.started_at)
             execution.finished_at = snap(execution.finished_at)
@@ -260,9 +263,12 @@ def coarsen(result: RunResult, step: float) -> None:
 
 
 def shuffle_logs(result: RunResult, seed: int) -> None:
+    """Hand each device's log over as a list in shuffled order."""
     rng = random.Random(seed)
-    for log in result.device_write_logs.values():
-        rng.shuffle(log)
+    logs = result.device_write_logs
+    for device_id, log in logs.items():
+        logs[device_id] = list(log)
+        rng.shuffle(logs[device_id])
 
 
 failure_plans = st.lists(

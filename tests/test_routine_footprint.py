@@ -2,8 +2,8 @@
 
 A routine is compiled once, on first use, into one
 :class:`~repro.core.routine.Footprint` held in a single declared field;
-``lock_requests()``, ``device_ids``, ``total_duration``,
-``final_write_values()``, ``device_set``, ``plan_shape`` and the
+``lock_requests()`` (each span's final written value included),
+``device_ids``, ``total_duration``, ``plan_shape`` and the
 last-command-on-device lookup are views of it.  The per-view loops the
 routine used to cache one by one live on here, and only here, as the
 reference: over hypothesis-drawn contiguous command lists (reads,
@@ -12,7 +12,9 @@ its reference, and reading them must leave nothing in the instance dict
 but the declared fields.
 """
 
+import copy
 import dataclasses
+import pickle
 
 from hypothesis import given, strategies as st
 
@@ -108,8 +110,8 @@ def commands_(draw):
 
 
 def _read_every_view(routine):
-    return (routine.lock_requests(), routine.device_ids, routine.device_set,
-            routine.total_duration, routine.final_write_values(),
+    return (routine.lock_requests(), routine.device_ids,
+            routine.total_duration,
             [routine.plan_shape(strategy) for strategy in STRATEGIES],
             [routine.footprint.last_index(command.device_id)
              for command in routine.commands])
@@ -126,15 +128,16 @@ def test_footprint_equals_the_reference_derivations(commands):
              r.writes, r.reads) for r in footprint.requests] == \
         ref_lock_requests(commands)
     final = ref_final_write_values(commands)
-    assert routine.final_write_values() == final
-    assert list(routine.final_write_values()) == list(final)   # order too
+    written = {r.device_id: r.final_value
+               for r in routine.lock_requests() if r.writes}
+    assert written == final
+    assert list(written) == list(final)   # order too
     assert [r.final_value for r in footprint.requests] == \
         [final.get(r.device_id, UNSET) for r in footprint.requests]
     assert {device_id: footprint.last_index(device_id)
             for device_id in routine.device_ids} == ref_last_index(commands)
     assert footprint.last_index(-7) == -1
     assert routine.device_ids == ref_device_ids(commands)
-    assert routine.device_set == frozenset(ref_device_ids(commands))
     total = routine.total_duration
     assert total == ref_total_duration(commands)
     assert type(total) is type(ref_total_duration(commands))
@@ -148,9 +151,7 @@ def test_footprint_equals_the_reference_derivations(commands):
 def test_views_keep_their_types(commands):
     routine = Routine(name="r", commands=commands)
     assert type(routine.device_ids) is list
-    assert type(routine.final_write_values()) is dict
     assert type(routine.lock_requests()) is list
-    assert type(routine.device_set) is frozenset
     assert all(type(r) is LockRequest for r in routine.lock_requests())
 
 
@@ -169,7 +170,7 @@ def test_conflicts_with_matches_set_intersection(commands):
     for device_id in (0, 7, 41):
         other = Routine(name="o", commands=[Command(device_id=device_id)])
         assert routine.conflicts_with(other) == \
-            bool(routine.device_set & other.device_set)
+            bool(set(routine.device_ids) & set(other.device_ids))
         assert other.conflicts_with(routine) == \
             routine.conflicts_with(other)
 
@@ -206,6 +207,19 @@ def test_lock_request_equality_and_command_indexes():
     assert sensor.command_indexes == (2,)
     assert sensor.final_value is UNSET
     assert "final_value='B'" in repr(coffee)
+
+
+def test_unset_prints_and_pickles_stably():
+    """A read-only span prints no address, and ``UNSET`` comes back
+    from a pickle or a deep copy as itself."""
+    sensor, = Routine(name="r", commands=[
+        Command(device_id=5, is_read=True)]).lock_requests()
+    assert "0x" not in repr(sensor)
+    assert "final_value=UNSET" in repr(sensor)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(UNSET, protocol)) is UNSET
+    assert pickle.loads(pickle.dumps(sensor)).final_value is UNSET
+    assert copy.deepcopy(UNSET) is UNSET
 
 
 # -- sharing ------------------------------------------------------------------------------------
