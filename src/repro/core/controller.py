@@ -72,14 +72,15 @@ class RoutineRun:
     run), so a finished run keeps no ``__dict__`` and no container it
     no longer needs: at settle its plan goes and its executions are
     packed into an :class:`~repro.core.command.ExecutionHistory`.
-    Equality is identity (routine ids are unique).
+    Equality is identity (routine ids are unique).  ``invocation``
+    numbers what was invoked: an OCC retry is its next attempt.
     """
 
     __slots__ = ("routine", "routine_id", "submit_time", "status",
                  "start_time", "finish_time", "next_index", "executions",
                  "abort_reason", "abort_pending", "inflight_count", "plan",
                  "lock_wait_s", "arrival_seq", "done_mask",
-                 "rolled_back_commands")
+                 "rolled_back_commands", "invocation")
 
     def __init__(self, routine: Routine, routine_id: int, submit_time: float,
                  status: RoutineStatus = RoutineStatus.PENDING,
@@ -109,6 +110,7 @@ class RoutineRun:
         # last command on that device (an int allocates no set per run).
         self.done_mask = 0
         self.rolled_back_commands = 0
+        self.invocation = routine_id
 
     def __repr__(self) -> str:
         return (f"RoutineRun({self.routine_id}, {self.name!r}, "
@@ -203,12 +205,11 @@ class Controller:
         self.registry = registry
         self.driver = driver
         self.config = config or ControllerConfig()
-        self.runs: List[RoutineRun] = []
-        self._runs_by_id: Dict[int, RoutineRun] = {}
+        self.runs: List[RoutineRun] = []    # routine ids index it
+        self.invocations: List[RoutineRun] = []     # latest attempt of each
         # The runs not yet finished, in submission order: the failure
         # detector asks "all done?" on every tick.
         self._unfinished: Dict[int, RoutineRun] = {}
-        self._next_routine_id = 0
         # The hub's *belief* about device liveness (detection, not truth).
         self.believed_failed: Set[int] = set()
         # Detection event log: ("failure"|"restart", device_id, time).
@@ -220,7 +221,10 @@ class Controller:
         # Per-device order in which routines completed their last access
         # (feeds the serialization-order reconstruction).
         self.device_access_order: Dict[int, List[int]] = {}
+        # Hooks on every attempt's finish, and on an invocation's end
+        # (its last attempt's finish).
         self.on_routine_finished: List[Callable[[RoutineRun], None]] = []
+        self.on_invocation_finished: List[Callable[[RoutineRun], None]] = []
         self._reset_digests()
         # The durable hub's WAL (an object with .observe(type, payload,
         # time)); None keeps journaling at zero cost.
@@ -248,16 +252,19 @@ class Controller:
 
     # -- submission ------------------------------------------------------------
 
-    def submit(self, routine: Routine,
-               when: Optional[float] = None) -> RoutineRun:
-        """Register a routine to arrive at ``when`` (default: now)."""
+    def submit(self, routine: Routine, when: Optional[float] = None,
+               retry_of: Optional[RoutineRun] = None) -> RoutineRun:
+        """Register a routine to arrive at ``when`` (default: now): a new
+        invocation, or the next attempt of ``retry_of``'s."""
         when = self.sim.now if when is None else when
-        run = RoutineRun(routine=routine,
-                         routine_id=self._next_routine_id,
-                         submit_time=when)
-        self._next_routine_id += 1
+        run = RoutineRun(routine, len(self.runs), when)
         self.runs.append(run)
-        self._runs_by_id[run.routine_id] = run
+        if retry_of is None:
+            run.invocation = len(self.invocations)
+            self.invocations.append(run)
+        else:
+            run.invocation = retry_of.invocation
+            self.invocations[run.invocation] = run
         self._unfinished[run.routine_id] = run
         if self.journal is not None:
             self._journal("routine-submitted", routine_id=run.routine_id,
@@ -464,6 +471,9 @@ class Controller:
             self._pack_history(run)
         for callback in self.on_routine_finished:
             callback(run)
+        if self.invocations[run.invocation] is run:     # not retried
+            for callback in self.on_invocation_finished:
+                callback(run)
         self._policy_after_finish(run)
 
     def _policy_after_finish(self, run: RoutineRun) -> None:
@@ -633,16 +643,12 @@ class Controller:
         return not self._unfinished
 
     def run_by_id(self, routine_id: int) -> RoutineRun:
-        run = self._runs_by_id.get(routine_id)
-        if run is None:
+        if not 0 <= routine_id < len(self.runs):
             raise SafeHomeError(f"no run with id {routine_id}")
-        return run
+        return self.runs[routine_id]
 
     def is_finished(self, routine_id: int) -> bool:
-        run = self._runs_by_id.get(routine_id)
-        if run is None:
-            run = self.run_by_id(routine_id)   # raises SafeHomeError
-        return run.status.finished
+        return self.run_by_id(routine_id).status.finished
 
 
 @dataclass

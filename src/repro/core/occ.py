@@ -5,8 +5,8 @@ to be conflict-free, optimistic approaches may be worth exploring in
 future work."  This controller explores exactly that: routines execute
 immediately with no locks (like WV), and validate at their finish point
 against the routines that committed during their lifetime
-(first-committer-wins backward validation).  A conflicted routine is
-rolled back and retried a bounded number of times.
+(first-committer-wins backward validation).  A conflicted attempt is
+rolled back and its invocation retried a bounded number of times.
 
 The guarantee matches EV's: committed routines are end-state
 serializable (in commit order).  A write may land over another routine's
@@ -52,6 +52,7 @@ class OptimisticController(PlanExecutionMixin):
         self.commit_log: List[CommitRecord] = []
         self.retries_used: Dict[int, int] = {}
         self.validation_aborts = 0
+        self._conflict_reasons: Dict[int, str] = {}     # one per committer
 
     def _reset_digests(self) -> None:
         super()._reset_digests()
@@ -60,8 +61,8 @@ class OptimisticController(PlanExecutionMixin):
 
     def snapshot_state(self):
         state = super().snapshot_state()
-        # Both history parts are append-only (a routine's retry count is
-        # set once, when its retry is submitted): chain the new items.
+        # Both history parts are append-only (an attempt's retry number
+        # is set once, when it is submitted): chain the new items.
         chain = self._commit_chain
         state["commit_log"] = chain.extend(
             (record.routine_id, record.commit_time,
@@ -88,9 +89,14 @@ class OptimisticController(PlanExecutionMixin):
             self._commit_validated(run)
             return
         self.validation_aborts += 1
-        self.abort(run, f"validation conflict with routine "
-                        f"{conflict.routine_id}")
-        self._maybe_retry(run)
+        # The invocation's next attempt, registered before this one ends.
+        used = self.retries_used.get(run.routine_id, 0)
+        if used < self.max_retries:
+            retry = self.submit(run.routine, retry_of=run)
+            self.retries_used[retry.routine_id] = used + 1
+        self.abort(run, self._conflict_reasons.setdefault(
+            conflict.routine_id,
+            f"validation conflict with routine {conflict.routine_id}"))
 
     def _conflicting_commit(self, run: RoutineRun):
         """A commit that overlapped this run's lifetime and footprint."""
@@ -109,14 +115,3 @@ class OptimisticController(PlanExecutionMixin):
             commit_time=self.sim.now,
             write_set=frozenset(run.effective_final_writes())))
         self.commit(run)
-
-    # -- retry ---------------------------------------------------------------------------
-
-    def _maybe_retry(self, run: RoutineRun) -> None:
-        used = self.retries_used.get(run.routine_id, 0)
-        if used >= self.max_retries:
-            return
-        # The retry shares the original's commands and compiled plan.
-        new_run = self.submit(run.routine.rerun("occ-retry"),
-                              when=self.sim.now)
-        self.retries_used[new_run.routine_id] = used + 1

@@ -8,7 +8,6 @@ scheduler needs, and every other view the controllers derive from the
 command list.
 """
 
-import copy
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -129,7 +128,7 @@ class Routine:
     commands: List[Command]
     user: str = ""
     trigger: str = ""
-    # The compiled footprint (see :attr:`footprint`); shared by reruns.
+    # The compiled footprint (see :attr:`footprint`).
     _footprint: Optional[Footprint] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -189,14 +188,6 @@ class Routine:
             from repro.core.execution.plan import compile_shape
             shape = shapes[strategy] = compile_shape(self.commands, strategy)
         return shape
-
-    def rerun(self, trigger: str) -> "Routine":
-        """The same routine under another trigger, sharing the command
-        list and the compiled footprint."""
-        twin = copy.copy(self)
-        twin.trigger = trigger
-        twin._footprint = self.footprint
-        return twin
 
     @property
     def device_ids(self) -> List[int]:

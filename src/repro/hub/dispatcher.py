@@ -51,10 +51,7 @@ class Dispatcher:
     def invoke(self, routine_name: str,
                trigger_name: str = "user",
                kind: str = "user") -> RoutineRun:
-        # A relabelled shallow copy: the bank entry stays untouched and
-        # the command list and compiled footprint are shared.
-        routine = self.bank.get(routine_name).rerun(trigger_name)
-        run = self.controller.submit(routine)
+        run = self.controller.submit(self.bank.get(routine_name))
         self.firings.append(TriggerFiring(trigger_name, self.sim.now,
                                           routine_name, run, kind=kind))
         return run

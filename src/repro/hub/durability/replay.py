@@ -131,8 +131,9 @@ def apply_input(home, record) -> None:
             [parse_routine(spec, home.registry) for spec in stream]
             for stream in payload["streams"]])
     elif record.type == "cancelled":
-        home._request_cancel(
-            home.controller.run_by_id(payload["routine_id"]), payload["at"])
+        if not 0 <= payload["invocation"] < len(home.controller.invocations):
+            raise RecoveryError(f"cancel (seq {record.seq}): no such invocation")
+        home._request_cancel(payload["invocation"], payload["at"])
     elif record.type == "crash-scheduled":
         home._pending_crash = CrashPlan.from_payload(payload)
     elif record.type == "crash-cancelled":

@@ -374,20 +374,22 @@ class SafeHome:
 
         The routine aborts cleanly: executed commands are rolled back
         per the active visibility model's rules and the user gets
-        feedback, exactly as for a failure-driven abort (§2.2).
+        feedback, exactly as for a failure-driven abort (§2.2).  It
+        names ``run``'s invocation: whichever attempt of it is live when
+        the cancel fires aborts, and no retry follows.
         """
         self._ensure_alive()
         self._record_input("cancelled", {
-            "routine_id": run.routine_id, "at": at})
-        self._request_cancel(run, at)
+            "invocation": run.invocation, "at": at})
+        self._request_cancel(run.invocation, at)
 
-    def _request_cancel(self, run: RoutineRun, at: Optional[float]) -> None:
+    def _request_cancel(self, invocation: int, at: Optional[float]) -> None:
         """The cancellation itself, shared with WAL replay."""
-        if at is None:
-            self.controller.request_abort(run, "cancelled by user")
+        if at is not None:
+            self.sim.call_at(at, self._request_cancel, invocation, None)
         else:
-            self.sim.call_at(at, self.controller.request_abort, run,
-                             "cancelled by user")
+            self.controller.request_abort(
+                self.controller.invocations[invocation], "cancelled by user")
 
     # -- execution -------------------------------------------------------------------
 

@@ -74,7 +74,7 @@ class Ticket:
     """One submission's journey through the served hub."""
 
     __slots__ = ("seq", "tenant", "routine", "home", "status",
-                 "enqueued_v", "admitted_v", "finished_v", "routine_id",
+                 "enqueued_v", "admitted_v", "finished_v", "invocation",
                  "done")
 
     def __init__(self, seq: int, tenant: str, routine: Routine,
@@ -87,7 +87,7 @@ class Ticket:
         self.enqueued_v = enqueued_v
         self.admitted_v: Optional[float] = None
         self.finished_v: Optional[float] = None
-        self.routine_id: Optional[int] = None
+        self.invocation: Optional[int] = None
         self.done = threading.Event()
 
     @property
@@ -124,7 +124,7 @@ class ServeHub:
         self._lock = threading.RLock()
         self._state = "new"           # new|serving|draining|stopped
         self._seq = 0
-        self._live: Dict[tuple, Ticket] = {}     # (home, routine_id) -> ticket
+        self._live: Dict[tuple, Ticket] = {}     # (home, invocation) -> ticket
         self._next_home = 0
         self._thread: Optional[threading.Thread] = None
         self._results: Optional[Dict[str, RunResult]] = None
@@ -133,7 +133,7 @@ class ServeHub:
         # terminal state — the closed-loop generator's resubmit hook.
         self.on_ticket_done: List[Callable[[Ticket], None]] = []
         for name, home in self.homes.items():
-            home.controller.on_routine_finished.append(
+            home.controller.on_invocation_finished.append(
                 self._finished_callback(name))
 
     # -- tenants ---------------------------------------------------------------
@@ -185,7 +185,7 @@ class ServeHub:
 
     def _finished_callback(self, home_name: str):
         def on_finished(run) -> None:
-            ticket = self._live.pop((home_name, run.routine_id), None)
+            ticket = self._live.pop((home_name, run.invocation), None)
             if ticket is None:
                 return               # submitted outside the serve layer
             committed = run.status is RoutineStatus.COMMITTED
@@ -207,10 +207,10 @@ class ServeHub:
         for ticket in batch:
             home = self.homes[ticket.home]
             run = home.invoke(ticket.routine)
-            ticket.routine_id = run.routine_id
+            ticket.invocation = run.invocation
             ticket.admitted_v = home.sim.now
             ticket.status = "admitted"
-            self._live[(ticket.home, run.routine_id)] = ticket
+            self._live[(ticket.home, run.invocation)] = ticket
         return len(batch)
 
     def _pump_all(self) -> int:

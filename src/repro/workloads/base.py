@@ -12,9 +12,11 @@ class Workload:
     """A reproducible set of devices, routines and failures.
 
     Routines arrive either open-loop (``arrivals``: fixed submission
-    times) or closed-loop (``streams``: each stream submits its next
-    routine when the previous one finishes — the paper's ρ concurrent
-    routines).
+    times) or closed-loop (``streams``: each stream invokes its next
+    routine when the previous invocation ends — the paper's ρ concurrent
+    routines; an OCC retry is the same invocation's next attempt).
+    Stream invocations are numbered in finish order, which depends on
+    the model: after a migration a cancel of one may name another.
     """
 
     name: str
@@ -47,9 +49,9 @@ class Workload:
 
 def attach_streams(controller, streams: List[List[Routine]]) -> None:
     """Closed-loop injection: each stream submits its next routine when
-    the previous one finishes (the paper's ρ concurrent routines)."""
+    the previous invocation ends (the paper's ρ concurrent routines)."""
     cursors = {index: 0 for index in range(len(streams))}
-    run_to_stream: Dict[int, int] = {}
+    invocation_stream: Dict[int, int] = {}
 
     def submit_next(stream_index: int) -> None:
         cursor = cursors[stream_index]
@@ -57,14 +59,14 @@ def attach_streams(controller, streams: List[List[Routine]]) -> None:
             return
         cursors[stream_index] = cursor + 1
         run = controller.submit(streams[stream_index][cursor])
-        run_to_stream[run.routine_id] = stream_index
+        invocation_stream[run.invocation] = stream_index
 
     def on_finished(run) -> None:
-        stream_index = run_to_stream.get(run.routine_id)
+        stream_index = invocation_stream.get(run.invocation)
         if stream_index is not None:
             submit_next(stream_index)
 
-    controller.on_routine_finished.append(on_finished)
+    controller.on_invocation_finished.append(on_finished)
     for stream_index, stream in enumerate(streams):
         if stream:
             submit_next(stream_index)

@@ -103,8 +103,11 @@ class TestBookkeeping:
         assert not home.controller.is_finished(run.routine_id)
         home.run()
         assert home.controller.is_finished(run.routine_id)
-        with pytest.raises(SafeHomeError):
-            home.controller.run_by_id(999)
+        for bad in (999, -1, len(home.controller.runs)):
+            with pytest.raises(SafeHomeError):
+                home.controller.run_by_id(bad)
+            with pytest.raises(SafeHomeError):
+                home.controller.is_finished(bad)
 
     def test_routine_ids_increment(self):
         home = Home(model="ev", n_devices=1)

@@ -16,8 +16,7 @@ interleavings of the public calls:
 * a hub crash at ``events + k`` — always a ``CrashPlan`` and always
   through ``run_crashing``, the one crash driver — recovered in a drawn
   mode (``replay`` or ``policy``);
-* ``migrate`` to a drawn visibility model (except across OCC once a
-  cancel was journaled: an open finding, pinned below);
+* ``migrate`` to a drawn visibility model;
 * ``close_and_fsck``: the hub's log lives in a temporary directory;
   ``close_wal()`` it, and ``fsck_home_dir`` must find it clean, closed
   cleanly and verified by replay.  The hub carries on as the twin fsck
@@ -50,7 +49,6 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from repro.core.controller import RoutineStatus
-from repro.errors import MigrationError
 from repro.hub.durability import (CrashPlan, DurabilityConfig, replay,
                                   run_crashing, state_digest)
 from repro.hub.durability.fsck import fsck_home_dir
@@ -133,7 +131,6 @@ class HubMachine(RuleBasedStateMachine):
         self.home = bounded(plug_home(model, execution, self.wal_dir))
         self.registered = [(routine, copy.deepcopy(routine))
                            for routine in self.home.bank]
-        self.cancelled = False
 
     def live_runs(self):
         return [run for run in self.home.controller.runs if not run.done]
@@ -150,7 +147,6 @@ class HubMachine(RuleBasedStateMachine):
     def cancel(self, pick):
         runs = self.live_runs()
         self.home.cancel(runs[pick % len(runs)])
-        self.cancelled = True
 
     @rule(device=st.sampled_from(DEVICES), offset=OFFSETS,
           restart_after=st.none() | OFFSETS)
@@ -187,11 +183,6 @@ class HubMachine(RuleBasedStateMachine):
 
     @rule(to=st.sampled_from(MODELS))
     def migrate(self, to):
-        if self.cancelled and "occ" in (self.model, to):
-            # Open, pinned below (test_a_cancel_names_one_routine_under_
-            # every_model): a cancel names a routine id, and OCC's
-            # retries take ids no other model allocates.
-            return
         self.home.migrate(to)
         self.model = to
 
@@ -508,18 +499,23 @@ class TestCounterexamples:
         assert [v.invariant for v in
                 check_run(result, home.initial).violations] == []
 
-    @pytest.mark.xfail(strict=True, raises=MigrationError,
-                       reason="a cancel names a routine id, and OCC's "
-                              "retries take ids no other model allocates")
     def test_a_cancel_names_one_routine_under_every_model(self):
-        """Open.  OCC aborts one of two ``long`` at validation and
-        retries it as routine 2; cancelling the retry journals
-        ``routine_id: 2``, which WV never allocates."""
+        """OCC aborts one of two ``long`` at validation and retries it
+        as routine 2.  Cancelling the retry used to journal
+        ``routine_id: 2``, which WV never allocates; the cancel names
+        invocation 0, which every model numbers alike."""
         home = plug_home("occ")
-        home.invoke("long")
+        first = home.invoke("long")
         home.invoke("long")
         home.run(until=70.0)
         retry = home.controller.runs[2]
-        assert retry.routine.trigger == "occ-retry" and not retry.done
+        assert retry.invocation == first.invocation == 0 and not retry.done
         home.cancel(retry)
+        assert retry.abort_pending == "cancelled by user"   # in flight
+        assert [record.payload for record in home.wal.records
+                if record.type == "cancelled"] == [
+                    {"invocation": 0, "at": None}]
         home.migrate("wv")
+        # WV committed invocation 0 at t=61.2: the cancel finds it done.
+        assert home.controller.invocations[0].status is \
+            RoutineStatus.COMMITTED

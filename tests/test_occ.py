@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.controller import ControllerConfig, RoutineStatus
+from repro.hub.safehome import SafeHome
 from repro.metrics.congruence import final_state_serializable
+from repro.workloads.micro import MicroParams, generate_microbenchmark
 from tests.conftest import Home, routine
 
 
@@ -76,9 +78,8 @@ class TestOCCValidation:
         result = home.run()
         [retry] = [r for r in result.runs
                    if r.name == "slow" and r is not slow]
-        assert retry.routine.trigger == "occ-retry"
-        assert retry.routine is not slow.routine
-        assert retry.routine.commands is slow.routine.commands
+        assert retry.invocation == slow.invocation != retry.routine_id
+        assert retry.routine is slow.routine
         assert retry.routine.plan_shape("parallel") is \
             slow.routine.plan_shape("parallel")
         assert retry.status is RoutineStatus.COMMITTED
@@ -95,6 +96,43 @@ class TestOCCValidation:
         result = home.run()
         copies = [r for r in result.runs if r.name == "long"]
         assert len(copies) <= 1 + 2  # original + max_retries
+
+    def test_attempts_aborted_by_one_committer_share_one_reason(self):
+        home = Home(model="occ", n_devices=3)
+        home.controller.max_retries = 0
+        slow = [home.submit(routine(f"slow{i}", [(0, f"S{i}", 1.0),
+                                                 (i + 1, "S", 8.0)]),
+                            when=0.0) for i in range(2)]
+        fast = home.submit(routine("fast", [(0, "F", 1.0)]), when=0.2)
+        home.run()
+        assert fast.status is RoutineStatus.COMMITTED
+        first, second = (run.abort_reason for run in slow)
+        assert first == f"validation conflict with routine {fast.routine_id}"
+        assert first is second
+
+
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+@pytest.mark.parametrize("rho", [4, 8])
+def test_closed_loop_streams_keep_rho_invocations_live(rho, execution):
+    """A stream invokes its next routine when its invocation ends, not
+    when an attempt OCC will retry finishes: at most ρ runs are live.
+    Advancing on every attempt kept 12-30 live on this input."""
+    params = MicroParams(routines=60, concurrency=rho, devices=12,
+                         zipf_alpha=0.8, long_routine_pct=10,
+                         long_duration_s=120.0, short_duration_s=5.0)
+    home = SafeHome(visibility="occ", execution=execution, seed=1147)
+    home.load_workload(generate_microbenchmark(params, seed=1147))
+    controller = home.controller
+    arrive, live = controller._arrival, []
+
+    def arrival(run):
+        live.append(len(controller.active_runs()))
+        arrive(run)
+
+    controller._arrival = arrival
+    result = home.run()
+    assert len(result.runs) > 60 and max(live) == rho
+    assert len(controller.invocations) == 60
 
 
 class TestOCCVsEV:

@@ -226,13 +226,23 @@ def test_unset_prints_and_pickles_stably():
 
 
 def test_rerun_shares_the_footprint():
-    routine = Routine(name="r", commands=[
-        Command(device_id=0, value="ON", duration=1.0)])
-    twin = routine.rerun("occ-retry")
-    assert twin.trigger == "occ-retry" and routine.trigger == ""
-    assert twin.footprint is routine.footprint
-    assert twin.commands is routine.commands
-    assert twin == dataclasses.replace(routine, trigger="occ-retry")
+    """An OCC retry is its invocation's next attempt over the routine
+    itself: no copy, so one footprint and one compiled plan."""
+    home = SafeHome(visibility="occ")
+    for name in ("p0", "p1"):
+        home.add_device("plug", name)
+    slow = home.invoke(Routine(name="slow", commands=[
+        Command(device_id=0, value="S", duration=1.0),
+        Command(device_id=1, value="S", duration=8.0)]), at=0.0)
+    home.invoke(Routine(name="fast", commands=[
+        Command(device_id=0, value="F", duration=1.0)]), at=0.2)
+    home.run()
+    retries = [run for run in home.controller.runs
+               if run.invocation == slow.invocation and run is not slow]
+    assert retries
+    for retry in retries:
+        assert retry.routine is slow.routine
+        assert retry.routine.footprint is slow.routine.footprint
 
 
 def test_trigger_firings_share_the_bank_footprint():
@@ -247,6 +257,6 @@ def test_trigger_firings_share_the_bank_footprint():
     bank_routine = home.bank.get("tick")
     assert len(dispatcher.firings) == 3
     for firing in dispatcher.firings:
-        assert firing.run.routine is not bank_routine
-        assert firing.run.routine.trigger == "timer"
+        assert firing.run.routine is bank_routine
+        assert firing.trigger_name == "timer"
         assert firing.run.routine.footprint is bank_routine.footprint

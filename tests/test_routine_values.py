@@ -123,7 +123,7 @@ def test_shared_routines_serve_what_copies_served(model, execution):
         assert any(run.name == "scene" and run.executions
                    and run.executions[0].rolled_back for run in runs)
     if model == "occ":
-        assert any(run.routine.trigger == "occ-retry" for run in runs)
+        assert any(run.invocation != run.routine_id for run in runs)
     for name, home in shared.homes.items():
         for routine in home.bank:
             assert routine == registered[name][routine.name]
@@ -152,11 +152,10 @@ def test_dispatcher_labels_runs_not_the_bank_entry():
     dispatcher.every("tick", period=5.0, count=2, trigger_name="morning")
     dispatcher.every("tick", period=5.0, count=2, trigger_name="evening")
     home.run()
-    triggers = sorted(firing.run.routine.trigger
-                      for firing in dispatcher.firings)
+    triggers = sorted(firing.trigger_name for firing in dispatcher.firings)
     assert triggers == ["evening", "evening", "morning", "morning"]
     assert home.bank.get("tick").trigger == ""
-    assert all(firing.run.routine.commands is home.bank.get("tick").commands
+    assert all(firing.run.routine is home.bank.get("tick")
                for firing in dispatcher.firings)
 
 

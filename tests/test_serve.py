@@ -26,6 +26,7 @@ from repro.serve import (AdmissionControl, RealTimeDriver, RollingWindow,
                          run_closed_loop)
 from repro.serve.loadgen import SERVE_DEVICES, SERVE_MENU
 from repro.workloads.fleet_mix import cooling_scenario
+from tests.test_hub_machine import plug_home
 
 MODELS = ("wv", "gsv", "psv", "ev", "occ")
 EXECUTIONS = ("serial", "parallel")
@@ -339,6 +340,30 @@ class TestServeHub:
         assert sum(r.type == "run" for r in durable.wal.records) > 2
         assert_twin_replays_equal(durable)
 
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_ticket_ends_with_its_invocation(self, model, execution):
+        """Two ``long`` tickets on the hub machine's plug home.  Under
+        OCC ticket 0's first attempt aborts at validation (t=61.2) and
+        its retry commits (t=122.3): the ticket reports that commit, and
+        the tenant counts one commit per ticket."""
+        home = plug_home(model, execution)
+        hub = ServeHub(home)
+        hub.add_tenant("t0")
+        tickets = [hub.submit("t0", "long") for _ in range(2)]
+        hub.serve_until_idle()
+        invocations = home.controller.invocations
+        assert len(invocations) == 2
+        for ticket in tickets:
+            last = invocations[ticket.invocation]
+            assert (ticket.status, ticket.finished_v) == \
+                (last.status.value, last.finish_time)
+        assert all(ticket.status == "committed" for ticket in tickets)
+        tenant = hub.status()["tenants"]["t0"]
+        assert (tenant["committed"], tenant["aborted"]) == (2, 0)
+        if model == "occ":
+            assert len(home.controller.runs) == 3
+
     def test_a_served_on_disk_log_is_clean_to_fsck(self, tmp_path, capsys):
         wal_dir = str(tmp_path / "wal")
         home = menu_home("ev", "parallel", wal_dir=wal_dir)
@@ -386,7 +411,7 @@ class TestServeHub:
         # Every ticket is still queued or was admitted before the crash.
         queued = [t for t in tickets if t.status == "queued"]
         assert queued and hub.admission.total_depth() == len(queued)
-        assert all(t.routine_id is not None for t in tickets
+        assert all(t.invocation is not None for t in tickets
                    if t not in queued)
         assert home.recover().crash_events == 12
         assert check_run(home.run(), home.initial).ok
