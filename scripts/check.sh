@@ -103,8 +103,9 @@ twice_identical fleet --homes 10 --seed 42 --crashes 2
 echo "durable fleet (crashes=2) deterministic"
 # Any interleaving of invoke/cancel/failure/run/crash+recover/migrate/serve/
 # close+fsck leaves a log whose replayed twin matches the live hub, a
-# checkpoint digest equal to the one from empty caches, and an
-# oracle-clean end.
+# checkpoint digest equal to the one from empty caches, no abort as
+# cancelled outside the invocations a cancel named, and an oracle-clean
+# end.
 REPRO_HYPOTHESIS_EXAMPLES=200 "$PY" -m pytest -q -p no:cacheprovider \
     --hypothesis-seed=18 tests/test_hub_machine.py
 echo "hub state machine: 200 interleavings replay-equal and oracle-clean"
@@ -196,6 +197,13 @@ echo "one clock OK"
 echo
 echo "== source size: lines of src/repro/**/*.py (reported, not gated) =="
 find src/repro -name '*.py' -print0 | xargs -0 cat | wc -l
+
+echo
+echo "== import floor: peak RSS MB of a fresh interpreter after importing repro (reported, not gated) =="
+# The packages tests/test_import_floor.py imports; that test is the gate
+# (which modules stay unloaded), this is the number.
+"$PY" -c 'import resource, repro, repro.fleet, repro.serve, repro.hub.durability, repro.metrics
+print(round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1))'
 
 echo
 echo "== lint =="

@@ -26,7 +26,6 @@ cycles scenario profiles by home id) stays balanced at any chunk size
 of a few homes or more.
 """
 
-from concurrent import futures
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -142,6 +141,8 @@ class ProcessPool(WorkerPool):
 
     def run(self, context: WorkerContext,
             chunks: List[Tuple[HomeTask, ...]]) -> List[ChunkResult]:
+        from concurrent import futures  # only process-pool runs pay for it
+
         with futures.ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_process_worker_init,

@@ -12,12 +12,14 @@ the test suite.
 """
 
 import itertools
+from array import array
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from operator import gt
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
 from repro.core.controller import RoutineRun, RoutineStatus, RunResult
+from repro.devices.device import WriteLog
 
 
 def _writer_id(source: Any) -> Optional[int]:
@@ -35,19 +37,38 @@ def _foreign_writes(result: RunResult) -> Iterator[Tuple[int, int]]:
     writes by *other* routines hit the same device strictly between that
     write and the routine's finish: n temporary-incongruence events.
 
-    O(n log n).  Per device the routine-attributed write times, sorted
-    (logs may arrive out of time order), and per (device, routine) that
-    routine's own: the foreign writes inside a window are all the writes
-    inside it minus the routine's own, each count two bisects.
+    O(n log n).  Per device the routine-attributed write times, read
+    straight from the log's columns, and per (device, routine) that
+    routine's own: one time, or a list when it wrote the device more
+    than once.  The foreign writes inside a window are all the writes
+    inside it minus the routine's own, each count two bisects.  A hub's
+    logs are in time order by construction (a device applies at the
+    clock's now); only a hand-built log, a list of ``(time, value,
+    source)`` rows, can be out of order, and only such a log is sorted.
     """
-    writes: Dict[int, Tuple[List, Dict[int, List]]] = {}
+    writes: Dict[int, Tuple[array, Dict[int, Any]]] = {}
     for device_id, log in result.device_write_logs.items():
-        times, own_times = writes[device_id] = [], {}
-        for t, _value, source in sorted(log, key=itemgetter(0)):
+        if isinstance(log, WriteLog):
+            stamps, sources = log.times, log.sources
+        else:
+            stamps = [row[0] for row in log]
+            sources = [row[2] for row in log]
+        if any(map(gt, stamps, itertools.islice(stamps, 1, None))):
+            order = sorted(range(len(stamps)), key=stamps.__getitem__)
+            stamps = [stamps[i] for i in order]
+            sources = [sources[i] for i in order]
+        times, own_times = writes[device_id] = array("d"), {}
+        for t, source in zip(stamps, sources):
             writer = _writer_id(source)
             if writer is not None:
                 times.append(t)
-                own_times.setdefault(writer, []).append(t)
+                mine = own_times.get(writer)
+                if mine is None:
+                    own_times[writer] = t
+                elif isinstance(mine, list):
+                    mine.append(t)
+                else:
+                    own_times[writer] = [mine, t]
 
     def inside(times: Sequence, low: Any, high: Any) -> int:
         return max(0, bisect_left(times, high) - bisect_right(times, low))
@@ -62,8 +83,11 @@ def _foreign_writes(result: RunResult) -> Iterator[Tuple[int, int]]:
                 times, own_times = writes[command.device_id]
                 n = inside(times, started_at, finish)
                 if n:
-                    n -= inside(own_times.get(run.routine_id, ()),
-                                started_at, finish)
+                    mine = own_times.get(run.routine_id)
+                    if isinstance(mine, list):
+                        n -= inside(mine, started_at, finish)
+                    elif mine is not None and started_at < mine < finish:
+                        n -= 1
                 yield index, n
 
 

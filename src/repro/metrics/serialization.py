@@ -26,31 +26,35 @@ def reconstruct_serial_order(result: RunResult) -> List[int]:
     access on each device; ties (unrelated routines) break by commit
     time, then routine id, which keeps the output deterministic.
     """
-    committed = [run.routine_id for run in result.runs
-                 if run.status is RoutineStatus.COMMITTED]
-    committed_set = set(committed)
-    successors: Dict[int, Set[int]] = {rid: set() for rid in committed}
-    indegree: Dict[int, int] = {rid: 0 for rid in committed}
+    finish_time = {run.routine_id: run.finish_time for run in result.runs
+                   if run.status is RoutineStatus.COMMITTED}
+    # Successor lists only for routines that have one; an edge seen on
+    # several devices is listed (and counted in the indegree) once per
+    # device, so a routine becomes ready when its last copy is released.
+    successors: Dict[int, List[int]] = {}
+    indegree: Dict[int, int] = {}
     for sequence in result.device_access_order.values():
-        chain = [rid for rid in sequence if rid in committed_set]
-        for before, after in zip(chain, chain[1:]):
-            if after not in successors[before]:
-                successors[before].add(after)
-                indegree[after] += 1
+        before = None
+        for rid in sequence:
+            if rid not in finish_time:
+                continue
+            if before is not None:
+                successors.setdefault(before, []).append(rid)
+                indegree[rid] = indegree.get(rid, 0) + 1
+            before = rid
 
-    finish_time = {run.routine_id: run.finish_time for run in result.runs}
     order: List[int] = []
-    ready = [(finish_time[rid], rid)
-             for rid, deg in indegree.items() if deg == 0]
+    ready = [(finish, rid) for rid, finish in finish_time.items()
+             if rid not in indegree]
     heapq.heapify(ready)
     while ready:
         _finish, rid = heapq.heappop(ready)
         order.append(rid)
-        for succ in successors[rid]:
+        for succ in successors.get(rid, ()):
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 heapq.heappush(ready, (finish_time[succ], succ))
-    if len(order) != len(committed):
+    if len(order) != len(finish_time):
         raise SafeHomeError(
             "cycle in device access precedences: execution was not "
             "serializable")

@@ -136,22 +136,29 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def swap_distance(order: Sequence[int], reference: Sequence[int]) -> int:
-    """Kendall-tau distance: adjacent swaps to turn ``reference`` into
-    ``order`` (the paper's "order mismatch", §7.6).
+def _inversions(order: Sequence[int],
+                reference: Sequence[int]) -> Tuple[int, int]:
+    """Swap distance of ``reference`` against ``order`` over the elements
+    both hold, and how many distinct elements that is.
 
-    Elements present in only one sequence are ignored.
+    One rank map over ``order`` (a repeated element ranks at its last
+    position); per ``reference`` element, the earlier ones of larger
+    rank are counted with a Fenwick tree over the ranks: O(n log n).
     """
-    common = set(order) & set(reference)
-    a = [x for x in order if x in common]
-    rank = {x: i for i, x in enumerate(a)}
-    b = [rank[x] for x in reference if x in common]
-    # Inversions of b — per element, the earlier ones that are larger —
-    # counted with a Fenwick tree over the ranks: O(n log n).
-    size = len(a)
+    rank = {x: i for i, x in enumerate(order)}
+    size = len(order)
+    seen = bytearray(size)
     tree = [0] * (size + 1)
-    inversions = 0
-    for larger, value in enumerate(b):   # starts as "all earlier ones"
+    inversions = common = earlier = 0
+    for x in reference:
+        value = rank.get(x)
+        if value is None:
+            continue
+        if not seen[value]:
+            seen[value] = 1
+            common += 1
+        larger = earlier                 # starts as "all earlier ones"
+        earlier += 1
         i = value + 1
         while i:                         # minus the earlier ones <= value
             larger -= tree[i]
@@ -161,15 +168,23 @@ def swap_distance(order: Sequence[int], reference: Sequence[int]) -> int:
         while i <= size:
             tree[i] += 1
             i += i & -i
-    return inversions
+    return inversions, common
+
+
+def swap_distance(order: Sequence[int], reference: Sequence[int]) -> int:
+    """Kendall-tau distance: adjacent swaps to turn ``reference`` into
+    ``order`` (the paper's "order mismatch", §7.6).
+
+    Elements present in only one sequence are ignored.
+    """
+    return _inversions(order, reference)[0]
 
 
 def normalized_swap_distance(order: Sequence[int],
                              reference: Sequence[int]) -> float:
     """Swap distance normalized by the worst case n·(n−1)/2 → [0, 1]."""
-    common = set(order) & set(reference)
-    n = len(common)
+    inversions, n = _inversions(order, reference)
     if n < 2:
         return 0.0
     worst = n * (n - 1) / 2
-    return swap_distance(order, reference) / worst
+    return inversions / worst

@@ -4,14 +4,18 @@ Serves :meth:`~repro.serve.hub.ServeHub.status_json` (wall-clock
 gauges included) so an operator can watch saturation, queue depth and
 rolling latency quantiles while ``repro serve`` runs.  Read-only, one
 endpoint, no dependencies beyond ``http.server``; anything fancier
-belongs behind a real proxy.
+belongs behind a real proxy.  ``http.server`` (and with it
+``http.client``, ``ssl``, ``email`` and ``socketserver``) loads only
+when a server starts, so importing :mod:`repro` does not pay for it.
 """
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ServeError
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 
 class StatusServer:
@@ -26,7 +30,7 @@ class StatusServer:
         self.hub = hub
         self.host = host
         self._requested_port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional["ThreadingHTTPServer"] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -38,6 +42,8 @@ class StatusServer:
     def start(self) -> None:
         if self._httpd is not None:
             raise ServeError("status server already started")
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         hub = self.hub
 
         class Handler(BaseHTTPRequestHandler):

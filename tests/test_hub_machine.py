@@ -26,8 +26,10 @@ After every step a fresh twin built from the log (``replay.build_home``
 plus ``replay.replay`` to the live hub's closing seal) must verify and
 reach the live hub's ``state_digest``, that digest must equal the one
 computed from empty caches, and every bank routine must still equal
-the deep copy taken at registration, and under EV no live run may hold
-a ready command whose lineage entry it could take (a lost waiter).
+the deep copy taken at registration, every run aborted as cancelled
+must be an attempt of an invocation a ``cancel`` named, and under EV
+no live run may hold a ready command whose lineage entry it could take
+(a lost waiter).
 Every unbounded slice is capped at ``SLICE_EVENTS``, so a run that
 never finishes fails as a livelock instead of hanging a drain.  At the
 end the hub runs dry, the congruence oracle must pass, and under EV the
@@ -61,6 +63,7 @@ MODELS = ("wv", "gsv", "psv", "ev", "occ")
 EXECUTIONS = ("serial", "parallel")
 RECOVERY = ("replay", "policy")
 DEVICES = [f"plug-{i}" for i in range(4)]
+CANCEL_REASON = "cancelled by user"
 
 
 def _spec(name, *steps):
@@ -131,6 +134,7 @@ class HubMachine(RuleBasedStateMachine):
         self.home = bounded(plug_home(model, execution, self.wal_dir))
         self.registered = [(routine, copy.deepcopy(routine))
                            for routine in self.home.bank]
+        self.cancelled = set()      # the invocations ``cancel`` named
 
     def live_runs(self):
         return [run for run in self.home.controller.runs if not run.done]
@@ -146,7 +150,9 @@ class HubMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 7))
     def cancel(self, pick):
         runs = self.live_runs()
-        self.home.cancel(runs[pick % len(runs)])
+        run = runs[pick % len(runs)]
+        self.cancelled.add(run.invocation)
+        self.home.cancel(run)
 
     @rule(device=st.sampled_from(DEVICES), offset=OFFSETS,
           restart_after=st.none() | OFFSETS)
@@ -216,6 +222,17 @@ class HubMachine(RuleBasedStateMachine):
             return
         assert state_digest(self.home._capture_state()) == \
             scratch_digest(self.home)
+
+    @invariant()
+    def only_cancelled_invocations_abort_as_cancelled(self):
+        """A cancel aborts an attempt of the invocation it named and no
+        other, across OCC retries, crashes and migrations."""
+        if self.home is None:
+            return
+        for run in self.home.controller.runs:
+            if run.abort_reason == CANCEL_REASON:
+                assert run.invocation in self.cancelled, \
+                    (run.routine_id, run.invocation, self.cancelled)
 
     @invariant()
     def no_run_misses_a_free_lineage(self):

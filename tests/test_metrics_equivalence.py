@@ -26,6 +26,7 @@ from repro.core.controller import (ControllerConfig, RoutineRun,
                                    RoutineStatus, RunResult)
 from repro.core.routine import Routine
 from repro.core.visibility import make_controller
+from repro.devices.device import WriteLog
 from repro.devices.driver import Driver
 from repro.devices.failures import FailureInjector, FailurePlan
 from repro.devices.network import LatencyModel
@@ -44,7 +45,7 @@ from repro.metrics.congruence import (_exists_exhaustive,
                                       temporary_incongruence_events)
 from repro.metrics.serialization import (place_detection_events,
                                          reconstruct_serial_order)
-from repro.metrics.stats import swap_distance
+from repro.metrics.stats import normalized_swap_distance, swap_distance
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workloads.base import attach_streams
@@ -64,6 +65,13 @@ def ref_swap_distance(order, reference) -> int:
             if b[i] > b[j]:
                 inversions += 1
     return inversions
+
+
+def ref_normalized_swap_distance(order, reference) -> float:
+    n = len(set(order) & set(reference))
+    if n < 2:
+        return 0.0
+    return ref_swap_distance(order, reference) / (n * (n - 1) / 2)
 
 
 def _ref_writes(result: RunResult) -> Dict[int, List]:
@@ -331,6 +339,8 @@ class TestAgainstQuadraticDefinitions:
         # Disjoint elements, and repeats on either side, included.
         assert swap_distance(order, reference) == \
             ref_swap_distance(order, reference)
+        assert normalized_swap_distance(order, reference) == \
+            ref_normalized_swap_distance(order, reference)
 
     @given(order=st.permutations(range(40)), data=st.data())
     def test_swap_distance_permutations(self, order, data):
@@ -381,6 +391,103 @@ class TestInputsCoverTheHardCases:
         coarsen(result, 5.0)
         assert any(len({t for t, _v, _s in log}) < len(log)
                    for log in result.device_write_logs.values())
+
+
+def hand_built(runs: List[RoutineRun], logs: Dict[int, Any],
+               access: Dict[int, List[int]]) -> RunResult:
+    return RunResult(model_name="wv", runs=runs, end_state={},
+                     makespan=10.0, device_write_logs=logs,
+                     detection_events=[], device_access_order=access)
+
+
+def writer(rid: int, start: float, finish: float, writes: List[float],
+           status=RoutineStatus.COMMITTED) -> RoutineRun:
+    """A run that applied one write to device 0 at each of ``writes``."""
+    routine = Routine(name=f"r{rid}", commands=[
+        Command(device_id=0, value="ON") for _ in writes])
+    return RoutineRun(
+        routine=routine, routine_id=rid, submit_time=start, status=status,
+        start_time=start, finish_time=finish,
+        executions=[CommandExecution(command, started_at=t, finished_at=t,
+                                     applied=True)
+                    for command, t in zip(routine.commands, writes)])
+
+
+def committed_runs(finish_times: Dict[int, float]) -> List[RoutineRun]:
+    return [writer(rid, 0.0, finish, [0.0]) for rid, finish
+            in finish_times.items()]
+
+
+class TestRewrittenPathsPinned:
+    """One hand-built input per branch of the rewritten passes."""
+
+    # Routines 1 and 2 each write device 0 twice; 3 writes it once and
+    # rolls that write back before it aborts; 4's one write lands 0.1 s
+    # after it was issued, inside its own window; a reconcile write is
+    # the hub's own.  Foreign writes per window: 1@1 sees 2, 3, 3, 2, 4
+    # (5), 1@3 sees 3, 3, 2, 4 (4), 2@2 sees 1, 3, 3, 4 (4), 2@5 sees 4
+    # (1), 3@3.5 and 4@5.5 none.
+    ROWS = [(1.0, "ON", 1), (2.0, "ON", 2), (3.0, "OFF", 1),
+            (3.5, "ON", 3), (4.0, "OFF", ("rollback", 3)),
+            (4.5, "OFF", "reconcile"), (5.0, "ON", 2), (5.6, "OFF", 4)]
+
+    def several_writes_home(self, log) -> RunResult:
+        return hand_built(
+            [writer(1, 1.0, 10.0, [1.0, 3.0]),
+             writer(2, 2.0, 6.0, [2.0, 5.0]),
+             writer(3, 3.5, 4.5, [3.5], status=RoutineStatus.ABORTED),
+             writer(4, 5.5, 8.0, [5.5])],
+            {0: log}, {0: [1, 2, 3, 4]})
+
+    @pytest.mark.parametrize("handed_over", ["write-log", "reversed-list",
+                                             "shuffled-list"])
+    def test_writers_with_several_writes_in_any_log_order(self,
+                                                          handed_over):
+        if handed_over == "write-log":
+            log = WriteLog()
+            for row in self.ROWS:
+                log.append(*row)
+        elif handed_over == "reversed-list":
+            log = self.ROWS[::-1]
+        else:
+            log = list(self.ROWS)
+            random.Random(7).shuffle(log)
+            assert log != sorted(log, key=lambda row: row[0])
+        result = self.several_writes_home(log)
+        assert temporary_incongruence_events(result) == 14 == \
+            ref_temporary_incongruence_events(result)
+        assert temporary_incongruence(result) == 2 / 4 == \
+            ref_temporary_incongruence(result)
+
+    def test_routines_following_one_another_on_several_devices(self):
+        # 1 -> 2 on devices 0 and 1, 2 -> 3 on devices 0 and 2: each edge
+        # twice.  4 depends on nothing and finishes first; 3 finishes
+        # before 2 but must wait for both of 2's edges.
+        finish = {1: 5.0, 2: 9.0, 3: 7.0, 4: 1.0}
+        result = hand_built(committed_runs(finish), {},
+                            {0: [1, 2, 3], 1: [1, 2], 2: [2, 3],
+                             3: [1, 3], 4: [4]})
+        assert reconstruct_serial_order(result) == [4, 1, 2, 3] == \
+            ref_reconstruct_serial_order(result)
+
+    def test_a_self_edge_is_a_cycle(self):
+        result = hand_built(committed_runs({1: 1.0, 2: 2.0}), {},
+                            {0: [1, 1], 1: [1, 2]})
+        expected = _outcome(ref_reconstruct_serial_order, result)
+        assert expected[0] == "raised"
+        assert _outcome(reconstruct_serial_order, result) == expected
+
+    @pytest.mark.parametrize("order, reference", [
+        ([1, 2, 3, 9], [3, 2, 1, 7, 8]),        # each side has extras
+        ([5, 1, 2, 1, 3], [3, 1, 1, 2, 4, 2]),  # repeats on both sides
+        ([2, 2, 2], [2, 2]),                    # one distinct element
+        ([], [1, 2]),
+    ])
+    def test_normalized_swap_distance(self, order, reference):
+        assert normalized_swap_distance(order, reference) == \
+            ref_normalized_swap_distance(order, reference)
+        assert swap_distance(order, reference) == \
+            ref_swap_distance(order, reference)
 
 
 # -- witness first: the verdict is the search's --------------------------------
